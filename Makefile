@@ -47,10 +47,12 @@ bench: bench-core
 # Engine iteration + app-kernel + wire-plane micro-benchmarks, recorded as
 # a machine-readable baseline (ns/op, allocs/op) in BENCH_core.json. The
 # run fails if any benchmark's allocs/op regresses above the committed
-# baseline; Soak* series already in the file are preserved.
+# baseline; Soak* series already in the file are preserved. -cpu 1 keeps the
+# series names free of a GOMAXPROCS suffix, so the gate finds its baseline on
+# any machine (the committed series were recorded that way).
 bench-core:
-	go test -run '^$$' -bench 'EngineIteration|ComputeKernel|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|PipelineStage' -benchmem \
-		./internal/core ./internal/apps/... ./internal/distnet ./internal/pipeline \
+	go test -run '^$$' -cpu 1 -bench 'EngineIteration|ComputeKernel|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|PipelineStage' -benchmem \
+		./internal/core ./internal/apps/... ./internal/nbody ./internal/distnet ./internal/pipeline \
 		| go run ./cmd/benchjson -baseline BENCH_core.json -o BENCH_core.json
 	@echo "wrote BENCH_core.json"
 

@@ -33,25 +33,33 @@ func DefaultGrid(rows, cols int) Grid {
 	return Grid{Rows: rows, Cols: cols, Alpha: 0.2, Top: 100, Bottom: 0}
 }
 
+// initialValue is the initial temperature of every cell of row r: the
+// Dirichlet value on a boundary row, the mean in the interior.
+func (g Grid) initialValue(r int) float64 {
+	switch r {
+	case 0:
+		return g.Top
+	case g.Rows - 1:
+		return g.Bottom
+	}
+	return (g.Top + g.Bottom) / 2
+}
+
 // Initial returns the initial field: boundary rows at their Dirichlet
 // values, interior at the mean.
 func (g Grid) Initial() [][]float64 {
 	f := make([][]float64, g.Rows)
-	mid := (g.Top + g.Bottom) / 2
 	for r := range f {
 		f[r] = make([]float64, g.Cols)
-		v := mid
-		switch r {
-		case 0:
-			v = g.Top
-		case g.Rows - 1:
-			v = g.Bottom
-		}
-		for c := range f[r] {
-			f[r][c] = v
-		}
+		fill(f[r], g.initialValue(r))
 	}
 	return f
+}
+
+func fill(row []float64, v float64) {
+	for c := range row {
+		row[c] = v
+	}
 }
 
 // SerialStep advances the whole field one explicit step (reference
@@ -127,6 +135,8 @@ type App struct {
 	blocks [][2]int // per-processor global row ranges [lo, hi)
 	// Theta is the relative-error speculation threshold.
 	Theta float64
+
+	out, pub core.ResultBuf // Compute and Publish results
 }
 
 // NewApp creates the adapter for processor pid. blocks lists every
@@ -159,13 +169,13 @@ func (a *App) NeededBy(peer int) bool { return a.adjacent(peer) }
 
 func (a *App) rows() (lo, hi int) { return a.blocks[a.pid][0], a.blocks[a.pid][1] }
 
-// InitLocal implements core.App.
+// InitLocal implements core.App: the owned rows of Grid.Initial.
 func (a *App) InitLocal() []float64 {
 	lo, hi := a.rows()
-	full := a.grid.Initial()
-	out := make([]float64, 0, (hi-lo)*a.grid.Cols)
+	c := a.grid.Cols
+	out := make([]float64, (hi-lo)*c)
 	for r := lo; r < hi; r++ {
-		out = append(out, full[r]...)
+		fill(out[(r-lo)*c:(r-lo+1)*c], a.grid.initialValue(r))
 	}
 	return out
 }
@@ -174,10 +184,9 @@ func (a *App) InitLocal() []float64 {
 // concatenated — everything any neighbour's stencil can touch.
 func (a *App) Publish(local []float64) []float64 {
 	c := a.grid.Cols
-	nRows := len(local) / c
-	out := make([]float64, 0, 2*c)
-	out = append(out, local[:c]...)
-	out = append(out, local[(nRows-1)*c:]...)
+	out := a.pub.Next(2 * c)
+	copy(out, local[:c])
+	copy(out[c:], local[len(local)-c:])
 	return out
 }
 
@@ -203,10 +212,14 @@ func (a *App) ghostRow(view [][]float64, r int, wantLast bool) []float64 {
 }
 
 // Compute implements core.App: stencil update of the owned rows, using the
-// neighbours' published edge rows as ghosts.
+// neighbours' published edge rows as ghosts. The side columns are peeled
+// off the inner loop (insulated edges read the cell itself), and every row
+// is re-sliced to the current row's length so the loop carries no bounds
+// check; the arithmetic is SerialStep's, operand for operand.
 func (a *App) Compute(view [][]float64, t int) []float64 {
 	lo, hi := a.rows()
 	g := a.grid
+	cols, alpha := g.Cols, g.Alpha
 	strip := view[a.pid]
 	var up, down []float64
 	if lo > 0 {
@@ -215,34 +228,32 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 	if hi < g.Rows {
 		down = a.ghostRow(view, hi, false) // the strip below contributes its FIRST row
 	}
-	row := func(r int) []float64 {
-		switch {
-		case r < lo:
-			return up
-		case r >= hi:
-			return down
-		default:
-			return strip[(r-lo)*g.Cols : (r-lo+1)*g.Cols]
-		}
-	}
-	out := make([]float64, 0, (hi-lo)*g.Cols)
+	out := a.out.Next((hi - lo) * cols)
 	for r := lo; r < hi; r++ {
-		cur := row(r)
+		i := (r - lo) * cols
+		cur, dst := strip[i:i+cols], out[i:i+cols]
 		if r == 0 || r == g.Rows-1 {
-			out = append(out, cur...)
+			copy(dst, cur)
 			continue
 		}
-		above, below := row(r-1), row(r+1)
-		for c := 0; c < g.Cols; c++ {
-			left, right := c, c
-			if c > 0 {
-				left = c - 1
-			}
-			if c < g.Cols-1 {
-				right = c + 1
-			}
+		above, below := up, down
+		if r > lo {
+			above = strip[i-cols : i]
+		}
+		if r+1 < hi {
+			below = strip[i+cols : i+2*cols]
+		}
+		above, below, dst = above[:len(cur)], below[:len(cur)], dst[:len(cur)]
+		last := len(cur) - 1
+		x := cur[0]
+		dst[0] = x + alpha*(above[0]+below[0]+x+cur[min(1, last)]-4*x)
+		for c := 1; c < len(cur)-1; c++ {
 			x := cur[c]
-			out = append(out, x+g.Alpha*(above[c]+below[c]+cur[left]+cur[right]-4*x))
+			dst[c] = x + alpha*(above[c]+below[c]+cur[c-1]+cur[c+1]-4*x)
+		}
+		if last > 0 {
+			x := cur[last]
+			dst[last] = x + alpha*(above[last]+below[last]+cur[last-1]+x-4*x)
 		}
 	}
 	return out

@@ -125,7 +125,10 @@ type App struct {
 	// between consecutive validated iterations falls below it (a core.Stopper).
 	Tol float64
 
-	prevIterate []float64
+	x   []float64      // Compute's reassembled global iterate
+	out core.ResultBuf // Compute results
+	// prevIterate and spare are Done's previous and recycled global iterates.
+	prevIterate, spare []float64
 }
 
 // NewApp creates the adapter for processor pid owning rows [lo, hi).
@@ -143,29 +146,39 @@ var _ core.App = (*App)(nil)
 // InitLocal implements core.App: the zero initial iterate.
 func (a *App) InitLocal() []float64 { return make([]float64, a.hi-a.lo) }
 
-// global reassembles the full iterate from the per-processor view.
-func (a *App) global(view [][]float64) []float64 {
-	x := make([]float64, a.prob.N)
+// global reassembles the full iterate from the per-processor view into x
+// (allocated on first use); blocks the view leaves empty read as zero.
+func (a *App) global(x []float64, view [][]float64) []float64 {
+	if len(x) != a.prob.N {
+		x = make([]float64, a.prob.N)
+	}
 	for k, blk := range view {
+		dst := x[a.blocks[k][0]:a.blocks[k][1]]
 		if len(blk) == 0 {
+			clear(dst)
 			continue
 		}
-		copy(x[a.blocks[k][0]:a.blocks[k][1]], blk)
+		copy(dst, blk)
 	}
 	return x
 }
 
-// Compute implements core.App: one Jacobi sweep over the owned rows.
+// Compute implements core.App: one Jacobi sweep over the owned rows. The
+// off-diagonal sum runs in column order, split around the diagonal so the
+// inner loops carry neither a branch nor a bounds check.
 func (a *App) Compute(view [][]float64, t int) []float64 {
-	x := a.global(view)
-	out := make([]float64, a.hi-a.lo)
+	a.x = a.global(a.x, view)
+	out := a.out.Next(a.hi - a.lo)
 	for i := a.lo; i < a.hi; i++ {
 		s := a.prob.B[i]
 		row := a.prob.A[i]
-		for j, v := range row {
-			if j != i {
-				s -= v * x[j]
-			}
+		head, tail := row[:i], row[i+1:]
+		xh, xt := a.x[:len(head)], a.x[i+1:][:len(tail)]
+		for j, v := range head {
+			s -= v * xh[j]
+		}
+		for j, v := range tail {
+			s -= v * xt[j]
 		}
 		out[i-a.lo] = s / row[i]
 	}
@@ -200,13 +213,13 @@ func (a *App) Done(actualView [][]float64, t int) bool {
 	if a.Tol <= 0 {
 		return false
 	}
-	x := a.global(actualView)
-	defer func() { a.prevIterate = x }()
-	if a.prevIterate == nil {
+	x, prev := a.global(a.spare, actualView), a.prevIterate
+	a.prevIterate, a.spare = x, prev
+	if prev == nil {
 		return false
 	}
 	for i, v := range x {
-		d := v - a.prevIterate[i]
+		d := v - prev[i]
 		if d > a.Tol || d < -a.Tol {
 			return false
 		}

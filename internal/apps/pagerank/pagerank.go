@@ -173,7 +173,10 @@ type App struct {
 	// and 1 is full linear extrapolation.
 	SpecAlpha float64
 
-	prev []float64
+	rank []float64      // Compute's reassembled global rank vector
+	out  core.ResultBuf // Compute results
+	// prev and spare are Done's previous and recycled global rank vectors.
+	prev, spare []float64
 	// lastAct[k] caches peer k's previous actual block, the reference for
 	// the progress-relative check.
 	lastAct [][]float64
@@ -231,20 +234,27 @@ func (a *App) InitLocal() []float64 {
 	return out
 }
 
-func (a *App) global(view [][]float64) []float64 {
-	r := make([]float64, a.prob.G.N)
+// global reassembles the full rank vector from the per-processor view into
+// r (allocated on first use); blocks the view leaves empty read as zero.
+func (a *App) global(r []float64, view [][]float64) []float64 {
+	if len(r) != a.prob.G.N {
+		r = make([]float64, a.prob.G.N)
+	}
 	for k, blk := range view {
+		dst := r[a.blocks[k][0]:a.blocks[k][1]]
 		if len(blk) == 0 {
+			clear(dst)
 			continue
 		}
-		copy(r[a.blocks[k][0]:a.blocks[k][1]], blk)
+		copy(dst, blk)
 	}
 	return r
 }
 
 // Compute implements core.App: the pull update for the owned vertices.
 func (a *App) Compute(view [][]float64, t int) []float64 {
-	rank := a.global(view)
+	a.rank = a.global(a.rank, view)
+	rank := a.rank
 	n := a.prob.G.N
 	var dangling float64
 	for v := 0; v < n; v++ {
@@ -253,7 +263,7 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 		}
 	}
 	base := (1-a.prob.Damping)/float64(n) + a.prob.Damping*dangling/float64(n)
-	out := make([]float64, a.hi()-a.lo())
+	out := a.out.Next(a.hi() - a.lo())
 	for v := a.lo(); v < a.hi(); v++ {
 		s := 0.0
 		for _, e := range a.prob.in[v] {
@@ -319,7 +329,7 @@ func (a *App) Check(peer int, pred, act, local []float64, t int) core.CheckResul
 			bad++
 		}
 	}
-	a.lastAct[peer] = append([]float64(nil), act...)
+	a.lastAct[peer] = append(last[:0], act...)
 	return core.CheckResult{Bad: bad, Total: total, Ops: 3 * float64(total)}
 }
 
@@ -336,12 +346,12 @@ func (a *App) Done(actualView [][]float64, t int) bool {
 	if a.Tol <= 0 {
 		return false
 	}
-	r := a.global(actualView)
-	defer func() { a.prev = r }()
-	if a.prev == nil {
+	r, prev := a.global(a.spare, actualView), a.prev
+	a.prev, a.spare = r, prev
+	if prev == nil {
 		return false
 	}
-	return L1Diff(r, a.prev) < a.Tol
+	return L1Diff(r, prev) < a.Tol
 }
 
 // DoneOps implements core.Stopper.

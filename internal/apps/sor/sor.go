@@ -39,25 +39,33 @@ func DefaultGrid(rows, cols int) Grid {
 	return Grid{Rows: rows, Cols: cols, Omega: omega, Top: 100, Bottom: 0}
 }
 
+// initialValue is the starting value of every cell of row r: the Dirichlet
+// value on a boundary row, the mean in the interior.
+func (g Grid) initialValue(r int) float64 {
+	switch r {
+	case 0:
+		return g.Top
+	case g.Rows - 1:
+		return g.Bottom
+	}
+	return (g.Top + g.Bottom) / 2
+}
+
 // Initial returns the starting field: boundary rows at their Dirichlet
 // values, interior at the mean.
 func (g Grid) Initial() [][]float64 {
 	f := make([][]float64, g.Rows)
-	mid := (g.Top + g.Bottom) / 2
 	for r := range f {
 		f[r] = make([]float64, g.Cols)
-		v := mid
-		switch r {
-		case 0:
-			v = g.Top
-		case g.Rows - 1:
-			v = g.Bottom
-		}
-		for c := range f[r] {
-			f[r][c] = v
-		}
+		fill(f[r], g.initialValue(r))
 	}
 	return f
+}
+
+func fill(row []float64, v float64) {
+	for c := range row {
+		row[c] = v
+	}
 }
 
 // red reports whether cell (r, c) belongs to the red half-sweep.
@@ -133,6 +141,8 @@ type App struct {
 	blocks [][2]int
 	// Theta is the relative-error speculation threshold.
 	Theta float64
+
+	out, pub core.ResultBuf // Compute and Publish results
 }
 
 // NewApp creates the adapter; every processor must own at least one row.
@@ -164,13 +174,13 @@ func (a *App) NeededBy(peer int) bool { return a.adjacent(peer) }
 
 func (a *App) rows() (lo, hi int) { return a.blocks[a.pid][0], a.blocks[a.pid][1] }
 
-// InitLocal implements core.App.
+// InitLocal implements core.App: the owned rows of Grid.Initial.
 func (a *App) InitLocal() []float64 {
 	lo, hi := a.rows()
-	full := a.grid.Initial()
-	out := make([]float64, 0, (hi-lo)*a.grid.Cols)
+	c := a.grid.Cols
+	out := make([]float64, (hi-lo)*c)
 	for r := lo; r < hi; r++ {
-		out = append(out, full[r]...)
+		fill(out[(r-lo)*c:(r-lo+1)*c], a.grid.initialValue(r))
 	}
 	return out
 }
@@ -178,10 +188,9 @@ func (a *App) InitLocal() []float64 {
 // Publish implements core.Publisher: first and last strip rows.
 func (a *App) Publish(local []float64) []float64 {
 	c := a.grid.Cols
-	n := len(local) / c
-	out := make([]float64, 0, 2*c)
-	out = append(out, local[:c]...)
-	out = append(out, local[(n-1)*c:]...)
+	out := a.pub.Next(2 * c)
+	copy(out, local[:c])
+	copy(out[c:], local[len(local)-c:])
 	return out
 }
 
@@ -222,50 +231,52 @@ func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float
 }
 
 // Compute implements core.App: one half-sweep over the owned rows (red on
-// even t, black on odd t), using the neighbours' published edge rows.
+// even t, black on odd t), using the neighbours' published edge rows. The
+// strip is copied into the result buffer and relaxed there in place — a
+// cell's neighbours are all of the other colour, which this half-sweep
+// leaves alone. Each row visits only its own colour's columns (stride 2),
+// with the insulated side columns peeled off the inner loop; the arithmetic
+// is halfSweep's, operand for operand.
 func (a *App) Compute(view [][]float64, t int) []float64 {
 	lo, hi := a.rows()
 	g := a.grid
-	strip := append([]float64(nil), view[a.pid]...)
+	cols, omega := g.Cols, g.Omega
+	strip := a.out.Next((hi - lo) * cols)
+	copy(strip, view[a.pid])
 	var up, down []float64
 	if lo > 0 {
 		payload := view[a.owner(lo-1)]
-		up = payload[g.Cols : 2*g.Cols] // strip above contributes its LAST row
+		up = payload[cols : 2*cols] // strip above contributes its LAST row
 	}
 	if hi < g.Rows {
 		payload := view[a.owner(hi)]
-		down = payload[:g.Cols] // strip below contributes its FIRST row
+		down = payload[:cols] // strip below contributes its FIRST row
 	}
-	row := func(r int) []float64 {
-		switch {
-		case r < lo:
-			return up
-		case r >= hi:
-			return down
-		default:
-			return strip[(r-lo)*g.Cols : (r-lo+1)*g.Cols]
+	for r := max(lo, 1); r < min(hi, g.Rows-1); r++ { // Dirichlet rows stay fixed
+		i := (r - lo) * cols
+		cur := strip[i : i+cols]
+		above, below := up, down
+		if r > lo {
+			above = strip[i-cols : i]
 		}
-	}
-	wantRed := t%2 == 0
-	for r := lo; r < hi; r++ {
-		if r == 0 || r == g.Rows-1 {
-			continue // Dirichlet rows stay fixed
+		if r+1 < hi {
+			below = strip[i+cols : i+2*cols]
 		}
-		cur := row(r)
-		above, below := row(r-1), row(r+1)
-		for c := 0; c < g.Cols; c++ {
-			if red(r, c) != wantRed {
-				continue
-			}
-			left, right := c, c
-			if c > 0 {
-				left = c - 1
-			}
-			if c < g.Cols-1 {
-				right = c + 1
-			}
-			gs := (above[c] + below[c] + cur[left] + cur[right]) / 4
-			cur[c] += g.Omega * (gs - cur[c])
+		above, below = above[:len(cur)], below[:len(cur)]
+		last := len(cur) - 1
+		c := (r + t) & 1 // first column of this half-sweep's colour: (r+c)%2 == t%2
+		if c == 0 {
+			gs := (above[0] + below[0] + cur[0] + cur[min(1, last)]) / 4
+			cur[0] += omega * (gs - cur[0])
+			c = 2
+		}
+		for ; c < len(cur)-1; c += 2 {
+			gs := (above[c] + below[c] + cur[c-1] + cur[c+1]) / 4
+			cur[c] += omega * (gs - cur[c])
+		}
+		if c == last {
+			gs := (above[c] + below[c] + cur[c-1] + cur[c]) / 4
+			cur[c] += omega * (gs - cur[c])
 		}
 	}
 	return strip

@@ -134,7 +134,8 @@ type App struct {
 	rank   int
 	blocks [][2]int
 	g      *core.DepGraph
-	out    []float64
+	n      int            // local partition length: the worker's cells, or the 3 statistics
+	out    core.ResultBuf // Compute results
 }
 
 var (
@@ -144,12 +145,9 @@ var (
 
 // NewApp creates the adapter for the given rank (worker or reducer).
 func NewApp(cfg Config, rank int) *App {
-	a := &App{cfg: cfg, rank: rank, blocks: cfg.Blocks(), g: cfg.Graph()}
-	if rank == cfg.Reducer() {
-		a.out = make([]float64, 3)
-	} else {
-		lo, hi := a.blocks[rank][0], a.blocks[rank][1]
-		a.out = make([]float64, hi-lo)
+	a := &App{cfg: cfg, rank: rank, blocks: cfg.Blocks(), g: cfg.Graph(), n: 3}
+	if rank != cfg.Reducer() {
+		a.n = a.blocks[rank][1] - a.blocks[rank][0]
 	}
 	return a
 }
@@ -157,7 +155,7 @@ func NewApp(cfg Config, rank int) *App {
 func (a *App) Graph(p int) *core.DepGraph { return a.g }
 
 func (a *App) InitLocal() []float64 {
-	init := make([]float64, len(a.out))
+	init := make([]float64, a.n)
 	if a.rank != a.cfg.Reducer() {
 		full := a.cfg.Initial()
 		copy(init, full[a.blocks[a.rank][0]:a.blocks[a.rank][1]])
@@ -165,40 +163,46 @@ func (a *App) InitLocal() []float64 {
 	return init
 }
 
+// Compute implements core.App. A worker's two end cells — fixed rod ends,
+// or cells reading a neighbour's edge — are peeled off the interior loop.
 func (a *App) Compute(view [][]float64, t int) []float64 {
+	out := a.out.Next(a.n)
 	if a.rank == a.cfg.Reducer() {
-		return a.reduce(view)
+		return a.reduce(view, out)
 	}
-	lo, hi := a.blocks[a.rank][0], a.blocks[a.rank][1]
-	self := view[a.rank]
-	for j := 0; j < hi-lo; j++ {
-		gi := lo + j
-		if gi == 0 || gi == a.cfg.Cells-1 {
-			a.out[j] = self[j] // Dirichlet ends
+	lo := a.blocks[a.rank][0]
+	self := view[a.rank][:len(out)]
+	alpha := a.cfg.Alpha
+	last := len(self) - 1
+	for j := 1; j < len(self)-1; j++ {
+		out[j] = self[j] + alpha*(self[j-1]+self[j+1]-2*self[j])
+	}
+	for _, j := range [2]int{0, last} { // the same cell twice when the block has one
+		if gi := lo + j; gi == 0 || gi == a.cfg.Cells-1 {
+			out[j] = self[j] // Dirichlet ends
 			continue
 		}
-		left := gi - 1
 		var lv, rv float64
-		if left < lo {
+		if j > 0 {
+			lv = self[j-1]
+		} else {
 			nb := view[a.rank-1]
 			lv = nb[len(nb)-1]
-		} else {
-			lv = self[j-1]
 		}
-		if gi+1 >= hi {
-			rv = view[a.rank+1][0]
-		} else {
+		if j < last {
 			rv = self[j+1]
+		} else {
+			rv = view[a.rank+1][0]
 		}
-		a.out[j] = self[j] + a.cfg.Alpha*(lv+rv-2*self[j])
+		out[j] = self[j] + alpha*(lv+rv-2*self[j])
 	}
-	return a.out
+	return out
 }
 
 // reduce folds every worker's tick-t block into the statistics row. It
 // iterates blocks in rank order, reproducing reduceStats over the
 // concatenated field exactly.
-func (a *App) reduce(view [][]float64) []float64 {
+func (a *App) reduce(view [][]float64, out []float64) []float64 {
 	var sum, sq, max float64
 	for w := 0; w < a.cfg.Workers; w++ {
 		for _, v := range view[w] {
@@ -210,17 +214,17 @@ func (a *App) reduce(view [][]float64) []float64 {
 		}
 	}
 	n := float64(a.cfg.Cells)
-	a.out[0] = sum / n
-	a.out[1] = math.Sqrt(sq / n)
-	a.out[2] = max
-	return a.out
+	out[0] = sum / n
+	out[1] = math.Sqrt(sq / n)
+	out[2] = max
+	return out
 }
 
 func (a *App) ComputeOps() float64 {
 	if a.rank == a.cfg.Reducer() {
 		return float64(2 * a.cfg.Cells)
 	}
-	return float64(5 * len(a.out))
+	return float64(5 * a.n)
 }
 
 func (a *App) Check(peer int, predicted, actual, local []float64, t int) core.CheckResult {

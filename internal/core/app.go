@@ -14,12 +14,26 @@ type CheckResult struct {
 }
 
 // App is one processor's view of a synchronous iterative application.
+//
+// Result ownership: the slice returned by Compute, Publisher.Publish or
+// Corrector.Correct belongs to the app. It stays valid through the app's
+// next call of the same method and may be overwritten by the one after, so
+// an app can serve results from a two-buffer ping-pong pair (ResultBuf) and
+// allocate nothing in steady state. A caller may therefore pass a result
+// straight back as an input of the very next call — RunAsync feeds Compute's
+// result back as view[j], the default repair folds Correct over its own
+// result — but must copy whatever it keeps longer, as the value plane does.
+// Results are a pure function of the arguments in value, never in buffer
+// identity. InitLocal and Speculator.Speculate results are the exception:
+// the caller keeps them, so they are freshly allocated.
 type App interface {
-	// InitLocal returns the processor's initial partition values X_j(0).
+	// InitLocal returns the processor's initial partition values X_j(0),
+	// freshly allocated.
 	InitLocal() []float64
 	// Compute evaluates X_j(t+1) from the global view of iteration t.
 	// view[k] holds partition k's values (actual or speculated);
-	// view[j] is the local partition. Compute must not retain view.
+	// view[j] is the local partition. Compute must not retain or modify
+	// view; the result follows the ownership rule above.
 	Compute(view [][]float64, t int) []float64
 	// ComputeOps is the operation count of one Compute call
 	// (the paper's N_i·f_comp).
@@ -41,7 +55,9 @@ type App interface {
 // e.g. a stencil code publishes only its edge rows. Peers' view entries,
 // speculation, and error checking then all operate on the published form,
 // which shrinks both message sizes and speculation/checking overhead. The
-// local entry view[j] always stays the full partition.
+// local entry view[j] always stays the full partition. The result follows
+// App's ownership rule (valid through the next Publish call); it may also
+// alias local.
 type Publisher interface {
 	Publish(local []float64) []float64
 }
@@ -72,7 +88,10 @@ type Neighbors interface {
 // message (e.g. N-body subtracts the speculated pair forces and adds the
 // actual ones). Correct must return values identical to recomputing with
 // the corrected view; the engine still charges RepairOps. The default
-// RepairPolicy folds Correct over every failed peer.
+// RepairPolicy folds Correct over every failed peer, passing each result
+// back as the next call's computed — which App's ownership rule (valid
+// through the next Correct call) makes safe. Correct must not modify its
+// arguments.
 type Corrector interface {
 	// Correct returns the fixed X_j(t+1). computed is the speculatively
 	// computed local result; local is X_j(t); pred and act are peer k's
@@ -102,7 +121,29 @@ type Stopper interface {
 // the duration of the call; steps is how many iterations past hist[0] to
 // extrapolate. It returns the prediction and the operation cost charged to
 // the clock. The default SpecPolicy routes through Speculate when the App
-// implements it, falling back to Config.Predictor otherwise.
+// implements it, falling back to Config.Predictor otherwise. Unlike the
+// other results, pred is retained by the engine until its iteration is
+// validated, so it must be freshly allocated on every call.
 type Speculator interface {
 	Speculate(peer int, hist [][]float64, steps int) (pred []float64, ops float64)
+}
+
+// ResultBuf is the ping-pong buffer pair behind App's result-ownership
+// rule: Next hands out the half the previous call did not, so a result
+// survives exactly one further call. The zero value is ready to use.
+type ResultBuf struct {
+	buf [2][]float64
+	cur int
+}
+
+// Next returns the length-n buffer for the coming result. Contents are
+// unspecified; the caller must overwrite every element. Both halves are
+// (re)allocated together when n changes.
+func (r *ResultBuf) Next(n int) []float64 {
+	if len(r.buf[0]) != n || r.buf[0] == nil {
+		b := make([]float64, 2*n)
+		r.buf = [2][]float64{b[:n:n], b[n:]}
+	}
+	r.cur ^= 1
+	return r.buf[r.cur]
 }

@@ -184,11 +184,7 @@ func appendBatchEntry(dst []byte, m *cluster.Message, ds *deltaState) []byte {
 		}
 		ds.note(key, m.Data)
 	}
-	dst = appendU32(append(dst, encRaw), uint32(n))
-	for _, v := range m.Data {
-		dst = appendI64(dst, int64(math.Float64bits(v)))
-	}
-	return dst
+	return appendFloats(append(dst, encRaw), m.Data)
 }
 
 // decodeBatchEntry decodes the i-th entry of the current batch frame.
@@ -212,13 +208,9 @@ func (d *Decoder) decodeBatchEntry(p *payloadReader, i int) (cluster.Message, er
 	n := int(nw)
 	switch enc {
 	case encRaw:
-		raw := p.bytes(n * 8)
+		m.Data = d.floats(p, i, n)
 		if p.err != nil {
 			return m, nil
-		}
-		m.Data = d.row(i, n)
-		for j := range m.Data {
-			m.Data[j] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*j:]))
 		}
 	case encDelta:
 		if !d.Track || d.ds == nil {

@@ -572,6 +572,7 @@ func (c *Coordinator) run() {
 					return
 				}
 				rm.Rank = ev.rank // trust the connection, not the body
+				rm.Final = ev.f.Final
 				results[ev.rank] = &rm
 				c.logf("rank %d done: converged=%v iters=%d epoch=%d", ev.rank, rm.Converged, rm.Iters, rm.Epoch)
 			}

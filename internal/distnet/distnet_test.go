@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +133,13 @@ func TestFourNodeHeatMatchesSerialAndRealtime(t *testing.T) {
 	for _, res := range nodeResults {
 		if res.HTTPAddr == "" {
 			t.Errorf("rank %d served no obs endpoint", res.Rank)
+		}
+		// The final partition crosses the wire as raw bits: what the
+		// coordinator reports is exactly what the node's engine returned.
+		if got, want := reports[res.Rank].Final, res.Result.Final; !slices.EqualFunc(got, want, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Errorf("rank %d: reported final differs from the node's own result", res.Rank)
 		}
 	}
 	for _, rep := range reports {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"testing"
 
 	"specomp/internal/cluster"
@@ -38,6 +39,8 @@ func FuzzFrameDecode(f *testing.F) {
 		{Type: FrameBarrier, Seq: 0},
 		{Type: FrameCheckpoint, Rank: 3, Blob: []byte{1, 2, 3, 4}},
 		{Type: FrameResult, Blob: []byte(`{"converged":true}`)},
+		{Type: FrameResult, Blob: []byte(`{"iters":3}`), Final: []float64{1.5, math.NaN(), math.Copysign(0, -1)}},
+		{Type: FrameResult, Final: []float64{}},
 		{Type: FrameShutdown},
 		{Type: FrameBatch, Batch: []cluster.Message{
 			{Src: 0, Dst: 1, Tag: 1, Iter: 5, SentAt: 0.5, Data: []float64{1, 2}},
@@ -101,7 +104,7 @@ func frameEqualFuzz(a, b Frame) bool {
 		!bytes.Equal(a.Blob, b.Blob) {
 		return false
 	}
-	if !msgEqual(a.Msg, b.Msg) {
+	if !msgEqual(a.Msg, b.Msg) || !msgEqual(cluster.Message{Data: a.Final}, cluster.Message{Data: b.Final}) {
 		return false
 	}
 	if (a.Batch == nil) != (b.Batch == nil) || len(a.Batch) != len(b.Batch) {

@@ -337,7 +337,8 @@ type wireConfig struct {
 	Rejoin bool `json:"rejoin,omitempty"`
 }
 
-// resultMsg is the body of a FrameResult.
+// resultMsg is the JSON body of a FrameResult. The rank's final partition
+// travels beside it as the frame's raw tail (Frame.Final), not as JSON text.
 type resultMsg struct {
 	Rank      int     `json:"rank"`
 	HTTP      string  `json:"http,omitempty"` // node's live obs endpoint, if served
@@ -367,7 +368,7 @@ type resultMsg struct {
 	ClockOff  []float64   `json:"clock_off,omitempty"`
 	ClockRTT  []float64   `json:"clock_rtt,omitempty"`
 	Journal   []obs.Event `json:"journal,omitempty"`
-	Final     []float64   `json:"final"`
+	Final     []float64   `json:"-"` // filled from Frame.Final on receipt
 }
 
 func encodeJSON(v any) []byte {

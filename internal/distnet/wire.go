@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"specomp/internal/cluster"
@@ -47,7 +48,7 @@ const (
 	FrameHeartbeat                       // peer → peer: liveness beacon (idle links only)
 	FrameBarrier                         // node → coord: arrival; coord → node: release
 	FrameCheckpoint                      // node → coord: snapshot custody (proc, blob)
-	FrameResult                          // node → coord: run outcome (JSON blob)
+	FrameResult                          // node → coord: run outcome (JSON blob + raw final partition)
 	FrameShutdown                        // coord → node: run over, tear down
 	FrameBatch                           // peer → peer: several cluster.Messages in one frame
 	FrameObs                             // node → coord: metrics snapshot (rank, Prometheus text blob)
@@ -145,6 +146,10 @@ type Frame struct {
 	// snapshot of FrameCheckpoint, and the Prometheus text snapshot of
 	// FrameObs.
 	Blob []byte
+	// Final is a FrameResult's optional raw tail: the rank's final partition,
+	// bit-exact (NaN payloads, ±Inf and −0 survive, which JSON cannot carry).
+	// Nil means no tail.
+	Final []float64
 	// Clock is a FrameHeartbeat's optional timestamp tail (unix seconds),
 	// used for NTP-style clock-offset estimation on CapObs links:
 	// {sender's send time, echo of the last stamp seen from the peer, local
@@ -166,13 +171,14 @@ type Frame struct {
 //	heartbeat  (empty | 3×f64 clock stamps)
 //	barrier    i64 seq
 //	checkpoint i64 proc · u32 len · blob
-//	result     u32 len · blob
+//	result     u32 len · blob · (empty | u32 n · n×f64 final)
 //	shutdown   (empty)
 //	obs        i64 rank · u32 len · blob
 //
-// The hello caps word and the heartbeat clock tail are optional on decode
-// (absent reads as zero) so frames from builds predating capability
-// negotiation still parse; a partial clock tail is corrupt.
+// The hello caps word, the heartbeat clock tail and the result final tail
+// are optional on decode (absent reads as zero/nil) so frames from builds
+// predating them still parse; a partial clock tail, or a final tail whose
+// count disagrees with the bytes that follow it, is corrupt.
 
 // appendI64 encodes v big-endian onto dst.
 func appendI64(dst []byte, v int64) []byte {
@@ -182,6 +188,15 @@ func appendI64(dst []byte, v int64) []byte {
 // appendU32 encodes v big-endian onto dst.
 func appendU32(dst []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, v)
+}
+
+// appendFloats encodes a non-nil payload vector as u32 n · n×f64.
+func appendFloats(dst []byte, v []float64) []byte {
+	dst = appendU32(slices.Grow(dst, 4+8*len(v)), uint32(len(v)))
+	for _, x := range v {
+		dst = appendI64(dst, int64(math.Float64bits(x)))
+	}
+	return dst
 }
 
 // appendMsgHeader encodes the fixed fields every data/batch message body
@@ -207,10 +222,7 @@ func appendPayload(dst []byte, f *Frame, ds *deltaState) ([]byte, error) {
 		if m.Data == nil {
 			dst = appendU32(dst, nilData)
 		} else {
-			dst = appendU32(dst, uint32(len(m.Data)))
-			for _, v := range m.Data {
-				dst = appendI64(dst, int64(math.Float64bits(v)))
-			}
+			dst = appendFloats(dst, m.Data)
 		}
 	case FrameBatch:
 		if len(f.Batch) == 0 {
@@ -229,6 +241,9 @@ func appendPayload(dst []byte, f *Frame, ds *deltaState) ([]byte, error) {
 	case FrameConfig, FrameResult:
 		dst = appendU32(dst, uint32(len(f.Blob)))
 		dst = append(dst, f.Blob...)
+		if f.Type == FrameResult && f.Final != nil {
+			dst = appendFloats(dst, f.Final)
+		}
 	case FrameCheckpoint, FrameObs:
 		dst = appendI64(dst, int64(f.Rank))
 		dst = appendU32(dst, uint32(len(f.Blob)))
@@ -495,6 +510,22 @@ func (d *Decoder) row(i, n int) []float64 {
 	return d.rows[i]
 }
 
+// floats decodes the n×f64 body of a payload vector into the i-th row of
+// the current frame. A float64 is 8 wire bytes: the count can never exceed
+// the remaining payload, so a lying header is caught before any allocation
+// proportional to it.
+func (d *Decoder) floats(p *payloadReader, i, n int) []float64 {
+	raw := p.bytes(n * 8)
+	if p.err != nil {
+		return nil
+	}
+	row := d.row(i, n)
+	for j := range row {
+		row[j] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*j:]))
+	}
+	return row
+}
+
 // decodeMsgHeader reads the fixed fields every data/batch message body
 // starts with.
 func decodeMsgHeader(p *payloadReader, m *cluster.Message) {
@@ -521,16 +552,7 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 		m := &f.Msg
 		decodeMsgHeader(p, m)
 		if n := p.u32(); n != nilData {
-			// A float64 is 8 wire bytes: the count can never exceed the
-			// remaining payload, so a lying header is caught before any
-			// allocation proportional to it.
-			raw := p.bytes(int(n) * 8)
-			if p.err == nil {
-				m.Data = d.row(0, int(n))
-				for i := range m.Data {
-					m.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
-				}
-			}
+			m.Data = d.floats(p, 0, int(n))
 		}
 	case FrameBatch:
 		count := int(p.u32())
@@ -555,6 +577,15 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 		}
 	case FrameConfig, FrameResult:
 		f.Blob = append([]byte(nil), p.bytes(int(p.u32()))...)
+		if f.Type == FrameResult && p.err == nil && p.off < len(p.b) {
+			// Optional final tail: it runs to the end of the frame, so the
+			// count is checked against the remaining bytes before decoding.
+			n := int(p.u32())
+			if p.err == nil && n*8 != len(p.b)-p.off {
+				return corruptf("result frame final tail claims %d values in %d bytes", n, len(p.b)-p.off)
+			}
+			f.Final = d.floats(p, 0, n)
+		}
 	case FrameCheckpoint, FrameObs:
 		f.Rank = int(p.i64())
 		f.Blob = append([]byte(nil), p.bytes(int(p.u32()))...)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,6 +71,9 @@ func randFrame(rng *rand.Rand) Frame {
 		f.Caps = rng.Uint32() & (CapBatch | CapDelta | CapObs)
 	case FrameConfig, FrameResult:
 		f.Blob = randBlob()
+		if f.Type == FrameResult {
+			f.Final = randMsg().Data // nil = no tail, empty, or values
+		}
 	case FrameCheckpoint, FrameObs:
 		f.Rank = rng.Intn(16)
 		f.Blob = randBlob()
@@ -225,6 +229,65 @@ func TestReadFrameCorruptAndTruncated(t *testing.T) {
 			t.Fatal("oversized frame encoded successfully")
 		}
 	})
+}
+
+// TestResultFrameFinalTail pins the result frame's raw final-partition
+// tail: bit-exact round trips (values JSON cannot carry included), the
+// tail-less encoding older builds produce, and a lying count.
+func TestResultFrameFinalTail(t *testing.T) {
+	big := make([]float64, 1<<18) // the kernel-heat strip: 2 MB, well inside MaxFrame
+	rng := rand.New(rand.NewSource(15))
+	for i := range big {
+		big[i] = math.Float64frombits(rng.Uint64()) // every class of bit pattern, NaN payloads included
+	}
+	copy(big, []float64{
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+	})
+	blob := []byte(`{"iters":500}`)
+	for name, final := range map[string][]float64{"nil": nil, "empty": {}, "2^18": big} {
+		got, err := readFrame(bytes.NewReader(encodeFrame(t, Frame{Type: FrameResult, Blob: blob, Final: final})))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Blob, blob) || (got.Final == nil) != (final == nil) || len(got.Final) != len(final) {
+			t.Fatalf("%s: got blob %q and %d finals (nil=%v)", name, got.Blob, len(got.Final), got.Final == nil)
+		}
+		for i := range final {
+			if math.Float64bits(got.Final[i]) != math.Float64bits(final[i]) {
+				t.Fatalf("%s: value %d is %x, want %x", name, i, math.Float64bits(got.Final[i]), math.Float64bits(final[i]))
+			}
+		}
+	}
+
+	// A frame without the tail — what a build predating it sends, and what a
+	// nil Final encodes to — still decodes, with Final nil.
+	legacy := append(appendU32([]byte{byte(FrameResult)}, uint32(len(blob))), blob...)
+	if enc := encodeFrame(t, Frame{Type: FrameResult, Blob: blob}); !bytes.Equal(enc, frameFor(legacy)) {
+		t.Errorf("nil Final does not encode to the tail-less layout")
+	}
+	if got, err := readFrame(bytes.NewReader(frameFor(legacy))); err != nil || got.Final != nil || !bytes.Equal(got.Blob, blob) {
+		t.Errorf("tail-less result frame: got %+v, %v", got, err)
+	}
+
+	// A count that disagrees with the bytes behind it — too many, too few,
+	// or astronomically many — is corrupt, and is refused before anything
+	// proportional to the claim is allocated.
+	three := make([]byte, 3*8)
+	for _, claim := range []uint32{5, 2, 1 << 28, nilData} {
+		enc := frameFor(append(appendU32(legacy, claim), three...))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := readFrame(bytes.NewReader(enc))
+		runtime.ReadMemStats(&m1)
+		assertCorrupt(t, err)
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<16 {
+			t.Errorf("claim of %d values allocated %d bytes before being refused", claim, grew)
+		}
+	}
+	// A tail cut short inside its count word is corrupt too.
+	_, err := readFrame(bytes.NewReader(frameFor(append(legacy, 0, 0))))
+	assertCorrupt(t, err)
 }
 
 func TestFrameTypeString(t *testing.T) {

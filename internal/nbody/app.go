@@ -47,6 +47,22 @@ type App struct {
 	// Instr, if non-nil, records accuracy diagnostics (not charged to the
 	// simulated clock).
 	Instr *Instrument
+
+	// Scratch reused across calls; one engine goroutine drives an App.
+	dec      [][]Particle   // decoded payloads, one slot per view entry or argument
+	sources  [][]Particle   // Compute's non-empty decoded view entries
+	acc      []Vec3         // Compute's accelerations
+	next     []Particle     // advanced (Compute) or extrapolated (Speculate) particles
+	out, fix core.ResultBuf // Compute and Correct results
+}
+
+// decode parses data into scratch slot i.
+func (a *App) decode(i int, data []float64) []Particle {
+	for len(a.dec) <= i {
+		a.dec = append(a.dec, nil)
+	}
+	a.dec[i] = decodeInto(a.dec[i], data)
+	return a.dec[i]
 }
 
 // AdaptiveTheta adjusts θ multiplicatively after every check so that the
@@ -97,27 +113,29 @@ func (a *App) InitLocal() []float64 { return Encode(a.init) }
 // the local block (direct sum, or Barnes-Hut when MAC > 0), and advance it
 // one timestep.
 func (a *App) Compute(view [][]float64, t int) []float64 {
-	local := Decode(view[a.pid])
+	local := a.decode(a.pid, view[a.pid])
+	out := a.out.Next(len(local) * Floats)
 	if a.MAC > 0 {
 		var all []Particle
-		for _, part := range view {
+		for k, part := range view {
 			if len(part) > 0 {
-				all = append(all, Decode(part)...)
+				all = append(all, a.decode(k, part)...)
 			}
 		}
 		tree := BuildOctree(all)
 		acc, _ := a.sim.AccelOnTree(local, tree, a.MAC)
-		return Encode(a.sim.Step(local, acc))
+		a.next = a.sim.stepInto(a.next, local, acc)
+		return encodeInto(out, a.next)
 	}
-	sources := make([][]Particle, 0, len(view))
-	for _, part := range view {
-		if len(part) == 0 {
-			continue
+	a.sources = a.sources[:0]
+	for k, part := range view {
+		if len(part) > 0 {
+			a.sources = append(a.sources, a.decode(k, part))
 		}
-		sources = append(sources, Decode(part))
 	}
-	acc := a.sim.AccelOn(local, sources...)
-	return Encode(a.sim.Step(local, acc))
+	a.acc = a.sim.accelInto(a.acc, local, a.sources)
+	a.next = a.sim.stepInto(a.next, local, a.acc)
+	return encodeInto(out, a.next)
 }
 
 // ComputeOps implements core.App: N_i·N pairwise force evaluations for the
@@ -137,13 +155,14 @@ func (a *App) ComputeOps() float64 {
 // snapshots of history, the acceleration estimated from consecutive
 // velocities is added: r* += ½·a·(s·Δt)², v* += a·s·Δt.
 func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float64) {
-	ps := Decode(hist[0])
-	out := make([]Particle, len(ps))
+	ps := a.decode(0, hist[0])
+	a.next = resize(a.next, len(ps))
+	out := a.next
 	dt := a.sim.Dt * float64(steps)
 	var prev []Particle
 	secondOrder := a.SpecOrder >= 2 && len(hist) >= 2
 	if secondOrder {
-		prev = Decode(hist[1])
+		prev = a.decode(1, hist[1])
 		if len(prev) != len(ps) {
 			secondOrder = false
 		}
@@ -169,9 +188,9 @@ func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float
 // particle a and local particle b, the speculation is acceptable when
 // ‖r*_a − r_a‖ / ‖r_a − r_b‖ ≤ θ.
 func (a *App) Check(peer int, predicted, actual, local []float64, t int) core.CheckResult {
-	pred := Decode(predicted)
-	act := Decode(actual)
-	loc := Decode(local)
+	pred := a.decode(0, predicted)
+	act := a.decode(1, actual)
+	loc := a.decode(2, local)
 	bad := 0
 	for i := range act {
 		specErr := pred[i].Pos.Sub(act[i].Pos).Norm()

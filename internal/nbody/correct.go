@@ -20,10 +20,10 @@ var _ core.Corrector = WithCorrection{}
 
 // Correct implements core.Corrector.
 func (w WithCorrection) Correct(computed, local []float64, peer int, pred, act []float64, t int) []float64 {
-	loc := Decode(local)
-	predP := Decode(pred)
-	actP := Decode(act)
-	out := Decode(computed)
+	loc := w.decode(0, local)
+	predP := w.decode(1, pred)
+	actP := w.decode(2, act)
+	out := w.decode(3, computed)
 	dt := w.sim.Dt
 	for j := range loc {
 		var da Vec3
@@ -39,5 +39,5 @@ func (w WithCorrection) Correct(computed, local []float64, peer int, pred, act [
 		out[j].Vel = out[j].Vel.Add(da.Scale(dt))
 		out[j].Pos = out[j].Pos.Add(da.Scale(dt * dt))
 	}
-	return Encode(out)
+	return encodeInto(w.fix.Next(len(computed)), out)
 }

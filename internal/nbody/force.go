@@ -49,7 +49,12 @@ func (s Sim) PairAccel(pos, src Vec3, m float64) Vec3 {
 // among the sources) contributes nothing beyond softening, but the classical
 // formulation excludes exact self-pairs; we skip pairs at zero distance.
 func (s Sim) AccelOn(on []Particle, sources ...[]Particle) []Vec3 {
-	acc := make([]Vec3, len(on))
+	return s.accelInto(nil, on, sources)
+}
+
+// accelInto is AccelOn reusing acc's backing array when it is large enough.
+func (s Sim) accelInto(acc []Vec3, on []Particle, sources [][]Particle) []Vec3 {
+	acc = resize(acc, len(on))
 	for i := range on {
 		var a Vec3
 		pi := on[i].Pos

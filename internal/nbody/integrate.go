@@ -5,7 +5,13 @@ package nbody
 // hold the acceleration on each particle at time t. The input slice is not
 // modified; the advanced particles are returned.
 func (s Sim) Step(ps []Particle, acc []Vec3) []Particle {
-	out := make([]Particle, len(ps))
+	return s.stepInto(nil, ps, acc)
+}
+
+// stepInto is Step reusing out's backing array when it is large enough; out
+// must not alias ps.
+func (s Sim) stepInto(out, ps []Particle, acc []Vec3) []Particle {
+	out = resize(out, len(ps))
 	for i, p := range ps {
 		v := p.Vel.Add(acc[i].Scale(s.Dt))
 		out[i] = Particle{

@@ -33,7 +33,8 @@ type Stage struct {
 	Init func(out []float64)
 	// Step computes the tick-(t+1) output. self is the stage's own tick-t
 	// row; in holds the upstream stages' tick-t rows in the order their ids
-	// were passed to Add; out is the (reused) output buffer, len Width.
+	// were passed to Add; out is the reused output buffer, len Width, whose
+	// stale contents Step must overwrite in full.
 	// self and in alias engine-owned buffers and must not be retained or
 	// mutated. Step must be deterministic in (t, self, in) — repairs
 	// recompute it and expect identical results.
@@ -181,13 +182,12 @@ func (g *Graph) AppAt(place []int, rank int) (core.App, error) {
 		place: place,
 		def:   s,
 		in:    make([][]float64, len(g.up[stage])),
-		out:   make([]float64, s.Width),
 	}, nil
 }
 
-// stageApp adapts one pipeline stage to the engine's App contract. The
-// output buffer is reused across ticks — the engine copies results into its
-// value plane immediately — so a steady-state Step allocates nothing.
+// stageApp adapts one pipeline stage to the engine's App contract. Outputs
+// come from a ping-pong pair (core.App's result-ownership rule), so a
+// steady-state Step allocates nothing.
 type stageApp struct {
 	g     *Graph
 	dg    *core.DepGraph
@@ -196,7 +196,7 @@ type stageApp struct {
 	place []int
 	def   Stage
 	in    [][]float64
-	out   []float64
+	out   core.ResultBuf
 }
 
 var (
@@ -218,8 +218,9 @@ func (a *stageApp) Compute(view [][]float64, t int) []float64 {
 	for i, u := range a.g.up[a.stage] {
 		a.in[i] = view[a.place[u]]
 	}
-	a.def.Step(t, view[a.rank], a.in, a.out)
-	return a.out
+	out := a.out.Next(a.def.Width)
+	a.def.Step(t, view[a.rank], a.in, out)
+	return out
 }
 
 func (a *stageApp) ComputeOps() float64 { return a.def.Ops }
