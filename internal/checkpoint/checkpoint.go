@@ -187,6 +187,20 @@ func Decode(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
+// Order peeks the (epoch, validated-iteration) pair from a blob's SPCK
+// header without decoding the body: the key a latest-wins custody cell
+// orders snapshots by. ok is false for anything that is not a
+// current-version snapshot.
+func Order(b []byte) (epoch, iter int, ok bool) {
+	const epochOff = len(magic) + 2*8 // after magic, version, proc
+	if len(b) < epochOff+2*8 || [4]byte(b[:4]) != magic ||
+		int64(binary.LittleEndian.Uint64(b[4:])) != Version {
+		return 0, 0, false
+	}
+	return int(int64(binary.LittleEndian.Uint64(b[epochOff:]))),
+		int(int64(binary.LittleEndian.Uint64(b[epochOff+8:]))), true
+}
+
 // Store is the stable storage a processor checkpoints to. In the simulation
 // it survives crashes (a crashed Proc loses its memory, not its disk).
 type Store interface {

@@ -125,6 +125,25 @@ func (s *FileStore) save(proc int, blob []byte) error {
 	return nil
 }
 
+// Sync fsyncs the directory, making every rename Save has published so far
+// survive a power cut. Save leaves it out on purpose: the holder calls Sync
+// once per durability promise (an acked evict, a drain), not once per file.
+// A failure is latched like a write failure.
+func (s *FileStore) Sync() error {
+	d, err := os.Open(s.dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close() // read-only handle
+	}
+	if err != nil {
+		err = fmt.Errorf("checkpoint: syncing custody dir: %w", err)
+		s.mu.Lock()
+		s.lastErr = err
+		s.mu.Unlock()
+	}
+	return err
+}
+
 // Load returns proc's latest checkpoint if a complete, uncorrupted,
 // current-format one exists on disk. Any defect — missing file, truncated
 // footer, CRC mismatch, wrong magic, wrong version — reads as "no
@@ -144,15 +163,7 @@ func (s *FileStore) Load(proc int) ([]byte, bool) {
 	}
 	// Format sniff: custody only ever holds SPCK snapshots, so insist on
 	// the magic and the current version word before handing the blob out.
-	if len(blob) < len(magic)+8 {
-		return nil, false
-	}
-	for i := range magic {
-		if blob[i] != magic[i] {
-			return nil, false
-		}
-	}
-	if v := int(int64(binary.LittleEndian.Uint64(blob[len(magic):]))); v != Version {
+	if _, _, ok := Order(blob); !ok {
 		return nil, false
 	}
 	return blob, true

@@ -228,3 +228,41 @@ func TestFileStoreClear(t *testing.T) {
 		t.Error("save after Clear does not load")
 	}
 }
+
+// TestOrderPeeksTheHeader: Order reads exactly what Decode would, and
+// refuses anything Load would refuse on format grounds.
+func TestOrderPeeksTheHeader(t *testing.T) {
+	blob := fsBlob(2, 41) // Epoch 1, Validated 40
+	if epoch, iter, ok := Order(blob); !ok || epoch != 1 || iter != 40 {
+		t.Errorf("Order = (%d, %d, %v), want (1, 40, true)", epoch, iter, ok)
+	}
+	wrongVersion := append([]byte(nil), blob...)
+	wrongVersion[len(magic)]++
+	for name, b := range map[string][]byte{
+		"empty": nil, "short": blob[:35], "magic": append([]byte("XPCK"), blob[4:]...), "version": wrongVersion,
+	} {
+		if _, _, ok := Order(b); ok {
+			t.Errorf("Order accepted the %s blob", name)
+		}
+	}
+}
+
+// TestFileStoreSync: Sync succeeds on a live directory and, like a failed
+// write, latches its failure when the directory is gone.
+func TestFileStoreSync(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "custody")
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Save(0, fsBlob(0, 10))
+	if err := fs.Sync(); err != nil || fs.Err() != nil {
+		t.Fatalf("Sync on a healthy store: %v (latched %v)", err, fs.Err())
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err == nil || fs.Err() == nil {
+		t.Errorf("Sync of a vanished directory: returned %v, latched %v", err, fs.Err())
+	}
+}

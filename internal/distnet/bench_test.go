@@ -8,7 +8,9 @@ import (
 	"io"
 	"net"
 	"testing"
+	"time"
 
+	"specomp/internal/checkpoint"
 	"specomp/internal/cluster"
 	"specomp/internal/obs"
 )
@@ -263,4 +265,115 @@ func BenchmarkWireInstrumentation(b *testing.B) {
 	}
 	b.Run("enabled", func(b *testing.B) { run(b, newWireObs(obs.NewRegistry(), 0, 2)) })
 	b.Run("nil", func(b *testing.B) { run(b, nil) })
+}
+
+// benchSnapshot is a checkpoint blob the size svc-jobs ships (≈ 37 KB).
+func benchSnapshot(rank, iter int) []byte {
+	return checkpoint.Encode(&checkpoint.Snapshot{
+		Proc: rank, Validated: iter, Frontier: iter,
+		Own: []checkpoint.Entry{{Iter: iter, Data: make([]float64, 4600)}},
+	})
+}
+
+// custodyRig is one scripted node joined to a live coordinator whose
+// custody is a real FileStore (temp + fsync + rename per commit).
+type custodyRig struct {
+	store *checkpoint.FileStore
+	coord *Coordinator
+	node  *scriptedNode
+	blob  []byte
+}
+
+func newCustodyRig(b *testing.B) *custodyRig {
+	store, err := checkpoint.NewFileStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	coord := scriptedCoordinator(b, 1, time.Minute, store)
+	return &custodyRig{store: store, coord: coord, node: scriptedFleet(b, coord)[0], blob: benchSnapshot(0, 1)}
+}
+
+// burst streams n checkpoint frames back to back (the same blob: an equal
+// order key is accepted every time).
+func (r *custodyRig) burst(n int) {
+	for i := 0; i < n; i++ {
+		r.node.send(Frame{Type: FrameCheckpoint, Blob: r.blob})
+	}
+}
+
+// result sends the node's result and returns once the coordinator has
+// processed it — the shutdown frame is its answer.
+func (r *custodyRig) result() {
+	report([]*scriptedNode{r.node})
+	r.node.expect(FrameShutdown)
+}
+
+// finish ends the run, checks every frame was accepted and written without
+// error, and reports the group commit's coalescing (1 = a commit per frame).
+func (r *custodyRig) finish(b *testing.B, frames int) {
+	r.node.conn.Close()
+	if _, err := r.coord.Wait(); err != nil {
+		b.Fatal(err)
+	}
+	st := r.coord.Stats()
+	if st.CustodySaves != frames || r.store.Err() != nil {
+		b.Fatalf("%d/%d frames accepted, store error %v", st.CustodySaves, frames, r.store.Err())
+	}
+	b.ReportMetric(float64(st.CustodyCommits)/float64(frames), "commits/frame")
+}
+
+// BenchmarkCoordCustody measures checkpoint custody through the live
+// coordinator event loop, from a node's side of the socket.
+//
+//	frame            one checkpoint frame of a back-to-back stream that ends
+//	                 when a result sent behind it has been processed.
+//	result-behind-40 the queueing delay of a result frame written right
+//	                 behind a burst of 40 checkpoints: result written →
+//	                 shutdown received. Custody on the event loop made this
+//	                 40 fsyncs long.
+func BenchmarkCoordCustody(b *testing.B) {
+	b.Run("frame", func(b *testing.B) {
+		rig := newCustodyRig(b)
+		b.ResetTimer()
+		rig.burst(b.N)
+		rig.result()
+		b.StopTimer()
+		rig.finish(b, b.N)
+	})
+	b.Run("result-behind-40", func(b *testing.B) {
+		var total time.Duration
+		for i := 0; i < b.N; i++ {
+			rig := newCustodyRig(b)
+			rig.burst(40)
+			start := time.Now()
+			rig.result()
+			total += time.Since(start)
+			rig.finish(b, 40)
+		}
+		b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/op")
+	})
+}
+
+// BenchmarkCoordTeardown measures a finished run's exit: last result
+// written → Wait returns, on a 4-node scripted fleet whose nodes close their
+// link the moment the shutdown frame arrives.
+func BenchmarkCoordTeardown(b *testing.B) {
+	var total time.Duration
+	for i := 0; i < b.N; i++ {
+		coord := scriptedCoordinator(b, 4, time.Minute, nil)
+		nodes := scriptedFleet(b, coord)
+		for _, n := range nodes {
+			go func(n *scriptedNode) {
+				if _, err := readFrame(n.br); err == nil { // the shutdown frame
+					n.conn.Close()
+				}
+			}(n)
+		}
+		start := report(nodes)
+		if _, err := coord.Wait(); err != nil {
+			b.Fatal(err)
+		}
+		total += time.Since(start)
+	}
+	b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/op")
 }

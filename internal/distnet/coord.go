@@ -15,6 +15,7 @@ package distnet
 //	node  → coord   checkpoint {proc, blob}                      (0..n times during the run)
 //	node  → coord   result  {json}
 //	coord → node    shutdown                                     (after P results)
+//	node  → coord   end-of-stream                                (its mesh is down: the ack)
 //
 // Crash tolerance (this is where the paper's speculation pays off in real
 // processes): a node whose control connection dies or goes silent before
@@ -75,11 +76,14 @@ type CoordConfig struct {
 	// the run fails with ErrRankLost (default 30s). It should cover the
 	// supervisor's detect + backoff + restart + redial path.
 	RejoinWait time.Duration
-	// Custody, when non-nil, is durable storage for checkpoint custody:
-	// every checkpoint frame is persisted there, and at startup any blobs
-	// it already holds for ranks 0..Procs-1 seed the in-memory custody — a
+	// Custody, when non-nil, is durable storage for checkpoint custody: a
+	// background committer persists the newest snapshot of every rank there
+	// (group commit, off the event loop), everything accepted is on disk
+	// before a non-success Wait returns, and at startup any blobs it
+	// already holds for ranks 0..Procs-1 seed the in-memory custody — a
 	// restarted coordinator resumes the run's checkpoints instead of
-	// losing them.
+	// losing them. A run that succeeds may leave its last snapshots
+	// unwritten: custody exists to revive a run, and its holder Clears it.
 	Custody checkpoint.Store
 	// Fleet, when non-nil, aggregates the nodes' metrics snapshots: the
 	// coordinator advertises CapObs in its configs (inviting periodic
@@ -126,6 +130,7 @@ type NodeReport struct {
 	ClockRTT  []float64   `json:"clock_rtt,omitempty"`
 	Journal   []obs.Event `json:"journal,omitempty"`
 	Final     []float64   `json:"final,omitempty"`
+	LaunchStamps
 }
 
 // CoordStats counts the coordinator's crash-tolerance events over one run.
@@ -135,8 +140,14 @@ type CoordStats struct {
 	Vacated int
 	// Rejoins counts vacated ranks reclaimed by a higher-epoch hello.
 	Rejoins int
-	// CustodySaves counts checkpoint blobs persisted to durable custody.
-	CustodySaves int
+	// CustodySaves counts checkpoint frames accepted into custody;
+	// CustodyCommits counts the blobs the committer wrote to the durable
+	// store. Their ratio is the group commit's coalescing factor.
+	CustodySaves   int
+	CustodyCommits int
+	// CustodyLagSec is the age of the oldest accepted snapshot not yet
+	// written (0 when custody is caught up or memory-only).
+	CustodyLagSec float64
 	// CustodyRestores counts ranks whose checkpoint was recovered from
 	// durable custody at coordinator startup.
 	CustodyRestores int
@@ -148,8 +159,10 @@ type Coordinator struct {
 	spec RunSpec
 	cfg  CoordConfig
 
+	custody    *custody
+	ackTimeout time.Duration
+
 	mu      sync.Mutex
-	ckpts   map[int][]byte // latest snapshot per rank (checkpoint custody)
 	members []*coordMember // by rank, populated once gather completes
 	stats   CoordStats
 	closed  bool
@@ -187,6 +200,15 @@ func (m *coordMember) write(f *Frame) error {
 // and immediately begins the membership protocol in the background; Wait
 // blocks for the outcome.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
+	return newCoordinator(cfg, shutdownAckTimeout)
+}
+
+// shutdownAckTimeout bounds how long a finished run waits for every node to
+// close its coordinator link after the shutdown frame. Only a node that
+// hangs inside its own teardown ever meets it; its link is then severed.
+const shutdownAckTimeout = 2 * time.Second
+
+func newCoordinator(cfg CoordConfig, ackTimeout time.Duration) (*Coordinator, error) {
 	if err := cfg.Spec.Normalize(); err != nil {
 		return nil, err
 	}
@@ -207,27 +229,21 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("distnet: coordinator listener: %w", err)
 	}
 	c := &Coordinator{
-		ln:    ln,
-		spec:  cfg.Spec,
-		cfg:   cfg,
-		ckpts: make(map[int][]byte),
-		abort: make(chan struct{}),
-		done:  make(chan struct{}),
+		ln:         ln,
+		spec:       cfg.Spec,
+		cfg:        cfg,
+		custody:    newCustody(cfg.Custody, cfg.Spec.Procs),
+		ackTimeout: ackTimeout,
+		abort:      make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	// Durable custody: a restarted coordinator resumes the previous
 	// incarnation's checkpoints, so relaunched nodes restore mid-run state
-	// instead of recomputing from iteration zero.
-	if cfg.Custody != nil {
-		for rank := 0; rank < c.spec.Procs; rank++ {
-			if blob, ok := cfg.Custody.Load(rank); ok {
-				c.ckpts[rank] = blob
-				c.stats.CustodyRestores++
-			}
-		}
-		if c.stats.CustodyRestores > 0 {
-			c.logf("custody: restored checkpoints for %d/%d ranks from durable store",
-				c.stats.CustodyRestores, c.spec.Procs)
-		}
+	// instead of recomputing from iteration zero. (No frame can reach
+	// custody before run starts, so covered is still the seeded count.)
+	if c.stats.CustodyRestores = c.custody.covered; c.stats.CustodyRestores > 0 {
+		c.logf("custody: restored checkpoints for %d/%d ranks from durable store",
+			c.stats.CustodyRestores, c.spec.Procs)
 	}
 	if cfg.Fleet != nil {
 		cfg.Fleet.SetJob(c.spec.Job)
@@ -243,18 +259,21 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 func (c *Coordinator) Spec() RunSpec { return c.spec }
 
 // Checkpoint returns the latest snapshot in custody for rank, if any.
-func (c *Coordinator) Checkpoint(rank int) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.ckpts[rank]
-	return b, ok
-}
+func (c *Coordinator) Checkpoint(rank int) ([]byte, bool) { return c.custody.get(rank) }
+
+// CustodyCovered blocks until custody holds a snapshot for every rank —
+// the condition for an eviction that resumes uniformly — and reports false
+// if the run ends or wait elapses first. Closing the coordinator afterwards
+// makes that custody durable before Wait returns.
+func (c *Coordinator) CustodyCovered(wait time.Duration) bool { return c.custody.awaitCovered(wait) }
 
 // Stats returns the crash-tolerance counters accumulated so far.
 func (c *Coordinator) Stats() CoordStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	c.mu.Unlock()
+	st.CustodySaves, st.CustodyCommits, st.CustodyLagSec = c.custody.counters()
+	return st
 }
 
 // Wait blocks until every node reported its result (returning the reports
@@ -293,20 +312,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// keepCheckpoint records a checkpoint blob in custody (memory + durable
-// store when configured).
-func (c *Coordinator) keepCheckpoint(rank int, blob []byte) {
-	c.mu.Lock()
-	c.ckpts[rank] = blob
-	if c.cfg.Custody != nil {
-		c.stats.CustodySaves++
-	}
-	c.mu.Unlock()
-	if c.cfg.Custody != nil {
-		c.cfg.Custody.Save(rank, blob)
-	}
-}
-
 // coordEvent is one frame (or read error) from one member's connection.
 // gen identifies the connection incarnation, so a replaced connection's
 // trailing error cannot vacate the rank its successor now holds.
@@ -337,7 +342,12 @@ type pendingHello struct {
 // and results, broadcast shutdown — vacating and re-filling ranks as nodes
 // crash and rejoin along the way.
 func (c *Coordinator) run() {
-	defer close(c.done)
+	// Every non-success exit makes custody durable before done closes: an
+	// evictor, a drain and a restarted coordinator all read it right after.
+	defer func() {
+		c.custody.stop(c.runErr != nil)
+		close(c.done)
+	}()
 	deadline := time.Now().Add(c.cfg.Timeout)
 	p := c.spec.Procs
 
@@ -365,9 +375,7 @@ func (c *Coordinator) run() {
 		coordCaps |= CapObs // invite metrics-snapshot pushes
 	}
 	for _, m := range byRank {
-		c.mu.Lock()
-		ckpt := c.ckpts[m.rank]
-		c.mu.Unlock()
+		ckpt, _ := c.custody.get(m.rank)
 		blob := encodeJSON(wireConfig{Rank: m.rank, Peers: peers, Spec: c.spec, Checkpoint: ckpt, CoordCaps: coordCaps})
 		if err := m.write(&Frame{Type: FrameConfig, Blob: blob}); err != nil {
 			c.runErr = fmt.Errorf("distnet: sending config to rank %d: %w", m.rank, err)
@@ -430,6 +438,7 @@ func (c *Coordinator) run() {
 		barrierArrived = make(map[int]map[int]bool) // barrier id → ranks arrived
 		released       = make(map[int]bool)         // barrier ids already released
 		results        = make(map[int]*resultMsg)
+		acked          = make(map[int]bool) // ranks whose current link reached end-of-stream after their result
 		vacated        = make(map[int]vacatedRank)
 		parked         []pendingHello
 	)
@@ -473,8 +482,8 @@ func (c *Coordinator) run() {
 		m.epoch = ph.hello.Epoch
 		m.addr = ph.hello.Addr
 		c.stats.Rejoins++
-		ckpt := c.ckpts[rank]
 		c.mu.Unlock()
+		ckpt, _ := c.custody.get(rank)
 		peers[rank] = ph.hello.Addr
 		delete(vacated, rank)
 		blob := encodeJSON(wireConfig{Rank: rank, Peers: append([]string(nil), peers...), Spec: c.spec,
@@ -526,7 +535,9 @@ func (c *Coordinator) run() {
 				continue // stale connection incarnation
 			}
 			if ev.err != nil {
-				if results[ev.rank] == nil {
+				if results[ev.rank] != nil {
+					acked[ev.rank] = true // closed after its result: nothing left to ack
+				} else {
 					vacate(ev.rank, fmt.Errorf("connection lost before its result: %w", ev.err))
 					// A parked hello may already be waiting for this vacancy.
 					for i, ph := range parked {
@@ -536,7 +547,7 @@ func (c *Coordinator) run() {
 						}
 					}
 				}
-				continue // post-result close is expected
+				continue
 			}
 			switch ev.f.Type {
 			case FrameBarrier:
@@ -560,7 +571,7 @@ func (c *Coordinator) run() {
 					delete(barrierArrived, id)
 				}
 			case FrameCheckpoint:
-				c.keepCheckpoint(ev.f.Rank, ev.f.Blob)
+				c.custody.put(ev.rank, ev.f.Blob) // the connection names the rank, not the body
 			case FrameObs:
 				if c.cfg.Fleet != nil {
 					c.cfg.Fleet.Update(ev.rank, ev.f.Blob)
@@ -638,8 +649,7 @@ func (c *Coordinator) run() {
 	for _, m := range byRank {
 		_ = m.write(&Frame{Type: FrameShutdown})
 	}
-	// Give the shutdown frames a moment on the wire before closing.
-	time.Sleep(50 * time.Millisecond)
+	c.awaitAcks(events, byRank, acked)
 	c.teardown(byRank)
 
 	c.reports = make([]NodeReport, 0, p)
@@ -657,6 +667,7 @@ func (c *Coordinator) run() {
 			LatP50Sec: rm.LatP50Sec, LatP99Sec: rm.LatP99Sec,
 			AllocsPerMsg: rm.AllocsPerMsg,
 			StartUnix:    rm.StartUnix,
+			LaunchStamps: rm.LaunchStamps,
 			ClockOff:     rm.ClockOff,
 			ClockRTT:     rm.ClockRTT,
 			Journal:      rm.Journal,
@@ -664,6 +675,35 @@ func (c *Coordinator) run() {
 		})
 	}
 	sort.Slice(c.reports, func(i, j int) bool { return c.reports[i].Rank < c.reports[j].Rank })
+}
+
+// awaitAcks is the tail of an acked shutdown. A node closes its coordinator
+// link only after its own mesh is down, so end-of-stream on a member's
+// current connection is the ack that tearing down can no longer cut a peer
+// off; acked already holds the ranks whose link ended after their result.
+// Checkpoints still in flight are kept meanwhile. A Close, or ackTimeout
+// (a node hung inside its own teardown), ends the wait early; the caller
+// then severs whatever is left.
+func (c *Coordinator) awaitAcks(events <-chan coordEvent, byRank []*coordMember, acked map[int]bool) {
+	ackBy := time.NewTimer(c.ackTimeout)
+	defer ackBy.Stop()
+	for len(acked) < len(byRank) {
+		select {
+		case ev := <-events:
+			switch {
+			case ev.gen != byRank[ev.rank].gen: // a replaced connection's tail is not this member's ack
+			case ev.err != nil:
+				acked[ev.rank] = true
+			case ev.f.Type == FrameCheckpoint:
+				c.custody.put(ev.rank, ev.f.Blob)
+			}
+		case <-c.abort:
+			return
+		case <-ackBy.C:
+			c.logf("shutdown: %d/%d nodes closed their link within %v; severing the rest", len(acked), len(byRank), c.ackTimeout)
+			return
+		}
+	}
 }
 
 // gather accepts connections until every rank has said hello, assigning

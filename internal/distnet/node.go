@@ -69,7 +69,18 @@ type NodeConfig struct {
 	JournalMaxBytes int64
 	// Logf, when non-nil, receives progress lines (addresses, mesh events).
 	Logf func(format string, args ...any)
+
+	// linkQueue is each peer link's send-queue capacity (tests force it
+	// down to 1); normalize sets linkQueueCap.
+	linkQueue int
 }
+
+// linkQueueCap bounds every peer link's send queue. It does not grow with
+// run length: a full queue blocks Send — TCP backpressure — and that cannot
+// deadlock, because each link's writer drains into the socket and each
+// reader drains the socket into an inbox sized for the whole run, so no
+// send ever waits on the receiving engine.
+const linkQueueCap = 128
 
 func (cfg *NodeConfig) normalize() error {
 	if cfg.Coord == "" {
@@ -86,6 +97,9 @@ func (cfg *NodeConfig) normalize() error {
 	}
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 2 * time.Second
+	}
+	if cfg.linkQueue <= 0 {
+		cfg.linkQueue = linkQueueCap
 	}
 	return nil
 }
@@ -134,7 +148,6 @@ type transport struct {
 	// detachedFrames accumulates the frame counts of links retired by a
 	// swap so framesSentTotal stays complete.
 	meshMu         sync.Mutex
-	outCap         int
 	myHello        Frame
 	nodeCfg        NodeConfig
 	detachedFrames atomic.Int64
@@ -632,6 +645,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	// The coordinator link is control plane — no batching — but the hello
 	// still advertises the build's full capability set.
 	coord.send(Frame{Type: FrameHello, Rank: -1, Epoch: cfg.Epoch, Addr: ln.Addr().String(), Caps: CapBatch | CapDelta | CapObs})
+	stamps := LaunchStamps{JoinedUnix: unixNow()}
 
 	// The config frame assigns our rank and carries the membership + spec.
 	cf, err := readConfig(coordRaw, cfg.DialTimeout)
@@ -674,7 +688,6 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	}
 
 	// Build the transport around the mesh.
-	outCap := 2*spec.MaxIter + 64
 	tr := &transport{
 		rank: rank, p: p, epoch: cfg.Epoch,
 		peers:     make([]atomic.Pointer[peerConn], p),
@@ -683,7 +696,6 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		procs:     p,
 		wire:      spec.Wire,
 		hbTimeout: cfg.HeartbeatTimeout,
-		outCap:    outCap,
 		nodeCfg:   cfg,
 		wobs:      newWireObs(reg, rank, p),
 		journal:   journal,
@@ -705,6 +717,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		tr.close()
 		return nil, err
 	}
+	stamps.MeshUnix = unixNow()
 	// The listener stays open for the rest of the run: a crashed peer's
 	// replacement incarnation reconnects through it.
 	go tr.acceptLoop(ln)
@@ -811,6 +824,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		tr.close()
 		return nil, fmt.Errorf("distnet: start barrier timed out")
 	}
+	stamps.ReleasedUnix = unixNow()
 
 	app, err := BuildApp(spec, rank)
 	if err != nil {
@@ -886,6 +900,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		LatP99Sec:    latPercentile(tr.lat, 0.99),
 		AllocsPerMsg: allocsPerMsg,
 		StartUnix:    float64(tr.start.UnixNano()) / 1e9,
+		LaunchStamps: stamps,
 		ClockOff:     clockOff,
 		ClockRTT:     clockRTT,
 		Journal:      traceEvents,
@@ -1017,7 +1032,7 @@ func (t *transport) connectMesh(ln net.Listener, peers []string, cfg NodeConfig,
 // installPeer wires a freshly handshaken connection in as the link to the
 // hello sender's rank.
 func (t *transport) installPeer(j int, conn net.Conn, hello Frame) *peerConn {
-	pc := newPeerConn(j, conn, t.outCap, t.linkOptsFor(hello.Caps, j))
+	pc := newPeerConn(j, conn, t.nodeCfg.linkQueue, t.linkOptsFor(hello.Caps, j))
 	pc.epoch = hello.Epoch
 	t.swapPeer(pc)
 	return pc

@@ -155,6 +155,7 @@ func (pc *peerConn) send(f Frame) {
 	select {
 	case pc.out <- f:
 	case <-pc.stop:
+	case <-pc.done: // the writer died on a hard error; nothing will drain the queue
 	}
 }
 

@@ -369,6 +369,16 @@ type resultMsg struct {
 	ClockRTT  []float64   `json:"clock_rtt,omitempty"`
 	Journal   []obs.Event `json:"journal,omitempty"`
 	Final     []float64   `json:"-"` // filled from Frame.Final on receipt
+	LaunchStamps
+}
+
+// LaunchStamps are a node's wall-clock launch milestones (unix seconds) on
+// the way to iteration 0 (StartUnix), so whoever dispatched the fleet can
+// split its launch latency from inside the run.
+type LaunchStamps struct {
+	JoinedUnix   float64 `json:"joined_unix,omitempty"`   // coordinator link up, hello sent
+	MeshUnix     float64 `json:"mesh_unix,omitempty"`     // config in hand, every peer link up
+	ReleasedUnix float64 `json:"released_unix,omitempty"` // start barrier released
 }
 
 func encodeJSON(v any) []byte {

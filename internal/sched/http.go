@@ -82,6 +82,15 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // their job label — so the union is a well-formed exposition with one
 // family per metric name.
 func (s *Scheduler) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	lag := 0.0
+	for _, j := range s.jobs {
+		if j.run != nil {
+			lag = max(lag, j.run.coord.Stats().CustodyLagSec)
+		}
+	}
+	s.mu.Unlock()
+	s.met.custodyLag.Set(lag)
 	var buf bytes.Buffer
 	if err := s.cfg.Metrics.WriteProm(&buf); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

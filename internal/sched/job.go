@@ -94,6 +94,7 @@ type Job struct {
 	waited      float64 // completed queue waits; current wait added in status()
 	canceled    bool
 	err         error
+	custodyErr  string               // first write failure the job's custody store latched
 	reports     []distnet.NodeReport // final converged reports (done jobs)
 
 	// store is the job's custody namespace; it survives evictions (that is
@@ -108,21 +109,24 @@ type Job struct {
 
 // JobStatus is the JSON view of one job.
 type JobStatus struct {
-	ID          string          `json:"id"`
-	Name        string          `json:"name"`
-	Tenant      string          `json:"tenant"`
-	Priority    int             `json:"priority"`
-	State       JobState        `json:"state"`
-	App         string          `json:"app"`
-	Procs       int             `json:"procs"`
-	Preemptions int             `json:"preemptions"`
-	Restores    int             `json:"restores,omitempty"`
-	SubmittedAt float64         `json:"submitted_unix"`
-	StartedAt   float64         `json:"started_unix,omitempty"`
-	FinishedAt  float64         `json:"finished_unix,omitempty"`
-	WaitSec     float64         `json:"wait_sec"` // cumulative time spent queued
-	Error       string          `json:"error,omitempty"`
+	ID          string               `json:"id"`
+	Name        string               `json:"name"`
+	Tenant      string               `json:"tenant"`
+	Priority    int                  `json:"priority"`
+	State       JobState             `json:"state"`
+	App         string               `json:"app"`
+	Procs       int                  `json:"procs"`
+	Preemptions int                  `json:"preemptions"`
+	Restores    int                  `json:"restores,omitempty"`
+	SubmittedAt float64              `json:"submitted_unix"`
+	StartedAt   float64              `json:"started_unix,omitempty"`
+	FinishedAt  float64              `json:"finished_unix,omitempty"`
+	WaitSec     float64              `json:"wait_sec"` // cumulative time spent queued
+	Error       string               `json:"error,omitempty"`
 	Reports     []distnet.NodeReport `json:"reports,omitempty"`
+	// CustodyError is set once the job's custody store has failed a write:
+	// an eviction from then on may have to restart the job from scratch.
+	CustodyError string `json:"custody_error,omitempty"`
 }
 
 // status snapshots the job under the scheduler lock.
@@ -132,7 +136,7 @@ func (j *Job) status(now time.Time, waited float64, reports []distnet.NodeReport
 		State: j.state, App: j.Spec.App, Procs: j.Spec.Procs,
 		Preemptions: j.preemptions, Restores: j.restores,
 		SubmittedAt: unix(j.submitted), WaitSec: waited,
-		Reports: reports,
+		Reports: reports, CustodyError: j.custodyErr,
 	}
 	if !j.started.IsZero() {
 		st.StartedAt = unix(j.started)
@@ -164,12 +168,12 @@ func (j *Job) waitTotal() float64 { return j.waited }
 type runningJob struct {
 	coord *distnet.Coordinator
 	sups  []*distnet.Supervisor
+	// forked is when the last child was started: the end of the launch's
+	// spawn phase, the start of its hello phase.
+	forked time.Time
 	// evicting marks a deliberate teardown: the waiter treats the
 	// coordinator's error as a preemption, not a failure.
 	evicting bool
-	// done closes when the waiter has retired the run (eviction pollers
-	// watch it so they stop once the fleet is gone).
-	done chan struct{}
 }
 
 // stop tears the fleet down: node supervisors first (children die without

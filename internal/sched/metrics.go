@@ -5,7 +5,12 @@ package sched
 // FleetObs and carry job/node labels. Everything is served merged from the
 // one /metrics endpoint (http.go).
 
-import "specomp/internal/obs"
+import (
+	"time"
+
+	"specomp/internal/distnet"
+	"specomp/internal/obs"
+)
 
 // Metric names exported by the scheduler.
 const (
@@ -29,6 +34,17 @@ const (
 	// done/failed/canceled) plus admissions (submitted) and quota
 	// rejections (rejected).
 	MetricJobs = "specomp_sched_jobs_total"
+	// MetricLaunchSeconds splits dispatch → iteration 0 by phase (label
+	// phase): spawn (coordinator up, every child forked — scheduler clock),
+	// then hello (last node joined), mesh (last mesh up) and barrier (start
+	// barrier released) from the nodes' own stamps, slowest rank each.
+	MetricLaunchSeconds = "specomp_sched_launch_seconds"
+	// MetricCustodyErrors counts jobs whose custody store latched a write
+	// failure.
+	MetricCustodyErrors = "specomp_sched_custody_errors_total"
+	// MetricCustodyLag gauges, over running jobs, the age of the oldest
+	// checkpoint a coordinator accepted but has not yet committed to disk.
+	MetricCustodyLag = "specomp_sched_custody_lag_seconds"
 	// MetricTenantJobs gauges each tenant's active jobs (label tenant).
 	MetricTenantJobs = "specomp_sched_tenant_jobs"
 	// MetricTenantRanks gauges each tenant's claimed+queued ranks (label
@@ -47,6 +63,8 @@ type schedMetrics struct {
 	preemptions *obs.Counter
 	resumes     *obs.Counter
 	resumeSec   *obs.Histogram
+	custodyErrs *obs.Counter
+	custodyLag  *obs.Gauge
 }
 
 func newSchedMetrics(reg *obs.Registry) schedMetrics {
@@ -62,7 +80,32 @@ func newSchedMetrics(reg *obs.Registry) schedMetrics {
 		preemptions: reg.Counter(MetricPreemptions, "Running jobs evicted by higher-priority arrivals."),
 		resumes:     reg.Counter(MetricResumes, "Preempted jobs dispatched again from custody."),
 		resumeSec:   reg.Histogram(MetricResumeSeconds, "Eviction-to-redispatch latency (s).", waitBuckets),
+		custodyErrs: reg.Counter(MetricCustodyErrors, "Jobs whose custody store latched a write failure."),
+		custodyLag:  reg.Gauge(MetricCustodyLag, "Age of the oldest accepted, uncommitted checkpoint (s)."),
 	}
+}
+
+// launch returns one phase's slice of the launch-latency histogram
+// (0.25 ms … ~8 s).
+func (m *schedMetrics) launch(phase string) *obs.Histogram {
+	return m.reg.Histogram(MetricLaunchSeconds, "Dispatch-to-iteration-0 latency by phase (s).",
+		obs.ExpBuckets(0.00025, 2, 16), obs.L("phase", phase))
+}
+
+// observeLaunch attributes a finished job's launch from its nodes' stamps.
+// Each phase ends when its slowest rank gets there; a report without stamps
+// (a node from an older build) leaves the job out.
+func (m *schedMetrics) observeLaunch(forked time.Time, reports []distnet.NodeReport) {
+	var joined, mesh, released float64
+	for _, r := range reports {
+		if r.JoinedUnix == 0 {
+			return
+		}
+		joined, mesh, released = max(joined, r.JoinedUnix), max(mesh, r.MeshUnix), max(released, r.ReleasedUnix)
+	}
+	m.launch("hello").Observe(max(0, joined-unix(forked)))
+	m.launch("mesh").Observe(max(0, mesh-joined))
+	m.launch("barrier").Observe(max(0, released-mesh))
 }
 
 // outcome bumps the jobs_total counter for one terminal/admission event.

@@ -358,9 +358,11 @@ func (s *Scheduler) preemptForLocked(j *Job, need int) bool {
 }
 
 // evictLocked begins tearing a running job down to custody: the state flips
-// to evicting, and a goroutine waits (bounded) for every rank's checkpoint
-// to reach the job's custody namespace before killing the fleet. The run
-// waiter completes the transition to preempted.
+// to evicting, and a goroutine waits (bounded) until the job's coordinator
+// holds a snapshot of every rank before killing the fleet. Closing the
+// coordinator commits that custody to the job's namespace before its Wait
+// returns, so by the time the run waiter completes the transition to
+// preempted the eviction is on disk.
 func (s *Scheduler) evictLocked(j *Job) {
 	run := j.run
 	if run == nil || run.evicting {
@@ -372,17 +374,9 @@ func (s *Scheduler) evictLocked(j *Job) {
 	if j.Spec.CheckpointEvery <= 0 {
 		grace = 0 // no snapshots will ever come; kill now, restart later
 	}
-	store, procs := j.store, j.Spec.Procs // the poller must not touch j unlocked
 	go func() {
 		if grace > 0 {
-			deadline := time.Now().Add(grace)
-			for time.Now().Before(deadline) && !storeCovered(store, procs) {
-				select {
-				case <-run.done:
-					return // the run ended on its own mid-eviction
-				case <-time.After(20 * time.Millisecond):
-				}
-			}
+			run.coord.CustodyCovered(grace) // also returns if the run ends on its own
 		}
 		run.stop()
 	}()
@@ -436,7 +430,7 @@ func (s *Scheduler) startLocked(j *Job) {
 	resumed := j.preemptions > 0
 	j.restores += coord.Stats().CustodyRestores
 
-	run := &runningJob{coord: coord, done: make(chan struct{})}
+	run := &runningJob{coord: coord}
 	for slot := 0; slot < j.Spec.Procs; slot++ {
 		info := LaunchInfo{JobID: j.ID, Slot: slot, Coord: coord.Addr()}
 		sup, err := distnet.Supervise(distnet.SuperviseConfig{
@@ -460,6 +454,8 @@ func (s *Scheduler) startLocked(j *Job) {
 		run.sups = append(run.sups, sup)
 	}
 
+	run.forked = time.Now()
+	s.met.launch("spawn").Observe(run.forked.Sub(now).Seconds())
 	wait := now.Sub(j.pendingSince).Seconds()
 	j.waited += wait
 	s.stats.WaitSec = append(s.stats.WaitSec, wait)
@@ -509,7 +505,6 @@ func (s *Scheduler) waitRun(j *Job, run *runningJob) {
 			supErr = err
 		}
 	}
-	close(run.done)
 	s.onRunDone(j, run, reports, runErr, supErr)
 }
 
@@ -521,6 +516,13 @@ func (s *Scheduler) onRunDone(j *Job, run *runningJob, reports []distnet.NodeRep
 	s.usedRanks -= j.Spec.Procs
 	j.run = nil
 	now := time.Now()
+	if st, ok := j.store.(interface{ Err() error }); ok && st.Err() != nil && j.custodyErr == "" {
+		// Latched by the store: from here on the job's snapshots are suspect,
+		// and an eviction that "restarts from scratch" has its reason on record.
+		j.custodyErr = st.Err().Error()
+		s.met.custodyErrs.Inc()
+		s.logf("job %s: custody writes failed: %s", j.ID, j.custodyErr)
+	}
 	switch {
 	case j.canceled:
 		j.state = StateCanceled
@@ -535,6 +537,7 @@ func (s *Scheduler) onRunDone(j *Job, run *runningJob, reports []distnet.NodeRep
 		j.reports = reports
 		s.stats.Completed++
 		s.met.outcome("done")
+		s.met.observeLaunch(run.forked, reports)
 		s.clearCustody(j)
 		if supErr != nil {
 			s.logf("job %s done, but a supervisor latched: %v", j.ID, supErr)
