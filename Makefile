@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-core race distributed fuzz-wire soak soak-short sched-soak chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
+.PHONY: all build test test-short bench bench-core bench-pairs race distributed fuzz-wire soak soak-short sched-soak chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
 
 all: build vet test
 
@@ -59,6 +59,15 @@ bench-core:
 		./internal/core ./internal/apps/... ./internal/nbody ./internal/distnet ./internal/pipeline \
 		| go run ./cmd/benchjson -baseline BENCH_core.json -o BENCH_core.json
 	@echo "wrote BENCH_core.json"
+
+# Paired before/after runs of the repo benchmark (go run ./bench) on one
+# workload, the evidence a performance claim needs:
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=kernel-heat [PAIRS=10] [SEED=1]
+PARENT ?= HEAD
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # Wire-plane soak: 64 real OS processes under chaos (duplicates + delay
 # spikes), recording throughput / latency-percentile / allocs-per-message

@@ -17,12 +17,13 @@ package cluster
 // interface so the contract cannot drift silently.
 //
 // A transport may coalesce several sent messages into one physical frame
-// (distnet batches per-iteration sends to the same peer) and may delay a
-// message briefly while waiting for company, provided per-(src, dst)
-// delivery order is preserved and a message is never held once the
-// receiver is blocked in Recv/RecvDeadline. Senders and receivers observe
-// ordinary message semantics either way; batching is invisible above the
-// Transport contract.
+// (distnet batches per-iteration sends to the same peer), provided
+// per-(src, dst) delivery order is preserved. To that end a transport may
+// defer a Send until the caller next polls empty, blocks in a receive, or
+// returns — never past that: what the caller does next may be a long
+// compute, and a peer may be waiting on exactly that message. Senders and
+// receivers observe ordinary message semantics either way; batching is
+// invisible above the Transport contract.
 type Transport interface {
 	// ID returns the processor index (0-based).
 	ID() int

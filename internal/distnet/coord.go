@@ -114,8 +114,9 @@ type NodeReport struct {
 	Epoch    int `json:"epoch,omitempty"`
 	Restores int `json:"restores,omitempty"`
 	// Wire-plane throughput measures (see resultMsg): messages delivered to
-	// the engine, physical frames written (batching ⇒ FramesSent ≪
-	// MsgsSent), delivery-latency percentiles, and whole-process heap
+	// the engine, physical frames queued on peer links (MsgsSent plus
+	// beacons in a fault-free run; fewer only where a burst left as batch
+	// frames), delivery-latency percentiles, and whole-process heap
 	// allocations per message over the run.
 	MsgsRecvd    int     `json:"msgs_recvd,omitempty"`
 	FramesSent   int     `json:"frames_sent,omitempty"`

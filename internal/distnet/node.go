@@ -152,26 +152,29 @@ type transport struct {
 	nodeCfg        NodeConfig
 	detachedFrames atomic.Int64
 
-	// Batch accumulation: per-destination pending messages, flushed into a
-	// single FrameBatch when a size cap trips, when the engine is about to
-	// block in a receive (the iteration boundary — both sides flush before
-	// blocking, so batching can never deadlock the exchange), or when the
-	// linger loop finds a batch that has waited long enough. batchMu covers
-	// the engine goroutine and the linger goroutine.
-	batchMu    sync.Mutex
-	pend       [][]cluster.Message // pooled slices, nil when batching is off
-	pendBytes  []int
-	pendSince  []time.Time
-	lingerStop chan struct{}
+	// Batch accumulation: per-destination pending messages, leaving as one
+	// FrameBatch per peer. The one flush rule: a message handed to Send is on
+	// its link before the caller computes, blocks, or returns — pend is
+	// flushed when a size cap trips, when TryRecv finds the inbox empty, on
+	// entry to Recv/RecvDeadline (both sides flush before blocking, so
+	// batching can never deadlock the exchange) and when the engine returns.
+	// Engine goroutine only, so no lock and no timer.
+	pend      [][]cluster.Message // pooled slices, nil when batching is off
+	pendBytes []int
+	pendMsgs  int // messages across all of pend; 0 lets a flush skip the walk
 
 	// lat collects per-message delivery latencies (DeliveredAt − SentAt),
 	// engine goroutine only.
 	lat []float64
 
-	// timers tracks outstanding injector-delayed sends so close can stop
-	// them instead of leaking AfterFunc callbacks past the run.
+	// deadline is RecvDeadline's one reusable timer, engine goroutine only.
+	deadline *time.Timer
+
+	// held is the set of injector-delayed copies still in flight: a fired
+	// copy drops its own entry, close stops what is outstanding instead of
+	// leaking AfterFunc callbacks past the run. timersMu covers it and closed.
 	timersMu sync.Mutex
-	timers   []*time.Timer
+	held     map[*heldCopy]struct{}
 	closed   bool
 
 	msgsSent, msgsRecvd, bytesSent int
@@ -244,8 +247,8 @@ func (t *transport) SendShared(dst, tag, iter int, data []float64) {
 	// Fault injection is per message, not per frame: each logical message is
 	// planned individually (parity with the simulator's DeliveriesOf), and
 	// only the surviving immediate copies enter a batch. Delayed copies ship
-	// as single frames when their timers fire — they have, by construction,
-	// already left the iteration's coalescing window.
+	// as single frames when their timers fire — by then the batch they would
+	// have joined has long been flushed.
 	plan := t.inj.Plan(t.rank, dst, bytes, t.procs, m.SentAt)
 	if len(plan) == 0 {
 		t.drops++
@@ -256,7 +259,7 @@ func (t *transport) SendShared(dst, tag, iter int, data []float64) {
 			t.enqueueData(pc, m, bytes)
 			continue
 		}
-		t.holdBack(pc, Frame{Type: FrameData, Msg: m}, d)
+		t.holdBack(pc, m, d)
 	}
 }
 
@@ -269,102 +272,78 @@ func (t *transport) enqueueData(pc *peerConn, m cluster.Message, bytes int) {
 		return
 	}
 	dst := pc.rank
-	t.batchMu.Lock()
-	if len(t.pend[dst]) == 0 {
-		t.pendSince[dst] = time.Now()
-	}
 	t.pend[dst] = append(t.pend[dst], m)
 	t.pendBytes[dst] += bytes
-	var f Frame
-	flush := false
+	t.pendMsgs++
 	if len(t.pend[dst]) >= t.wire.MaxBatchMsgs {
-		f, flush = t.popLocked(dst, flushMsgs)
+		pc.send(t.pop(dst, flushMsgs))
 	} else if t.pendBytes[dst] >= t.wire.MaxBatchBytes {
-		f, flush = t.popLocked(dst, flushBytes)
-	}
-	t.batchMu.Unlock()
-	if flush {
-		pc.send(f)
+		pc.send(t.pop(dst, flushBytes))
 	}
 }
 
-// popLocked removes and returns dst's pending batch as a ready-to-send
+// pop removes and returns dst's non-empty pending batch as a ready-to-send
 // frame (a plain data frame when only one message is pending), recording
-// the flush reason and batch occupancy. Caller holds batchMu.
-func (t *transport) popLocked(dst, reason int) (Frame, bool) {
+// the flush reason and batch occupancy.
+func (t *transport) pop(dst, reason int) Frame {
 	msgs := t.pend[dst]
-	if len(msgs) == 0 {
-		return Frame{}, false
-	}
 	t.wobs.noteFlush(reason, len(msgs))
 	t.pend[dst] = getBatch()
 	t.pendBytes[dst] = 0
+	t.pendMsgs -= len(msgs)
 	if len(msgs) == 1 {
 		m := msgs[0]
 		releaseBatch(msgs)
-		return Frame{Type: FrameData, Msg: m}, true
+		return Frame{Type: FrameData, Msg: m}
 	}
-	return Frame{Type: FrameBatch, Batch: msgs}, true
+	return Frame{Type: FrameBatch, Batch: msgs}
 }
 
-// flushAll pushes every pending batch onto its link. The engine calls it on
-// entry to a blocking receive: at that point it has said everything it has
-// to say this iteration, and the peer may be waiting on exactly these
-// messages.
+// flushAll pushes every pending batch onto its link. It runs wherever the
+// engine stops talking (see pend): what the caller does next may take
+// arbitrarily long, and a peer may be waiting on exactly these messages.
 func (t *transport) flushAll(reason int) {
-	if t.pend == nil {
+	if t.pendMsgs == 0 {
 		return
 	}
-	t.batchMu.Lock()
 	for dst := range t.pend {
-		if f, ok := t.popLocked(dst, reason); ok {
-			t.peer(dst).send(f)
+		if len(t.pend[dst]) > 0 {
+			t.peer(dst).send(t.pop(dst, reason))
 		}
 	}
-	t.batchMu.Unlock()
 }
 
-// lingerLoop flushes batches that have waited past the linger budget —
-// the backstop for messages enqueued while the engine computes on without
-// blocking (speculative sends mid-iteration).
-func (t *transport) lingerLoop() {
-	linger := time.Duration(t.wire.LingerUS) * time.Microsecond
-	tickEvery := linger
-	if tickEvery < time.Millisecond {
-		tickEvery = time.Millisecond // bound wakeup rate at large P
-	}
-	tick := time.NewTicker(tickEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			now := time.Now()
-			t.batchMu.Lock()
-			for dst := range t.pend {
-				if len(t.pend[dst]) > 0 && now.Sub(t.pendSince[dst]) >= linger {
-					if f, ok := t.popLocked(dst, flushLinger); ok {
-						t.peer(dst).send(f)
-					}
-				}
-			}
-			t.batchMu.Unlock()
-		case <-t.lingerStop:
-			return
-		}
-	}
+// heldCopy is one injector-delayed copy waiting out its delay.
+type heldCopy struct {
+	t  *transport
+	pc *peerConn
+	m  cluster.Message
+	tm *time.Timer
 }
 
 // holdBack schedules a delayed transmission of one planned copy.
-func (t *transport) holdBack(pc *peerConn, f Frame, delaySec float64) {
+func (t *transport) holdBack(pc *peerConn, m cluster.Message, delaySec float64) {
 	t.timersMu.Lock()
 	defer t.timersMu.Unlock()
 	if t.closed {
 		return
 	}
-	t.timers = append(t.timers, time.AfterFunc(
-		time.Duration(delaySec*float64(time.Second)),
-		func() { pc.send(f) },
-	))
+	if t.held == nil {
+		t.held = make(map[*heldCopy]struct{})
+	}
+	h := &heldCopy{t: t, pc: pc, m: m}
+	h.tm = time.AfterFunc(time.Duration(delaySec*float64(time.Second)), h.release)
+	t.held[h] = struct{}{}
+}
+
+// release sends the copy once its delay is up. It leaves the in-flight set
+// first, so once a delayed message has been delivered nothing here still
+// pins its payload.
+func (h *heldCopy) release() {
+	h.t.timersMu.Lock()
+	delete(h.t.held, h)
+	h.t.timersMu.Unlock()
+	h.pc.send(Frame{Type: FrameData, Msg: h.m})
 }
 
 func (t *transport) takePending(src, tag int) (cluster.Message, bool) {
@@ -398,9 +377,13 @@ func (t *transport) popped(m *cluster.Message) {
 	}
 }
 
-// TryRecv polls without flushing pending batches: a poll is not a
-// commitment to wait, and flushing here would defeat coalescing (the engine
-// polls between speculative iterations).
+// TryRecv polls the inbox; a poll that comes up empty flushes the pending
+// batches before it returns. The engine ends every broadcast with exactly
+// one such poll (drain) and then computes or blocks, so this is the last
+// moment its sends can leave without waiting behind a compute. A poll that
+// finds a message does not flush: the caller is still draining and will
+// poll again. The flush can block on a full link queue, exactly as a
+// size-cap flush inside Send already can.
 func (t *transport) TryRecv(src, tag int) (cluster.Message, bool) {
 	if m, ok := t.takePending(src, tag); ok {
 		return m, true
@@ -415,6 +398,7 @@ func (t *transport) TryRecv(src, tag int) (cluster.Message, bool) {
 			}
 			t.pending = append(t.pending, m)
 		default:
+			t.flushAll(flushRecv)
 			return cluster.Message{}, false
 		}
 	}
@@ -445,23 +429,34 @@ func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message
 	t.flushAll(flushRecv) // about to block: everything we owe the mesh goes out first
 	before := time.Now()
 	defer func() { t.commSec += time.Since(before).Seconds() }()
-	deadline := before.Add(time.Duration(timeout * float64(time.Second)))
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return cluster.Message{}, false
+	d := time.Duration(timeout * float64(time.Second))
+	if d <= 0 {
+		return cluster.Message{}, false
+	}
+	// One timer per transport, armed once per call. A call that returned on
+	// a message leaves it running, so stop it and drain any tick it left
+	// behind before re-arming (go.mod predates the go 1.23 timer channels).
+	if t.deadline == nil {
+		t.deadline = time.NewTimer(d)
+	} else {
+		if !t.deadline.Stop() {
+			select {
+			case <-t.deadline.C:
+			default:
+			}
 		}
-		timer := time.NewTimer(remaining)
+		t.deadline.Reset(d)
+	}
+	for {
 		select {
 		case m := <-t.inbox:
-			timer.Stop()
 			t.popped(&m)
 			if matches(m, src, tag) {
 				t.msgsRecvd++
 				return m, true
 			}
 			t.pending = append(t.pending, m)
-		case <-timer.C:
+		case <-t.deadline.C:
 			return cluster.Message{}, false
 		}
 	}
@@ -574,22 +569,14 @@ func latPercentile(sorted []float64, q float64) float64 {
 // any still-pending batches out first (shutdown must not strand messages a
 // slower peer is waiting for).
 func (t *transport) close() {
-	if t.lingerStop != nil {
-		select {
-		case <-t.lingerStop:
-		default:
-			close(t.lingerStop)
-		}
-	}
 	t.flushAll(flushClose)
 	t.timersMu.Lock()
 	t.closed = true
-	timers := t.timers
-	t.timers = nil
-	t.timersMu.Unlock()
-	for _, tm := range timers {
-		tm.Stop()
+	for h := range t.held {
+		h.tm.Stop()
 	}
+	t.held = nil
+	t.timersMu.Unlock()
 	for j := range t.peers {
 		if pc := t.peer(j); pc != nil {
 			pc.close()
@@ -707,8 +694,6 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 			tr.pend[i] = getBatch()
 		}
 		tr.pendBytes = make([]int, p)
-		tr.pendSince = make([]time.Time, p)
-		tr.lingerStop = make(chan struct{})
 	}
 	if wc.Rejoin {
 		cfg.logf("rank %d: rejoining a run in flight (epoch %d), dialing all survivors", rank, cfg.Epoch)
@@ -728,9 +713,6 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		}
 		go tr.reader(pc)
 		go pc.heartbeater(cfg.HeartbeatEvery)
-	}
-	if tr.lingerStop != nil {
-		go tr.lingerLoop()
 	}
 	// Heartbeat the coordinator link too: its liveness window (the
 	// coordinator's NodeTimeout) is how a hung node is detected without
@@ -841,6 +823,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	res, runErr := core.Run(tr, app, ecfg)
+	tr.flushAll(flushRecv) // the engine returned: nothing it sent waits for teardown
 	runtime.ReadMemStats(&msAfter)
 	wall := time.Since(tr.start)
 	if runErr != nil {
@@ -849,8 +832,8 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	}
 
 	// Wire-plane throughput measures for the soak harness: delivery-latency
-	// percentiles, physical frame count (batching ⇒ frames ≪ messages), and
-	// whole-process allocations per message over the run.
+	// percentiles, physical frame count, and whole-process allocations per
+	// message over the run.
 	sort.Float64s(tr.lat)
 	allocsPerMsg := 0.0
 	if n := tr.msgsSent + tr.msgsRecvd; n > 0 {

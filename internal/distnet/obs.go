@@ -20,7 +20,7 @@ const (
 	// carried — the direct readout of how well coalescing amortizes frames.
 	MetricBatchOccupancy = "specomp_wire_batch_msgs"
 	// MetricFlushes counts batch flushes by reason label
-	// (msgs|bytes|recv|linger|close).
+	// (msgs|bytes|recv|close).
 	MetricFlushes = "specomp_wire_flush_total"
 	// MetricDeltaRatio histograms encoded-size/raw-size for delta-coded batch
 	// entries (1 recorded for fallbacks, so the mean is the realized ratio).
@@ -58,16 +58,15 @@ const (
 
 // Batch flush reasons, the label values of MetricFlushes.
 const (
-	flushMsgs   = iota // batch hit MaxBatchMsgs
-	flushBytes         // batch hit MaxBatchBytes
-	flushRecv          // receiver entered a blocking wait
-	flushLinger        // linger timer expired
-	flushClose         // transport teardown
+	flushMsgs  = iota // batch hit MaxBatchMsgs
+	flushBytes        // batch hit MaxBatchBytes
+	flushRecv         // the engine stopped talking: empty poll, blocking receive, or Run returned
+	flushClose        // transport teardown
 	flushReasons
 )
 
 // flushReasonNames are the exposition label values, indexed by reason.
-var flushReasonNames = [flushReasons]string{"msgs", "bytes", "recv", "linger", "close"}
+var flushReasonNames = [flushReasons]string{"msgs", "bytes", "recv", "close"}
 
 // linkObs is the instrument set of one peer link.
 type linkObs struct {

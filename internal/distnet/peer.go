@@ -111,8 +111,10 @@ type peerConn struct {
 	// frame; the heartbeater skips beacons while data traffic is already
 	// proving liveness (piggybacked heartbeats).
 	lastSent atomic.Int64
-	// framesSent counts frames written to the socket, for observability
-	// (batching shows up as framesSent ≪ messages sent).
+	// framesSent counts frames accepted onto the send queue — every one of
+	// them reaches the socket unless the link dies first. Counted at enqueue
+	// rather than by the writer, so the total is exact the moment the engine
+	// returns and repeats between identical runs.
 	framesSent atomic.Int64
 	// down latches on a hard read/write error or remote close.
 	down atomic.Bool
@@ -154,6 +156,7 @@ func (pc *peerConn) send(f Frame) {
 	pc.opts.obs.setQueueDepth(len(pc.out))
 	select {
 	case pc.out <- f:
+		pc.framesSent.Add(1)
 	case <-pc.stop:
 	case <-pc.done: // the writer died on a hard error; nothing will drain the queue
 	}
@@ -174,7 +177,6 @@ func (pc *peerConn) writer() {
 			releaseBatch(f.Batch)
 		}
 		if err == nil {
-			pc.framesSent.Add(1)
 			pc.opts.obs.noteFrame()
 		}
 		return err

@@ -206,7 +206,7 @@ func TestHeartbeatPiggybacksOnTraffic(t *testing.T) {
 // running, mirroring what RunNode assembles around connectMesh.
 func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed int64) (*transport, *transport) {
 	t.Helper()
-	norm := RunSpec{Wire: wire} // Normalize fills the batch caps and linger default
+	norm := RunSpec{Wire: wire} // Normalize fills the batch caps
 	if err := norm.Normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +228,6 @@ func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed in
 				tr.pend[i] = getBatch()
 			}
 			tr.pendBytes = make([]int, 2)
-			tr.pendSince = make([]time.Time, 2)
-			tr.lingerStop = make(chan struct{})
 		}
 		pc := newPeerConn(peer, conn, 4096, linkOpts(wire, localCaps(wire)))
 		tr.peers[peer].Store(pc)

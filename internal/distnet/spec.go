@@ -103,10 +103,6 @@ type WireSpec struct {
 	MaxBatchMsgs int `json:"max_batch_msgs,omitempty"`
 	// MaxBatchBytes flushes a pending batch at this many payload bytes.
 	MaxBatchBytes int `json:"max_batch_bytes,omitempty"`
-	// LingerUS bounds how long a pending batch may wait for company, in
-	// microseconds. Blocking receives flush eagerly, so linger only delays
-	// messages the sender is still working past.
-	LingerUS int `json:"linger_us,omitempty"`
 }
 
 // Normalize fills defaults and validates; the coordinator calls it once
@@ -132,9 +128,6 @@ func (s *RunSpec) Normalize() error {
 	}
 	if s.Wire.MaxBatchBytes <= 0 {
 		s.Wire.MaxBatchBytes = 48 << 10
-	}
-	if s.Wire.LingerUS <= 0 {
-		s.Wire.LingerUS = 150
 	}
 	if s.Job == "" {
 		s.Job = s.App

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +180,67 @@ func TestQueuePersistRecovery(t *testing.T) {
 	st := submit(t, s2, "new", "", 0, 2)
 	if st.ID == hi.ID || st.ID == q.Pending[1].ID {
 		t.Fatalf("recycled job id %s", st.ID)
+	}
+}
+
+// TestRetiredWireKnobInStoredSpecs: wire.linger_us no longer exists. A queue
+// file written by a build that still had it must load — the spec it held
+// otherwise unchanged — while a fresh submission naming it is refused like
+// any other unknown field.
+func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sched-queue.json")
+	s := queueOnly(t, sched.Config{StateDir: dir})
+	job := submit(t, s, "old", "alice", 1, 2)
+	if err := s.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// readQueue parses the queue file generically and picks out the one
+	// persisted job's spec.
+	readQueue := func() (file, spec map[string]any) {
+		t.Helper()
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(blob, &file); err != nil {
+			t.Fatal(err)
+		}
+		return file, file["jobs"].([]any)[0].(map[string]any)["spec"].(map[string]any)
+	}
+	file, want := readQueue()
+	wire := want["wire"].(map[string]any)
+	wire["linger_us"] = 150
+	blob, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	delete(wire, "linger_us") // want is again the spec as first persisted
+
+	s2 := queueOnly(t, sched.Config{StateDir: dir})
+	if q := s2.Queue(); len(q.Pending) != 1 || q.Pending[0].ID != job.ID {
+		t.Fatalf("recovered queue %+v, want the one job %s", q.Pending, job.ID)
+	}
+	if err := s2.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := readQueue(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("spec changed across the reload:\n got %v\nwant %v", got, want)
+	}
+
+	srv := httptest.NewServer(queueOnly(t, sched.Config{}).Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(
+		`{"spec":{"app":"heat","procs":2,"max_iter":10,"wire":{"linger_us":150}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submission naming linger_us: %d, want 400", resp.StatusCode)
 	}
 }
 
