@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-core bench-pairs race distributed fuzz-wire soak soak-short sched-soak chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
+.PHONY: all build test test-short bench bench-core bench-pairs race distributed fuzz-wire fuzz-checkpoint soak soak-short sched-soak chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
 
 all: build vet test
 
@@ -42,6 +42,14 @@ distributed:
 fuzz-wire:
 	go test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/distnet/
 
+# Fuzz the SPCK snapshot decoder (the restore path): never panics, never
+# over-allocates, and whatever it accepts re-encodes to the same bytes. The
+# seeds are real engine snapshots of a few KB, and the fuzzing engine spends
+# up to -fuzzminimizetime (default 60s) shrinking each input that finds new
+# coverage — 1s keeps a short run fuzzing instead of minimizing.
+fuzz-checkpoint:
+	go test -run '^$$' -fuzz FuzzDecode -fuzztime 30s -fuzzminimizetime 1s ./internal/checkpoint/
+
 bench: bench-core
 	go test -bench=. -benchmem ./...
 
@@ -52,11 +60,17 @@ bench: bench-core
 # series names free of a GOMAXPROCS suffix, so the gate finds its baseline on
 # any machine (the committed series were recorded that way). CoordCustody
 # (coordinator event loop over a real FileStore) prints a commits/frame
-# column; benchfmt reads no B/op or allocs/op past a custom column, so that
-# series is recorded as timing only.
+# column and CheckpointPath (a live two-rank fleet checkpointing every
+# iteration) a snapshot-B/op one; benchfmt reads no B/op or allocs/op past a
+# custom column, so those series are recorded as timing only — their
+# allocation counts depend on goroutine timing. CheckpointEncode and
+# TakeCheckpoint are gated: TakeCheckpoint must read 0 allocs/op, and the
+# exact version of that claim (testing.AllocsPerRun) runs first in a process
+# of its own, where no other test's stragglers can allocate into the count.
 bench-core:
-	go test -run '^$$' -cpu 1 -bench 'EngineIteration|ComputeKernel|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|PipelineStage|CoordCustody|CoordTeardown' -benchmem \
-		./internal/core ./internal/apps/... ./internal/nbody ./internal/distnet ./internal/pipeline \
+	go test -run '^TestTakeCheckpointZeroAlloc$$' -count=1 ./internal/core
+	go test -run '^$$' -cpu 1 -bench 'EngineIteration|ComputeKernel|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|PipelineStage|CoordCustody|CoordTeardown|CheckpointEncode|TakeCheckpoint|CheckpointPath' -benchmem \
+		./internal/core ./internal/checkpoint ./internal/apps/... ./internal/nbody ./internal/distnet ./internal/pipeline \
 		| go run ./cmd/benchjson -baseline BENCH_core.json -o BENCH_core.json
 	@echo "wrote BENCH_core.json"
 

@@ -34,8 +34,11 @@ type Report struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
+// benchLine skips the MB/s column b.SetBytes adds, so such a series keeps
+// its B/op and allocs/op; any other column between ns/op and B/op (a custom
+// b.ReportMetric) still ends the match, leaving the series timing-only.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+([\d.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // Parse reads `go test -bench -benchmem` output and returns the report of
 // every benchmark line found (environment headers included).

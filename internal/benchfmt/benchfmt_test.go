@@ -13,6 +13,8 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkFrameEncode       	 2959669	       387.7 ns/op	5439.37 MB/s	       0 B/op	       0 allocs/op
 BenchmarkLoopbackRoundTrip 	  111760	      9847 ns/op	       0 B/op	       0 allocs/op
 BenchmarkLinkThroughput/frames         	 1211701	      1093 ns/op	 117.13 MB/s	       0 B/op	       0 allocs/op
+BenchmarkCheckpointEncode/heat48x32-P2-FW2 	   51994	     21305 ns/op	2658.35 MB/s	   57344 B/op	       1 allocs/op
+BenchmarkCoordCustody/frame 	   22000	     51000 ns/op	         0.017 commits/frame	   40000 B/op	       9 allocs/op
 PASS
 ok  	specomp/internal/distnet	10.049s
 `
@@ -25,8 +27,16 @@ func TestParse(t *testing.T) {
 	if rep.GOOS != "linux" || rep.GOARCH != "amd64" || rep.CPU == "" {
 		t.Errorf("environment header lost: %+v", rep)
 	}
-	if len(rep.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 5 {
+		t.Fatalf("parsed %d benchmarks, want 5", len(rep.Benchmarks))
+	}
+	// The MB/s column of a SetBytes benchmark does not hide its memory
+	// columns; a custom metric column still does (timing-only series).
+	if ce, _ := rep.Find("specomp/internal/distnet", "BenchmarkCheckpointEncode/heat48x32-P2-FW2"); ce.BytesPerOp != 57344 || ce.AllocsPerOp != 1 {
+		t.Errorf("memory columns behind MB/s lost: %+v", ce)
+	}
+	if cc, _ := rep.Find("specomp/internal/distnet", "BenchmarkCoordCustody/frame"); cc.NsPerOp != 51000 || cc.AllocsPerOp != 0 {
+		t.Errorf("series with a custom column parsed wrong: %+v", cc)
 	}
 	enc, ok := rep.Find("specomp/internal/distnet", "BenchmarkFrameEncode")
 	if !ok {

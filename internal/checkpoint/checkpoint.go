@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -62,10 +63,50 @@ type PredRow struct {
 	Data [][]float64 // indexed by peer; nil slot = no prediction held
 }
 
-// Encode serializes a snapshot. Same Snapshot in, same bytes out.
-func Encode(s *Snapshot) []byte {
-	var w writer
-	w.buf = append(w.buf, magic[:]...)
+// Encode serializes a snapshot into a fresh, exactly sized blob. Same
+// Snapshot in, same bytes out.
+func Encode(s *Snapshot) []byte { return AppendEncode(nil, s) }
+
+// Size returns the exact length of s's encoding.
+func Size(s *Snapshot) int {
+	n := len(magic) + 5*8 // version, proc, epoch, validated, frontier
+	n += entriesSize(s.Own)
+	n += 8
+	for _, h := range s.Hist {
+		n += entriesSize(h)
+	}
+	n += 8
+	for _, r := range s.Received {
+		n += entriesSize(r)
+	}
+	n += 8
+	for _, row := range s.Preds {
+		n += 2 * 8
+		for _, d := range row.Data {
+			n += 8 + 8*len(d)
+		}
+	}
+	n += 8 + 8*len(s.Overrun)
+	return n + entriesSize(s.SentLog)
+}
+
+func entriesSize(es []Entry) int {
+	n := 8
+	for _, e := range es {
+		n += 2*8 + 8*len(e.Data)
+	}
+	return n
+}
+
+// AppendEncode appends s's encoding to dst and returns the extended slice.
+// The blob is sized before it is written: dst grows at most once, and not
+// at all when cap(dst)-len(dst) >= Size(s) — a caller that keeps the
+// returned slice and passes it back as dst[:0] encodes without allocating.
+func AppendEncode(dst []byte, s *Snapshot) []byte {
+	off, n := len(dst), Size(s)
+	dst = slices.Grow(dst, n)[:off+n]
+	w := writer{buf: dst[off:]}
+	w.off = copy(w.buf, magic[:])
 	w.putInt(Version)
 	w.putInt(s.Proc)
 	w.putInt(s.Epoch)
@@ -93,7 +134,7 @@ func Encode(s *Snapshot) []byte {
 		w.putInt(it)
 	}
 	w.putEntries(s.SentLog)
-	return w.buf
+	return dst
 }
 
 // Decode parses a blob produced by Encode.
@@ -203,6 +244,12 @@ func Order(b []byte) (epoch, iter int, ok bool) {
 
 // Store is the stable storage a processor checkpoints to. In the simulation
 // it survives crashes (a crashed Proc loses its memory, not its disk).
+//
+// Save borrows blob: it is valid until Save returns and not a moment longer —
+// the engine encodes its next snapshot into the same memory — and Save must
+// not write to it. A store that needs the bytes later copies them (MemStore,
+// distnet's coordStore) or is done with them on return (FileStore). What Load
+// returns belongs to the caller.
 type Store interface {
 	Save(proc int, blob []byte)
 	Load(proc int) ([]byte, bool)
@@ -256,10 +303,16 @@ func (m *MemStore) Saves(proc int) int {
 // nilLen marks a nil float slice (distinct from an empty one).
 const nilLen = -1
 
-type writer struct{ buf []byte }
+// writer stores words by index into a buffer AppendEncode has already
+// extended to the snapshot's exact size.
+type writer struct {
+	buf []byte
+	off int
+}
 
 func (w *writer) putInt(v int) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(int64(v)))
+	binary.LittleEndian.PutUint64(w.buf[w.off:], uint64(int64(v)))
+	w.off += 8
 }
 
 func (w *writer) putFloats(d []float64) {
@@ -268,9 +321,11 @@ func (w *writer) putFloats(d []float64) {
 		return
 	}
 	w.putInt(len(d))
-	for _, f := range d {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
+	b := w.buf[w.off : w.off+8*len(d)]
+	for i, f := range d {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
 	}
+	w.off += len(b)
 }
 
 func (w *writer) putEntries(es []Entry) {

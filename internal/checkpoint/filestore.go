@@ -91,9 +91,8 @@ func (s *FileStore) Save(proc int, blob []byte) {
 }
 
 func (s *FileStore) save(proc int, blob []byte) error {
-	buf := make([]byte, len(blob)+fileFooterLen)
-	copy(buf, blob)
-	binary.LittleEndian.PutUint32(buf[len(blob):], crc32.ChecksumIEEE(blob))
+	var footer [fileFooterLen]byte
+	binary.LittleEndian.PutUint32(footer[:], crc32.ChecksumIEEE(blob))
 
 	final := s.path(proc)
 	tmp, err := os.CreateTemp(s.dir, filepath.Base(final)+".tmp-*")
@@ -101,7 +100,13 @@ func (s *FileStore) save(proc int, blob []byte) error {
 		return fmt.Errorf("checkpoint: temp file: %w", err)
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
+	// The borrowed blob goes out as it stands and the footer behind it: a
+	// second four-byte write costs less than a blob-sized buffer to join them.
+	_, err = tmp.Write(blob)
+	if err == nil {
+		_, err = tmp.Write(footer[:])
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(name)
 		return fmt.Errorf("checkpoint: writing %s: %w", name, err)

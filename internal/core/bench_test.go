@@ -238,3 +238,105 @@ func TestMemoryBoundUnderCrashRecovery(t *testing.T) {
 	}
 	t.Logf("worst per-peer retention %d, worst iteration-lane retention %d", worstPeer, worstIter)
 }
+
+// discardStore is stable storage that keeps nothing.
+type discardStore struct{}
+
+func (discardStore) Save(int, []byte)        {}
+func (discardStore) Load(int) ([]byte, bool) { return nil, false }
+
+// stripApp has heat's shape on the phantom transport: the partition is
+// len(out) values long but only its first len(pub) travel (Publisher), so a
+// snapshot holds a few long Own vectors beside many short logged broadcasts.
+type stripApp struct{ out, pub []float64 }
+
+func newStripApp(own, edge int) *stripApp {
+	return &stripApp{out: make([]float64, own), pub: make([]float64, edge)}
+}
+
+func (a *stripApp) InitLocal() []float64 {
+	init := make([]float64, len(a.out))
+	for j := range init {
+		init[j] = peerValue(0, 0, j%len(a.pub))
+	}
+	return init
+}
+
+func (a *stripApp) Publish(local []float64) []float64 {
+	copy(a.pub, local)
+	return a.pub
+}
+
+func (a *stripApp) Compute(view [][]float64, t int) []float64 {
+	inv := 1.0 / float64(len(view))
+	for j := range a.out {
+		s := view[0][j]
+		for _, row := range view[1:] {
+			s += row[j%len(row)]
+		}
+		a.out[j] = s * inv
+	}
+	return a.out
+}
+
+func (a *stripApp) ComputeOps() float64 { return 1 }
+
+func (a *stripApp) Check(peer int, pred, act, local []float64, t int) CheckResult {
+	return RelErrCheck(0.05, 1, pred, act)
+}
+
+func (a *stripApp) RepairOps(r CheckResult) float64 { return 1 }
+
+// midRunEngine runs a stripApp engine on the phantom transport and freezes
+// it mid-run — right after iteration `at` retired, with FW later iterations
+// still resting on pending predictions and the rejoin log full — by
+// unwinding out of the retire hook. The returned engine takes checkpoints on
+// demand.
+func midRunEngine(tb testing.TB, own, edge, fw, at int, store checkpoint.Store) (e *engine) {
+	tb.Helper()
+	type frozen struct{}
+	testRetireHook = func(en *engine, t int) {
+		if t == at {
+			e = en
+			panic(frozen{})
+		}
+	}
+	defer func() {
+		testRetireHook = nil
+		if r := recover(); r != nil {
+			if _, ok := r.(frozen); !ok {
+				panic(r)
+			}
+		}
+	}()
+	_, err := Run(newPhantom(2, edge), newStripApp(own, edge),
+		Config{FW: fw, MaxIter: at + 100, CheckpointEvery: 5, CheckpointStore: store})
+	tb.Fatalf("run ended before iteration %d retired (err %v)", at, err)
+	return nil
+}
+
+// BenchmarkTakeCheckpoint measures one checkpoint on the engine's side of
+// the store — assemble the snapshot out of the value plane, encode it, hand
+// it to a store that discards it — at the two shapes the repo benchmark
+// checkpoints (svc-jobs' heat 48×32 strip under FW 2, kernel-heat's
+// 1024×512 strip). Steady state must read 0 allocs/op.
+func BenchmarkTakeCheckpoint(b *testing.B) {
+	for _, sh := range []struct {
+		name          string
+		own, edge, fw int
+	}{
+		{"heat48x32-P2-FW2", 24 * 32, 2 * 32, 2},
+		{"heat1024x512-P2", 512 * 512, 2 * 512, 0},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			e := midRunEngine(b, sh.own, sh.edge, sh.fw, 80, discardStore{})
+			e.takeCheckpoint()
+			b.SetBytes(e.stats.CheckpointBytes / int64(e.stats.Checkpoints))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.takeCheckpoint()
+			}
+		})
+	}
+}

@@ -324,6 +324,10 @@ type engine struct {
 	restored        bool
 	restoreFrontier int
 	catchupTarget   int
+	// snap and ckptBuf are takeCheckpoint's scratch: the snapshot under
+	// assembly and the blob it encodes to, both reused between checkpoints.
+	snap    checkpoint.Snapshot
+	ckptBuf []byte
 
 	// ob is the observability sink; nil when Config.Metrics and
 	// Config.Journal are both unset.
@@ -394,14 +398,17 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 	// stay useful for lookback iterations (plus the deepest spread rejoin
 	// re-sends and checkpoint rollback can add); per-iteration state spans
 	// at most the unvalidated window. The overflow maps absorb anything
-	// rarer.
+	// rarer. A rollback is refilled from the peers' rejoin logs, so it never
+	// puts more than RejoinLog iterations back in flight however far apart
+	// the checkpoints are — CheckpointEvery is tenant-supplied and must not
+	// size a ring on its own.
 	in, needsM, neededByM, err := resolveDeps(app, cfg.Graph, p.ID(), p.P())
 	if err != nil {
 		return Result{}, err
 	}
 	e.inRanks, e.needsM, e.neededByM = in, needsM, neededByM
 	slack := cfg.FW + cfg.MaxOverrun + cfg.MaxCrashOverrun
-	peerCap := (cfg.BW + slack) + 2*slack + cfg.CheckpointEvery + 16
+	peerCap := (cfg.BW + slack) + 2*slack + min(cfg.CheckpointEvery, cfg.RejoinLog) + 16
 	iterCap := slack + 4
 	e.plane = newValuePlane(p.ID(), p.P(), cfg.BW, peerCap, iterCap, in)
 	if p2, ok := app.(Publisher); ok {

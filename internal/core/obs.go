@@ -23,6 +23,7 @@ const (
 
 	MetricCheckpoints     = "specomp_checkpoints_total"
 	MetricCheckpointBytes = "specomp_checkpoint_bytes_total"
+	MetricCheckpointSec   = "specomp_engine_checkpoint_seconds"
 	MetricRestores        = "specomp_restores_total"
 	MetricCatchupIters    = "specomp_catchup_iters_total"
 	MetricPostCrashErr    = "specomp_post_crash_prediction_error"
@@ -53,6 +54,7 @@ type engineObs struct {
 	predErr     *obs.Histogram
 	repairDepth *obs.Histogram
 	postCrash   *obs.Histogram
+	ckptSec     *obs.Histogram
 }
 
 // RegisterEngineMetrics pre-registers the engine's counter families for
@@ -90,7 +92,18 @@ func newEngineObs(reg *obs.Registry, journal *obs.Journal, proc int) *engineObs 
 		catchupIters: reg.Counter(MetricCatchupIters, "iterations replayed to re-reach the surviving frontier", lp),
 		postCrash: reg.Histogram(MetricPostCrashErr, "unit-bad fraction of validations shortly after a peer rejoins",
 			[]float64{0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1}, lp),
+		ckptSec: reg.Histogram(MetricCheckpointSec, "transport time one checkpoint took the engine (snapshot, encode, Save)",
+			[]float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 0.1, 1}, lp),
 	}
+}
+
+// clock reads the transport's time for an instrument that measures a span
+// (0 when observability is off: its reader is then a no-op too).
+func (o *engineObs) clock() float64 {
+	if o == nil {
+		return 0
+	}
+	return o.p.Now()
 }
 
 // event journals a record stamped with the transport's current time.
@@ -184,13 +197,16 @@ func (o *engineObs) converged(s int) {
 }
 
 // checkpointed records one persisted snapshot of `bytes` encoded bytes,
-// taken with `validated` as the highest fully validated iteration.
-func (o *engineObs) checkpointed(validated, bytes int) {
+// taken with `validated` as the highest fully validated iteration, whose
+// takeCheckpoint began at transport time `began` (see clock): wall clock on
+// the live transports, the modelled checkpoint charge on the simulator.
+func (o *engineObs) checkpointed(validated, bytes int, began float64) {
 	if o == nil {
 		return
 	}
 	o.checkpoints.Inc()
 	o.ckptBytes.Add(float64(bytes))
+	o.ckptSec.Observe(o.p.Now() - began)
 	o.event(obs.EvCheckpoint, validated, obs.NoPeer, float64(bytes))
 }
 

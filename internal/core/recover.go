@@ -179,44 +179,52 @@ func (e *engine) maybeRestore() error {
 }
 
 // takeCheckpoint snapshots the engine to stable storage, charging the
-// configured cost to the perf model.
+// configured cost to the perf model. The snapshot is assembled in e.snap and
+// encoded into e.ckptBuf, both reused from one checkpoint to the next; the
+// store borrows the blob for the length of Save (checkpoint.Store).
 func (e *engine) takeCheckpoint() {
-	blob := checkpoint.Encode(e.buildSnapshot())
+	began := e.ob.clock()
+	e.ckptBuf = checkpoint.AppendEncode(e.ckptBuf[:0], e.buildSnapshot())
+	blob := e.ckptBuf
 	e.store.Save(e.p.ID(), blob)
 	if ops := e.cfg.CheckpointOps + e.cfg.CheckpointOpsPerByte*float64(len(blob)); ops > 0 {
 		e.p.Compute(ops, cluster.PhaseOther)
 	}
 	e.stats.Checkpoints++
 	e.stats.CheckpointBytes += int64(len(blob))
-	e.ob.checkpointed(e.validated, len(blob))
+	e.ob.checkpointed(e.validated, len(blob), began)
 }
 
 // buildSnapshot assembles the engine state in the canonical (ascending by
 // iteration) order the checkpoint encoding requires, reading it out of the
-// value plane.
+// value plane into the engine's snapshot scratch. The result is valid until
+// the next call.
 func (e *engine) buildSnapshot() *checkpoint.Snapshot {
-	epoch := 0
+	s := &e.snap
+	s.Proc, s.Epoch = e.p.ID(), 0
 	if e.ep != nil {
-		epoch = e.ep.Epoch()
+		s.Epoch = e.ep.Epoch()
 	}
-	s := &checkpoint.Snapshot{
-		Proc:      e.p.ID(),
-		Epoch:     epoch,
-		Validated: e.validated,
-		Frontier:  e.frontier,
-		Own:       e.plane.ownEntries(e.validated, e.frontier),
-		Hist:      make([][]checkpoint.Entry, e.p.P()),
-		Received:  make([][]checkpoint.Entry, e.p.P()),
-		Preds:     e.plane.predRows(e.validated, e.frontier),
-		Overrun:   sortedKeys(e.overrun),
+	s.Validated, s.Frontier = e.validated, e.frontier
+	s.Own = e.plane.ownEntries(s.Own[:0], e.validated, e.frontier)
+	s.Preds = e.plane.predRows(s.Preds[:0], e.validated, e.frontier)
+	s.Overrun = s.Overrun[:0]
+	for it := range e.overrun {
+		s.Overrun = append(s.Overrun, it)
+	}
+	sort.Ints(s.Overrun)
+	if s.Hist == nil {
+		s.Hist = make([][]checkpoint.Entry, e.p.P())
+		s.Received = make([][]checkpoint.Entry, e.p.P())
 	}
 	// Stash entries below the retention horizon are dead (no lookup reaches
 	// them); the emission window keeps blobs minimal and stable.
 	from := e.validated - e.lookback()
-	for k := 0; k < e.p.P(); k++ {
-		s.Hist[k] = e.plane.histEntries(k)
-		s.Received[k] = e.plane.receivedEntries(k, from)
+	for k := range s.Hist {
+		s.Hist[k] = e.plane.histEntries(s.Hist[k][:0], k)
+		s.Received[k] = e.plane.receivedEntries(s.Received[k][:0], k, from)
 	}
+	s.SentLog = s.SentLog[:0]
 	for i := e.sentLog.Len() - 1; i >= 0; i-- { // oldest first
 		h := e.sentLog.At(i)
 		s.SentLog = append(s.SentLog, checkpoint.Entry{Iter: h.iter, Data: h.data})
@@ -274,13 +282,4 @@ func (e *engine) applySnapshot(s *checkpoint.Snapshot) {
 			view[k] = v
 		}
 	}
-}
-
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -389,65 +389,55 @@ func (vp *valuePlane) advanceFloors(validated, lookback int) {
 // pre-refactor map-based engine produced, so checkpoint blobs (whose byte
 // counts surface in the run journal) stay identical: entries ascending by
 // iteration, stash entries filtered to the retention window the old eager
-// prune maintained.
+// prune maintained. Each appends to the slice it is handed — the engine's
+// snapshot scratch, truncated — so a steady-state checkpoint allocates
+// nothing; the entries alias plane buffers and are dead once encoded.
 
-func (vp *valuePlane) ownEntries(validated, frontier int) []checkpoint.Entry {
-	lo := validated
-	if lo < 0 {
-		lo = 0
-	}
-	var out []checkpoint.Entry
-	for t := lo; t <= frontier+1; t++ {
+func (vp *valuePlane) ownEntries(dst []checkpoint.Entry, validated, frontier int) []checkpoint.Entry {
+	for t := max(validated, 0); t <= frontier+1; t++ {
 		if v, ok := vp.own.get(t); ok {
-			out = append(out, checkpoint.Entry{Iter: t, Data: v})
+			dst = append(dst, checkpoint.Entry{Iter: t, Data: v})
 		}
 	}
-	return out
+	return dst
 }
 
-func (vp *valuePlane) histEntries(k int) []checkpoint.Entry {
+func (vp *valuePlane) histEntries(dst []checkpoint.Entry, k int) []checkpoint.Entry {
 	r := vp.histRing(k)
 	if r == nil {
-		return nil
+		return dst
 	}
-	var out []checkpoint.Entry
 	for i := r.Len() - 1; i >= 0; i-- { // oldest first
 		h := r.At(i)
-		out = append(out, checkpoint.Entry{Iter: h.iter, Data: h.data})
+		dst = append(dst, checkpoint.Entry{Iter: h.iter, Data: h.data})
 	}
-	return out
+	return dst
 }
 
-func (vp *valuePlane) receivedEntries(k, from int) []checkpoint.Entry {
+func (vp *valuePlane) receivedEntries(dst []checkpoint.Entry, k, from int) []checkpoint.Entry {
 	l := vp.peerLane(k)
 	if l == nil || l.ring == nil {
-		return nil
+		return dst
 	}
 	maxIter, any := l.ring.MaxIter()
 	if !any {
-		return nil
+		return dst
 	}
-	lo := from
-	if lo < 0 {
-		lo = 0
-	}
-	var out []checkpoint.Entry
-	for t := lo; t <= maxIter; t++ {
+	for t := max(from, 0); t <= maxIter; t++ {
 		if v, ok := l.get(t); ok {
-			out = append(out, checkpoint.Entry{Iter: t, Data: v})
+			dst = append(dst, checkpoint.Entry{Iter: t, Data: v})
 		}
 	}
-	return out
+	return dst
 }
 
-func (vp *valuePlane) predRows(validated, frontier int) []checkpoint.PredRow {
-	var out []checkpoint.PredRow
+// predRows emits the pending prediction rows as they stand in the plane
+// (every row is np slots wide, nil where the actual was used).
+func (vp *valuePlane) predRows(dst []checkpoint.PredRow, validated, frontier int) []checkpoint.PredRow {
 	for t := validated + 1; t <= frontier; t++ {
 		if r, ok := vp.preds.get(t); ok {
-			row := checkpoint.PredRow{Iter: t, Data: make([][]float64, vp.np)}
-			copy(row.Data, r)
-			out = append(out, row)
+			dst = append(dst, checkpoint.PredRow{Iter: t, Data: r})
 		}
 	}
-	return out
+	return dst
 }

@@ -594,9 +594,19 @@ type coordStore struct {
 	initial []byte
 }
 
+// Save queues the snapshot as a checkpoint frame. The blob is only borrowed
+// (checkpoint.Store) and the frame outlives the call, so this is the one
+// copy the rule requires — into a buffer the link's writer hands back
+// through coord.spare once an earlier frame is encoded, so a steady run
+// cycles the same two instead of allocating a blob per checkpoint. A frame
+// dropped by a dead link just leaves its buffer to the collector.
 func (s *coordStore) Save(proc int, blob []byte) {
-	cp := append([]byte(nil), blob...)
-	s.coord.send(Frame{Type: FrameCheckpoint, Rank: proc, Blob: cp})
+	var cp []byte
+	select {
+	case cp = <-s.coord.spare:
+	default:
+	}
+	s.coord.send(Frame{Type: FrameCheckpoint, Rank: proc, Blob: append(cp[:0], blob...)})
 }
 
 func (s *coordStore) Load(proc int) ([]byte, bool) {

@@ -100,6 +100,10 @@ type peerConn struct {
 	out  chan Frame
 	stop chan struct{} // closed once (via closeOnce), tears the writer down
 	done chan struct{} // closed by the writer on exit
+	// spare returns encoded checkpoint blobs from the writer to coordStore.Save
+	// for reuse. Coordinator link only (nil elsewhere): two slots, one blob
+	// being encoded while the engine fills the next.
+	spare chan []byte
 
 	closeOnce sync.Once
 
@@ -138,6 +142,9 @@ func newPeerConn(rank int, conn net.Conn, outCap int, opts wireOpts) *peerConn {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	if rank < 0 {
+		pc.spare = make(chan []byte, 2)
+	}
 	now := time.Now().UnixNano()
 	pc.lastSeen.Store(now)
 	pc.lastSent.Store(now)
@@ -164,8 +171,9 @@ func (pc *peerConn) send(f Frame) {
 
 // writer drains the outgoing queue through one bufio.Writer, flushing
 // whenever the queue momentarily empties (message boundaries coalesce under
-// load, but nothing lingers unflushed). Batch frames hand their message
-// slice back to the batch pool once encoded.
+// load, but nothing lingers unflushed). Once encoded, a batch frame's
+// message slice goes back to the batch pool and a checkpoint frame's blob
+// back to its sender (spare; dropped when the slots are full or absent).
 func (pc *peerConn) writer() {
 	defer close(pc.done)
 	bw := bufio.NewWriterSize(pc.conn, 64<<10)
@@ -173,8 +181,14 @@ func (pc *peerConn) writer() {
 	enc.instrumentDelta(pc.opts.obs)
 	write := func(f *Frame) error {
 		err := enc.Encode(f)
-		if f.Batch != nil {
+		switch {
+		case f.Batch != nil:
 			releaseBatch(f.Batch)
+		case f.Type == FrameCheckpoint:
+			select {
+			case pc.spare <- f.Blob:
+			default:
+			}
 		}
 		if err == nil {
 			pc.opts.obs.noteFrame()

@@ -212,8 +212,10 @@ func appendMsgHeader(dst []byte, m *cluster.Message) []byte {
 
 // appendPayload encodes f's payload (type byte + body) onto dst. ds, when
 // non-nil, enables delta coding of batch entries (Encoder state); a nil ds
-// encodes every entry raw.
-func appendPayload(dst []byte, f *Frame, ds *deltaState) ([]byte, error) {
+// encodes every entry raw. The blob of a checkpoint or obs frame — the last
+// field of its body and nearly all of its bytes — is not copied: it comes
+// back as tail, the bytes that follow dst on the wire.
+func appendPayload(dst []byte, f *Frame, ds *deltaState) (_, tail []byte, _ error) {
 	dst = append(dst, byte(f.Type))
 	switch f.Type {
 	case FrameData:
@@ -226,7 +228,7 @@ func appendPayload(dst []byte, f *Frame, ds *deltaState) ([]byte, error) {
 		}
 	case FrameBatch:
 		if len(f.Batch) == 0 {
-			return nil, fmt.Errorf("distnet: encoding empty batch frame")
+			return nil, nil, fmt.Errorf("distnet: encoding empty batch frame")
 		}
 		dst = appendU32(dst, uint32(len(f.Batch)))
 		for i := range f.Batch {
@@ -247,7 +249,7 @@ func appendPayload(dst []byte, f *Frame, ds *deltaState) ([]byte, error) {
 	case FrameCheckpoint, FrameObs:
 		dst = appendI64(dst, int64(f.Rank))
 		dst = appendU32(dst, uint32(len(f.Blob)))
-		dst = append(dst, f.Blob...)
+		tail = f.Blob
 	case FrameBarrier:
 		dst = appendI64(dst, int64(f.Seq))
 	case FrameHeartbeat:
@@ -259,9 +261,9 @@ func appendPayload(dst []byte, f *Frame, ds *deltaState) ([]byte, error) {
 	case FrameShutdown:
 		// No body.
 	default:
-		return nil, fmt.Errorf("distnet: encoding unknown frame type %d", f.Type)
+		return nil, nil, fmt.Errorf("distnet: encoding unknown frame type %d", f.Type)
 	}
-	return dst, nil
+	return dst, tail, nil
 }
 
 // scratchPool recycles encode/decode byte buffers for the stateless
@@ -269,22 +271,37 @@ func appendPayload(dst []byte, f *Frame, ds *deltaState) ([]byte, error) {
 // Encoder/Decoder hold their own persistent buffers instead.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
+// frameHead encodes f into buf (reusing its capacity) up to where its tail
+// begins — length prefix and payload head — and returns the checksum of the
+// whole payload. The complete frame is head · tail · u32 sum.
+func frameHead(buf []byte, f *Frame, ds *deltaState) (head, tail []byte, sum uint32, err error) {
+	// Reserve the length prefix, encode the payload in place, then patch the
+	// length in.
+	buf = append(buf[:0], 0, 0, 0, 0)
+	buf, tail, err = appendPayload(buf, f, ds)
+	if err != nil {
+		return buf, nil, 0, err
+	}
+	n := len(buf) - 4 + len(tail)
+	if n > MaxFrame {
+		return buf, nil, 0, fmt.Errorf("distnet: %v frame payload %d bytes exceeds MaxFrame", f.Type, n)
+	}
+	binary.BigEndian.PutUint32(buf[:4], uint32(n))
+	sum = crc32.ChecksumIEEE(buf[4:])
+	if len(tail) > 0 {
+		sum = crc32.Update(sum, crc32.IEEETable, tail)
+	}
+	return buf, tail, sum, nil
+}
+
 // frameInto encodes f into buf (reusing its capacity) as a complete frame:
 // length prefix, payload, checksum.
 func frameInto(buf []byte, f *Frame, ds *deltaState) ([]byte, error) {
-	// Reserve the length prefix, encode the payload in place, then patch
-	// length and append the checksum.
-	buf = append(buf[:0], 0, 0, 0, 0)
-	buf, err := appendPayload(buf, f, ds)
+	buf, tail, sum, err := frameHead(buf, f, ds)
 	if err != nil {
 		return buf, err
 	}
-	payload := buf[4:]
-	if len(payload) > MaxFrame {
-		return buf, fmt.Errorf("distnet: %v frame payload %d bytes exceeds MaxFrame", f.Type, len(payload))
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	return appendU32(buf, crc32.ChecksumIEEE(payload)), nil
+	return appendU32(append(buf, tail...), sum), nil
 }
 
 // writeFrame encodes f raw (no delta state) and writes it to w. scratch is
@@ -335,16 +352,29 @@ func (e *Encoder) instrumentDelta(lo *linkObs) {
 	}
 }
 
-// Encode writes one frame. Zero allocations in steady state.
+// Encode writes one frame. Zero allocations in steady state. A frame with a
+// tail (a checkpoint's snapshot, an obs frame's metrics text) is not
+// assembled first: head, tail and checksum go to the stream as they stand,
+// so the blob is copied at most once on its way out — by the link's bufio
+// when it fits there, by the kernel alone when it does not.
 func (e *Encoder) Encode(f *Frame) error {
-	buf, err := frameInto(e.buf, f, e.ds)
+	buf, tail, sum, err := frameHead(e.buf, f, e.ds)
+	if err == nil && tail == nil {
+		buf = appendU32(buf, sum) // the usual frame: complete in buf, one write
+	}
 	if cap(buf) > cap(e.buf) {
 		e.buf = buf
 	}
 	if err != nil {
 		return err
 	}
-	_, err = e.w.Write(buf)
+	if _, err = e.w.Write(buf); err != nil || tail == nil {
+		return err
+	}
+	if _, err = e.w.Write(tail); err != nil {
+		return err
+	}
+	_, err = e.w.Write(appendU32(buf[:0], sum))
 	return err
 }
 
@@ -370,7 +400,8 @@ func corruptf(format string, args ...any) error {
 // Ownership contract of a decoded frame: f.Batch aliases a slice the next
 // Decode call reuses — consume or copy the messages first. With Reuse
 // false (the default), every Msg.Data payload and Blob is freshly allocated
-// and owned by the caller forever (the engine adopts payload buffers). With
+// and owned by the caller forever (the engine adopts payload buffers; a
+// checkpoint frame's Blob is the decode buffer itself, given away). With
 // Reuse true, payloads alias per-decoder buffers valid only until the next
 // Decode — the zero-allocation mode for consumers that finish with each
 // frame before reading the next (echo servers, benchmarks, relays).
@@ -586,9 +617,21 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 			}
 			f.Final = d.floats(p, 0, n)
 		}
-	case FrameCheckpoint, FrameObs:
+	case FrameObs:
 		f.Rank = int(p.i64())
 		f.Blob = append([]byte(nil), p.bytes(int(p.u32()))...)
+	case FrameCheckpoint:
+		f.Rank = int(p.i64())
+		f.Blob = p.bytes(int(p.u32()))
+		// A snapshot is nearly all of its frame and a custody cell keeps it
+		// for as long as it is the rank's newest, so it is not copied out: the
+		// frame takes the decode buffer itself and the next Decode makes a new
+		// one — unless something much larger sized this one.
+		if cap(d.buf) <= 2*len(f.Blob) {
+			d.buf = nil
+		} else {
+			f.Blob = append([]byte(nil), f.Blob...)
+		}
 	case FrameBarrier:
 		f.Seq = int(p.i64())
 	case FrameHeartbeat:
