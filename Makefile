@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-core bench-pairs race distributed fuzz-wire fuzz-checkpoint soak soak-short sched-soak chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
+.PHONY: all build test test-short bench bench-core bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint soak soak-short sched-soak chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
 
 all: build vet test
 
@@ -28,9 +28,17 @@ test-short:
 
 # The substrates with real concurrency: goroutines (realtime), OS
 # processes over TCP (distnet, including the custody committer and the
-# acked-shutdown tests), and the multi-run scheduler on top (sched).
+# acked-shutdown tests), and the multi-run scheduler on top (sched) — plus
+# the engine and the simulator under them (core, cluster: a few seconds),
+# since the engine polls the transport from inside validation.
 race:
-	go test -race ./internal/realtime/... ./internal/distnet/... ./internal/sched/...
+	go test -race ./internal/core/... ./internal/cluster/... ./internal/realtime/... ./internal/distnet/... ./internal/sched/...
+
+# Before regenerating a golden journal (-update-golden): each committed
+# fixture beside a fresh run — bytes, final virtual time, events by kind — as
+# markdown tables, the reviewable form of a fixture diff.
+golden-summary:
+	go test ./internal/core -run '^TestGoldenJournals$$' -golden-summary -v | grep -E '^ +\|'
 
 # Multi-process loopback smoke: a real coordinator plus one OS process per
 # node over 127.0.0.1, race-checked.

@@ -9,8 +9,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"testing"
 
@@ -144,14 +142,14 @@ func TestRecoveryUnchangedWhenCheckpointEveryExceedsRejoinLog(t *testing.T) {
 		{Proc: 3, At: 0.55 * T, Downtime: 0.06 * T},
 	}
 	results := runCoupled(t, cc, mk(), 0.02)
-	h := fnv.New64a()
-	for _, v := range finals(results) {
-		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
-	}
 	agg := Aggregate(results)
-	got := [7]uint64{h.Sum64(), uint64(agg.Restores), uint64(agg.Checkpoints), uint64(agg.SpecsMade),
+	got := [7]uint64{finalsHash(results), uint64(agg.Restores), uint64(agg.Checkpoints), uint64(agg.SpecsMade),
 		uint64(agg.SpecsBad), uint64(agg.Repairs), uint64(agg.CatchupIters)}
-	want := [7]uint64{2228081188715380101, 2, 21, 481, 132, 52, 2} // recorded at 2bd80f5
+	// Finals, restores, checkpoints and catch-up as recorded at 2bd80f5. The
+	// cascade's input rule (a recompute uses every actual that has arrived)
+	// moved the three speculation counts from 481 / 132 / 52: fewer bad
+	// checks and repairs, a few more predictions made.
+	want := [7]uint64{2228081188715380101, 2, 21, 487, 117, 45, 2}
 	if got != want {
 		t.Errorf("outcome {finals hash, restores, checkpoints, specs made, specs bad, repairs, catch-up iters} = %v, want %v", got, want)
 	}

@@ -211,6 +211,9 @@ type Stats struct {
 	CascadeRedos int // later iterations recomputed due to an upstream repair
 	Overruns     int // validations deferred past a Deadline expiry
 	Reconciles   int // overrun iterations later validated against the real message
+	// SpecsSuperseded counts predictions a cascade replaced, unchecked, with
+	// the actual that had arrived: SpecsMade == SpecsChecked + SpecsSuperseded.
+	SpecsSuperseded int
 
 	Checkpoints     int   // state snapshots persisted to stable storage
 	CheckpointBytes int64 // total encoded snapshot bytes written
@@ -942,19 +945,43 @@ func (e *engine) validateIter(t int) {
 	e.plane.setOwn(t+1, fixed)
 	e.p.Compute(ops, cluster.PhaseCorrect)
 	// Cascade: any later iterations already computed used the stale
-	// X_j(t+1). Their values are recomputed exactly, but the clock charge is
-	// the policy's incremental repair cost — the affected work is the part
-	// touched by the corrected inputs, the same accounting the paper's
-	// k·N_i·f_comp term models (a full-recompute app simply returns
-	// ComputeOps from RepairOps).
+	// X_j(t+1). Each is redone once, on the repaired local entry and on every
+	// input whose actual has arrived since (supersede): a wrong guess costs one
+	// recompute, not one per window slot. The clock charge is the policy's
+	// incremental repair cost — the affected work is the part touched by the
+	// corrected inputs, the same accounting the paper's k·N_i·f_comp term
+	// models (a full-recompute app simply returns ComputeOps from RepairOps).
 	for s := t + 1; s <= e.frontier; s++ {
 		row := e.plane.viewAt(s)
 		row[e.p.ID()] = e.plane.ownAt(s)
+		e.supersede(s, row)
 		redo, cops := e.repairPol.Cascade(CascadeContext{Iter: s, Node: e.p.ID(), View: row, Worst: worst})
 		e.plane.setOwn(s+1, redo)
 		e.p.Compute(cops, cluster.PhaseCorrect)
 		e.stats.CascadeRedos++
 		e.ob.cascaded(s)
+	}
+}
+
+// supersede is the cascade's input rule: before iteration s is redone, poll
+// once and replace every prediction of s whose actual has arrived with that
+// actual — a recompute never rests on a prediction the stash can already
+// replace. The retired prediction's slot is nil, so validateIter(s) takes its
+// "actual was used directly" branch: history is fed, nothing is checked twice.
+func (e *engine) supersede(s int, row [][]float64) {
+	e.drain()
+	preds := e.plane.predsAt(s)
+	if preds == nil {
+		return
+	}
+	for _, k := range e.inRanks {
+		if act, ok := e.plane.actualOf(k, s); ok && preds[k] != nil {
+			row[k] = act
+			e.specPol.Recycle(preds[k])
+			preds[k] = nil
+			e.stats.SpecsSuperseded++
+			e.ob.specSuperseded(s, k)
+		}
 	}
 }
 

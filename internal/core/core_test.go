@@ -174,7 +174,7 @@ func TestSpeculativeSendsStayBounded(t *testing.T) {
 		}
 	}
 	agg := Aggregate(results)
-	if agg.SpecsMade == 0 || agg.SpecsChecked != agg.SpecsMade {
+	if agg.SpecsMade == 0 || agg.SpecsChecked+agg.SpecsSuperseded != agg.SpecsMade {
 		t.Errorf("inconsistent spec accounting: %+v", agg)
 	}
 }
@@ -297,8 +297,8 @@ func TestStatsConsistency(t *testing.T) {
 	results := runCoupled(t, uniformCluster(4, 0.5), Config{FW: 2, MaxIter: 15}, 0.01)
 	for _, r := range results {
 		s := r.Stats
-		if s.SpecsChecked != s.SpecsMade {
-			t.Errorf("proc %d: checked %d != made %d", r.Proc, s.SpecsChecked, s.SpecsMade)
+		if s.SpecsChecked+s.SpecsSuperseded != s.SpecsMade {
+			t.Errorf("proc %d: checked %d + superseded %d != made %d", r.Proc, s.SpecsChecked, s.SpecsSuperseded, s.SpecsMade)
 		}
 		if s.SpecsBad > s.SpecsChecked {
 			t.Errorf("proc %d: bad %d > checked %d", r.Proc, s.SpecsBad, s.SpecsChecked)

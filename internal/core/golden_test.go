@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"specomp/internal/checkpoint"
@@ -24,8 +27,15 @@ import (
 // Regenerate intentionally with:
 //
 //	go test ./internal/core -run TestGoldenJournals -update-golden
+//
+// and, before doing so, make the change reviewable: -golden-summary prints
+// each committed fixture beside a fresh run (bytes, final virtual time, events
+// by kind) instead of comparing bytes (make golden-summary).
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite journal golden fixtures")
+var (
+	updateGolden  = flag.Bool("update-golden", false, "rewrite journal golden fixtures")
+	goldenSummary = flag.Bool("golden-summary", false, "print committed vs fresh fixture summaries instead of comparing bytes")
+)
 
 type goldenCase struct {
 	name      string
@@ -133,17 +143,8 @@ func goldenJournal(t *testing.T, tc goldenCase, mutate func(*Config)) []byte {
 func TestGoldenJournals(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			jr := obs.NewJournal()
-			cc := tc.cc()
-			cfg := tc.cfg()
-			cc.Journal = jr
-			cfg.Journal = jr
-			runCoupled(t, cc, cfg, tc.threshold)
-			var b bytes.Buffer
-			if err := jr.WriteJSONL(&b); err != nil {
-				t.Fatal(err)
-			}
-			if b.Len() == 0 {
+			got := goldenJournal(t, tc, nil)
+			if len(got) == 0 {
 				t.Fatal("empty journal")
 			}
 			path := filepath.Join("testdata", "journal_"+tc.name+".jsonl")
@@ -151,7 +152,7 @@ func TestGoldenJournals(t *testing.T) {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -160,30 +161,68 @@ func TestGoldenJournals(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing fixture (run with -update-golden): %v", err)
 			}
-			if !bytes.Equal(b.Bytes(), want) {
+			if *goldenSummary {
+				t.Logf("\n%s", summaryTable(tc.name, summarize(t, want), summarize(t, got)))
+				return
+			}
+			if !bytes.Equal(got, want) {
 				t.Errorf("journal diverged from golden fixture %s: got %d bytes, want %d; "+
 					"the refactored engine is not byte-identical to the seeded baseline",
-					path, b.Len(), len(want))
+					path, len(got), len(want))
 				diffAt := 0
-				g, w := b.Bytes(), want
-				for diffAt < len(g) && diffAt < len(w) && g[diffAt] == w[diffAt] {
+				for diffAt < len(got) && diffAt < len(want) && got[diffAt] == want[diffAt] {
 					diffAt++
 				}
-				lo := diffAt - 120
-				if lo < 0 {
-					lo = 0
-				}
-				hiG, hiW := diffAt+120, diffAt+120
-				if hiG > len(g) {
-					hiG = len(g)
-				}
-				if hiW > len(w) {
-					hiW = len(w)
-				}
-				t.Logf("first divergence at byte %d\n got: …%s…\nwant: …%s…", diffAt, g[lo:hiG], w[lo:hiW])
+				lo := max(diffAt-120, 0)
+				t.Logf("first divergence at byte %d\n got: …%s…\nwant: …%s…", diffAt,
+					got[lo:min(diffAt+120, len(got))], want[lo:min(diffAt+120, len(want))])
 			}
 		})
 	}
+}
+
+// journalSummary is what a reviewer compares when a fixture is regenerated.
+type journalSummary struct {
+	bytes int
+	end   float64 // virtual time of the last event
+	kinds map[string]int
+}
+
+func summarize(t *testing.T, journal []byte) journalSummary {
+	t.Helper()
+	events, err := obs.ReadJSONL(bytes.NewReader(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := journalSummary{bytes: len(journal), kinds: make(map[string]int)}
+	for _, e := range events {
+		s.kinds[e.Kind]++
+		s.end = max(s.end, e.T)
+	}
+	return s
+}
+
+// summaryTable renders committed vs fresh as a markdown table (the form
+// EXPERIMENTS.md records), one row per event kind present on either side.
+func summaryTable(name string, committed, fresh journalSummary) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "| %s | committed | fresh |\n|---|---|---|\n", name)
+	fmt.Fprintf(&b, "| bytes | %d | %d |\n", committed.bytes, fresh.bytes)
+	fmt.Fprintf(&b, "| final virtual time (s) | %.3f | %.3f |\n", committed.end, fresh.end)
+	kinds := make([]string, 0, len(fresh.kinds))
+	for k := range fresh.kinds {
+		kinds = append(kinds, k)
+	}
+	for k := range committed.kinds {
+		if _, ok := fresh.kinds[k]; !ok {
+			kinds = append(kinds, k)
+		}
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "| %s | %d | %d |\n", k, committed.kinds[k], fresh.kinds[k])
+	}
+	return b.String()
 }
 
 // TestDegenerateGraphGolden pins the DepGraph refactor's central contract:

@@ -13,6 +13,7 @@ const (
 	MetricSpecsMade   = "specomp_specs_made_total"
 	MetricSpecsCheck  = "specomp_specs_checked_total"
 	MetricSpecsBad    = "specomp_specs_bad_total"
+	MetricSpecsSuper  = "specomp_specs_superseded_total"
 	MetricRepairs     = "specomp_repairs_total"
 	MetricCascades    = "specomp_cascade_redos_total"
 	MetricOverruns    = "specomp_overruns_total"
@@ -40,6 +41,7 @@ type engineObs struct {
 	specsMade  *obs.Counter
 	specsCheck *obs.Counter
 	specsBad   *obs.Counter
+	specsSuper *obs.Counter
 	repairs    *obs.Counter
 	cascades   *obs.Counter
 	overruns   *obs.Counter
@@ -77,6 +79,7 @@ func newEngineObs(reg *obs.Registry, journal *obs.Journal, proc int) *engineObs 
 		specsMade:  reg.Counter(MetricSpecsMade, "peer-iteration predictions performed", lp),
 		specsCheck: reg.Counter(MetricSpecsCheck, "predictions validated against actual messages", lp),
 		specsBad:   reg.Counter(MetricSpecsBad, "validations that exceeded tolerance", lp),
+		specsSuper: reg.Counter(MetricSpecsSuper, "predictions a cascade replaced with the arrived actual, unchecked", lp),
 		repairs:    reg.Counter(MetricRepairs, "iterations repaired after a failed check", lp),
 		cascades:   reg.Counter(MetricCascades, "later iterations recomputed due to an upstream repair", lp),
 		overruns:   reg.Counter(MetricOverruns, "validations deferred past a Deadline expiry", lp),
@@ -152,6 +155,15 @@ func (o *engineObs) specChecked(t, peer int, frac float64, bad bool) {
 		o.specsBad.Inc()
 		o.event(obs.EvSpecBad, t, peer, frac)
 	}
+}
+
+// specSuperseded: a cascade replaced peer's prediction at s with the arrived actual.
+func (o *engineObs) specSuperseded(s, peer int) {
+	if o == nil {
+		return
+	}
+	o.specsSuper.Inc()
+	o.event(obs.EvSpecSuperseded, s, peer, 0)
 }
 
 // repaired records a repair of iteration t that cascaded through depth

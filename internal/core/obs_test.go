@@ -132,13 +132,56 @@ func TestJournalRecordsEngineSchema(t *testing.T) {
 	}
 }
 
+// TestSupersededIsObservable: a prediction a cascade replaced with the
+// arrived actual shows up under its own name on every instrument — the
+// counter (pre-registered at zero), the journal and Stats agree — and the
+// end-of-run identity made = checked + superseded holds on all three.
+func TestSupersededIsObservable(t *testing.T) {
+	reg, jr := obs.NewRegistry(), obs.NewJournal()
+	RegisterEngineMetrics(reg, 0)
+	if v, ok := reg.Totals()[MetricSpecsSuper]; !ok || v != 0 {
+		t.Fatalf("%s before the run = (%v, %v), want pre-registered at 0", MetricSpecsSuper, v, ok)
+	}
+	cc := uniformCluster(4, 0.25)
+	cc.Metrics, cc.Journal = reg, jr
+	results := runCoupled(t, cc, Config{FW: 3, MaxIter: 18, Metrics: reg, Journal: jr}, 0)
+	agg := Aggregate(results)
+	if agg.SpecsSuperseded == 0 {
+		t.Fatal("FW=3 at zero tolerance with a latency below one compute superseded nothing")
+	}
+	if agg.SpecsMade != agg.SpecsChecked+agg.SpecsSuperseded {
+		t.Errorf("stats: made %d != checked %d + superseded %d", agg.SpecsMade, agg.SpecsChecked, agg.SpecsSuperseded)
+	}
+	totals := reg.Totals()
+	if got := int(totals[MetricSpecsSuper]); got != agg.SpecsSuperseded {
+		t.Errorf("%s = %d, want %d (stats)", MetricSpecsSuper, got, agg.SpecsSuperseded)
+	}
+	if made, rest := totals[MetricSpecsMade], totals[MetricSpecsCheck]+totals[MetricSpecsSuper]; made != rest {
+		t.Errorf("metrics: made %v != checked + superseded %v", made, rest)
+	}
+	if got := jr.Count(obs.EvSpecSuperseded); got != agg.SpecsSuperseded {
+		t.Errorf("journal spec_superseded = %d, want %d (stats)", got, agg.SpecsSuperseded)
+	}
+	if made, rest := jr.Count(obs.EvSpecMade), jr.Count(obs.EvSpecChecked)+jr.Count(obs.EvSpecSuperseded); made != rest {
+		t.Errorf("journal: made %d != checked + superseded %d", made, rest)
+	}
+}
+
 // BenchmarkEngineObs measures the engine with observability off (the nil
 // fast path every ordinary run takes) and on, over the same tiny workload —
 // checkpointing every fourth iteration, so the checkpoint-duration histogram
-// and its two clock reads are in the enabled figure. The "off" case must
-// track the seed's performance: the only added work is nil checks.
+// and its two clock reads are in the enabled figure, and at FW=2 with a
+// latency below one compute, so repairs cascade and the superseded-prediction
+// call is too. The "off" case must track the seed's performance: the only
+// added work is nil checks.
 func BenchmarkEngineObs(b *testing.B) {
 	run := func(b *testing.B, reg *obs.Registry, jr *obs.Journal) {
+		superseded := 0
+		defer func() {
+			if superseded == 0 {
+				b.Error("workload superseded no prediction: the new call is not in the figure")
+			}
+		}()
 		for i := 0; i < b.N; i++ {
 			cc := cluster.Config{
 				Machines: cluster.UniformMachines(4, 1000),
@@ -147,14 +190,15 @@ func BenchmarkEngineObs(b *testing.B) {
 				Metrics:  reg,
 				Journal:  jr,
 			}
-			cfg := Config{FW: 1, MaxIter: 12, Metrics: reg, Journal: jr,
+			cfg := Config{FW: 2, MaxIter: 12, Metrics: reg, Journal: jr,
 				CheckpointEvery: 4, CheckpointStore: discardStore{}}
-			_, err := RunCluster(cc, cfg, func(p *cluster.Proc) App {
+			results, err := RunCluster(cc, cfg, func(p *cluster.Proc) App {
 				return &coupledMap{p: p, r: 3.2, eps: 0.3, threshold: 1e-4, computeOp: 500, repairOp: 250}
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
+			superseded += Aggregate(results).SpecsSuperseded
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, nil, nil) })

@@ -22,7 +22,8 @@ type SpecPolicy interface {
 	// instead (ops is still charged).
 	Speculate(peer int, hist [][]float64, steps int) (pred []float64, ops float64)
 	// Recycle hands back a prediction the engine no longer references
-	// (its iteration was validated and retired). Policies that draw
+	// (its iteration was validated and retired, or a cascade replaced it
+	// with the arrived actual). Policies that draw
 	// predictions from a buffer pool reclaim them here; others no-op.
 	Recycle(pred []float64)
 }
@@ -72,7 +73,7 @@ type RepairContext struct {
 type CascadeContext struct {
 	Iter  int
 	Node  int         // the local processor
-	View  [][]float64 // iteration Iter's view with the repaired local entry
+	View  [][]float64 // iteration Iter's view with the repaired local entry and every in-edge whose actual has arrived since
 	Worst CheckResult // the upstream repair's accumulated check result
 }
 

@@ -61,6 +61,8 @@ type AggregateStats struct {
 	Retries      int // reliable-transport retransmissions
 	DupsDropped  int // duplicate deliveries suppressed
 	GiveUps      int // messages abandoned after MaxRetries
+	// Predictions a cascade replaced with the arrived actual, never checked.
+	SpecsSuperseded int
 
 	Checkpoints  int     // engine snapshots persisted
 	Restores     int     // post-crash state restorations
@@ -86,6 +88,7 @@ func Aggregate(results []Result) AggregateStats {
 		a.SpecsMade += s.SpecsMade
 		a.SpecsChecked += s.SpecsChecked
 		a.SpecsBad += s.SpecsBad
+		a.SpecsSuperseded += s.SpecsSuperseded
 		a.UnitsBad += s.UnitsBad
 		a.UnitsTotal += s.UnitsTotal
 		a.Repairs += s.Repairs

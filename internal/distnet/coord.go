@@ -108,6 +108,8 @@ type NodeReport struct {
 	CommSec   float64 `json:"comm_sec"`
 	MsgsSent  int     `json:"msgs_sent"`
 	BytesSent int     `json:"bytes_sent"`
+	// Predictions a cascade replaced with the arrived actual, never checked.
+	SpecsSuperseded int `json:"specs_superseded,omitempty"`
 	// Crash-tolerance outcome: the incarnation epoch that produced this
 	// result (> 0 means a supervisor respawned the node at least once) and
 	// how many checkpoint restores the engine performed.
@@ -659,7 +661,7 @@ func (c *Coordinator) run() {
 		c.reports = append(c.reports, NodeReport{
 			Rank: rank, Addr: peers[rank], HTTP: rm.HTTP,
 			Converged: rm.Converged, Iters: rm.Iters,
-			SpecsMade: rm.SpecsMade, SpecsBad: rm.SpecsBad,
+			SpecsMade: rm.SpecsMade, SpecsBad: rm.SpecsBad, SpecsSuperseded: rm.SpecsSuperseded,
 			Repairs: rm.Repairs, Overruns: rm.Overruns,
 			WallSec: rm.WallSec, CommSec: rm.CommSec,
 			MsgsSent: rm.MsgsSent, BytesSent: rm.BytesSent,

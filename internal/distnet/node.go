@@ -883,7 +883,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	coord.send(Frame{Type: FrameResult, Final: res.Final, Blob: encodeJSON(resultMsg{
 		Rank: rank, HTTP: httpAddr, Epoch: cfg.Epoch, Restores: res.Stats.Restores,
 		Converged: res.Converged, Iters: res.Stats.Iters,
-		SpecsMade: res.Stats.SpecsMade, SpecsBad: res.Stats.SpecsBad,
+		SpecsMade: res.Stats.SpecsMade, SpecsBad: res.Stats.SpecsBad, SpecsSuperseded: res.Stats.SpecsSuperseded,
 		Repairs: res.Stats.Repairs, Overruns: res.Stats.Overruns,
 		WallSec: wall.Seconds(), CommSec: res.Stats.CommTime,
 		MsgsSent: res.Stats.Net.MsgsSent, BytesSent: res.Stats.Net.BytesSent,

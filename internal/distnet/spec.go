@@ -347,6 +347,8 @@ type resultMsg struct {
 	CommSec   float64 `json:"comm_sec"`
 	MsgsSent  int     `json:"msgs_sent"`
 	BytesSent int     `json:"bytes_sent"`
+	// Predictions a cascade replaced with the arrived actual, never checked.
+	SpecsSuperseded int `json:"specs_superseded,omitempty"`
 	// Wire-plane throughput measures (the soak harness aggregates these).
 	MsgsRecvd    int     `json:"msgs_recvd,omitempty"`
 	FramesSent   int     `json:"frames_sent,omitempty"`

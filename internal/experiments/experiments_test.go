@@ -108,8 +108,12 @@ func TestFigure8QuickShapes(t *testing.T) {
 	if fw1.Y[last] <= fw0.Y[last] {
 		t.Errorf("FW=1 (%.2f) does not beat FW=0 (%.2f) at p=%d", fw1.Y[last], fw0.Y[last], cfg.MaxProcs)
 	}
-	if fw2.Y[last] < fw1.Y[last]*0.95 {
-		t.Errorf("FW=2 (%.2f) much worse than FW=1 (%.2f)", fw2.Y[last], fw1.Y[last])
+	// The paper's ordering: a deeper window is never worse once there is
+	// anyone to speculate on (a wrong guess costs one recompute, not FW).
+	for i := 1; i < len(fw2.Y); i++ {
+		if fw2.Y[i] < fw1.Y[i] {
+			t.Errorf("p=%d: FW=2 (%.3f) below FW=1 (%.3f)", i+1, fw2.Y[i], fw1.Y[i])
+		}
 	}
 	// Nothing beats the capacity bound.
 	for i := range fw2.Y {
@@ -143,6 +147,9 @@ func TestTable2QuickShapes(t *testing.T) {
 	// Total improves with FW, and FW=1/2 carry spec+check overhead.
 	if rows[1].Total >= rows[0].Total {
 		t.Errorf("FW=1 total %.3f not below FW=0 total %.3f", rows[1].Total, rows[0].Total)
+	}
+	if rows[2].Total >= rows[1].Total {
+		t.Errorf("FW=2 total %.3f not below FW=1 total %.3f", rows[2].Total, rows[1].Total)
 	}
 	if rows[1].Speculation <= 0 || rows[1].Check <= 0 {
 		t.Errorf("FW=1 missing overhead phases: %+v", rows[1])

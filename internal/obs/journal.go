@@ -25,6 +25,9 @@ const (
 	EvDup         = "dup"          // duplicate delivery suppressed
 	EvGiveup      = "giveup"       // message abandoned after MaxRetries
 
+	// Never checked: a cascade replaced Peer's prediction at Iter with the arrived actual.
+	EvSpecSuperseded = "spec_superseded"
+
 	// Crash/restart recovery (PR 3). V carries the kind-specific payload
 	// noted per kind.
 	EvCrash      = "crash"       // processor crashed; V = scheduled downtime (s)

@@ -14,6 +14,7 @@ package realtime
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -37,8 +38,9 @@ type Config struct {
 	Predictor predict.Predictor
 	// HoldSends forwards the engine's speculative-send ablation switch.
 	HoldSends bool
-	// Delay is an artificial per-message latency injected on delivery,
-	// emulating a slow interconnect. Zero delivers immediately.
+	// Delay is an artificial per-message latency emulating a slow
+	// interconnect: a message becomes visible to its receiver Delay after it
+	// was sent, by the receiver's own clock, however busy either side is.
 	Delay time.Duration
 	// Metrics, when non-nil, receives the engine's counters and histograms
 	// for every worker (per-processor labels).
@@ -75,17 +77,22 @@ type Result struct {
 // contract (and therefore to core.Transport plus all its optional
 // capability upgrades).
 type transport struct {
-	id, p   int
-	inbox   chan cluster.Message
-	peers   []chan cluster.Message
-	delay   time.Duration
+	id, p int
+	inbox chan cluster.Message
+	peers []chan cluster.Message
+	// delay, in seconds, is visibility by the receiver's clock: a message is
+	// in the inbox the moment it is sent and handed over once Now() reads
+	// SentAt + delay. The inbox is FIFO in send order and delay is constant,
+	// so its head is always the next message due, and head — one message of
+	// look-ahead in front of pending — is the whole delay queue. Nothing runs
+	// per message: a rank that never yields sees on its next poll exactly
+	// what a NIC would have buffered for it.
+	delay   float64
 	start   time.Time
-	pending []cluster.Message
+	head    cluster.Message // off the inbox, not yet handed over (valid when hasHead)
+	hasHead bool
+	pending []cluster.Message // handed over, passed by a selective receive
 	commSec float64
-	// timers tracks outstanding delayed sends so Run can stop them at
-	// shutdown instead of leaking time.AfterFunc callbacks that fire after
-	// the run has returned.
-	timers []*time.Timer
 }
 
 var _ cluster.Transport = (*transport)(nil)
@@ -110,23 +117,7 @@ func (t *transport) Send(dst, tag, iter int, data []float64) {
 // receiver adopts the slice. The caller must never mutate data afterwards,
 // which lets a broadcast share one immutable payload across all peers.
 func (t *transport) SendShared(dst, tag, iter int, data []float64) {
-	m := cluster.Message{Src: t.id, Dst: dst, Tag: tag, Iter: iter, Data: data, SentAt: t.Now()}
-	ch := t.peers[dst]
-	if t.delay <= 0 {
-		ch <- m
-		return
-	}
-	t.timers = append(t.timers, time.AfterFunc(t.delay, func() { ch <- m }))
-}
-
-// stopTimers cancels outstanding delayed sends. Called after every worker
-// has finished (the WaitGroup gives the happens-before edge to the appends
-// in Send).
-func (t *transport) stopTimers() {
-	for _, tm := range t.timers {
-		tm.Stop()
-	}
-	t.timers = nil
+	t.peers[dst] <- cluster.Message{Src: t.id, Dst: dst, Tag: tag, Iter: iter, Data: data, SentAt: t.Now()}
 }
 
 func matches(m cluster.Message, src, tag int) bool {
@@ -144,73 +135,101 @@ func (t *transport) takePending(src, tag int) (cluster.Message, bool) {
 }
 
 func (t *transport) TryRecv(src, tag int) (cluster.Message, bool) {
-	if m, ok := t.takePending(src, tag); ok {
-		return m, true
-	}
-	for {
-		select {
-		case m := <-t.inbox:
-			m.DeliveredAt = t.Now()
-			if matches(m, src, tag) {
-				return m, true
-			}
-			t.pending = append(t.pending, m)
-		default:
-			return cluster.Message{}, false
-		}
-	}
+	return t.recv(src, tag, math.Inf(-1))
 }
 
 func (t *transport) Recv(src, tag int) cluster.Message {
-	if m, ok := t.takePending(src, tag); ok {
-		return m
-	}
+	m, _ := t.blocked(src, tag, math.Inf(1))
+	return m
+}
+
+// RecvDeadline implements core.DeadlineReceiver over a wall-clock timeout,
+// enabling the engine's graceful-degradation mode on the realtime substrate.
+// A message due only after the deadline stays queued for the next call.
+func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message, bool) {
+	return t.blocked(src, tag, t.Now()+timeout)
+}
+
+// blocked is recv with the wait accounted as communication time.
+func (t *transport) blocked(src, tag int, limit float64) (cluster.Message, bool) {
 	before := time.Now()
 	defer func() { t.commSec += time.Since(before).Seconds() }()
+	return t.recv(src, tag, limit)
+}
+
+// recv returns the first matching message to become visible before the clock
+// reads limit; -Inf polls, +Inf waits for ever. Each turn waits once: on the
+// inbox while the look-ahead slot is empty (nothing can become visible before
+// something arrives), else by sleeping to the earlier of the head's due time
+// and the limit (nothing behind the head is due sooner).
+func (t *transport) recv(src, tag int, limit float64) (cluster.Message, bool) {
+	if m, ok := t.takePending(src, tag); ok {
+		return m, true
+	}
+	var expired <-chan time.Time // nil, so never ready, until a bounded call first finds the inbox empty
 	for {
-		m := <-t.inbox
-		m.DeliveredAt = t.Now()
+		if !t.hasHead {
+			if limit < 0 {
+				select {
+				case t.head = <-t.inbox:
+				default:
+					return cluster.Message{}, false
+				}
+			} else {
+				if expired == nil && !math.IsInf(limit, 1) {
+					timer := time.NewTimer(seconds(limit - t.Now()))
+					defer timer.Stop()
+					expired = timer.C
+				}
+				select {
+				case t.head = <-t.inbox:
+				case <-expired:
+					return cluster.Message{}, false
+				}
+			}
+			t.hasHead = true
+		}
+		now := t.Now() // the one clock read per message: visibility test and DeliveredAt
+		if due := t.head.SentAt + t.delay; t.delay > 0 && now < due {
+			if limit > now {
+				time.Sleep(seconds(min(limit, due) - now))
+			}
+			if limit < due {
+				return cluster.Message{}, false
+			}
+			continue
+		}
+		m := t.head
+		m.DeliveredAt = now
+		t.head, t.hasHead = cluster.Message{}, false
 		if matches(m, src, tag) {
-			return m
+			return m, true
 		}
 		t.pending = append(t.pending, m)
 	}
 }
 
-// RecvDeadline implements core.DeadlineReceiver over a wall-clock timeout,
-// enabling the engine's graceful-degradation mode on the realtime substrate.
-func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message, bool) {
-	if m, ok := t.takePending(src, tag); ok {
-		return m, true
-	}
-	before := time.Now()
-	defer func() { t.commSec += time.Since(before).Seconds() }()
-	deadline := before.Add(time.Duration(timeout * float64(time.Second)))
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return cluster.Message{}, false
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case m := <-t.inbox:
-			timer.Stop()
-			m.DeliveredAt = t.Now()
-			if matches(m, src, tag) {
-				return m, true
-			}
-			t.pending = append(t.pending, m)
-		case <-timer.C:
-			return cluster.Message{}, false
-		}
-	}
-}
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 func (t *transport) PhaseTime(ph cluster.Phase) float64 {
 	if ph == cluster.PhaseComm {
 		return t.commSec
 	}
 	return 0
+}
+
+// newMesh builds p fully connected transports sharing one clock origin.
+func newMesh(p, maxIter int, delay time.Duration) []*transport {
+	inbox := make([]chan cluster.Message, p)
+	mesh := make([]*transport, p)
+	start := time.Now()
+	for i := range mesh {
+		// Generous buffering: senders must never block (MaxIter data
+		// messages from each peer, plus slack).
+		inbox[i] = make(chan cluster.Message, p*(maxIter+4))
+		mesh[i] = &transport{id: i, p: p, inbox: inbox[i], peers: inbox, delay: delay.Seconds(), start: start}
+	}
+	return mesh
 }
 
 // Run executes the application and returns per-processor results.
@@ -222,12 +241,6 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 		return nil, fmt.Errorf("realtime: MaxIter must be >= 1")
 	}
 	p := cfg.Procs
-	inbox := make([]chan cluster.Message, p)
-	for i := range inbox {
-		// Generous buffering: senders must never block (MaxIter data
-		// messages from each peer, plus slack).
-		inbox[i] = make(chan cluster.Message, p*(cfg.MaxIter+4))
-	}
 	ecfg := core.Config{
 		FW: cfg.FW, BW: cfg.BW, MaxIter: cfg.MaxIter,
 		Predictor: cfg.Predictor, HoldSends: cfg.HoldSends,
@@ -255,14 +268,12 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 	}
 	results := make([]Result, p)
 	errs := make([]error, p)
-	transports := make([]*transport, p)
-	start := time.Now()
+	transports := newMesh(p, cfg.MaxIter, cfg.Delay)
+	start := transports[0].start
 	var wg sync.WaitGroup
 	for pid := 0; pid < p; pid++ {
-		pid := pid
+		pid, tr := pid, transports[pid]
 		wg.Add(1)
-		tr := &transport{id: pid, p: p, inbox: inbox[pid], peers: inbox, delay: cfg.Delay, start: start}
-		transports[pid] = tr
 		go func() {
 			defer wg.Done()
 			res, err := core.Run(tr, factory(pid, p), ecfg)
@@ -284,9 +295,6 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 		}()
 	}
 	wg.Wait()
-	for _, tr := range transports {
-		tr.stopTimers()
-	}
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("realtime: processor %d: %w", i, err)

@@ -46,7 +46,7 @@ type flowKey struct{ src, dst, iter int }
 
 // specFlowSteps orders a flow's steps when timestamps tie.
 var specFlowSteps = map[string]int{
-	"predict": 0, "send": 1, "deliver": 2, "check_ok": 3, "check_bad": 3, "repair": 4,
+	"predict": 0, "send": 1, "deliver": 2, "check_ok": 3, "check_bad": 3, "superseded": 3, "repair": 4,
 }
 
 // specSliceUS is the rendered duration of the point-like speculation steps —
@@ -209,6 +209,8 @@ func specStep(rank int, e obs.Event) (step string, key flowKey, ok bool) {
 		return "check_ok", flowKey{src: e.Peer, dst: rank, iter: e.Iter}, true
 	case obs.EvSpecBad:
 		return "check_bad", flowKey{src: e.Peer, dst: rank, iter: e.Iter}, true
+	case obs.EvSpecSuperseded:
+		return "superseded", flowKey{src: e.Peer, dst: rank, iter: e.Iter}, true
 	case obs.EvRepair:
 		return "repair", flowKey{}, true // key resolved by the caller from the failed check
 	}

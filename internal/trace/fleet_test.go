@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+	"strings"
 	"testing"
 
 	"specomp/internal/obs"
@@ -127,6 +128,32 @@ func TestFleetTraceRepairFlow(t *testing.T) {
 		}
 	}
 	t.Fatalf("no flow for the iter-6 check_bad → repair pair")
+}
+
+// TestFleetTraceSupersededEndsFlow: a prediction a cascade replaced with the
+// arrived actual is never checked; its flow must still finish, on the
+// superseded step, after the delivery that made it possible.
+func TestFleetTraceSupersededEndsFlow(t *testing.T) {
+	evs := FleetChromeEvents([]NodeJournal{{Rank: 1, Events: []obs.Event{
+		{T: 0.001, Proc: 1, Kind: obs.EvSpecMade, Iter: 7, Peer: 0},
+		{T: 0.020, Proc: 1, Kind: obs.EvDeliver, Iter: 7, Peer: 0, V: 0.002},
+		{T: 0.020, Proc: 1, Kind: obs.EvSpecSuperseded, Iter: 7, Peer: 0},
+	}}})
+	var steps, phases []string
+	for _, e := range evs {
+		switch {
+		case e.Cat == "spec" && e.Ph == "X":
+			steps = append(steps, e.Name)
+		case e.Name == "spec 0→1@7":
+			phases = append(phases, e.Ph)
+		}
+	}
+	if got := strings.Join(steps, " "); got != "predict deliver superseded" {
+		t.Errorf("speculation slices %q, want predict deliver superseded", got)
+	}
+	if got := strings.Join(phases, ""); got != "stf" {
+		t.Errorf("flow phases %q, want s, t, f ending on the superseded step", got)
+	}
 }
 
 // TestWriteFleetTraceJSON: the output is a valid Chrome trace file — JSON
