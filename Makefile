@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-core bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint soak soak-short sched-soak chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
+.PHONY: all build test test-short bench bench-core bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
 
 all: build vet test
 
@@ -27,10 +27,11 @@ test-short:
 	go test -short ./...
 
 # The substrates with real concurrency: goroutines (realtime), OS
-# processes over TCP (distnet, including the custody committer and the
-# acked-shutdown tests), and the multi-run scheduler on top (sched) — plus
-# the engine and the simulator under them (core, cluster: a few seconds),
-# since the engine polls the transport from inside validation.
+# processes over TCP (distnet, including the custody committer, the
+# acked-shutdown tests and the local fleet every launcher goes through), and
+# the multi-run scheduler and its serve loop on top (sched) — plus the
+# engine and the simulator under them (core, cluster: a few seconds), since
+# the engine polls the transport from inside validation.
 race:
 	go test -race ./internal/core/... ./internal/cluster/... ./internal/realtime/... ./internal/distnet/... ./internal/sched/...
 
@@ -57,6 +58,13 @@ fuzz-wire:
 # coverage — 1s keeps a short run fuzzing instead of minimizing.
 fuzz-checkpoint:
 	go test -run '^$$' -fuzz FuzzDecode -fuzztime 30s -fuzzminimizetime 1s ./internal/checkpoint/
+
+# Fuzz the scheduler's two decoders of bytes it does not control — a
+# submission body and the persisted queue file: never panic, never queue a
+# job Submit's own checks would refuse.
+fuzz-sched:
+	go test -run '^$$' -fuzz FuzzSubmitBody -fuzztime 30s -fuzzminimizetime 1s ./internal/sched/
+	go test -run '^$$' -fuzz FuzzLoadQueue -fuzztime 30s -fuzzminimizetime 1s ./internal/sched/
 
 bench: bench-core
 	go test -bench=. -benchmem ./...
@@ -101,18 +109,14 @@ soak:
 soak-short:
 	go run ./cmd/specsoak -procs 16 -iters 80 -chaos
 
-# Scheduler soak: a batch job plus an arrival stream at two priorities on
-# one pool — gates on >=1 preemption, custody resume, and per-job
-# convergence, and records SchedWait* / SchedPreemptions series.
-sched-soak:
-	go run ./cmd/specsoak -jobs 6 -pool 4 -iters 120 -o BENCH_core.json
-
 # Distributed chaos gate: a real 4-process fleet under supervision, two
 # seeded SIGKILLs mid-run. Victims respawn with bumped epochs, reclaim
 # their ranks, restore from coordinator custody, and the final field must
-# converge on the fault-free baseline. Exits non-zero on any divergence.
+# converge on the fault-free baseline. Exits non-zero on any divergence, and
+# if no kill landed before the run finished (the run is sized to last a few
+# seconds; the schedule starts at +0.5 s).
 chaos-dist:
-	go run ./cmd/specsoak -procs 4 -iters 2500 -kill 2 -kill-seed 7
+	go run ./cmd/specsoak -procs 4 -iters 20000 -kill 2 -kill-seed 7
 
 # Fleet observability gate: a real 4-process cluster with the aggregated
 # metrics plane and cross-process tracing on. -selfcheck fails the run if

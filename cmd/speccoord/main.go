@@ -55,20 +55,26 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
-	nethttp "net/http"
 	"os"
 	"os/exec"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"specomp/internal/checkpoint"
 	"specomp/internal/distnet"
+	"specomp/internal/obs"
+	"specomp/internal/sched"
 	"specomp/internal/trace"
 )
 
@@ -110,7 +116,7 @@ func main() {
 		obsPush   = flag.Int("obs-push-ms", 0, "metrics push period in ms (0 = 500ms default, negative = off)")
 		hold      = flag.Duration("hold", 0, "keep the fleet endpoint up this long after the run (for scraping)")
 
-		// Service mode: a long-running multi-run scheduler (see serve.go).
+		// Service mode: a long-running multi-run scheduler (sched.Serve).
 		serve        = flag.Bool("serve", false, "run as a multi-run scheduler service instead of one coordinator")
 		serveAddr    = flag.String("serve-addr", "127.0.0.1:0", "scheduler HTTP listen address (with -serve)")
 		pool         = flag.Int("pool", 8, "scheduler node-pool capacity in ranks (with -serve)")
@@ -133,10 +139,7 @@ func main() {
 			httpAddr = "127.0.0.1:0"
 		}
 		res, err := distnet.RunNode(distnet.NodeConfig{
-			Coord:    *join,
-			HTTPAddr: httpAddr,
-			Epoch:    *epoch,
-			Logf:     func(format string, args ...any) { logger.Printf(format, args...) },
+			Coord: *join, HTTPAddr: httpAddr, Epoch: *epoch, Logf: logger.Printf,
 		})
 		if err != nil {
 			logger.Fatalf("node: %v", err)
@@ -145,15 +148,51 @@ func main() {
 		return
 	}
 
+	// nodeCmd re-executes this binary in node mode, its output on out: the
+	// child of one slot of a -spawn run or of one scheduler job.
+	self, err := os.Executable()
+	if err != nil {
+		self = os.Args[0]
+	}
+	nodeCmd := func(coord string, epoch int, out io.Writer) (*exec.Cmd, error) {
+		args := []string{"-join", coord, "-epoch", strconv.Itoa(epoch)}
+		if *http {
+			args = append(args, "-http")
+		}
+		cmd := exec.Command(self, args...)
+		cmd.Stdout, cmd.Stderr = out, out
+		return cmd, nil
+	}
+
+	// Durable custody: checkpoint blobs survive the coordinator process.
+	var store *checkpoint.FileStore
+	if *custody != "" {
+		if store, err = checkpoint.NewFileStore(*custody); err != nil {
+			logger.Fatalf("%v", err)
+		}
+	}
+
 	if *serve {
-		runServe(serveOpts{
-			addr: *serveAddr, pool: *pool,
-			custodyDir: *custody, stateDir: *stateDir,
-			tenantJobs: *tenantJobs, tenantRanks: *tenantRanks,
-			maxRespawns: *respawns, runTimeout: *timeout,
-			evictGrace: *evictGrace, drainTimeout: *drainTimeout,
-			nodeTimeout: *nodeTO, rejoinWait: *rejoinW,
-		}, logger)
+		cfg := sched.Config{
+			TotalRanks: *pool, StateDir: *stateDir,
+			MaxJobsPerTenant: *tenantJobs, MaxRanksPerTenant: *tenantRanks,
+			MaxRespawns: *respawns, RunTimeout: *timeout, EvictGrace: *evictGrace,
+			NodeTimeout: *nodeTO, RejoinWait: *rejoinW, Logf: logger.Printf, Custody: store,
+			Launch: func(info sched.LaunchInfo) (*exec.Cmd, error) {
+				return nodeCmd(info.Coord, info.Epoch, os.Stderr)
+			},
+		}
+		ln, err := net.Listen("tcp", *serveAddr)
+		if err != nil {
+			logger.Fatalf("scheduler listener: %v", err)
+		}
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		logger.Printf("scheduler listening on http://%s (pool %d ranks)", ln.Addr(), *pool)
+		if err := sched.Serve(ctx, ln, cfg, *drainTimeout); err != nil {
+			logger.Fatalf("%v", err)
+		}
+		logger.Printf("drained; custody and queue are on disk")
 		return
 	}
 
@@ -177,14 +216,8 @@ func main() {
 			spec.Placement = append(spec.Placement, r)
 		}
 	}
-
-	// Durable custody: checkpoint blobs survive the coordinator process.
-	var store *checkpoint.FileStore
-	if *custody != "" {
-		var err error
-		if store, err = checkpoint.NewFileStore(*custody); err != nil {
-			logger.Fatalf("%v", err)
-		}
+	if err := spec.Normalize(); err != nil {
+		logger.Fatalf("%v", err)
 	}
 
 	// The fleet metrics plane: one aggregated endpoint for the whole run.
@@ -193,90 +226,67 @@ func main() {
 		fleet = distnet.NewFleetObs(*job)
 	}
 	if fleet != nil && *fleetAddr != "" {
-		ln, err := net.Listen("tcp", *fleetAddr)
+		srv, err := obs.Listen(*fleetAddr, fleet.Handler())
 		if err != nil {
 			logger.Fatalf("fleet listener: %v", err)
 		}
-		defer ln.Close()
-		go func() { _ = nethttp.Serve(ln, fleet.Handler()) }()
-		fmt.Printf("fleet metrics on http://%s/metrics (status: /fleet)\n", ln.Addr())
+		defer srv.Close()
+		fmt.Printf("fleet metrics on http://%s/metrics (status: /fleet)\n", srv.Addr())
 	}
 
 	cfg := distnet.CoordConfig{
 		Addr: *addr, Spec: spec, Timeout: *timeout, Fleet: fleet,
-		NodeTimeout: *nodeTO, RejoinWait: *rejoinW,
-		Logf: func(format string, args ...any) { logger.Printf(format, args...) },
+		NodeTimeout: *nodeTO, RejoinWait: *rejoinW, Logf: logger.Printf,
 	}
 	if store != nil {
 		cfg.Custody = store
 	}
-	coord, err := distnet.NewCoordinator(cfg)
-	if err != nil {
-		logger.Fatalf("%v", err)
-	}
-	fmt.Printf("coordinator listening on %s (waiting for %d nodes)\n", coord.Addr(), coord.Spec().Procs)
 
-	// With -spawn every node slot runs under a supervisor: a child that
-	// dies is relaunched with a bumped epoch (the rejoin credential) until
-	// the respawn budget runs out; its output is line-prefixed so the
-	// interleaved fleet stays readable.
+	// With -spawn every node slot runs under a supervisor (distnet.StartLocal):
+	// a child that dies is relaunched with a bumped epoch (the rejoin
+	// credential) until the respawn budget runs out; its output is
+	// line-prefixed so the interleaved fleet stays readable. Without it the
+	// nodes are someone else's to start.
 	var (
-		sups     []*distnet.Supervisor
+		coord    *distnet.Coordinator
 		prefixes []*distnet.PrefixWriter
+		wait     = func() ([]distnet.NodeReport, error, error) { r, err := coord.Wait(); return r, err, nil }
 	)
 	if *spawn {
-		self, err := os.Executable()
-		if err != nil {
-			self = os.Args[0]
+		prefixes = make([]*distnet.PrefixWriter, spec.Procs)
+		for i := range prefixes {
+			prefixes[i] = distnet.NewPrefixWriter(os.Stderr, fmt.Sprintf("[node %d] ", i))
 		}
-		for i := 0; i < coord.Spec().Procs; i++ {
-			pw := distnet.NewPrefixWriter(os.Stderr, fmt.Sprintf("[node %d] ", i))
-			sup, err := distnet.Supervise(distnet.SuperviseConfig{
-				Start: func(epoch int) (*exec.Cmd, error) {
-					args := []string{"-join", coord.Addr(), "-epoch", strconv.Itoa(epoch)}
-					if *http {
-						args = append(args, "-http")
-					}
-					cmd := exec.Command(self, args...)
-					cmd.Stdout = pw
-					cmd.Stderr = pw
-					return cmd, nil
-				},
-				MaxRespawns: *respawns,
-				Logf:        logger.Printf,
+		local, err := distnet.StartLocal(cfg, distnet.SuperviseConfig{MaxRespawns: *respawns, Logf: logger.Printf},
+			func(coord string, slot, epoch int) (*exec.Cmd, error) {
+				return nodeCmd(coord, epoch, prefixes[slot])
 			})
-			if err != nil {
-				logger.Fatalf("spawning node %d: %v", i, err)
-			}
-			sups = append(sups, sup)
-			prefixes = append(prefixes, pw)
+		if err != nil {
+			logger.Fatalf("%v", err)
 		}
-		logger.Printf("spawned %d supervised local node processes (respawn budget %d each)", len(sups), *respawns)
-	}
-
-	reports, err := coord.Wait()
-	if err != nil {
-		for _, sup := range sups {
-			sup.Stop()
-		}
+		coord, wait = local.Coordinator(), local.Wait
+		logger.Printf("spawned %d supervised local node processes (respawn budget %d each)", spec.Procs, *respawns)
+	} else if coord, err = distnet.NewCoordinator(cfg); err != nil {
 		logger.Fatalf("%v", err)
 	}
-	// The run succeeded; the children exit on the shutdown broadcast. A
-	// child outcome that is not a clean exit — a launch failure or a node
-	// that kept dying past its budget — is this process's failure too.
-	childFailed := false
-	for i, sup := range sups {
-		if werr := sup.Wait(); werr != nil {
-			logger.Printf("node %d: %v", i, werr)
-			childFailed = true
-		}
-	}
+	fmt.Printf("coordinator listening on %s (waiting for %d nodes)\n", coord.Addr(), spec.Procs)
+
+	// A child outcome that is not a clean exit — a launch failure or a node
+	// that kept dying past its budget — is this process's failure too, even
+	// when the run itself succeeded.
+	reports, err, childErr := wait()
 	for _, pw := range prefixes {
 		_ = pw.Flush()
 	}
+	if childErr != nil {
+		logger.Printf("node supervision: %v", childErr)
+	}
+	if err != nil {
+		logger.Fatalf("%v", err)
+	}
 	if st := coord.Stats(); st.Vacated > 0 || st.CustodyRestores > 0 {
-		logger.Printf("crash tolerance: %d vacated, %d rejoined, %d custody saves, %d custody restores",
-			st.Vacated, st.Rejoins, st.CustodySaves, st.CustodyRestores)
+		logger.Printf("crash tolerance: %d vacated, %d rejoined, %d checkpoints accepted (%d written to custody), %d custody restores",
+			st.Vacated, st.Rejoins, st.CustodySaves, st.CustodyCommits, st.CustodyRestores)
 	}
 	if store != nil {
 		if werr := store.Err(); werr != nil {
@@ -293,30 +303,27 @@ func main() {
 	}
 
 	if *selfcheck {
-		if err := fleet.SelfCheck(coord.Spec().Procs); err != nil {
+		if err := fleet.SelfCheck(spec.Procs); err != nil {
 			logger.Fatalf("fleet selfcheck: %v", err)
 		}
-		logger.Printf("fleet selfcheck passed: %d ranks aggregated, no duplicate series", coord.Spec().Procs)
+		logger.Printf("fleet selfcheck passed: %d ranks aggregated, no duplicate series", spec.Procs)
 	}
 	if *verify >= 0 {
-		if err := distnet.VerifyPipeline(coord.Spec(), reports, *verify); err != nil {
+		if err := distnet.VerifyPipeline(spec, reports, *verify); err != nil {
 			logger.Fatalf("verify: %v", err)
 		}
-		logger.Printf("verify passed: all %d stages within %g of the serial reference", coord.Spec().Procs, *verify)
+		logger.Printf("verify passed: all %d stages within %g of the serial reference", spec.Procs, *verify)
 	}
 	if *traceOut != "" {
 		journals := distnet.FleetJournals(reports)
-		if len(journals) < coord.Spec().Procs {
-			logger.Fatalf("trace merge: only %d/%d nodes shipped a journal", len(journals), coord.Spec().Procs)
+		if len(journals) < spec.Procs {
+			logger.Fatalf("trace merge: only %d/%d nodes shipped a journal", len(journals), spec.Procs)
 		}
-		f, err := os.Create(*traceOut)
+		var buf bytes.Buffer
+		if err = trace.WriteFleetTrace(&buf, journals); err == nil {
+			err = os.WriteFile(*traceOut, buf.Bytes(), 0o644)
+		}
 		if err != nil {
-			logger.Fatalf("trace-out: %v", err)
-		}
-		if err := trace.WriteFleetTrace(f, journals); err != nil {
-			logger.Fatalf("trace-out: %v", err)
-		}
-		if err := f.Close(); err != nil {
 			logger.Fatalf("trace-out: %v", err)
 		}
 		logger.Printf("wrote merged trace of %d processes to %s (load in ui.perfetto.dev)", len(journals), *traceOut)
@@ -329,11 +336,11 @@ func main() {
 			logger.Fatalf("%v", err)
 		}
 	} else {
-		fmt.Printf("%-4s %-21s %-9s %5s %6s %6s %5s %7s %8s %9s %10s\n",
-			"rank", "addr", "converged", "epoch", "iters", "specs", "bad", "repairs", "wall", "msgs", "bytes")
+		fmt.Printf("%-4s %-21s %-9s %5s %6s %6s %5s %10s %7s %8s %9s %10s\n",
+			"rank", "addr", "converged", "epoch", "iters", "specs", "bad", "superseded", "repairs", "wall", "msgs", "bytes")
 		for _, r := range reports {
-			fmt.Printf("%-4d %-21s %-9v %5d %6d %6d %5d %7d %7.3fs %9d %10d\n",
-				r.Rank, r.Addr, r.Converged, r.Epoch, r.Iters, r.SpecsMade, r.SpecsBad,
+			fmt.Printf("%-4d %-21s %-9v %5d %6d %6d %5d %10d %7d %7.3fs %9d %10d\n",
+				r.Rank, r.Addr, r.Converged, r.Epoch, r.Iters, r.SpecsMade, r.SpecsBad, r.SpecsSuperseded,
 				r.Repairs, r.WallSec, r.MsgsSent, r.BytesSent)
 			if r.Epoch > 0 {
 				fmt.Printf("     └─ respawned incarnation: %d checkpoint restore(s) from custody\n", r.Restores)
@@ -348,7 +355,7 @@ func main() {
 		logger.Printf("holding the fleet endpoint open for %v", *hold)
 		time.Sleep(*hold)
 	}
-	if childFailed {
+	if childErr != nil {
 		os.Exit(1)
 	}
 }

@@ -10,7 +10,6 @@
 //
 //	specsoak [-procs 64] [-iters 150] [-chaos] [-delta] [-nobatch]
 //	         [-kill N] [-kill-seed S] [-journal-dir DIR]
-//	         [-jobs N] [-pool R]
 //	         [-o BENCH_core.json] [-timeout 5m]
 //
 // With -o, the soak series are merged into the existing report (other
@@ -29,13 +28,6 @@
 // serial reference) within the speculation tolerance. specsoak exits
 // non-zero when convergence fails — this is the chaos gate CI runs.
 // Throughput series are never recorded from a kill run.
-//
-// The scheduler soak: -jobs N drives the multi-run scheduler (the
-// speccoord -serve machinery, in-process) with a long batch job plus a
-// stream of arrivals at two priorities on a -pool of ranks, asserts that
-// preemption-to-custody and resume actually happened, gates every job on
-// its serial reference, and records queue-wait percentiles and the
-// preemption count as Sched* series (see cmd/specsoak/sched.go).
 package main
 
 import (
@@ -69,112 +61,6 @@ func chaosModel() netmodel.Model {
 	}
 }
 
-// fleetRun is one coordinator + P node processes driven to completion.
-type fleetRun struct {
-	reports []distnet.NodeReport
-	fleet   *distnet.FleetObs
-	stats   distnet.CoordStats
-	// respawns sums supervisor relaunches across the fleet (kill runs only).
-	respawns int
-}
-
-// runFleet executes one whole multi-process run. With a kill schedule the
-// nodes run supervised and a killer goroutine SIGKILLs the scheduled slots
-// at their wall-clock offsets; without one the nodes are plain children.
-func runFleet(logger *log.Logger, self string, spec distnet.RunSpec, timeout time.Duration,
-	chaos bool, jdir string, jmax int64, kills faults.CrashSchedule) (*fleetRun, error) {
-
-	fleet := distnet.NewFleetObs(spec.Job)
-	coord, err := distnet.NewCoordinator(distnet.CoordConfig{Spec: spec, Timeout: timeout, Fleet: fleet})
-	if err != nil {
-		return nil, err
-	}
-	spec = coord.Spec()
-
-	nodeArgs := func(slot, epoch int) []string {
-		args := []string{"-join", coord.Addr(), "-epoch", strconv.Itoa(epoch)}
-		if chaos {
-			args = append(args, "-seed", strconv.Itoa(1000+slot))
-		}
-		if len(kills) > 0 {
-			// Tight heartbeats so survivors detect the victim and bridge on
-			// speculation well inside the downtime window.
-			args = append(args, "-hb-ms", "500")
-		}
-		if jdir != "" {
-			args = append(args, "-journal-dir", jdir, "-journal-max", strconv.FormatInt(jmax, 10))
-		}
-		return args
-	}
-
-	var (
-		plain []*exec.Cmd
-		sups  []*distnet.Supervisor
-	)
-	if len(kills) == 0 {
-		for i := 0; i < spec.Procs; i++ {
-			cmd := exec.Command(self, nodeArgs(i, 0)...)
-			cmd.Stdout = os.Stderr
-			cmd.Stderr = os.Stderr
-			if err := cmd.Start(); err != nil {
-				return nil, fmt.Errorf("spawning node %d: %v", i, err)
-			}
-			plain = append(plain, cmd)
-		}
-	} else {
-		for i := 0; i < spec.Procs; i++ {
-			slot := i
-			sup, err := distnet.Supervise(distnet.SuperviseConfig{
-				Start: func(epoch int) (*exec.Cmd, error) {
-					cmd := exec.Command(self, nodeArgs(slot, epoch)...)
-					cmd.Stdout = os.Stderr
-					cmd.Stderr = os.Stderr
-					return cmd, nil
-				},
-				Logf: logger.Printf,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sups = append(sups, sup)
-		}
-		// The killer: SIGKILL each scheduled slot at its wall-clock offset
-		// from spawn. The schedule's Downtime is advisory here — a real
-		// process's outage is the supervisor's detect + backoff + relaunch
-		// + rejoin latency.
-		start := time.Now()
-		go func() {
-			for _, ev := range kills {
-				time.Sleep(time.Until(start.Add(time.Duration(ev.At * float64(time.Second)))))
-				logger.Printf("kill schedule: SIGKILL slot %d at +%.2fs", ev.Proc, time.Since(start).Seconds())
-				sups[ev.Proc].Kill()
-			}
-		}()
-	}
-
-	reports, err := coord.Wait()
-	for _, sup := range sups {
-		// The run's verdict is the coordinator's; stop the supervisors so a
-		// child killed after its result is not pointlessly relaunched.
-		sup.Stop()
-	}
-	for _, cmd := range plain {
-		_ = cmd.Wait()
-	}
-	run := &fleetRun{fleet: fleet, stats: coord.Stats()}
-	for _, sup := range sups {
-		if werr := sup.Wait(); werr != nil {
-			logger.Printf("warning: supervisor latched %v", werr)
-		}
-		run.respawns += sup.Respawns()
-	}
-	if err != nil {
-		return nil, err
-	}
-	run.reports = reports
-	return run, nil
-}
-
 func main() {
 	var (
 		procs    = flag.Int("procs", 64, "number of node processes")
@@ -188,9 +74,7 @@ func main() {
 		killSeed = flag.Int64("kill-seed", 1, "seed of the kill schedule")
 		ckpt     = flag.Int("checkpoint", 5, "checkpoint every K iterations during a kill run")
 		deadline = flag.Float64("deadline", 0.25, "per-iteration wall-clock deadline (s) during a kill run")
-		jobs     = flag.Int("jobs", 0, "scheduler soak: submit this many jobs (2 priorities) to an in-process scheduler and gate on preemption + per-job convergence")
-		pool     = flag.Int("pool", 4, "scheduler soak: node-pool capacity in ranks")
-		out      = flag.String("o", "", "merge Soak*/Sched* series into this benchfmt report (e.g. BENCH_core.json)")
+		out      = flag.String("o", "", "merge Soak* series into this benchfmt report (e.g. BENCH_core.json)")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "overall run timeout")
 		jdir     = flag.String("journal-dir", "", "stream each node's run journal to node-R.jsonl under this directory")
 		jmax     = flag.Int64("journal-max", 64<<20, "per-node journal size cap in bytes before rotation")
@@ -232,12 +116,6 @@ func main() {
 	if err != nil {
 		self = os.Args[0]
 	}
-
-	if *jobs > 0 {
-		runSchedSoak(logger, self, *pool, *jobs, *iters, *timeout, *out)
-		return
-	}
-
 	if *kill > 0 {
 		// Crash tolerance is judged against the fault-free answer, so a kill
 		// run needs checkpoints to restore from and a deadline so survivors
@@ -245,15 +123,62 @@ func main() {
 		spec.CheckpointEvery = *ckpt
 		spec.Deadline = *deadline
 		spec.MaxCrashOverrun = 8
-		runKillSoak(logger, self, spec, *timeout, *chaos, *jdir, *jmax, *kill, *killSeed)
-		return
 	}
 
-	run, err := runFleet(logger, self, spec, *timeout, *chaos, *jdir, *jmax, nil)
+	// run executes one whole multi-process run as a distnet.LocalFleet: every
+	// slot supervised (a fault-free run simply never respawns), the scheduled
+	// slots SIGKILLed at their wall-clock offsets.
+	var fleet *distnet.FleetObs // only the plain soak reads one; kill runs go without
+	run := func(kills faults.CrashSchedule) (*distnet.LocalFleet, []distnet.NodeReport, error) {
+		local, err := distnet.StartLocal(
+			distnet.CoordConfig{Spec: spec, Timeout: *timeout, Fleet: fleet},
+			distnet.SuperviseConfig{Logf: logger.Printf},
+			func(coord string, slot, epoch int) (*exec.Cmd, error) {
+				args := []string{"-join", coord, "-epoch", strconv.Itoa(epoch)}
+				if *chaos {
+					args = append(args, "-seed", strconv.Itoa(1000+slot))
+				}
+				if len(kills) > 0 {
+					// Tight heartbeats so survivors detect the victim and bridge
+					// on speculation well inside the downtime window.
+					args = append(args, "-hb-ms", "500")
+				}
+				if *jdir != "" {
+					args = append(args, "-journal-dir", *jdir, "-journal-max", strconv.FormatInt(*jmax, 10))
+				}
+				cmd := exec.Command(self, args...)
+				cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+				return cmd, nil
+			})
+		if err != nil {
+			return nil, nil, err
+		}
+		// The killer. The schedule's Downtime is advisory here — a real
+		// process's outage is the supervisor's detect + backoff + relaunch +
+		// rejoin latency.
+		start := time.Now()
+		go func() {
+			for _, ev := range kills {
+				time.Sleep(time.Until(start.Add(time.Duration(ev.At * float64(time.Second)))))
+				logger.Printf("kill schedule: SIGKILL slot %d at +%.2fs", ev.Proc, time.Since(start).Seconds())
+				local.Kill(ev.Proc)
+			}
+		}()
+		reports, err, childErr := local.Wait()
+		if childErr != nil {
+			logger.Printf("warning: supervisor latched %v", childErr)
+		}
+		return local, reports, err
+	}
+	if *kill > 0 {
+		killSoak(logger, spec, run, *kill, *killSeed)
+		return
+	}
+	fleet = distnet.NewFleetObs(spec.Job)
+	_, reports, err := run(nil)
 	if err != nil {
 		logger.Fatalf("%v", err)
 	}
-	reports, fleet := run.reports, run.fleet
 
 	// Every rank must have run the full schedule: a node that silently
 	// stalled or shed iterations voids the soak.
@@ -276,7 +201,8 @@ func main() {
 	var (
 		totalMsgs, totalFrames int
 		maxWall, p99Worst      float64
-		p50s, allocs           []float64
+		p50s                   []float64
+		allocMean              float64
 	)
 	for _, r := range reports {
 		totalMsgs += r.MsgsRecvd
@@ -284,15 +210,10 @@ func main() {
 		maxWall = max(maxWall, r.WallSec)
 		p99Worst = max(p99Worst, r.LatP99Sec)
 		p50s = append(p50s, r.LatP50Sec)
-		allocs = append(allocs, r.AllocsPerMsg)
+		allocMean += r.AllocsPerMsg / float64(len(reports))
 	}
 	sort.Float64s(p50s)
 	p50Median := p50s[len(p50s)/2]
-	allocMean := 0.0
-	for _, a := range allocs {
-		allocMean += a
-	}
-	allocMean /= float64(len(allocs))
 	msgsPerFrame := float64(totalMsgs) / float64(totalFrames)
 
 	fmt.Printf("soak P=%d iters=%d: %d msgs in %d frames (%.1f msgs/frame)\n",
@@ -325,28 +246,24 @@ func main() {
 	if *out == "" {
 		return
 	}
-	suffix := fmt.Sprintf("/P%d", spec.Procs)
-	series := []benchfmt.Result{
-		// ns_per_op = wall nanoseconds per delivered message across the whole
-		// mesh: the aggregate-throughput series (lower is faster).
-		{Pkg: "specomp/cmd/specsoak", Name: "SoakMsgRate" + suffix,
-			Iters: int64(totalMsgs), NsPerOp: 1e9 * maxWall / float64(totalMsgs)},
-		{Pkg: "specomp/cmd/specsoak", Name: "SoakDeliveryP50" + suffix,
-			Iters: int64(totalMsgs), NsPerOp: 1e9 * p50Median},
-		{Pkg: "specomp/cmd/specsoak", Name: "SoakDeliveryP99" + suffix,
-			Iters: int64(totalMsgs), NsPerOp: 1e9 * p99Worst},
-		{Pkg: "specomp/cmd/specsoak", Name: "SoakAllocsPerMsg" + suffix,
-			Iters: int64(totalMsgs), AllocsPerOp: int64(allocMean + 0.5)},
+	var series []benchfmt.Result
+	add := func(name string, iters int, nsPerOp float64, allocsPerOp int64) {
+		series = append(series, benchfmt.Result{Pkg: "specomp/cmd/specsoak", Name: fmt.Sprintf("%s/P%d", name, spec.Procs),
+			Iters: int64(iters), NsPerOp: nsPerOp, AllocsPerOp: allocsPerOp})
 	}
+	// SoakMsgRate's ns_per_op = wall nanoseconds per delivered message across
+	// the whole mesh: the aggregate-throughput series (lower is faster). The
+	// two fleet series hold a raw mean (msgs per flushed batch, coded/raw
+	// bytes) there — synthetic series under the shared schema.
+	add("SoakMsgRate", totalMsgs, 1e9*maxWall/float64(totalMsgs), 0)
+	add("SoakDeliveryP50", totalMsgs, 1e9*p50Median, 0)
+	add("SoakDeliveryP99", totalMsgs, 1e9*p99Worst, 0)
+	add("SoakAllocsPerMsg", totalMsgs, 0, int64(allocMean+0.5))
 	if batchMean > 0 {
-		// ns_per_op holds the raw mean (msgs per flushed batch) — a synthetic
-		// series under the shared schema, like the rate series above.
-		series = append(series, benchfmt.Result{Pkg: "specomp/cmd/specsoak",
-			Name: "SoakBatchOccupancy" + suffix, Iters: int64(totalFrames), NsPerOp: batchMean})
+		add("SoakBatchOccupancy", totalFrames, batchMean, 0)
 	}
 	if deltaMean > 0 {
-		series = append(series, benchfmt.Result{Pkg: "specomp/cmd/specsoak",
-			Name: "SoakDeltaRatio" + suffix, Iters: int64(totalFrames), NsPerOp: deltaMean})
+		add("SoakDeltaRatio", totalFrames, deltaMean, 0)
 	}
 	rep, err := benchfmt.Load(*out)
 	if err != nil && !os.IsNotExist(err) {
@@ -363,23 +280,23 @@ func main() {
 // judged by (the same bound the distnet and simulator tests use).
 const convergeTol = 0.5
 
-// runKillSoak runs the fault-free baseline, then the same fleet under a
+// killSoak runs the fault-free baseline, then the same fleet under a
 // seeded SIGKILL schedule, and gates on the crashed run converging to the
 // baseline. Exits the process non-zero on any failed assertion.
-func runKillSoak(logger *log.Logger, self string, spec distnet.RunSpec, timeout time.Duration,
-	chaos bool, jdir string, jmax int64, kills int, killSeed int64) {
+func killSoak(logger *log.Logger, spec distnet.RunSpec,
+	run func(faults.CrashSchedule) (*distnet.LocalFleet, []distnet.NodeReport, error), kills int, killSeed int64) {
 
 	logger.Printf("kill soak: fault-free baseline first (P=%d, %d iters)", spec.Procs, spec.MaxIter)
-	base, err := runFleet(logger, self, spec, timeout, chaos, jdir, jmax, nil)
+	_, baseReports, err := run(nil)
 	if err != nil {
 		logger.Fatalf("baseline run: %v", err)
 	}
-	baseField, err := distnet.AssembleHeat(spec, base.reports)
+	baseField, err := distnet.AssembleHeat(spec, baseReports)
 	if err != nil {
 		logger.Fatalf("baseline run: %v", err)
 	}
 	baseWall := 0.0
-	for _, r := range base.reports {
+	for _, r := range baseReports {
 		baseWall = max(baseWall, r.WallSec)
 	}
 
@@ -395,36 +312,42 @@ func runKillSoak(logger *log.Logger, self string, spec distnet.RunSpec, timeout 
 	}
 
 	logger.Printf("kill soak: crash run under supervision (%d scheduled SIGKILLs, seed %d)", len(sched), killSeed)
-	crash, err := runFleet(logger, self, spec, timeout, chaos, jdir, jmax, sched)
+	local, reports, err := run(sched)
 	if err != nil {
 		logger.Fatalf("crash run did not survive the kill schedule: %v", err)
 	}
-	crashField, err := distnet.AssembleHeat(spec, crash.reports)
+	respawns, stats := local.Respawns(), local.Coordinator().Stats()
+	crashField, err := distnet.AssembleHeat(spec, reports)
 	if err != nil {
 		logger.Fatalf("crash run: %v", err)
 	}
 
 	revived := 0
-	for _, r := range crash.reports {
+	for _, r := range reports {
 		if r.Epoch > 0 {
 			revived++
 		}
 	}
 	fmt.Printf("kill soak P=%d iters=%d: %d SIGKILLs, %d respawns, %d ranks vacated, %d rejoined, %d revived results\n",
-		spec.Procs, spec.MaxIter, len(sched), crash.respawns, crash.stats.Vacated, crash.stats.Rejoins, revived)
+		spec.Procs, spec.MaxIter, len(sched), respawns, stats.Vacated, stats.Rejoins, revived)
 
 	failed := false
-	if crash.respawns < len(sched) {
+	if respawns == 0 {
+		// The fault-free run outran its own schedule (a faster machine, a
+		// faster kernel): a kill soak that killed nothing proves nothing.
+		logger.Printf("FAIL: none of the %d scheduled kills hit a live node; raise -iters", len(sched))
+		failed = true
+	} else if respawns < len(sched) {
 		// A kill that fired after a node's clean exit triggers no respawn;
 		// every kill that hit a live node must have.
 		logger.Printf("note: %d respawns for %d scheduled kills (some kills landed after node completion)",
-			crash.respawns, len(sched))
+			respawns, len(sched))
 	}
-	if crash.stats.Rejoins < crash.stats.Vacated {
-		logger.Printf("FAIL: %d vacated ranks but only %d rejoins", crash.stats.Vacated, crash.stats.Rejoins)
+	if stats.Rejoins < stats.Vacated {
+		logger.Printf("FAIL: %d vacated ranks but only %d rejoins", stats.Vacated, stats.Rejoins)
 		failed = true
 	}
-	for _, r := range crash.reports {
+	for _, r := range reports {
 		if r.Iters != spec.MaxIter {
 			logger.Printf("FAIL: rank %d ran %d/%d iterations", r.Rank, r.Iters, spec.MaxIter)
 			failed = true

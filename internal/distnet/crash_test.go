@@ -9,9 +9,6 @@ package distnet
 import (
 	"errors"
 	"net"
-	"os"
-	"os/exec"
-	"strconv"
 	"testing"
 	"time"
 
@@ -29,31 +26,6 @@ func crashSpec(procs int) RunSpec {
 		Rows: 48, Cols: 32,
 		CheckpointEvery: 5, Deadline: 0.25, MaxCrashOverrun: 8,
 	}
-}
-
-// superviseHelper builds a Supervisor whose child is this test binary in
-// node-helper mode, stamped with the incarnation epoch of each launch.
-func superviseHelper(t *testing.T, coordAddr string) *Supervisor {
-	t.Helper()
-	sup, err := Supervise(SuperviseConfig{
-		Start: func(epoch int) (*exec.Cmd, error) {
-			cmd := exec.Command(os.Args[0], "-test.run=^TestHelperSpecnode$", "-test.v")
-			cmd.Env = append(os.Environ(),
-				helperEnv+"=1", coordEnv+"="+coordAddr,
-				epochEnv+"="+strconv.Itoa(epoch), hbEnv+"=500")
-			cmd.Stdout = os.Stderr
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		},
-		MaxRespawns: 3,
-		BackoffMin:  50 * time.Millisecond,
-		BackoffMax:  500 * time.Millisecond,
-		Logf:        t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sup
 }
 
 // waitFullCustody blocks until the durable store holds a checkpoint for
@@ -92,35 +64,25 @@ func TestCrashRespawnRejoinMultiProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := crashSpec(4)
-	coord, err := NewCoordinator(CoordConfig{
+	fleet := startHelperFleet(t, CoordConfig{
 		Spec: spec, Timeout: 3 * time.Minute, Custody: fs,
-		NodeTimeout: 2 * time.Second, RejoinWait: 30 * time.Second, Logf: t.Logf,
+		NodeTimeout: 2 * time.Second, RejoinWait: 30 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord := fleet.Coordinator()
 	spec = coord.Spec()
-
-	sups := make([]*Supervisor, spec.Procs)
-	for i := range sups {
-		sups[i] = superviseHelper(t, coord.Addr())
-	}
-	defer func() {
-		for _, s := range sups {
-			s.Stop()
-		}
-	}()
 
 	// Let the run establish custody, then murder rank victim's process.
 	waitFullCustody(t, fs, spec.Procs)
 	const victim = 2
-	sups[victim].Kill()
+	fleet.Kill(victim)
 	t.Logf("SIGKILLed the supervised node of slot %d", victim)
 
-	reports, err := coord.Wait()
+	reports, err, childErr := fleet.Wait()
 	if err != nil {
 		t.Fatalf("run did not survive the crash: %v", err)
+	}
+	if childErr != nil {
+		t.Errorf("supervisor latched %v", childErr)
 	}
 	if len(reports) != spec.Procs {
 		t.Fatalf("got %d reports, want %d", len(reports), spec.Procs)
@@ -128,7 +90,7 @@ func TestCrashRespawnRejoinMultiProcess(t *testing.T) {
 
 	// The supervisor actually respawned, and exactly one rank's result came
 	// from a revived (epoch > 0, checkpoint-restored) incarnation.
-	if sups[victim].Respawns() < 1 {
+	if fleet.Respawns() < 1 {
 		t.Error("kill triggered no respawn")
 	}
 	revived := 0
@@ -161,12 +123,6 @@ func TestCrashRespawnRejoinMultiProcess(t *testing.T) {
 	if d := heat.MaxDiff(field, serial); d > 0.5 {
 		t.Errorf("post-crash field deviates %g from the fault-free reference", d)
 	}
-
-	for _, s := range sups {
-		if err := s.Wait(); err != nil {
-			t.Errorf("supervisor latched %v", err)
-		}
-	}
 }
 
 // TestCoordinatorRestartResumesCustody kills the custody holder itself: a
@@ -183,22 +139,16 @@ func TestCoordinatorRestartResumesCustody(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := crashSpec(3)
-	coordA, err := NewCoordinator(CoordConfig{Spec: spec, Timeout: 2 * time.Minute, Custody: fs1, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = coordA.Spec()
+	fleetA := startHelperFleet(t, CoordConfig{Spec: spec, Timeout: 2 * time.Minute, Custody: fs1})
+	spec = fleetA.Coordinator().Spec()
 
-	procs := make([]*exec.Cmd, spec.Procs)
-	for i := range procs {
-		procs[i] = spawnNodeProcess(t, coordA.Addr())
-	}
-	// Wait for durable custody of every rank, then crash the coordinator.
+	// Wait for durable custody of every rank, then crash the coordinator
+	// while its nodes are alive; Wait stops and reaps the orphans after.
 	waitFullCustody(t, fs1, spec.Procs)
-	coordA.Close()
+	fleetA.Coordinator().Close()
 	t.Log("killed the first coordinator with custody on disk")
-	for _, cmd := range procs {
-		_ = cmd.Wait() // orphaned nodes run out their schedule standalone
+	if _, err, _ := fleetA.Wait(); !errors.Is(err, ErrCoordClosed) {
+		t.Fatalf("fleet of a closed coordinator reported %v, want ErrCoordClosed", err)
 	}
 
 	// The replacement coordinator resumes custody from the directory.
@@ -206,26 +156,16 @@ func TestCoordinatorRestartResumesCustody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coordB, err := NewCoordinator(CoordConfig{Spec: spec, Timeout: 2 * time.Minute, Custody: fs2, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coordB.Close()
-	if got := coordB.Stats().CustodyRestores; got != spec.Procs {
+	fleetB := startHelperFleet(t, CoordConfig{Spec: spec, Timeout: 2 * time.Minute, Custody: fs2})
+	if got := fleetB.Coordinator().Stats().CustodyRestores; got != spec.Procs {
 		t.Fatalf("restarted coordinator restored %d/%d ranks from custody", got, spec.Procs)
 	}
-
-	for i := range procs {
-		procs[i] = spawnNodeProcess(t, coordB.Addr())
-	}
-	reports, err := coordB.Wait()
+	reports, err, childErr := fleetB.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, cmd := range procs {
-		if werr := cmd.Wait(); werr != nil {
-			t.Errorf("node process %d: %v", i, werr)
-		}
+	if childErr != nil {
+		t.Errorf("supervisor latched %v", childErr)
 	}
 
 	// Every node of the resumed run restored mid-run state instead of

@@ -35,7 +35,7 @@ func TestFourNodePipelineExactUnderEdgeFaults(t *testing.T) {
 		Faulty: faults.Duplicate{
 			Prob: 0.25,
 			Inner: faults.DelaySpikes{
-				Prob: 0.3, ExtraMin: 0.001, ExtraMax: 0.004,
+				Prob: 0.3, ExtraMin: 0.01, ExtraMax: 0.03,
 				Inner: netmodel.Fixed{D: 0.0002},
 			},
 		},
@@ -55,12 +55,13 @@ func TestFourNodePipelineExactUnderEdgeFaults(t *testing.T) {
 	}
 
 	// The cheap downstream stages must have speculated on upstream rows and
-	// repaired every imperfect prediction (zero tolerance).
+	// repaired every imperfect prediction (zero tolerance). Which rank finds
+	// the gap is timing (a receiver that looks late finds a prompt row
+	// arrived), so the counts are asserted over the fleet; the spikes are
+	// tens of milliseconds so that some row is still in flight however late
+	// a loaded box schedules the receiver.
 	specs, repairs := 0, 0
 	for _, rep := range reports {
-		if rep.Rank != 0 && rep.SpecsMade == 0 {
-			t.Errorf("downstream rank %d never speculated", rep.Rank)
-		}
 		specs += rep.SpecsMade
 		repairs += rep.Repairs
 	}
@@ -68,7 +69,8 @@ func TestFourNodePipelineExactUnderEdgeFaults(t *testing.T) {
 		t.Fatalf("exact pipeline made %d speculations, %d repairs; want both > 0", specs, repairs)
 	}
 
-	// Repair cascades are visible in the shipped cross-process journals.
+	// Repair cascades are visible in the shipped cross-process journals, one
+	// event per counted repair.
 	journals := FleetJournals(reports)
 	if len(journals) != spec.Procs {
 		t.Fatalf("only %d/%d nodes shipped a journal", len(journals), spec.Procs)
@@ -83,6 +85,9 @@ func TestFourNodePipelineExactUnderEdgeFaults(t *testing.T) {
 	}
 	if repairEvents == 0 {
 		t.Error("no repair events in any node journal")
+	}
+	if repairEvents != repairs {
+		t.Errorf("%d repair events in the node journals, %d repairs in the reports", repairEvents, repairs)
 	}
 }
 
@@ -102,8 +107,7 @@ func TestPipelinePlacementDistnet(t *testing.T) {
 	// Seeded delay spikes let later frames overtake earlier ones, which is
 	// what opens the history gaps downstream stages speculate across; a
 	// uniform delay only shifts every arrival together and the engine
-	// blocks at startup instead (the speculation assertion below would be
-	// a loopback timing race).
+	// blocks at startup instead.
 	spikes := faults.DelaySpikes{
 		Prob: 0.3, ExtraMin: 0.001, ExtraMax: 0.004,
 		Inner: netmodel.Fixed{D: 0.0002},
@@ -119,7 +123,11 @@ func TestPipelinePlacementDistnet(t *testing.T) {
 		t.Error(err)
 	}
 	// The source stage sits on rank 2 under this placement; it has no
-	// in-edges, so it must not speculate — and its downstream (rank 0) must.
+	// in-edges, so it must not speculate. Whether its downstream (rank 0)
+	// does is a loopback race — the source streams every iteration ahead,
+	// and a receiver that looks late finds them all arrived — so here it is
+	// only observed; pipeline's TestPlacementPermuted asserts it in virtual
+	// time on the same placement.
 	for _, rep := range reports {
 		switch rep.Rank {
 		case 2:
@@ -127,9 +135,7 @@ func TestPipelinePlacementDistnet(t *testing.T) {
 				t.Errorf("source rank 2 made %d speculations, want 0", rep.SpecsMade)
 			}
 		case 0:
-			if rep.SpecsMade == 0 {
-				t.Error("rank 0 (stage 1) never speculated on the source")
-			}
+			t.Logf("rank 0 (stage 1) made %d speculations on the source", rep.SpecsMade)
 		}
 	}
 }
@@ -146,10 +152,11 @@ func TestPipelineSpecValidation(t *testing.T) {
 	}
 
 	cases := map[string]RunSpec{
-		"one proc":        {App: "pipeline", Procs: 1},
-		"short placement": {App: "pipeline", Procs: 3, Placement: []int{0, 1}},
-		"non-permutation": {App: "pipeline", Procs: 3, Placement: []int{0, 0, 1}},
-		"out of range":    {App: "pipeline", Procs: 3, Placement: []int{0, 1, 5}},
+		"one proc":         {App: "pipeline", Procs: 1},
+		"short placement":  {App: "pipeline", Procs: 3, Placement: []int{0, 1}},
+		"non-permutation":  {App: "pipeline", Procs: 3, Placement: []int{0, 0, 1}},
+		"out of range":     {App: "pipeline", Procs: 3, Placement: []int{0, 1, 5}},
+		"row over a frame": {App: "pipeline", Procs: 3, Width: MaxFrame/8 + 1},
 	}
 	for name, spec := range cases {
 		spec := spec

@@ -50,17 +50,30 @@ func TestHelperSpecnode(t *testing.T) {
 	os.Exit(0)
 }
 
-// spawnNodeProcess launches one node as a separate OS process.
-func spawnNodeProcess(t *testing.T, coordAddr string) *exec.Cmd {
+// startHelperFleet starts cfg's run as a LocalFleet whose children are this
+// test binary in node-helper mode, each launch stamped with its incarnation
+// epoch. A spec with a Deadline (the crash runs) gets tight heartbeats, so
+// survivors detect a victim well inside its downtime. The fleet is stopped
+// when the test ends.
+func startHelperFleet(t *testing.T, cfg CoordConfig) *LocalFleet {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestHelperSpecnode$", "-test.v")
-	cmd.Env = append(os.Environ(), helperEnv+"=1", coordEnv+"="+coordAddr)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("spawning node process: %v", err)
+	cfg.Logf = t.Logf
+	f, err := StartLocal(cfg, SuperviseConfig{
+		MaxRespawns: 3, BackoffMin: 50 * time.Millisecond, BackoffMax: 500 * time.Millisecond, Logf: t.Logf,
+	}, func(coord string, slot, epoch int) (*exec.Cmd, error) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestHelperSpecnode$", "-test.v")
+		cmd.Env = append(os.Environ(), helperEnv+"=1", coordEnv+"="+coord, epochEnv+"="+strconv.Itoa(epoch))
+		if cfg.Spec.Deadline > 0 {
+			cmd.Env = append(cmd.Env, hbEnv+"=500")
+		}
+		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+		return cmd, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return cmd
+	t.Cleanup(f.Stop)
+	return f
 }
 
 func TestLoopbackHeatMultiProcess(t *testing.T) {
@@ -68,25 +81,14 @@ func TestLoopbackHeatMultiProcess(t *testing.T) {
 		t.Skip("multi-process smoke is not -short")
 	}
 	spec := RunSpec{App: "heat", Procs: 4, MaxIter: 50, FW: 2, Theta: 1e-3, Rows: 24, Cols: 16}
-	coord, err := NewCoordinator(CoordConfig{Spec: spec, Timeout: 2 * time.Minute, Logf: t.Logf})
+	fleet := startHelperFleet(t, CoordConfig{Spec: spec, Timeout: 2 * time.Minute})
+	spec = fleet.Coordinator().Spec()
+	reports, err, childErr := fleet.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	spec = coord.Spec()
-
-	procs := make([]*exec.Cmd, spec.Procs)
-	for i := range procs {
-		procs[i] = spawnNodeProcess(t, coord.Addr())
-	}
-	reports, err := coord.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cmd := range procs {
-		if werr := cmd.Wait(); werr != nil {
-			t.Errorf("node process %d: %v", i, werr)
-		}
+	if childErr != nil || fleet.Respawns() != 0 {
+		t.Errorf("fault-free fleet: supervision latched %v after %d respawns", childErr, fleet.Respawns())
 	}
 
 	// Convergence must match the serial reference within the speculation

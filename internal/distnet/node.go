@@ -29,7 +29,6 @@ import (
 	"specomp/internal/faults"
 	"specomp/internal/netmodel"
 	"specomp/internal/obs"
-	"specomp/internal/realtime"
 )
 
 // NodeConfig parameterizes one node process.
@@ -760,7 +759,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	reg.Gauge(MetricNodeEpoch, "Process incarnation epoch (0 on first launch).", lp).Set(float64(cfg.Epoch))
 	httpAddr := ""
 	if cfg.HTTPAddr != "" {
-		srv, err := realtime.ServeObs(cfg.HTTPAddr, reg, journal)
+		srv, err := obs.Listen(cfg.HTTPAddr, obs.Handler(reg, journal))
 		if err != nil {
 			tr.close()
 			return nil, fmt.Errorf("distnet: obs endpoint: %w", err)

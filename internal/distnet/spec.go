@@ -160,6 +160,9 @@ func (s *RunSpec) Normalize() error {
 		if s.Width <= 0 {
 			s.Width = 16
 		}
+		if s.Width > MaxFrame/8 {
+			return fmt.Errorf("distnet: a %d-wide pipeline row cannot fit one frame", s.Width)
+		}
 		// Building the placed DepGraph validates Placement (length,
 		// permutation, range) once, centrally, before the spec ships.
 		if _, err := s.pipelineGraph().DepGraph(s.Placement); err != nil {

@@ -137,6 +137,16 @@ func TestPlacementPermuted(t *testing.T) {
 			t.Errorf("stage %d on rank %d diverged from serial by %g", s, place[s], d)
 		}
 	}
+	// The permuted graph is the one the engine speculates on: the source
+	// (rank 2) has no in-edges and must never guess, its downstream (rank 0)
+	// must. Virtual time makes this exact; the socket run of the same
+	// placement (distnet's TestPipelinePlacementDistnet) can only observe it.
+	if n := results[2].Stats.SpecsMade; n != 0 {
+		t.Errorf("source rank 2 made %d speculations, want 0", n)
+	}
+	if results[0].Stats.SpecsMade == 0 {
+		t.Error("rank 0 (stage 1) never speculated on the source")
+	}
 }
 
 func TestPlacementValidation(t *testing.T) {

@@ -32,7 +32,7 @@ func scrape(t *testing.T, url string) []byte {
 func TestObsEndpointServesMetricsAndJournal(t *testing.T) {
 	reg := obs.NewRegistry()
 	jr := obs.NewJournal()
-	srv, err := ServeObs("127.0.0.1:0", reg, jr)
+	srv, err := obs.Listen("127.0.0.1:0", obs.Handler(reg, jr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,8 +52,8 @@ type Config struct {
 	// HTTPAddr, when non-empty, serves live introspection for the duration
 	// of the run: Prometheus text exposition at /metrics (from Metrics),
 	// expvar at /debug/vars, and net/http/pprof at /debug/pprof/. Use
-	// "127.0.0.1:0" to bind an ephemeral port (the address is logged via
-	// ServeObs for standalone use).
+	// "127.0.0.1:0" to bind an ephemeral port (obs.Listen is the same
+	// endpoint for standalone use, and reports the address it bound).
 	HTTPAddr string
 }
 
@@ -257,10 +257,8 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 				obs.L("proc", fmt.Sprint(pid)))
 		}
 	}
-	var srv *ObsServer
 	if cfg.HTTPAddr != "" {
-		var err error
-		srv, err = ServeObs(cfg.HTTPAddr, cfg.Metrics, cfg.Journal)
+		srv, err := obs.Listen(cfg.HTTPAddr, obs.Handler(cfg.Metrics, cfg.Journal))
 		if err != nil {
 			return nil, fmt.Errorf("realtime: obs endpoint: %w", err)
 		}

@@ -60,12 +60,20 @@ func (s *Scheduler) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes bounds a submission body: a JobSpec is a few hundred
+// bytes, and Placement []int must not let one POST allocate without limit.
+const maxSubmitBytes = 1 << 20
+
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding job spec: %v", err)})
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: fmt.Sprintf("decoding job spec: %v", err)})
 		return
 	}
 	st, err := s.Submit(req)
@@ -86,7 +94,7 @@ func (s *Scheduler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	lag := 0.0
 	for _, j := range s.jobs {
 		if j.run != nil {
-			lag = max(lag, j.run.coord.Stats().CustodyLagSec)
+			lag = max(lag, j.run.Coordinator().Stats().CustodyLagSec)
 		}
 	}
 	s.mu.Unlock()

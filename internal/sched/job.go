@@ -103,8 +103,11 @@ type Job struct {
 	// fleet aggregates the job's node metrics; it outlives the run so the
 	// merged /metrics keeps serving finished jobs' final snapshots.
 	fleet *distnet.FleetObs
-	// run is the live fleet, nil unless running/evicting.
-	run *runningJob
+	// run is the live fleet — coordinator plus supervised node processes —
+	// nil unless running/evicting; forked is when its last child was started
+	// (the end of the launch's spawn phase, the start of its hello phase).
+	run    *distnet.LocalFleet
+	forked time.Time
 }
 
 // JobStatus is the JSON view of one job.
@@ -162,28 +165,6 @@ func unix(t time.Time) float64 {
 
 // waitTotal is the job's cumulative queue wait over all attempts so far.
 func (j *Job) waitTotal() float64 { return j.waited }
-
-// runningJob is the live half of a running job: its coordinator and the
-// supervised node slot fleet.
-type runningJob struct {
-	coord *distnet.Coordinator
-	sups  []*distnet.Supervisor
-	// forked is when the last child was started: the end of the launch's
-	// spawn phase, the start of its hello phase.
-	forked time.Time
-	// evicting marks a deliberate teardown: the waiter treats the
-	// coordinator's error as a preemption, not a failure.
-	evicting bool
-}
-
-// stop tears the fleet down: node supervisors first (children die without
-// respawn), then the coordinator.
-func (r *runningJob) stop() {
-	for _, sup := range r.sups {
-		sup.Stop()
-	}
-	r.coord.Close()
-}
 
 // jobError wraps a run failure with the job identity for log lines.
 func jobError(j *Job, err error) error {

@@ -3,9 +3,10 @@ package sched
 // Queue persistence: a draining scheduler writes its pending queue (and
 // the preempted jobs parked in it) to <StateDir>/sched-queue.json; the
 // next scheduler consumes the file at startup and re-admits every entry
-// with its original sequence number, so the restart preserves dispatch
-// order. Preempted jobs come back in the preempted state and restore from
-// their (durable) custody namespaces when dispatched. Running jobs are
+// that is still feasible on its pool (the rest load as failed) with its
+// original sequence number, so the restart preserves dispatch order.
+// Preempted jobs come back in the preempted state and restore from their
+// (durable) custody namespaces when dispatched. Running jobs are
 // never in this file — Drain evicts them to custody first, which parks
 // them in the queue.
 
@@ -119,10 +120,24 @@ func (s *Scheduler) loadState() error {
 			if j.evictedAt.IsZero() {
 				j.evictedAt = now
 			}
+			// The namespace is held from load on, so whichever way the job
+			// ends — resumed, canceled in the queue, infeasible below — its
+			// snapshots are cleared with it.
+			if s.cfg.Custody != nil {
+				if ns, err := s.cfg.Custody.Namespace(j.ID); err == nil {
+					j.store = ns
+				}
+			}
 		}
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
 		s.tenants[j.Tenant] = true
+		if err := s.feasible(&j.Spec); err != nil {
+			// The pool shrank across the restart, or the file was damaged:
+			// visible at GET /jobs/{id}, never queued.
+			s.failLocked(j, err)
+			continue
+		}
 		s.queue.push(j)
 	}
 	if pq.NextID > s.nextID {

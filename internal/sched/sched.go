@@ -118,9 +118,6 @@ type Stats struct {
 	Rejected    int // quota rejections
 	Preemptions int // priority evictions (drain evictions not included)
 	Resumes     int
-	// WaitSec records every dispatch's queue wait, in dispatch order —
-	// the soak harness derives its percentile series from this.
-	WaitSec []float64
 }
 
 // Scheduler is the multi-run job scheduler.
@@ -196,9 +193,7 @@ func (s *Scheduler) Registry() *obs.Registry { return s.cfg.Metrics }
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.WaitSec = append([]float64(nil), s.stats.WaitSec...)
-	return st
+	return s.stats
 }
 
 // Submit admits one job: quota-checked, normalized, queued, and (when
@@ -206,7 +201,7 @@ func (s *Scheduler) Stats() Stats {
 // reflects the job immediately after scheduling ran once.
 func (s *Scheduler) Submit(req JobSpec) (JobStatus, error) {
 	spec := req.Spec
-	if err := spec.Normalize(); err != nil {
+	if err := s.feasible(&spec); err != nil {
 		return JobStatus{}, err
 	}
 	if req.Tenant == "" {
@@ -225,9 +220,6 @@ func (s *Scheduler) Submit(req JobSpec) (JobStatus, error) {
 	defer s.mu.Unlock()
 	if s.draining || s.closed {
 		return JobStatus{}, ErrDraining
-	}
-	if spec.Procs > s.cfg.TotalRanks {
-		return JobStatus{}, fmt.Errorf("%w: %d ranks requested, pool holds %d", ErrInfeasible, spec.Procs, s.cfg.TotalRanks)
 	}
 	if err := s.checkQuotaLocked(req.Tenant, spec.Procs); err != nil {
 		s.stats.Rejected++
@@ -261,6 +253,28 @@ func (s *Scheduler) Submit(req JobSpec) (JobStatus, error) {
 	s.scheduleLocked()
 	s.updateGaugesLocked()
 	return j.status(time.Now(), j.waitTotal(), nil), nil
+}
+
+// feasible normalizes spec and reports whether it could ever run on this
+// pool — the checks every admission makes, a fresh submission's and a
+// persisted queue entry's alike (an infeasible job at the head of a strict
+// head-of-line queue would starve everything behind it).
+func (s *Scheduler) feasible(spec *distnet.RunSpec) error {
+	fits := func() error {
+		if spec.Procs > s.cfg.TotalRanks {
+			return fmt.Errorf("%w: %d ranks requested, pool holds %d", ErrInfeasible, spec.Procs, s.cfg.TotalRanks)
+		}
+		return nil
+	}
+	// Asked before Normalize, which builds a pipeline's stage graph one stage
+	// per rank, and again after it, since it gives a Procs of zero a default.
+	if err := fits(); err != nil {
+		return err
+	}
+	if err := spec.Normalize(); err != nil {
+		return err
+	}
+	return fits()
 }
 
 // checkQuotaLocked enforces the tenant's admission quota over its active
@@ -365,10 +379,9 @@ func (s *Scheduler) preemptForLocked(j *Job, need int) bool {
 // preempted the eviction is on disk.
 func (s *Scheduler) evictLocked(j *Job) {
 	run := j.run
-	if run == nil || run.evicting {
+	if run == nil || j.state == StateEvicting {
 		return
 	}
-	run.evicting = true
 	j.state = StateEvicting
 	grace := s.cfg.EvictGrace
 	if j.Spec.CheckpointEvery <= 0 {
@@ -376,9 +389,9 @@ func (s *Scheduler) evictLocked(j *Job) {
 	}
 	go func() {
 		if grace > 0 {
-			run.coord.CustodyCovered(grace) // also returns if the run ends on its own
+			run.Coordinator().CustodyCovered(grace) // also returns if the run ends on its own
 		}
-		run.stop()
+		run.Stop()
 	}()
 }
 
@@ -413,52 +426,31 @@ func (s *Scheduler) startLocked(j *Job) {
 			j.store = checkpoint.NewMemStore()
 		}
 	}
-	fleet := distnet.NewFleetObs(j.Spec.Job)
-	j.fleet = fleet
-	coord, err := distnet.NewCoordinator(distnet.CoordConfig{
+	j.fleet = distnet.NewFleetObs(j.Spec.Job)
+	logf := func(format string, args ...any) {
+		s.logf("[%s] "+format, append([]any{j.ID}, args...)...)
+	}
+	run, err := distnet.StartLocal(distnet.CoordConfig{
 		Spec: j.Spec, Timeout: s.cfg.RunTimeout,
-		Custody: j.store, Fleet: fleet,
+		Custody: j.store, Fleet: j.fleet,
 		NodeTimeout: s.cfg.NodeTimeout, RejoinWait: s.cfg.RejoinWait,
-		Logf: func(format string, args ...any) {
-			s.logf("[%s] "+format, append([]any{j.ID}, args...)...)
-		},
-	})
+		Logf: logf,
+	}, distnet.SuperviseConfig{MaxRespawns: s.cfg.MaxRespawns, Logf: logf},
+		func(coord string, slot, epoch int) (*exec.Cmd, error) {
+			return s.cfg.Launch(LaunchInfo{JobID: j.ID, Slot: slot, Epoch: epoch, Coord: coord})
+		})
 	if err != nil {
 		s.failLocked(j, err)
 		return
 	}
+	j.forked = time.Now()
+	s.met.launch("spawn").Observe(j.forked.Sub(now).Seconds())
+	coord := run.Coordinator()
+	restores := coord.Stats().CustodyRestores // seeded from the store at construction
 	resumed := j.preemptions > 0
-	j.restores += coord.Stats().CustodyRestores
-
-	run := &runningJob{coord: coord}
-	for slot := 0; slot < j.Spec.Procs; slot++ {
-		info := LaunchInfo{JobID: j.ID, Slot: slot, Coord: coord.Addr()}
-		sup, err := distnet.Supervise(distnet.SuperviseConfig{
-			Start: func(epoch int) (*exec.Cmd, error) {
-				info.Epoch = epoch
-				return s.cfg.Launch(info)
-			},
-			MaxRespawns: s.cfg.MaxRespawns,
-			Logf: func(format string, args ...any) {
-				s.logf("[%s/%d] "+format, append([]any{j.ID, slot}, args...)...)
-			},
-		})
-		if err != nil {
-			for _, started := range run.sups {
-				started.Stop()
-			}
-			coord.Close()
-			s.failLocked(j, fmt.Errorf("launching node %d: %w", slot, err))
-			return
-		}
-		run.sups = append(run.sups, sup)
-	}
-
-	run.forked = time.Now()
-	s.met.launch("spawn").Observe(run.forked.Sub(now).Seconds())
+	j.restores += restores
 	wait := now.Sub(j.pendingSince).Seconds()
 	j.waited += wait
-	s.stats.WaitSec = append(s.stats.WaitSec, wait)
 	s.met.waitSec.Observe(wait)
 	if resumed {
 		s.stats.Resumes++
@@ -471,12 +463,15 @@ func (s *Scheduler) startLocked(j *Job) {
 	s.usedRanks += j.Spec.Procs
 	verb := "started"
 	if resumed {
-		verb = fmt.Sprintf("resumed (%d custody restores)", coord.Stats().CustodyRestores)
+		verb = fmt.Sprintf("resumed (%d custody restores)", restores)
 	}
 	s.logf("job %s %s on %d ranks at %s after %.3fs queued (pool %d/%d used)",
 		j.ID, verb, j.Spec.Procs, coord.Addr(), wait, s.usedRanks, s.cfg.TotalRanks)
 
-	go s.waitRun(j, run)
+	go func() {
+		reports, runErr, supErr := run.Wait()
+		s.onRunDone(j, reports, runErr, supErr)
+	}()
 }
 
 // failLocked moves a job to failed from inside the scheduler.
@@ -490,27 +485,9 @@ func (s *Scheduler) failLocked(j *Job, err error) {
 	s.logf("%v", jobError(j, err))
 }
 
-// waitRun blocks on the job's coordinator, tears the supervisors down, and
-// hands the outcome to onRunDone.
-func (s *Scheduler) waitRun(j *Job, run *runningJob) {
-	reports, runErr := run.coord.Wait()
-	// The run's verdict is the coordinator's; stop the supervisors so a
-	// child killed after its result is not pointlessly relaunched.
-	for _, sup := range run.sups {
-		sup.Stop()
-	}
-	var supErr error
-	for _, sup := range run.sups {
-		if err := sup.Wait(); err != nil && supErr == nil {
-			supErr = err
-		}
-	}
-	s.onRunDone(j, run, reports, runErr, supErr)
-}
-
 // onRunDone retires one run attempt: frees the rank claim and routes the
 // job to done, preempted (requeue), canceled, or failed.
-func (s *Scheduler) onRunDone(j *Job, run *runningJob, reports []distnet.NodeReport, runErr, supErr error) {
+func (s *Scheduler) onRunDone(j *Job, reports []distnet.NodeReport, runErr, supErr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.usedRanks -= j.Spec.Procs
@@ -537,13 +514,13 @@ func (s *Scheduler) onRunDone(j *Job, run *runningJob, reports []distnet.NodeRep
 		j.reports = reports
 		s.stats.Completed++
 		s.met.outcome("done")
-		s.met.observeLaunch(run.forked, reports)
+		s.met.observeLaunch(j.forked, reports)
 		s.clearCustody(j)
 		if supErr != nil {
 			s.logf("job %s done, but a supervisor latched: %v", j.ID, supErr)
 		}
 		s.logf("job %s done: %d reports after %.3fs running", j.ID, len(reports), now.Sub(j.started).Seconds())
-	case run.evicting:
+	case j.state == StateEvicting:
 		j.state = StatePreempted
 		j.preemptions++
 		j.evictedAt = now
@@ -610,7 +587,7 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 	case StateRunning, StateEvicting:
 		if !j.canceled {
 			j.canceled = true
-			go j.run.stop() // the waiter completes the transition
+			go j.run.Stop() // the waiter completes the transition
 			s.logf("job %s cancel requested; tearing its fleet down", j.ID)
 		}
 	default:
@@ -744,7 +721,7 @@ func (s *Scheduler) Drain(timeout time.Duration) error {
 		// Grace expired: kill what is left and give the waiters a moment.
 		for _, j := range s.jobs {
 			if j.run != nil {
-				go j.run.stop()
+				go j.run.Stop()
 			}
 		}
 		killDeadline := time.Now().Add(5 * time.Second)
@@ -784,7 +761,7 @@ func (s *Scheduler) waitChangeLocked(deadline time.Time) {
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
-	var runs []*runningJob
+	var runs []*distnet.LocalFleet
 	for _, j := range s.jobs {
 		if j.run != nil {
 			runs = append(runs, j.run)
@@ -792,7 +769,7 @@ func (s *Scheduler) Close() {
 	}
 	s.mu.Unlock()
 	for _, run := range runs {
-		run.stop()
+		run.Stop()
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	s.mu.Lock()
