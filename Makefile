@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-core bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
+.PHONY: all build test test-short bench bench-core bench-smoke bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
 
 all: build vet test
 
@@ -31,9 +31,11 @@ test-short:
 # acked-shutdown tests and the local fleet every launcher goes through), and
 # the multi-run scheduler and its serve loop on top (sched) — plus the
 # engine and the simulator under them (core, cluster: a few seconds), since
-# the engine polls the transport from inside validation.
+# the engine polls the transport from inside validation — and nbody, whose
+# App reuses per-instance scratch across Compute, Check and Correct on the
+# rule that one engine goroutine drives one App.
 race:
-	go test -race ./internal/core/... ./internal/cluster/... ./internal/realtime/... ./internal/distnet/... ./internal/sched/...
+	go test -race ./internal/core/... ./internal/cluster/... ./internal/realtime/... ./internal/distnet/... ./internal/sched/... ./internal/nbody/...
 
 # Before regenerating a golden journal (-update-golden): each committed
 # fixture beside a fresh run — bytes, final virtual time, events by kind — as
@@ -83,12 +85,23 @@ bench: bench-core
 # TakeCheckpoint are gated: TakeCheckpoint must read 0 allocs/op, and the
 # exact version of that claim (testing.AllocsPerRun) runs first in a process
 # of its own, where no other test's stragglers can allocate into the count.
+BENCH_CORE_SERIES = EngineIteration|ComputeKernel|CheckEq11|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|PipelineStage|CoordCustody|CoordTeardown|CheckpointEncode|TakeCheckpoint|CheckpointPath
+BENCH_CORE_PKGS = ./internal/core ./internal/checkpoint ./internal/apps/... ./internal/nbody ./internal/distnet ./internal/pipeline
 bench-core:
 	go test -run '^TestTakeCheckpointZeroAlloc$$' -count=1 ./internal/core
-	go test -run '^$$' -cpu 1 -bench 'EngineIteration|ComputeKernel|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|PipelineStage|CoordCustody|CoordTeardown|CheckpointEncode|TakeCheckpoint|CheckpointPath' -benchmem \
-		./internal/core ./internal/checkpoint ./internal/apps/... ./internal/nbody ./internal/distnet ./internal/pipeline \
+	go test -run '^$$' -cpu 1 -bench '$(BENCH_CORE_SERIES)' -benchmem $(BENCH_CORE_PKGS) \
 		| go run ./cmd/benchjson -baseline BENCH_core.json -o BENCH_core.json
 	@echo "wrote BENCH_core.json"
+
+# Every series bench-core's -bench regex names, run once: fails if a
+# benchmark fails or if a name matches nothing (the regex has twice been
+# found matching nothing, which makes the gate above vacuous).
+bench-smoke:
+	@out=$$(go test -run '^$$' -cpu 1 -bench '$(BENCH_CORE_SERIES)' -benchtime 1x $(BENCH_CORE_PKGS)) || { echo "$$out"; exit 1; }; \
+	for s in $$(echo '$(BENCH_CORE_SERIES)' | tr '|' ' '); do \
+		echo "$$out" | grep -q "^Benchmark[A-Za-z0-9_]*$$s" || { echo "bench-smoke: no benchmark matches $$s"; exit 1; }; \
+	done; \
+	echo "bench-smoke: $$(echo "$$out" | grep -c '^Benchmark') series ran, every name in the regex matched"
 
 # Paired before/after runs of the repo benchmark (go run ./bench) on one
 # workload, the evidence a performance claim needs:

@@ -110,15 +110,17 @@ func (g Grid) SteadyState() [][]float64 {
 	return f
 }
 
-// MaxDiff returns the largest absolute difference between two fields.
+// MaxDiff returns the largest absolute difference between two fields; +Inf
+// if any difference is NaN.
 func MaxDiff(a, b [][]float64) float64 {
 	worst := 0.0
 	for r := range a {
 		for c := range a[r] {
-			if d := math.Abs(a[r][c] - b[r][c]); d > worst {
-				worst = d
-			}
+			worst = max(worst, math.Abs(a[r][c]-b[r][c])) // max keeps a NaN
 		}
+	}
+	if math.IsNaN(worst) {
+		return math.Inf(1)
 	}
 	return worst
 }

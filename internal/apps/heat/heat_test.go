@@ -122,6 +122,14 @@ func TestMaxDiff(t *testing.T) {
 	if got := MaxDiff(a, b); got != 3 {
 		t.Errorf("MaxDiff = %g, want 3", got)
 	}
+	// A NaN anywhere, first or last, is the worst difference there is.
+	for _, at := range [][2]int{{0, 0}, {1, 1}} {
+		c := [][]float64{{1, 2}, {3, 4}}
+		c[at[0]][at[1]] = math.NaN()
+		if got := MaxDiff(c, b); !math.IsInf(got, 1) {
+			t.Errorf("MaxDiff with a NaN at %v = %g, want +Inf", at, got)
+		}
+	}
 }
 
 func TestSteadyStateProfileIsLinear(t *testing.T) {

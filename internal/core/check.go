@@ -3,7 +3,8 @@ package core
 import "math"
 
 // RelErrCheck builds a CheckResult by comparing predicted and actual values
-// element-wise: element i is "bad" when |pred−act| > threshold·(1+|act|).
+// element-wise: element i is "bad" unless |pred−act| ≤ threshold·(1+|act|),
+// so a NaN on either side (or in the bound: 0·∞) is bad.
 // opsPerElem is the check's operation cost per element (the paper's
 // f_check). It is a convenience for apps without a domain-specific error
 // metric (the N-body app uses eq. 11 instead).
@@ -11,7 +12,7 @@ func RelErrCheck(threshold, opsPerElem float64, predicted, actual []float64) Che
 	n := len(actual)
 	bad := 0
 	for i := 0; i < n && i < len(predicted); i++ {
-		if math.Abs(predicted[i]-actual[i]) > threshold*(1+math.Abs(actual[i])) {
+		if !(math.Abs(predicted[i]-actual[i]) <= threshold*(1+math.Abs(actual[i]))) {
 			bad++
 		}
 	}
@@ -23,7 +24,8 @@ func RelErrCheck(threshold, opsPerElem float64, predicted, actual []float64) Che
 }
 
 // MaxAbsErr returns the maximum absolute element-wise difference, a common
-// diagnostic for comparing speculative and blocking runs.
+// diagnostic for comparing speculative and blocking runs; +Inf if any
+// difference is NaN.
 func MaxAbsErr(a, b []float64) float64 {
 	worst := 0.0
 	n := len(a)
@@ -31,9 +33,10 @@ func MaxAbsErr(a, b []float64) float64 {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		if d := math.Abs(a[i] - b[i]); d > worst {
-			worst = d
-		}
+		worst = max(worst, math.Abs(a[i]-b[i])) // max keeps a NaN
+	}
+	if math.IsNaN(worst) {
+		return math.Inf(1)
 	}
 	return worst
 }

@@ -148,8 +148,10 @@ func TestRecoveryUnchangedWhenCheckpointEveryExceedsRejoinLog(t *testing.T) {
 	// Finals, restores, checkpoints and catch-up as recorded at 2bd80f5. The
 	// cascade's input rule (a recompute uses every actual that has arrived)
 	// moved the three speculation counts from 481 / 132 / 52: fewer bad
-	// checks and repairs, a few more predictions made.
-	want := [7]uint64{2228081188715380101, 2, 21, 487, 117, 45, 2}
+	// checks and repairs, a few more predictions made. RelErrCheck failing a
+	// NaN moved them again, from 487 / 117 / 45: the map overflows here, and a
+	// −Inf guess for a −Inf actual (difference NaN) used to pass.
+	want := [7]uint64{2228081188715380101, 2, 21, 448, 355, 169, 2}
 	if got != want {
 		t.Errorf("outcome {finals hash, restores, checkpoints, specs made, specs bad, repairs, catch-up iters} = %v, want %v", got, want)
 	}

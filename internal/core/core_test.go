@@ -379,6 +379,13 @@ func TestRelErrCheck(t *testing.T) {
 	if r2.Bad != 2 {
 		t.Errorf("mismatched lengths: Bad = %d, want 2", r2.Bad)
 	}
+	// A NaN never passes, whichever side it is on and however loose the
+	// threshold.
+	nan := math.NaN()
+	r3 := RelErrCheck(math.Inf(1), 1, []float64{nan, 2, 3, nan}, []float64{1, nan, 3, nan})
+	if r3.Bad != 3 {
+		t.Errorf("NaN elements: Bad = %d, want 3", r3.Bad)
+	}
 }
 
 func TestMaxAbsErr(t *testing.T) {
@@ -387,6 +394,11 @@ func TestMaxAbsErr(t *testing.T) {
 	}
 	if got := MaxAbsErr(nil, nil); got != 0 {
 		t.Errorf("empty MaxAbsErr = %g, want 0", got)
+	}
+	for _, a := range [][]float64{{math.NaN(), 5, 2}, {1, 5, math.NaN()}} {
+		if got := MaxAbsErr(a, []float64{1, 2, 2}); !math.IsInf(got, 1) {
+			t.Errorf("MaxAbsErr(%v) = %g, want +Inf", a, got)
+		}
 	}
 }
 

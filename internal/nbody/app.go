@@ -52,6 +52,7 @@ type App struct {
 	dec      [][]Particle   // decoded payloads, one slot per view entry or argument
 	sources  [][]Particle   // Compute's non-empty decoded view entries
 	acc      []Vec3         // Compute's accelerations
+	tol      []eq11         // Correct's per-remote tolerances
 	next     []Particle     // advanced (Compute) or extrapolated (Speculate) particles
 	out, fix core.ResultBuf // Compute and Correct results
 }
@@ -184,23 +185,62 @@ func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float
 	return Encode(out), ops
 }
 
-// Check implements core.App with the paper's eq. 11: for each remote
-// particle a and local particle b, the speculation is acceptable when
-// ‖r*_a − r_a‖ / ‖r_a − r_b‖ ≤ θ.
+// eq11 is the paper's eq. 11 for one remote particle a: its speculated
+// position is acceptable against a local particle b when
+// ‖r*_a − r_a‖ / ‖r_a − r_b‖ ≤ θ. The ratio diverges as pairs get close —
+// exactly where a position error corrupts the force most, so close pairs
+// are (correctly) the first to fail; a NaN never passes.
+//
+// lo and hi bracket (specErr/θ)² by (1 ± 1e-12). The exact test rounds three
+// times (two square roots, one division: 1.5 ulp ≈ 3e-16, each monotone), so
+// d² = ‖r_a − r_b‖² outside the bracket has its verdict without a square
+// root or a division. The bracket is [0, +Inf] — every pair takes the exact
+// test — unless θ and the bracket are normal floats (not θ ≤ 0, NaN,
+// overflow, underflow) or it is exactly [0, 0]: a perfect prediction.
+type eq11 struct{ specErr, theta, lo, hi float64 }
+
+func newEq11(pred, act Vec3, theta float64) eq11 {
+	const minNormal = 0x1p-1022
+	e := eq11{specErr: pred.Sub(act).Norm(), theta: theta, hi: math.Inf(1)}
+	c := e.specErr / theta
+	lo, hi := c*c*(1-1e-12), c*c*(1+1e-12)
+	if theta >= minNormal && (lo >= minNormal || c == 0) && hi <= math.MaxFloat64 {
+		e.lo, e.hi = lo, hi
+	}
+	return e
+}
+
+// accepts reports eq. 11 for a local particle b at d2 = ‖r_a − r_b‖².
+func (e eq11) accepts(d2 float64) bool {
+	if d2 > e.hi {
+		return true
+	}
+	if d2 < e.lo {
+		return false
+	}
+	dist := math.Sqrt(d2)
+	return dist != 0 && e.specErr/dist <= e.theta
+}
+
+// Check implements core.App with eq. 11 over every (remote, local) pair. A
+// prediction of the wrong length fails them all.
 func (a *App) Check(peer int, predicted, actual, local []float64, t int) core.CheckResult {
 	pred := a.decode(0, predicted)
 	act := a.decode(1, actual)
 	loc := a.decode(2, local)
-	bad := 0
+	total := len(act) * len(loc)
+	res := core.CheckResult{
+		Total: total,
+		Ops:   float64(CheckOpsPerRemote*len(act)) + float64(CheckOpsPerPair*total),
+	}
+	if len(pred) != len(act) {
+		res.Bad, act = total, nil
+	}
 	for i := range act {
-		specErr := pred[i].Pos.Sub(act[i].Pos).Norm()
+		tol := newEq11(pred[i].Pos, act[i].Pos, a.Theta)
 		for j := range loc {
-			// eq. 11: the ratio diverges as pairs get close — exactly where
-			// a position error corrupts the force most, so close pairs are
-			// (correctly) the first to fail the check.
-			dist := act[i].Pos.Sub(loc[j].Pos).Norm()
-			if dist == 0 || specErr/dist > a.Theta {
-				bad++
+			if !tol.accepts(act[i].Pos.Sub(loc[j].Pos).Norm2()) {
+				res.Bad++
 				continue
 			}
 			if a.Instr != nil {
@@ -214,12 +254,6 @@ func (a *App) Check(peer int, predicted, actual, local []float64, t int) core.Ch
 				}
 			}
 		}
-	}
-	total := len(act) * len(loc)
-	res := core.CheckResult{
-		Bad:   bad,
-		Total: total,
-		Ops:   float64(CheckOpsPerRemote*len(act)) + float64(CheckOpsPerPair*total),
 	}
 	if a.Instr != nil {
 		a.Instr.PairsBad += int64(res.Bad)
@@ -259,7 +293,8 @@ func SplitParticles(ps []Particle, counts []int) [][]Particle {
 }
 
 // MaxPairwiseRelErr returns the maximum relative position error between two
-// particle sets, a convenience for comparing speculative and reference runs.
+// particle sets, a convenience for comparing speculative and reference runs;
+// +Inf if any position is NaN.
 func MaxPairwiseRelErr(a, b []Particle) float64 {
 	worst := 0.0
 	for i := range a {
@@ -271,9 +306,7 @@ func MaxPairwiseRelErr(a, b []Particle) float64 {
 		if scale < 1e-12 {
 			scale = 1e-12
 		}
-		if r := d / scale; r > worst {
-			worst = r
-		}
+		worst = max(worst, d/scale) // max keeps a NaN
 	}
 	if math.IsNaN(worst) {
 		return math.Inf(1)

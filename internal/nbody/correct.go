@@ -25,12 +25,14 @@ func (w WithCorrection) Correct(computed, local []float64, peer int, pred, act [
 	actP := w.decode(2, act)
 	out := w.decode(3, computed)
 	dt := w.sim.Dt
+	w.tol = resize(w.tol, len(actP))
+	for i := range actP {
+		w.tol[i] = newEq11(predP[i].Pos, actP[i].Pos, w.Theta)
+	}
 	for j := range loc {
 		var da Vec3
 		for i := range actP {
-			specErr := predP[i].Pos.Sub(actP[i].Pos).Norm()
-			dist := actP[i].Pos.Sub(loc[j].Pos).Norm()
-			if dist != 0 && specErr/dist <= w.Theta {
+			if w.tol[i].accepts(actP[i].Pos.Sub(loc[j].Pos).Norm2()) {
 				continue // accepted pair: its speculated force stands
 			}
 			da = da.Add(w.sim.PairAccel(loc[j].Pos, actP[i].Pos, actP[i].Mass))

@@ -38,19 +38,26 @@ func runDistributed(t *testing.T, ps []Particle, machines []cluster.Machine,
 	return results, final
 }
 
+// TestDistributedBlockingMatchesSerial: at FW = 0 every rank computes on
+// actual values, so the gathered run equals the serial reference to the bit
+// — which pins the kernel's summation order (sources 0…N−1 for every target)
+// across block boundaries, odd blocks and the two-target pairing.
 func TestDistributedBlockingMatchesSerial(t *testing.T) {
-	const n, iters = 48, 12
-	ps := UniformSphere(n, 11)
-	want := DefaultSim().Evolve(ps, iters)
-	_, got := runDistributed(t, ps,
-		cluster.LinearMachines(4, 1e6, 4),
-		core.Config{FW: 0, MaxIter: iters}, 0.01, nil)
-	if len(got) != n {
-		t.Fatalf("gathered %d particles", len(got))
-	}
-	for i := range want {
-		if got[i].Pos.Sub(want[i].Pos).Norm() > 1e-9 {
-			t.Errorf("particle %d: pos %v, want %v", i, got[i].Pos, want[i].Pos)
+	const iters = 12
+	for _, n := range []int{48, 97} {
+		ps := UniformSphere(n, 11)
+		want := DefaultSim().Evolve(ps, iters)
+		_, got := runDistributed(t, ps,
+			cluster.LinearMachines(4, 1e6, 4),
+			core.Config{FW: 0, MaxIter: iters}, 0.01, nil)
+		if len(got) != n {
+			t.Fatalf("n=%d: gathered %d particles", n, len(got))
+		}
+		g, w := Encode(got), Encode(want)
+		for i := range w {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				t.Errorf("n=%d particle %d: %+v, serial reference %+v", n, i/Floats, got[i/Floats], want[i/Floats])
+			}
 		}
 	}
 }

@@ -53,24 +53,35 @@ func (s Sim) AccelOn(on []Particle, sources ...[]Particle) []Vec3 {
 }
 
 // accelInto is AccelOn reusing acc's backing array when it is large enough.
+// Each pass over the sources carries two targets (an odd tail pairs the last
+// target with itself). SQRTSD merges into its destination register, so with
+// one target every pair's square root waits for the one before it; two
+// independent chains run at the divider's throughput. Each target keeps the
+// per-pair expression d·((G·m)·(1/(r²·√r²))) and the source order 0…N−1, so
+// the result is bit-identical to summing one target at a time.
 func (s Sim) accelInto(acc []Vec3, on []Particle, sources [][]Particle) []Vec3 {
 	acc = resize(acc, len(on))
-	for i := range on {
-		var a Vec3
-		pi := on[i].Pos
+	soft2 := s.Soft * s.Soft
+	for i := 0; i < len(on); i += 2 {
+		k := min(i+1, len(on)-1)
+		pi, pk := on[i].Pos, on[k].Pos
+		var ai, ak Vec3
 		for _, set := range sources {
 			for j := range set {
-				d := set[j].Pos.Sub(pi)
-				r2 := d.Norm2()
-				if r2 == 0 {
-					continue // self or exactly coincident: skip
+				gm := s.G * set[j].Mass
+				di, dk := set[j].Pos.Sub(pi), set[j].Pos.Sub(pk)
+				// r² == 0 is self or exactly coincident: skip.
+				if r2 := di.Norm2(); r2 != 0 {
+					r2 += soft2
+					ai = ai.Add(di.Scale(gm * (1.0 / (r2 * math.Sqrt(r2)))))
 				}
-				r2 += s.Soft * s.Soft
-				inv := 1.0 / (r2 * math.Sqrt(r2))
-				a = a.Add(d.Scale(s.G * set[j].Mass * inv))
+				if r2 := dk.Norm2(); r2 != 0 {
+					r2 += soft2
+					ak = ak.Add(dk.Scale(gm * (1.0 / (r2 * math.Sqrt(r2)))))
+				}
 			}
 		}
-		acc[i] = a
+		acc[i], acc[k] = ai, ak
 	}
 	return acc
 }

@@ -304,4 +304,11 @@ func TestMaxPairwiseRelErr(t *testing.T) {
 	if MaxPairwiseRelErr(a, a) != 0 {
 		t.Error("identical sets should have zero error")
 	}
+	for i := range a {
+		c := append([]Particle(nil), a...)
+		c[i].Pos.Y = math.NaN()
+		if got := MaxPairwiseRelErr(c, b); !math.IsInf(got, 1) {
+			t.Errorf("NaN position in particle %d: MaxPairwiseRelErr = %g, want +Inf", i, got)
+		}
+	}
 }
