@@ -31,11 +31,12 @@ test-short:
 # acked-shutdown tests and the local fleet every launcher goes through), and
 # the multi-run scheduler and its serve loop on top (sched) — plus the
 # engine and the simulator under them (core, cluster: a few seconds), since
-# the engine polls the transport from inside validation — and nbody, whose
-# App reuses per-instance scratch across Compute, Check and Correct on the
+# the engine polls the transport from inside validation — and the apps
+# (internal/apps, nbody, pipeline), which compute into the engine's lent slot
+# and reuse per-instance scratch across Compute, Check and Correct on the
 # rule that one engine goroutine drives one App.
 race:
-	go test -race ./internal/core/... ./internal/cluster/... ./internal/realtime/... ./internal/distnet/... ./internal/sched/... ./internal/nbody/...
+	go test -race ./internal/core/... ./internal/cluster/... ./internal/realtime/... ./internal/distnet/... ./internal/sched/... ./internal/nbody/... ./internal/apps/... ./internal/pipeline/...
 
 # Before regenerating a golden journal (-update-golden): each committed
 # fixture beside a fresh run — bytes, final virtual time, events by kind — as

@@ -154,6 +154,7 @@ func NewApp(grid Grid, blocks [][2]int, pid int, theta float64) *App {
 }
 
 var _ core.App = (*App)(nil)
+var _ core.ComputerInto = (*App)(nil)
 var _ core.Publisher = (*App)(nil)
 var _ core.Neighbors = (*App)(nil)
 
@@ -213,12 +214,15 @@ func (a *App) ghostRow(view [][]float64, r int, wantLast bool) []float64 {
 	return payload[:a.grid.Cols]
 }
 
-// Compute implements core.App: stencil update of the owned rows, using the
-// neighbours' published edge rows as ghosts. The side columns are peeled
-// off the inner loop (insulated edges read the cell itself), and every row
-// is re-sliced to the current row's length so the loop carries no bounds
+// Compute implements core.App: ComputeInto into the next result buffer.
+func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.pid, t) }
+
+// ComputeInto implements core.ComputerInto: stencil update of the owned
+// rows, the neighbours' published edge rows as ghosts. The side columns are
+// peeled off the inner loop (insulated edges read the cell itself), and every
+// row is re-sliced to the current row's length so the loop carries no bounds
 // check; the arithmetic is SerialStep's, operand for operand.
-func (a *App) Compute(view [][]float64, t int) []float64 {
+func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 	lo, hi := a.rows()
 	g := a.grid
 	cols, alpha := g.Cols, g.Alpha
@@ -230,7 +234,6 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 	if hi < g.Rows {
 		down = a.ghostRow(view, hi, false) // the strip below contributes its FIRST row
 	}
-	out := a.out.Next((hi - lo) * cols)
 	for r := lo; r < hi; r++ {
 		i := (r - lo) * cols
 		cur, dst := strip[i:i+cols], out[i:i+cols]
@@ -258,7 +261,6 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 			dst[last] = x + alpha*(above[last]+below[last]+cur[last-1]+x-4*x)
 		}
 	}
-	return out
 }
 
 // ComputeOps implements core.App: ~6 flops per owned cell.

@@ -142,6 +142,7 @@ func NewApp(prob *Problem, blocks [][2]int, pid int, theta float64) *App {
 }
 
 var _ core.App = (*App)(nil)
+var _ core.ComputerInto = (*App)(nil)
 
 // InitLocal implements core.App: the zero initial iterate.
 func (a *App) InitLocal() []float64 { return make([]float64, a.hi-a.lo) }
@@ -163,12 +164,14 @@ func (a *App) global(x []float64, view [][]float64) []float64 {
 	return x
 }
 
-// Compute implements core.App: one Jacobi sweep over the owned rows. The
-// off-diagonal sum runs in column order, split around the diagonal so the
-// inner loops carry neither a branch nor a bounds check.
-func (a *App) Compute(view [][]float64, t int) []float64 {
+// Compute implements core.App: ComputeInto into the next result buffer.
+func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.pid, t) }
+
+// ComputeInto implements core.ComputerInto: one Jacobi sweep over the owned
+// rows. The off-diagonal sum runs in column order, split around the diagonal
+// so the inner loops carry neither a branch nor a bounds check.
+func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 	a.x = a.global(a.x, view)
-	out := a.out.Next(a.hi - a.lo)
 	for i := a.lo; i < a.hi; i++ {
 		s := a.prob.B[i]
 		row := a.prob.A[i]
@@ -182,7 +185,6 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 		}
 		out[i-a.lo] = s / row[i]
 	}
-	return out
 }
 
 // ComputeOps implements core.App: 2 flops per matrix element visited.

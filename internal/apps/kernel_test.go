@@ -1,9 +1,10 @@
 // Package apps_test checks the contract every application kernel under
 // internal/apps (and the N-body case study) shares: Compute equals the
 // package's serial reference bit for bit over random problems and
-// decompositions, results do not depend on whether the caller copies them or
-// feeds them straight back (core.App's result-ownership rule), and the
-// steady-state Compute/Publish path allocates nothing.
+// decompositions, results do not depend on whether the caller copies them,
+// feeds them straight back (core.App's result-ownership rule) or lends the
+// destination (core.ComputerInto), the steady-state Compute/ComputeInto/
+// Publish path allocates nothing, and no NaN or ±Inf passes any app's Check.
 package apps_test
 
 import (
@@ -20,6 +21,7 @@ import (
 	"specomp/internal/apps/stencilreduce"
 	"specomp/internal/core"
 	"specomp/internal/nbody"
+	"specomp/internal/pipeline"
 )
 
 // kernelCase is one problem instance: P fresh apps over one global state,
@@ -54,21 +56,54 @@ func views(apps []core.App, local [][]float64, keep func([]float64) []float64) [
 
 func clone(v []float64) []float64 { return append([]float64{}, v...) }
 
-// drive runs the apps in lockstep and returns every rank's final partition.
-// With feedback, each Compute and Publish result is passed straight back as
-// the next call's view entry — the limit of the ownership rule; without, the
-// caller copies every result first, as the value plane does.
-func drive(c kernelCase, feedback bool) [][]float64 {
+// convention is how drive calls the kernels.
+type convention int
+
+const (
+	// copied: every Compute and Publish result is copied before it is used,
+	// as the value plane does for an app without core.ComputerInto.
+	copied convention = iota
+	// feedback: each result is passed straight back as the next call's view
+	// entry — the limit of the ownership rule.
+	feedback
+	// into: ComputeInto writes a fresh buffer filled with NaN, as the engine
+	// lends its slot, so a kernel that reads dst or skips an element shows.
+	into
+)
+
+func (c convention) String() string { return [...]string{"copied", "feedback", "into"}[c] }
+
+// nanBuf returns a length-n buffer whose every element is NaN.
+func nanBuf(n int) []float64 {
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = math.NaN()
+	}
+	return b
+}
+
+// drive runs the apps in lockstep under one calling convention and returns
+// every rank's final partition.
+func drive(tb testing.TB, c kernelCase, conv convention) [][]float64 {
 	apps := c.apps()
 	keep := clone
-	if feedback {
+	if conv == feedback {
 		keep = func(v []float64) []float64 { return v }
 	}
 	local := c.init
 	for t := 0; t < c.steps; t++ {
 		next := make([][]float64, len(apps))
 		for k, view := range views(apps, local, keep) {
-			next[k] = keep(apps[k].Compute(view, t))
+			if conv != into {
+				next[k] = keep(apps[k].Compute(view, t))
+				continue
+			}
+			ci, ok := apps[k].(core.ComputerInto)
+			if !ok {
+				tb.Fatalf("%s: %T does not implement core.ComputerInto", c.name, apps[k])
+			}
+			next[k] = nanBuf(len(view[k]))
+			ci.ComputeInto(next[k], view, t)
 		}
 		local = next
 	}
@@ -294,16 +329,16 @@ var kernels = []func(*rand.Rand, int) kernelCase{
 	heatCase, sorCase, stencilReduceCase, jacobiCase, pagerankCase, nbodyCase,
 }
 
-// TestComputeMatchesSerialBitForBit is the property test: both calling
+// TestComputeMatchesSerialBitForBit is the property test: all three calling
 // conventions reproduce the serial reference exactly.
 func TestComputeMatchesSerialBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, mk := range kernels {
 		for i := 0; i < 60; i++ {
 			c := mk(rng, i)
-			for _, feedback := range []bool{false, true} {
-				if err := sameBits(drive(c, feedback), c.want); err != nil {
-					t.Errorf("%s steps=%d feedback=%v: %v", c.name, c.steps, feedback, err)
+			for _, conv := range []convention{copied, feedback, into} {
+				if err := sameBits(drive(t, c, conv), c.want); err != nil {
+					t.Errorf("%s steps=%d %v: %v", c.name, c.steps, conv, err)
 				}
 			}
 		}
@@ -311,7 +346,7 @@ func TestComputeMatchesSerialBitForBit(t *testing.T) {
 }
 
 // TestSteadyStateKernelsAllocateNothing pins the scratch treatment: after
-// one warm-up call, Compute and Publish allocate nothing.
+// one warm-up call, Compute, ComputeInto and Publish allocate nothing.
 func TestSteadyStateKernelsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; exact malloc counts are meaningless")
@@ -326,10 +361,140 @@ func TestSteadyStateKernelsAllocateNothing(t *testing.T) {
 			if n := testing.AllocsPerRun(20, func() { a.Compute(view, 0) }); n != 0 {
 				t.Errorf("%s rank %d: Compute allocates %v times per call", c.name, k, n)
 			}
+			dst := make([]float64, len(view[k]))
+			ci := a.(core.ComputerInto)
+			if n := testing.AllocsPerRun(20, func() { ci.ComputeInto(dst, view, 0) }); n != 0 {
+				t.Errorf("%s rank %d: ComputeInto allocates %v times per call", c.name, k, n)
+			}
 			if p, ok := a.(core.Publisher); ok {
 				p.Publish(c.init[k])
 				if n := testing.AllocsPerRun(20, func() { p.Publish(c.init[k]) }); n != 0 {
 					t.Errorf("%s rank %d: Publish allocates %v times per call", c.name, k, n)
+				}
+			}
+		}
+	}
+}
+
+// checkSubject is one app's Check on one in-edge as the engine calls it:
+// a rank judging peer k's published payload act against a prediction.
+type checkSubject struct {
+	name string
+	act  []float64
+	// width is how many payload values one remote item spans (a particle's
+	// Floats for nbody, 1 otherwise).
+	width int
+	// check runs Check(k, pred, act, local) on an app built afresh, after
+	// the same earlier check when the subject has history, so a check that
+	// remembers actuals (pagerank's) judges every call against the same one.
+	check func(pred, act []float64) core.CheckResult
+}
+
+func newCheckSubject(name string, mk func() core.App, k int, act, local []float64, history bool) checkSubject {
+	width := 1
+	if _, ok := mk().(*nbody.App); ok {
+		width = nbody.Floats
+	}
+	earlier := make([]float64, len(act))
+	for i, v := range act {
+		earlier[i] = v / 2
+	}
+	return checkSubject{
+		name:  fmt.Sprintf("%s/history=%v", name, history),
+		act:   act,
+		width: width,
+		check: func(pred, act []float64) core.CheckResult {
+			a := mk()
+			if history {
+				a.Check(k, earlier, earlier, local, 0)
+			}
+			return a.Check(k, pred, act, local, 1)
+		},
+	}
+}
+
+// checkSubjects returns every app's Check, each kernel on a few random
+// problems (its last rank judging the rank before it, an in-edge in every
+// kernel's graph) and one pipeline stage judging its upstream stage.
+func checkSubjects(rng *rand.Rand) []checkSubject {
+	var out []checkSubject
+	for _, mk := range kernels {
+		for i, n := 0, 0; n < 3; i++ {
+			c := mk(rng, i)
+			r := len(c.init) - 1
+			if r < 1 {
+				continue
+			}
+			n++
+			act := views(c.apps(), c.init, clone)[r][r-1]
+			for _, history := range []bool{false, true} {
+				out = append(out, newCheckSubject(c.name, func() core.App { return c.apps()[r] }, r-1, act, c.init[r], history))
+			}
+		}
+	}
+	g := pipeline.ThreeStage(8, 42)
+	for _, history := range []bool{false, true} {
+		out = append(out, newCheckSubject("pipeline/filter", func() core.App { return g.App(1) }, 0,
+			g.App(0).InitLocal(), g.App(1).InitLocal(), history))
+	}
+	return out
+}
+
+// TestNoNaNOrInfPassesCheck is the property over every app's Check: a NaN
+// or ±Inf in the prediction or the actual counts bad every unit that reads
+// that value, and only those; finite values keep their verdicts — a unit is
+// good when exact and bad when 10 % off, whatever its neighbours hold. A
+// unit's dependence on a value is read off a finite 10 % error in it alone,
+// so values no unit reads (an nbody mass or velocity, a pagerank vertex the
+// local update never pulls from) change nothing either way.
+func TestNoNaNOrInfPassesCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	poisons := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, s := range checkSubjects(rng) {
+		act, w := s.act, s.width
+		if res := s.check(act, act); res.Bad != 0 || res.Total == 0 {
+			t.Errorf("%s: a perfect prediction reads %d bad of %d", s.name, res.Bad, res.Total)
+			continue
+		}
+		off := func(pred []float64, lo, hi int) []float64 {
+			for i := lo; i < hi; i++ {
+				pred[i] = act[i] + 0.1*(1+math.Abs(act[i]))
+			}
+			return pred
+		}
+		units, read := make([]int, len(act)), 0
+		for i := range act {
+			units[i] = s.check(off(clone(act), i, i+1), act).Bad
+			read += units[i]
+		}
+		if read == 0 {
+			t.Errorf("%s: no value feeds any unit", s.name)
+			continue
+		}
+		// A finite prediction with a random half of the items 10 % off.
+		pred, want := clone(act), 0
+		for g := 0; g < len(act)/w; g++ {
+			if rng.Intn(2) == 0 {
+				want += s.check(off(clone(act), g*w, (g+1)*w), act).Bad
+				off(pred, g*w, (g+1)*w)
+			}
+		}
+		if got := s.check(pred, act).Bad; got != want {
+			t.Errorf("%s: finite prediction reads %d bad, want %d (the off items' units)", s.name, got, want)
+		}
+		for i := range act {
+			g := i / w
+			exact := clone(pred)
+			copy(exact[g*w:(g+1)*w], act[g*w:(g+1)*w])
+			base := s.check(exact, act).Bad
+			for _, v := range poisons {
+				p, a := clone(exact), clone(act)
+				p[i], a[i] = v, v
+				if got := s.check(p, act).Bad; got != base+units[i] {
+					t.Errorf("%s: pred[%d] = %v reads %d bad, want %d", s.name, i, v, got, base+units[i])
+				}
+				if got := s.check(exact, a).Bad; got != base+units[i] {
+					t.Errorf("%s: act[%d] = %v reads %d bad, want %d", s.name, i, v, got, base+units[i])
 				}
 			}
 		}

@@ -218,6 +218,7 @@ func NewApp(prob *Problem, blocks [][2]int, pid int, theta float64) *App {
 }
 
 var _ core.App = (*App)(nil)
+var _ core.ComputerInto = (*App)(nil)
 var _ core.Stopper = (*App)(nil)
 var _ core.Speculator = (*App)(nil)
 
@@ -251,8 +252,11 @@ func (a *App) global(r []float64, view [][]float64) []float64 {
 	return r
 }
 
-// Compute implements core.App: the pull update for the owned vertices.
-func (a *App) Compute(view [][]float64, t int) []float64 {
+// Compute implements core.App: ComputeInto into the next result buffer.
+func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.pid, t) }
+
+// ComputeInto implements core.ComputerInto: the owned vertices' pull update.
+func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 	a.rank = a.global(a.rank, view)
 	rank := a.rank
 	n := a.prob.G.N
@@ -263,7 +267,6 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 		}
 	}
 	base := (1-a.prob.Damping)/float64(n) + a.prob.Damping*dangling/float64(n)
-	out := a.out.Next(a.hi() - a.lo())
 	for v := a.lo(); v < a.hi(); v++ {
 		s := 0.0
 		for _, e := range a.prob.in[v] {
@@ -271,7 +274,6 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 		}
 		out[v-a.lo()] = base + a.prob.Damping*s
 	}
-	return out
 }
 
 // ComputeOps implements core.App: ~2 flops per in-edge of the owned block
@@ -320,12 +322,13 @@ func (a *App) Check(peer int, pred, act, local []float64, t int) core.CheckResul
 		err := math.Abs(pred[i] - act[i])
 		if last == nil {
 			// No reference progress yet: accept only near-exact predictions.
-			if err > 1e-15 {
+			if !(err <= 1e-15) {
 				bad++
 			}
 			continue
 		}
-		if err > a.Theta*math.Abs(act[i]-last[i])+1e-15 {
+		// Clamped: an infinite error fails even against an infinite actual.
+		if !(err <= min(a.Theta*math.Abs(act[i]-last[i]), math.MaxFloat64)+1e-15) {
 			bad++
 		}
 	}

@@ -156,6 +156,7 @@ func NewApp(grid Grid, blocks [][2]int, pid int, theta float64) *App {
 }
 
 var _ core.App = (*App)(nil)
+var _ core.ComputerInto = (*App)(nil)
 var _ core.Publisher = (*App)(nil)
 var _ core.Speculator = (*App)(nil)
 var _ core.Neighbors = (*App)(nil)
@@ -230,18 +231,20 @@ func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float
 	return out, 4 * float64(len(out))
 }
 
-// Compute implements core.App: one half-sweep over the owned rows (red on
-// even t, black on odd t), using the neighbours' published edge rows. The
-// strip is copied into the result buffer and relaxed there in place — a
+// Compute implements core.App: ComputeInto into the next result buffer.
+func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.pid, t) }
+
+// ComputeInto implements core.ComputerInto: one half-sweep over the owned
+// rows (red on even t, black on odd t), using the neighbours' published edge
+// rows. The owned rows are copied into strip and relaxed there in place — a
 // cell's neighbours are all of the other colour, which this half-sweep
 // leaves alone. Each row visits only its own colour's columns (stride 2),
 // with the insulated side columns peeled off the inner loop; the arithmetic
 // is halfSweep's, operand for operand.
-func (a *App) Compute(view [][]float64, t int) []float64 {
+func (a *App) ComputeInto(strip []float64, view [][]float64, t int) {
 	lo, hi := a.rows()
 	g := a.grid
 	cols, omega := g.Cols, g.Omega
-	strip := a.out.Next((hi - lo) * cols)
 	copy(strip, view[a.pid])
 	var up, down []float64
 	if lo > 0 {
@@ -279,7 +282,6 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 			cur[c] += omega * (gs - cur[c])
 		}
 	}
-	return strip
 }
 
 // ComputeOps implements core.App: ~7 flops per relaxed cell (half the strip).

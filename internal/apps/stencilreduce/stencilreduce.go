@@ -139,8 +139,9 @@ type App struct {
 }
 
 var (
-	_ core.App     = (*App)(nil)
-	_ core.Grapher = (*App)(nil)
+	_ core.App          = (*App)(nil)
+	_ core.ComputerInto = (*App)(nil)
+	_ core.Grapher      = (*App)(nil)
 )
 
 // NewApp creates the adapter for the given rank (worker or reducer).
@@ -163,12 +164,15 @@ func (a *App) InitLocal() []float64 {
 	return init
 }
 
-// Compute implements core.App. A worker's two end cells — fixed rod ends,
-// or cells reading a neighbour's edge — are peeled off the interior loop.
-func (a *App) Compute(view [][]float64, t int) []float64 {
-	out := a.out.Next(a.n)
+// Compute implements core.App: ComputeInto into the next result buffer.
+func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.rank, t) }
+
+// ComputeInto implements core.ComputerInto. A worker's two end cells — rod
+// ends, or cells reading a neighbour's edge — are peeled off the interior loop.
+func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 	if a.rank == a.cfg.Reducer() {
-		return a.reduce(view, out)
+		a.reduce(view, out)
+		return
 	}
 	lo := a.blocks[a.rank][0]
 	self := view[a.rank][:len(out)]
@@ -196,13 +200,12 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 		}
 		out[j] = self[j] + alpha*(lv+rv-2*self[j])
 	}
-	return out
 }
 
 // reduce folds every worker's tick-t block into the statistics row. It
 // iterates blocks in rank order, reproducing reduceStats over the
 // concatenated field exactly.
-func (a *App) reduce(view [][]float64, out []float64) []float64 {
+func (a *App) reduce(view [][]float64, out []float64) {
 	var sum, sq, max float64
 	for w := 0; w < a.cfg.Workers; w++ {
 		for _, v := range view[w] {
@@ -217,7 +220,6 @@ func (a *App) reduce(view [][]float64, out []float64) []float64 {
 	out[0] = sum / n
 	out[1] = math.Sqrt(sq / n)
 	out[2] = max
-	return out
 }
 
 func (a *App) ComputeOps() float64 {

@@ -15,7 +15,8 @@ type CheckResult struct {
 
 // App is one processor's view of a synchronous iterative application.
 //
-// Result ownership: the slice returned by Compute, Publisher.Publish or
+// Result ownership: the engine lends a ComputerInto app its own slot for
+// X_j(t+1). Otherwise the slice returned by Compute, Publisher.Publish or
 // Corrector.Correct belongs to the app. It stays valid through the app's
 // next call of the same method and may be overwritten by the one after, so
 // an app can serve results from a two-buffer ping-pong pair (ResultBuf) and
@@ -60,6 +61,15 @@ type App interface {
 // alias local.
 type Publisher interface {
 	Publish(local []float64) []float64
+}
+
+// ComputerInto is an optional App extension: the engine lends the value
+// plane's slot for X_j(t+1) and the app computes Compute's values into it,
+// so nothing is copied. dst has len(view[j]), aliases no view entry and
+// arrives with unspecified contents: ComputeInto writes every element and
+// reads none it has not written.
+type ComputerInto interface {
+	ComputeInto(dst []float64, view [][]float64, t int)
 }
 
 // Neighbors is an optional App extension restricting the exchange pattern:
@@ -146,4 +156,11 @@ func (r *ResultBuf) Next(n int) []float64 {
 	}
 	r.cur ^= 1
 	return r.buf[r.cur]
+}
+
+// Compute returns into.ComputeInto's X_j(t+1), j = self, in the next half.
+func (r *ResultBuf) Compute(into ComputerInto, view [][]float64, self, t int) []float64 {
+	out := r.Next(len(view[self]))
+	into.ComputeInto(out, view, t)
+	return out
 }

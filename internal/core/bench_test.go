@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -142,42 +141,50 @@ func BenchmarkEngineIteration(b *testing.B) {
 			})
 		}
 	}
-}
-
-// engineMallocs runs a phantom engine for iters iterations and returns the
-// process-wide malloc count it induced.
-func engineMallocs(t *testing.T, iters int) uint64 {
-	t.Helper()
-	ph := newPhantom(4, 64)
-	app := newBenchApp(64)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if _, err := Run(ph, app, Config{FW: 2, MaxIter: iters}); err != nil {
-		t.Fatal(err)
+	// kernel-heat's shape: a 512×512 strip (2 MB) publishing two 512-value
+	// edge rows, FW 0. lent computes into the value plane's slot; copied is
+	// the same app without ComputerInto, whose result the plane copies — the
+	// difference is one 2 MB copy per iteration.
+	for _, lend := range []bool{true, false} {
+		b.Run(fmt.Sprintf("Strip512x512/%s", map[bool]string{true: "lent", false: "copied"}[lend]), func(b *testing.B) {
+			app := stripAs(newStripApp(512*512, 2*512), lend)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := Run(newPhantom(2, 2*512), app, Config{MaxIter: b.N}); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
-	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs
 }
 
 // TestSteadyStateZeroAlloc proves the speculation hot path allocates
-// nothing: two runs differing only in iteration count malloc the identical
-// total (every allocation belongs to engine construction and warm-up, none
-// to the per-iteration path). GC is disabled so sync.Pool contents survive.
-// The counts are process-wide, so goroutines left behind by earlier tests
-// can only add to them: each length takes the minimum over a few tries.
+// nothing: on an engine frozen mid-run, one more iteration (broadcast,
+// assemble+speculate, compute, validate, retire) reads 0 allocations, with
+// the app's result copied into the value plane and with the plane's slot lent
+// to a strip-shaped app (64 Ki values). GC is disabled so sync.Pool contents
+// survive; testing.AllocsPerRun averages over 100 iterations, so a goroutine
+// left behind by another test cannot put a stray malloc into the count.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; exact malloc counts are meaningless")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	short, long := engineMallocs(t, 200), engineMallocs(t, 2000)
-	for try := 0; try < 4 && short != long; try++ {
-		short = min(short, engineMallocs(t, 200))
-		long = min(long, engineMallocs(t, 2000))
-	}
-	if short != long {
-		t.Errorf("steady state allocates: %d mallocs over 200 iters vs %d over 2000 (want equal)",
-			short, long)
+	for _, c := range []struct {
+		name   string
+		ph     *phantom
+		app    App
+		fw, at int
+	}{
+		{"copied/mean64-P4-FW2", newPhantom(4, 64), newBenchApp(64), 2, 80},
+		{"lent/strip64Ki-P2-FW2", newPhantom(2, 2*256), stripAs(newStripApp(256*256, 2*256), true), 2, 80},
+		{"lent/strip64Ki-P2-FW0", newPhantom(2, 2*256), stripAs(newStripApp(256*256, 2*256), true), 0, 80},
+	} {
+		e := frozenEngine(t, c.ph, c.app, Config{FW: c.fw}, c.at)
+		step := func() { e.iterate(e.frontier + 1) }
+		step()
+		if n := testing.AllocsPerRun(100, step); n != 0 {
+			t.Errorf("%s: a steady-state iteration allocates %v times", c.name, n)
+		}
 	}
 }
 
@@ -245,17 +252,24 @@ type discardStore struct{}
 func (discardStore) Save(int, []byte)        {}
 func (discardStore) Load(int) ([]byte, bool) { return nil, false }
 
-// stripApp has heat's shape on the phantom transport: the partition is
-// len(out) values long but only its first len(pub) travel (Publisher), so a
+// stripApp has heat's shape on the phantom transport at P = 2: the partition
+// is n values long but only its first len(pub) travel (Publisher), so a
 // snapshot holds a few long Own vectors beside many short logged broadcasts.
-type stripApp struct{ out, pub []float64 }
+// Its kernel averages each pub-sized run of the strip with the peer's
+// payload: a stencil's memory traffic without its arithmetic. n must be a
+// multiple of len(pub).
+type stripApp struct {
+	n   int
+	pub []float64
+	out ResultBuf
+}
 
 func newStripApp(own, edge int) *stripApp {
-	return &stripApp{out: make([]float64, own), pub: make([]float64, edge)}
+	return &stripApp{n: own, pub: make([]float64, edge)}
 }
 
 func (a *stripApp) InitLocal() []float64 {
-	init := make([]float64, len(a.out))
+	init := make([]float64, a.n)
 	for j := range init {
 		init[j] = peerValue(0, 0, j%len(a.pub))
 	}
@@ -267,16 +281,16 @@ func (a *stripApp) Publish(local []float64) []float64 {
 	return a.pub
 }
 
-func (a *stripApp) Compute(view [][]float64, t int) []float64 {
-	inv := 1.0 / float64(len(view))
-	for j := range a.out {
-		s := view[0][j]
-		for _, row := range view[1:] {
-			s += row[j%len(row)]
+func (a *stripApp) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, 0, t) }
+
+func (a *stripApp) ComputeInto(dst []float64, view [][]float64, t int) {
+	peer := view[1]
+	for i := 0; i < len(dst); i += len(peer) {
+		own, out := view[0][i:i+len(peer)], dst[i:i+len(peer)]
+		for j, v := range peer {
+			out[j] = 0.5 * (own[j] + v)
 		}
-		a.out[j] = s * inv
 	}
-	return a.out
 }
 
 func (a *stripApp) ComputeOps() float64 { return 1 }
@@ -287,12 +301,24 @@ func (a *stripApp) Check(peer int, pred, act, local []float64, t int) CheckResul
 
 func (a *stripApp) RepairOps(r CheckResult) float64 { return 1 }
 
-// midRunEngine runs a stripApp engine on the phantom transport and freezes
-// it mid-run — right after iteration `at` retired, with FW later iterations
-// still resting on pending predictions and the rejoin log full — by
-// unwinding out of the retire hook. The returned engine takes checkpoints on
-// demand.
-func midRunEngine(tb testing.TB, own, edge, fw, at int, store checkpoint.Store) (e *engine) {
+// stripAs presents a stripApp to the engine with the lent slot (lend) or as
+// an app without ComputerInto, whose results the value plane copies.
+func stripAs(a *stripApp, lend bool) App {
+	if lend {
+		return a
+	}
+	return struct {
+		App
+		Publisher
+	}{a, a}
+}
+
+// frozenEngine runs app on tr and freezes the engine mid-run — right after
+// iteration `at` retired, which is the end of a loop iteration when nothing
+// else was pending, with FW later iterations still resting on predictions —
+// by unwinding out of the retire hook. The returned engine runs further
+// iterations on demand (iterate).
+func frozenEngine(tb testing.TB, tr Transport, app App, cfg Config, at int) (e *engine) {
 	tb.Helper()
 	type frozen struct{}
 	testRetireHook = func(en *engine, t int) {
@@ -309,10 +335,19 @@ func midRunEngine(tb testing.TB, own, edge, fw, at int, store checkpoint.Store) 
 			}
 		}
 	}()
-	_, err := Run(newPhantom(2, edge), newStripApp(own, edge),
-		Config{FW: fw, MaxIter: at + 100, CheckpointEvery: 5, CheckpointStore: store})
+	cfg.MaxIter = at + 100
+	_, err := Run(tr, app, cfg)
 	tb.Fatalf("run ended before iteration %d retired (err %v)", at, err)
 	return nil
+}
+
+// midRunEngine freezes a stripApp engine at FW with checkpoints every five
+// iterations into store and the rejoin log full. The returned engine takes
+// checkpoints on demand.
+func midRunEngine(tb testing.TB, own, edge, fw, at int, store checkpoint.Store) *engine {
+	tb.Helper()
+	return frozenEngine(tb, newPhantom(2, edge), newStripApp(own, edge),
+		Config{FW: fw, CheckpointEvery: 5, CheckpointStore: store}, at)
 }
 
 // BenchmarkTakeCheckpoint measures one checkpoint on the engine's side of

@@ -4,7 +4,8 @@ import "math"
 
 // RelErrCheck builds a CheckResult by comparing predicted and actual values
 // element-wise: element i is "bad" unless |pred−act| ≤ threshold·(1+|act|),
-// so a NaN on either side (or in the bound: 0·∞) is bad.
+// so a NaN on either side (or in the bound: 0·∞) is bad; the bound is
+// clamped finite, so an infinite error is bad too.
 // opsPerElem is the check's operation cost per element (the paper's
 // f_check). It is a convenience for apps without a domain-specific error
 // metric (the N-body app uses eq. 11 instead).
@@ -12,7 +13,7 @@ func RelErrCheck(threshold, opsPerElem float64, predicted, actual []float64) Che
 	n := len(actual)
 	bad := 0
 	for i := 0; i < n && i < len(predicted); i++ {
-		if !(math.Abs(predicted[i]-actual[i]) <= threshold*(1+math.Abs(actual[i]))) {
+		if !(math.Abs(predicted[i]-actual[i]) <= min(threshold*(1+math.Abs(actual[i])), math.MaxFloat64)) {
 			bad++
 		}
 	}

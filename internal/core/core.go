@@ -274,6 +274,7 @@ type engine struct {
 	repairPol RepairPolicy
 
 	pub     Publisher        // nil unless app implements it
+	into    ComputerInto     // nil unless app implements it
 	stopper Stopper          // nil unless app implements it
 	dr      DeadlineReceiver // nil unless the transport implements it
 	noter   Noter            // nil unless the transport implements it
@@ -417,6 +418,7 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 	if p2, ok := app.(Publisher); ok {
 		e.pub = p2
 	}
+	e.into, _ = app.(ComputerInto)
 	if st, ok := app.(Stopper); ok {
 		e.stopper = st
 	}
@@ -445,7 +447,7 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 	}
 	e.repairPol = cfg.Repair
 	if e.repairPol == nil {
-		dr := &defaultRepair{app: app, maxOverrun: cfg.MaxOverrun, maxCrashOverrun: cfg.MaxCrashOverrun}
+		dr := &defaultRepair{app: app, into: e.into, maxOverrun: cfg.MaxOverrun, maxCrashOverrun: cfg.MaxCrashOverrun}
 		if co, ok := app.(Corrector); ok {
 			dr.corr = co
 		}
@@ -505,59 +507,66 @@ func (e *engine) run() {
 		// the peers to refill anything lost in the crash.
 		t0 = e.frontier + 1
 	} else {
-		e.plane.setOwn(0, e.app.InitLocal())
+		init := e.app.InitLocal()
+		copy(e.plane.ownSlot(0, init), init)
 	}
 	for t := t0; t < e.cfg.MaxIter && !e.stopped; t++ {
-		if e.cfg.HoldSends && t > 0 {
-			// Ablation: never send values computed from unvalidated inputs.
-			e.validateThrough(t - 1)
-		}
-		e.ob.iterStart(t)
-		e.broadcast(t)
-		e.drain()
-		view := e.assembleView(t)
-		next := e.app.Compute(view, t)
-		ph := cluster.PhaseCompute
-		if e.degrading() && t-e.validated > e.cfg.FW {
-			// Running past the forward window on an overdue peer's
-			// speculation: account the compute as overrun.
-			ph = cluster.PhaseOverrun
-		}
-		e.p.Compute(e.app.ComputeOps(), ph)
-		e.plane.setOwn(t+1, next)
-		e.frontier = t
-		e.ob.iterEnd(t)
-		e.noteCatchup()
-		// Keep at most FW iterations resting on unvalidated inputs: after
-		// computing iteration t, everything up to t+1−FW must be validated.
-		// With FW=1 this validates iteration t itself — exactly Figure 3's
-		// "compute, then wait for the remaining messages and check".
-		lag := t + 1 - e.cfg.FW
-		if lag > t {
-			lag = t // FW=0: iteration t's inputs were already actual
-		}
-		if lag >= 0 {
-			if !e.degrading() {
-				e.validateThrough(lag)
-			} else {
-				// Graceful degradation: wait at most Deadline per overdue
-				// peer, then let speculation overrun the forward window — but
-				// never past the overrun budget, beyond which we block hard.
-				// While a needed peer is down the budget stretches by
-				// MaxCrashOverrun, bridging the outage on speculation.
-				if floor := lag - e.overrunBudget(); floor >= 0 {
-					e.validateThrough(floor)
-				}
-				e.tryValidateThrough(lag)
-			}
-		}
-		if e.cfg.CheckpointEvery > 0 && (t+1)%e.cfg.CheckpointEvery == 0 {
-			e.takeCheckpoint()
-		}
+		e.iterate(t)
 	}
 	if !e.stopped {
 		e.validateThrough(e.cfg.MaxIter - 1)
 		e.noteCatchup()
+	}
+}
+
+// iterate is Figure 3 for iteration t: broadcast, assemble (or speculate),
+// compute X_j(t+1), validate as far as FW requires, checkpoint on cadence.
+func (e *engine) iterate(t int) {
+	if e.cfg.HoldSends && t > 0 {
+		// Ablation: never send values computed from unvalidated inputs.
+		e.validateThrough(t - 1)
+	}
+	e.ob.iterStart(t)
+	e.broadcast(t)
+	e.drain()
+	view := e.assembleView(t)
+	next := compute(e.app, e.into, e.plane.ownSlot(t+1, view[e.p.ID()]), view, t)
+	ph := cluster.PhaseCompute
+	if e.degrading() && t-e.validated > e.cfg.FW {
+		// Running past the forward window on an overdue peer's
+		// speculation: account the compute as overrun.
+		ph = cluster.PhaseOverrun
+	}
+	e.p.Compute(e.app.ComputeOps(), ph)
+	copy(e.plane.ownSlot(t+1, next), next) // a no-op when next is the slot
+	e.frontier = t
+	e.ob.iterEnd(t)
+	e.noteCatchup()
+	// Keep at most FW iterations resting on unvalidated inputs: after
+	// computing iteration t, everything up to t+1−FW must be validated.
+	// With FW=1 this validates iteration t itself — exactly Figure 3's
+	// "compute, then wait for the remaining messages and check".
+	lag := t + 1 - e.cfg.FW
+	if lag > t {
+		lag = t // FW=0: iteration t's inputs were already actual
+	}
+	if lag >= 0 {
+		if !e.degrading() {
+			e.validateThrough(lag)
+		} else {
+			// Graceful degradation: wait at most Deadline per overdue
+			// peer, then let speculation overrun the forward window — but
+			// never past the overrun budget, beyond which we block hard.
+			// While a needed peer is down the budget stretches by
+			// MaxCrashOverrun, bridging the outage on speculation.
+			if floor := lag - e.overrunBudget(); floor >= 0 {
+				e.validateThrough(floor)
+			}
+			e.tryValidateThrough(lag)
+		}
+	}
+	if e.cfg.CheckpointEvery > 0 && (t+1)%e.cfg.CheckpointEvery == 0 {
+		e.takeCheckpoint()
 	}
 }
 
@@ -941,8 +950,9 @@ func (e *engine) validateIter(t int) {
 		Preds:    preds,
 		BadPeers: badPeers,
 		Worst:    worst,
+		Dst:      e.plane.ownAt(t + 1),
 	})
-	e.plane.setOwn(t+1, fixed)
+	copy(e.plane.ownSlot(t+1, fixed), fixed) // nothing moves when fixed is Dst
 	e.p.Compute(ops, cluster.PhaseCorrect)
 	// Cascade: any later iterations already computed used the stale
 	// X_j(t+1). Each is redone once, on the repaired local entry and on every
@@ -955,8 +965,9 @@ func (e *engine) validateIter(t int) {
 		row := e.plane.viewAt(s)
 		row[e.p.ID()] = e.plane.ownAt(s)
 		e.supersede(s, row)
-		redo, cops := e.repairPol.Cascade(CascadeContext{Iter: s, Node: e.p.ID(), View: row, Worst: worst})
-		e.plane.setOwn(s+1, redo)
+		redo, cops := e.repairPol.Cascade(CascadeContext{Iter: s, Node: e.p.ID(), View: row, Worst: worst,
+			Dst: e.plane.ownAt(s + 1)})
+		copy(e.plane.ownSlot(s+1, redo), redo)
 		e.p.Compute(cops, cluster.PhaseCorrect)
 		e.stats.CascadeRedos++
 		e.ob.cascaded(s)

@@ -386,6 +386,11 @@ func TestRelErrCheck(t *testing.T) {
 	if r3.Bad != 3 {
 		t.Errorf("NaN elements: Bad = %d, want 3", r3.Bad)
 	}
+	// Nor does an infinite error, even against an infinite bound.
+	inf := math.Inf(1)
+	if r4 := RelErrCheck(inf, 1, []float64{1, inf, -inf, 1}, []float64{inf, 1, -inf, 1}); r4.Bad != 3 {
+		t.Errorf("infinite elements: Bad = %d, want 3", r4.Bad)
+	}
 }
 
 func TestMaxAbsErr(t *testing.T) {

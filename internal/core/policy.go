@@ -57,6 +57,9 @@ type CheckPolicy interface {
 
 // RepairContext is what a RepairPolicy sees when iteration Iter failed
 // validation. All slices are engine-owned and only valid during the call.
+// Dst, here and in CascadeContext, is the value plane's slot for
+// X_j(Iter+1): a policy may compute into it and return it (nothing is then
+// copied), or return any other slice, which the engine copies into it.
 type RepairContext struct {
 	Iter     int
 	Node     int         // the local processor (the To of every bad edge)
@@ -66,6 +69,7 @@ type RepairContext struct {
 	Preds    [][]float64 // predictions used at Iter (nil slot = actual used)
 	BadPeers []int       // peers whose predictions failed the check
 	Worst    CheckResult // accumulated Bad/Total over the failed peers
+	Dst      []float64   // X_j(Iter+1)'s slot; aliases Computed
 }
 
 // CascadeContext is what a RepairPolicy sees for each iteration downstream
@@ -75,6 +79,7 @@ type CascadeContext struct {
 	Node  int         // the local processor
 	View  [][]float64 // iteration Iter's view with the repaired local entry and every in-edge whose actual has arrived since
 	Worst CheckResult // the upstream repair's accumulated check result
+	Dst   []float64   // X_j(Iter+1)'s slot
 }
 
 // RepairPolicy fixes the local computation after failed checks and sets the
@@ -140,12 +145,13 @@ func (d defaultCheck) Check(peer int, predicted, actual, local []float64, iter i
 }
 
 // defaultRepair applies the app's Corrector when it has one (folding it
-// over every failed peer), otherwise recomputes from the patched view;
-// cascades always recompute. The overrun budget is MaxOverrun, stretched by
-// MaxCrashOverrun while a needed peer is down.
+// over every failed peer), otherwise recomputes from the patched view into
+// Dst; cascades always recompute. The overrun budget is MaxOverrun,
+// stretched by MaxCrashOverrun while a needed peer is down.
 type defaultRepair struct {
 	app             App
-	corr            Corrector // nil unless app implements it
+	into            ComputerInto // nil unless app implements it
+	corr            Corrector    // nil unless app implements it
 	maxOverrun      int
 	maxCrashOverrun int
 }
@@ -159,11 +165,21 @@ func (d *defaultRepair) Repair(rc RepairContext) ([]float64, float64) {
 		}
 		return fixed, ops
 	}
-	return d.app.Compute(rc.View, rc.Iter), ops
+	return compute(d.app, d.into, rc.Dst, rc.View, rc.Iter), ops
 }
 
 func (d *defaultRepair) Cascade(cc CascadeContext) ([]float64, float64) {
-	return d.app.Compute(cc.View, cc.Iter), d.app.RepairOps(cc.Worst)
+	return compute(d.app, d.into, cc.Dst, cc.View, cc.Iter), d.app.RepairOps(cc.Worst)
+}
+
+// compute evaluates X_j(t+1) into dst, the plane's slot, or — for an app
+// without ComputerInto — returns Compute's result for the engine to copy.
+func compute(app App, into ComputerInto, dst []float64, view [][]float64, t int) []float64 {
+	if into == nil {
+		return app.Compute(view, t)
+	}
+	into.ComputeInto(dst, view, t)
+	return dst
 }
 
 func (d *defaultRepair) OverrunBudget(peerDown bool) int {

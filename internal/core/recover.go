@@ -238,7 +238,7 @@ func (e *engine) buildSnapshot() *checkpoint.Snapshot {
 func (e *engine) applySnapshot(s *checkpoint.Snapshot) {
 	e.validated, e.frontier = s.Validated, s.Frontier
 	for _, en := range s.Own {
-		e.plane.setOwn(en.Iter, en.Data)
+		copy(e.plane.ownSlot(en.Iter, en.Data), en.Data)
 	}
 	for k, hs := range s.Hist {
 		if k >= e.p.P() || k == e.p.ID() {

@@ -136,8 +136,8 @@ type valuePlane struct {
 	// validated snapshots, the speculation fallback when the stash has no
 	// base.
 	hist []*history.Ring[histEntry]
-	// own holds the local partition per iteration, copied into pooled
-	// buffers so app-returned slices are never retained.
+	// own holds the local partition per iteration in pooled slots (ownSlot),
+	// so app-returned slices are never retained.
 	own lane[[]float64]
 	// views holds the assembled global view rows; preds the prediction rows
 	// (nil slot = actual was used). Rows cycle through rowFree.
@@ -267,27 +267,25 @@ func (vp *valuePlane) collectHist(k, t, lookback, bw int) ([][]float64, int) {
 	return hist, base
 }
 
-// setOwn stores the local partition for an iteration, copying vals into a
-// pooled buffer (or in place when the slot already holds one of the right
-// shape). The caller keeps ownership of vals.
-func (vp *valuePlane) setOwn(iter int, vals []float64) {
+// ownSlot is the plane's one own-write primitive: the slot holding the local
+// partition at iter, shaped like `like` (nil for a nil like) — the one already
+// registered when it has that shape, else a pooled buffer registered in its
+// place. Contents are unspecified; the caller writes every element.
+func (vp *valuePlane) ownSlot(iter int, like []float64) []float64 {
 	if cur, ok := vp.own.get(iter); ok {
-		if len(cur) == len(vals) && (cur == nil) == (vals == nil) {
-			copy(cur, vals)
-			return
+		if len(cur) == len(like) && (cur == nil) == (like == nil) {
+			return cur
 		}
-		if cur2, ok2 := vp.own.del(iter); ok2 {
-			vp.pool.put(cur2)
-		}
+		vp.dropOwn(iter)
 	}
 	var buf []float64
-	if vals != nil {
-		buf = vp.pool.get(len(vals))
-		copy(buf, vals)
+	if like != nil {
+		buf = vp.pool.get(len(like))
 	}
 	if dropped, ok := vp.own.put(iter, buf); ok {
 		vp.pool.put(dropped)
 	}
+	return buf
 }
 
 // ownAt returns the local partition at an iteration (nil when absent).

@@ -105,17 +105,19 @@ func NewApp(sim Sim, local []Particle, nTotal, pid int, theta float64, instr *In
 }
 
 var _ core.App = (*App)(nil)
+var _ core.ComputerInto = (*App)(nil)
 var _ core.Speculator = (*App)(nil)
 
 // InitLocal implements core.App.
 func (a *App) InitLocal() []float64 { return Encode(a.init) }
 
-// Compute implements core.App: decode the global view, accumulate forces on
-// the local block (direct sum, or Barnes-Hut when MAC > 0), and advance it
-// one timestep.
-func (a *App) Compute(view [][]float64, t int) []float64 {
+// Compute implements core.App: ComputeInto into the next result buffer.
+func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.pid, t) }
+
+// ComputeInto implements core.ComputerInto: decode the global view, sum the
+// forces on the local block (direct, or Barnes-Hut when MAC > 0), advance it.
+func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 	local := a.decode(a.pid, view[a.pid])
-	out := a.out.Next(len(local) * Floats)
 	if a.MAC > 0 {
 		var all []Particle
 		for k, part := range view {
@@ -126,7 +128,8 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 		tree := BuildOctree(all)
 		acc, _ := a.sim.AccelOnTree(local, tree, a.MAC)
 		a.next = a.sim.stepInto(a.next, local, acc)
-		return encodeInto(out, a.next)
+		encodeInto(out, a.next)
+		return
 	}
 	a.sources = a.sources[:0]
 	for k, part := range view {
@@ -136,7 +139,7 @@ func (a *App) Compute(view [][]float64, t int) []float64 {
 	}
 	a.acc = a.sim.accelInto(a.acc, local, a.sources)
 	a.next = a.sim.stepInto(a.next, local, a.acc)
-	return encodeInto(out, a.next)
+	encodeInto(out, a.next)
 }
 
 // ComputeOps implements core.App: N_i·N pairwise force evaluations for the

@@ -33,8 +33,8 @@ type Stage struct {
 	Init func(out []float64)
 	// Step computes the tick-(t+1) output. self is the stage's own tick-t
 	// row; in holds the upstream stages' tick-t rows in the order their ids
-	// were passed to Add; out is the reused output buffer, len Width, whose
-	// stale contents Step must overwrite in full.
+	// were passed to Add; out (len Width, the engine's slot or a reused
+	// buffer) holds stale contents Step must overwrite in full, unread.
 	// self and in alias engine-owned buffers and must not be retained or
 	// mutated. Step must be deterministic in (t, self, in) — repairs
 	// recompute it and expect identical results.
@@ -185,9 +185,9 @@ func (g *Graph) AppAt(place []int, rank int) (core.App, error) {
 	}, nil
 }
 
-// stageApp adapts one pipeline stage to the engine's App contract. Outputs
-// come from a ping-pong pair (core.App's result-ownership rule), so a
-// steady-state Step allocates nothing.
+// stageApp adapts one pipeline stage to the engine's App contract. Step
+// writes the engine's lent slot (core.ComputerInto) or, for Compute, a
+// ping-pong pair, so a steady-state Step allocates nothing.
 type stageApp struct {
 	g     *Graph
 	dg    *core.DepGraph
@@ -200,8 +200,9 @@ type stageApp struct {
 }
 
 var (
-	_ core.App     = (*stageApp)(nil)
-	_ core.Grapher = (*stageApp)(nil)
+	_ core.App          = (*stageApp)(nil)
+	_ core.ComputerInto = (*stageApp)(nil)
+	_ core.Grapher      = (*stageApp)(nil)
 )
 
 func (a *stageApp) Graph(p int) *core.DepGraph { return a.dg }
@@ -215,12 +216,14 @@ func (a *stageApp) InitLocal() []float64 {
 }
 
 func (a *stageApp) Compute(view [][]float64, t int) []float64 {
+	return a.out.Compute(a, view, a.rank, t)
+}
+
+func (a *stageApp) ComputeInto(out []float64, view [][]float64, t int) {
 	for i, u := range a.g.up[a.stage] {
 		a.in[i] = view[a.place[u]]
 	}
-	out := a.out.Next(a.def.Width)
 	a.def.Step(t, view[a.rank], a.in, out)
-	return out
 }
 
 func (a *stageApp) ComputeOps() float64 { return a.def.Ops }

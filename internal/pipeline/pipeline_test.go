@@ -234,3 +234,45 @@ func TestSerialDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestStageComputeMatchesSerialBitForBit drives every stage of the built-in
+// pipelines in lockstep, both through Compute (results copied, as the value
+// plane does for an app without the extension) and through ComputeInto into
+// a fresh NaN-filled row (as the engine lends its slot, so a Step that reads
+// out or skips an element shows), and requires Serial's rows to the bit.
+func TestStageComputeMatchesSerialBitForBit(t *testing.T) {
+	const ticks = 12
+	for name, g := range map[string]*Graph{"three-stage": ThreeStage(8, 42), "chain": Chain(5, 8, 7)} {
+		want := g.Serial(ticks)
+		for _, lend := range []bool{false, true} {
+			apps := make([]core.App, g.Stages())
+			rows := make([][]float64, g.Stages())
+			for s := range apps {
+				apps[s] = g.App(s)
+				rows[s] = apps[s].InitLocal()
+			}
+			for tick := 0; tick < ticks; tick++ {
+				next := make([][]float64, len(rows))
+				for s, a := range apps {
+					if !lend {
+						next[s] = append([]float64(nil), a.Compute(rows, tick)...)
+						continue
+					}
+					next[s] = make([]float64, len(rows[s]))
+					for i := range next[s] {
+						next[s][i] = math.NaN()
+					}
+					a.(core.ComputerInto).ComputeInto(next[s], rows, tick)
+				}
+				rows = next
+			}
+			for s := range rows {
+				for i := range rows[s] {
+					if math.Float64bits(rows[s][i]) != math.Float64bits(want[s][i]) {
+						t.Errorf("%s lend=%v stage %d value %d: %v, serial %v", name, lend, s, i, rows[s][i], want[s][i])
+					}
+				}
+			}
+		}
+	}
+}
