@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-core bench-smoke bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
+.PHONY: all build test test-short bench bench-core bench-smoke bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched fuzz-obs soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
 
 all: build vet test
 
@@ -28,15 +28,17 @@ test-short:
 
 # The substrates with real concurrency: goroutines (realtime), OS
 # processes over TCP (distnet, including the custody committer, the
-# acked-shutdown tests and the local fleet every launcher goes through), and
-# the multi-run scheduler and its serve loop on top (sched) — plus the
-# engine and the simulator under them (core, cluster: a few seconds), since
-# the engine polls the transport from inside validation — and the apps
+# acked-shutdown tests and the local fleet every launcher goes through), the
+# inbox both of them receive through (Put from any goroutine, Take from the
+# engine's), and the multi-run scheduler and its serve loop on top (sched) —
+# plus the engine and the simulator under them (core, cluster: a few
+# seconds), since the engine polls the transport from inside validation —
+# the fault injector (its Plan is safe for concurrent senders), and the apps
 # (internal/apps, nbody, pipeline), which compute into the engine's lent slot
 # and reuse per-instance scratch across Compute, Check and Correct on the
 # rule that one engine goroutine drives one App.
 race:
-	go test -race ./internal/core/... ./internal/cluster/... ./internal/realtime/... ./internal/distnet/... ./internal/sched/... ./internal/nbody/... ./internal/apps/... ./internal/pipeline/...
+	go test -race ./internal/core/... ./internal/cluster/... ./internal/inbox/... ./internal/faults/... ./internal/realtime/... ./internal/distnet/... ./internal/sched/... ./internal/nbody/... ./internal/apps/... ./internal/pipeline/...
 
 # Before regenerating a golden journal (-update-golden): each committed
 # fixture beside a fresh run — bytes, final virtual time, events by kind — as
@@ -69,6 +71,12 @@ fuzz-sched:
 	go test -run '^$$' -fuzz FuzzSubmitBody -fuzztime 30s -fuzzminimizetime 1s ./internal/sched/
 	go test -run '^$$' -fuzz FuzzLoadQueue -fuzztime 30s -fuzzminimizetime 1s ./internal/sched/
 
+# Fuzz the Prometheus text parser, which decodes every metrics snapshot a
+# fleet coordinator merges: never panics, allocates in proportion to its
+# input, and what it accepts survives a write and a second parse.
+fuzz-obs:
+	go test -run '^$$' -fuzz FuzzParseProm -fuzztime 30s -fuzzminimizetime 1s ./internal/obs/
+
 bench: bench-core
 	go test -bench=. -benchmem ./...
 
@@ -86,8 +94,8 @@ bench: bench-core
 # TakeCheckpoint are gated: TakeCheckpoint must read 0 allocs/op, and the
 # exact version of that claim (testing.AllocsPerRun) runs first in a process
 # of its own, where no other test's stragglers can allocate into the count.
-BENCH_CORE_SERIES = EngineIteration|ComputeKernel|CheckEq11|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|PipelineStage|CoordCustody|CoordTeardown|CheckpointEncode|TakeCheckpoint|CheckpointPath
-BENCH_CORE_PKGS = ./internal/core ./internal/checkpoint ./internal/apps/... ./internal/nbody ./internal/distnet ./internal/pipeline
+BENCH_CORE_SERIES = EngineIteration|ComputeKernel|CheckEq11|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|PipelineStage|CoordCustody|CoordTeardown|CheckpointEncode|TakeCheckpoint|CheckpointPath|Inbox
+BENCH_CORE_PKGS = ./internal/core ./internal/checkpoint ./internal/apps/... ./internal/nbody ./internal/distnet ./internal/pipeline ./internal/inbox
 bench-core:
 	go test -run '^TestTakeCheckpointZeroAlloc$$' -count=1 ./internal/core
 	go test -run '^$$' -cpu 1 -bench '$(BENCH_CORE_SERIES)' -benchmem $(BENCH_CORE_PKGS) \

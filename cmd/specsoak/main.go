@@ -1,7 +1,7 @@
 // Command specsoak soaks the distnet wire plane at paper-exceeding scale:
 // one coordinator plus P node processes (default 64) on 127.0.0.1, each a
 // real OS process re-executed from this binary, optionally under chaos
-// (loss-free duplicates and sender-side delay spikes). It records the
+// (loss-free duplicates and delay spikes). It records the
 // throughput measures the batching work is judged by — aggregate message
 // rate, delivery-latency percentiles, and whole-process allocations per
 // message — as Soak* series in the repo's benchmark baseline.

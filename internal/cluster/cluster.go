@@ -157,6 +157,10 @@ type Message struct {
 	Data        []float64
 	SentAt      float64
 	DeliveredAt float64
+	// Hold is the injected delay, in seconds, the receiver still owes the
+	// message on a wall-clock transport: it becomes visible Hold after it
+	// arrives (internal/inbox). The simulator never sets it.
+	Hold float64
 }
 
 // Any matches any source or tag in Recv/TryRecv.

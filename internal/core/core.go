@@ -47,13 +47,29 @@ const (
 	RejoinAckTag = 3 // response: Iter = responder frontier, Data[0] = oldest re-sendable iter
 )
 
-// Transport is the minimal subset of the cluster.Transport contract the
-// engine needs from an execution substrate. The simulated cluster's
-// *cluster.Proc implements it against virtual time; the realtime package
-// implements it over goroutines and channels; the distnet package over OS
-// processes and TCP sockets — all against the same full contract (see the
-// assertion below). Compute charges work to the substrate's clock — a no-op
-// for wall-clock substrates, where the work happens inside the app itself.
+// Transport is what the engine needs from an execution substrate. Three
+// backends implement it, each with the optional extensions below:
+// *cluster.Proc against virtual time, the realtime package over goroutines
+// in one process, and the distnet package over OS processes and TCP sockets.
+// Compute charges work to the substrate's clock — a no-op for wall-clock
+// substrates, where the work happens inside the app itself.
+//
+// The engine receives only (cluster.Any, cluster.Any). Selective receive is
+// *cluster.Proc's, for its collectives; the wall-clock transports panic on
+// any other selector.
+//
+// Delivery rule on the wall-clock transports: a message is in the
+// receiver's inbox the moment it arrives and becomes visible Message.Hold
+// seconds later by the receiver's clock, however busy either side is — an
+// injected delay is owed at the receiver (internal/inbox). The simulator
+// delivers when its network model says and never sets Hold.
+//
+// Flush rule: a transport may coalesce several sent messages into one
+// physical frame (distnet batches per-iteration sends to the same peer),
+// provided messages owed equal holds keep their per-(src, dst) order. To
+// that end it may defer a Send until the caller next polls empty, blocks in
+// a receive, or returns — never past that: what the caller does next may be
+// a long compute, and a peer may be waiting on exactly that message.
 type Transport interface {
 	ID() int
 	P() int
@@ -66,14 +82,6 @@ type Transport interface {
 }
 
 var _ Transport = (*cluster.Proc)(nil)
-
-// Any full cluster.Transport satisfies the engine's contract with every
-// optional capability (zero-copy sends, deadline receives) enabled.
-var _ interface {
-	Transport
-	DeadlineReceiver
-	SharedSender
-} = (cluster.Transport)(nil)
 
 // DeadlineReceiver is an optional Transport extension providing a receive
 // bounded by a timeout (in the transport's time unit). ok=false means the

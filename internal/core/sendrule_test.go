@@ -1,6 +1,6 @@
 package core
 
-// The engine's half of the transport's flush rule (cluster.Transport: "a
+// The engine's half of the transport's flush rule (core.Transport: "a
 // transport may defer a Send until the caller next polls empty, blocks in a
 // receive, or returns — never past that"). A batching transport relies on
 // the engine never computing on top of a deferred send, with no timer behind

@@ -7,7 +7,7 @@ package distnet
 // wakeup across the batch. Its body is
 //
 //	u32 count · count × entry
-//	entry: i64 src, dst, tag, iter, epoch · f64 sentAt · u8 enc · u32 n|nil · body
+//	entry: i64 src, dst, tag, iter, epoch · f64 sentAt, hold · u8 enc · u32 n|nil · body
 //
 // enc selects the payload body encoding:
 //
@@ -59,7 +59,7 @@ func releaseBatch(b []cluster.Message) {
 // batchEntryMin is the smallest possible encoded batch entry (header + enc
 // byte + length word, nil payload). The decoder bounds a frame's claimed
 // entry count by it before decoding anything.
-const batchEntryMin = 6*8 + 1 + 4
+const batchEntryMin = 7*8 + 1 + 4
 
 // Batch entry payload encodings.
 const (
@@ -193,7 +193,9 @@ func appendBatchEntry(dst []byte, m *cluster.Message, ds *deltaState) []byte {
 // ErrCorrupt directly.
 func (d *Decoder) decodeBatchEntry(p *payloadReader, i int) (cluster.Message, error) {
 	var m cluster.Message
-	decodeMsgHeader(p, &m)
+	if err := decodeMsgHeader(p, &m); err != nil {
+		return m, err
+	}
 	enc := p.u8()
 	nw := p.u32()
 	if p.err != nil {

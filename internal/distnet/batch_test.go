@@ -26,7 +26,7 @@ func pipeCodec(delta bool) (*Encoder, *Decoder, *bytes.Buffer) {
 func randBatchMsg(rng *rand.Rand, iter int) cluster.Message {
 	m := cluster.Message{
 		Src: rng.Intn(4), Dst: rng.Intn(4), Tag: rng.Intn(3) - 1,
-		Iter: iter, Epoch: rng.Intn(3), SentAt: rng.Float64(),
+		Iter: iter, Epoch: rng.Intn(3), SentAt: rng.Float64(), Hold: rng.ExpFloat64() * 1e-3,
 	}
 	switch rng.Intn(5) {
 	case 0:
@@ -44,7 +44,7 @@ func randBatchMsg(rng *rand.Rand, iter int) cluster.Message {
 
 func msgEqual(a, b cluster.Message) bool {
 	if a.Src != b.Src || a.Dst != b.Dst || a.Tag != b.Tag ||
-		a.Iter != b.Iter || a.Epoch != b.Epoch || !sameFloat(a.SentAt, b.SentAt) {
+		a.Iter != b.Iter || a.Epoch != b.Epoch || !sameFloat(a.SentAt, b.SentAt) || !sameFloat(a.Hold, b.Hold) {
 		return false
 	}
 	if (a.Data == nil) != (b.Data == nil) || len(a.Data) != len(b.Data) {
@@ -216,7 +216,7 @@ func TestBatchDeltaIncompressibleFallsBack(t *testing.T) {
 func TestBatchCorruptCases(t *testing.T) {
 	entry := func(n int, enc byte, tail []byte) []byte {
 		p := []byte{byte(FrameBatch), 0, 0, 0, 1}
-		p = append(p, make([]byte, 48)...) // header: src..sentAt all zero
+		p = append(p, make([]byte, 56)...) // header: src..hold all zero
 		p = append(p, enc)
 		p = appendU32(p, uint32(n))
 		return append(p, tail...)

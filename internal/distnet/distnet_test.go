@@ -334,9 +334,11 @@ func TestJacobiConvergesDistributed(t *testing.T) {
 }
 
 // TestWireModesConverge runs the same heat problem under each wire-plane
-// shape — batched (default), batched+delta, and per-message frames — and
-// asserts all three converge on the serial reference. It also checks the
-// wire accounting in every mode: no message is held across an iteration, so
+// shape — batched (default), batched+delta, and per-message frames — with
+// no injected delay and with a 1 ms netmodel.Fixed one, whose copies ride
+// the same batches and delta codec, and asserts all six converge on the
+// serial reference. It also checks the wire accounting in every mode: no
+// message is held across an iteration, so
 // in a fault-free run one broadcast is one frame per peer — FramesSent is
 // MsgsSent plus beacons, never less, and exactly MsgsSent when the run ends
 // before the first beacon is due — and delivery-latency percentiles are sane.
@@ -347,51 +349,60 @@ func TestWireModesConverge(t *testing.T) {
 		"nobatch": {NoBatch: true},
 	}
 	for name, wire := range modes {
-		t.Run(name, func(t *testing.T) {
-			spec := RunSpec{App: "heat", Procs: 4, MaxIter: 60, FW: 2, Theta: 1e-3,
-				Rows: 24, Cols: 16, Wire: wire}
-			began := time.Now()
-			coord, err := NewCoordinator(CoordConfig{Spec: spec, Timeout: time.Minute})
-			if err != nil {
-				t.Fatal(err)
+		for _, delay := range []float64{0, 0.001} {
+			if delay > 0 {
+				name += "+1ms"
 			}
-			defer coord.Close()
-			spec = coord.Spec()
-			const beaconEvery = time.Second
-			launchNodes(t, spec.Procs, func(rank int) NodeConfig {
-				return NodeConfig{Coord: coord.Addr(), HeartbeatEvery: beaconEvery}
+			t.Run(name, func(t *testing.T) {
+				spec := RunSpec{App: "heat", Procs: 4, MaxIter: 60, FW: 2, Theta: 1e-3,
+					Rows: 24, Cols: 16, Wire: wire}
+				began := time.Now()
+				coord, err := NewCoordinator(CoordConfig{Spec: spec, Timeout: time.Minute})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer coord.Close()
+				spec = coord.Spec()
+				const beaconEvery = time.Second
+				launchNodes(t, spec.Procs, func(rank int) NodeConfig {
+					cfg := NodeConfig{Coord: coord.Addr(), HeartbeatEvery: beaconEvery}
+					if delay > 0 {
+						cfg.Faults = netmodel.Fixed{D: delay}
+					}
+					return cfg
+				})
+				reports, err := coord.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// No link existed for a whole beacon interval: no beacons.
+				noBeacons := time.Since(began) < beaconEvery
+				serial := heat.DefaultGrid(spec.Rows, spec.Cols).SerialRun(spec.MaxIter)
+				field := assembleHeat(t, spec, reports)
+				if d := heat.MaxDiff(field, serial); d > 0.5 {
+					t.Errorf("field deviates %g from serial reference", d)
+				}
+				for _, rep := range reports {
+					if rep.MsgsRecvd == 0 {
+						t.Errorf("rank %d delivered no messages", rep.Rank)
+					}
+					if rep.FramesSent == 0 {
+						t.Errorf("rank %d reported no frames", rep.Rank)
+					}
+					if rep.FramesSent < rep.MsgsSent || (noBeacons && rep.FramesSent != rep.MsgsSent) {
+						t.Errorf("rank %d sent %d frames for %d messages (beacons possible: %v): a message was held across an iteration",
+							rep.Rank, rep.FramesSent, rep.MsgsSent, !noBeacons)
+					}
+					// Loopback deliveries can be faster than the send-timestamp
+					// clock resolution, so p50 may legitimately clamp to zero;
+					// ordering and non-negativity must still hold.
+					if rep.LatP50Sec < 0 || rep.LatP99Sec < rep.LatP50Sec {
+						t.Errorf("rank %d latency percentiles implausible: p50=%g p99=%g",
+							rep.Rank, rep.LatP50Sec, rep.LatP99Sec)
+					}
+				}
 			})
-			reports, err := coord.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// No link existed for a whole beacon interval: no beacons.
-			noBeacons := time.Since(began) < beaconEvery
-			serial := heat.DefaultGrid(spec.Rows, spec.Cols).SerialRun(spec.MaxIter)
-			field := assembleHeat(t, spec, reports)
-			if d := heat.MaxDiff(field, serial); d > 0.5 {
-				t.Errorf("field deviates %g from serial reference", d)
-			}
-			for _, rep := range reports {
-				if rep.MsgsRecvd == 0 {
-					t.Errorf("rank %d delivered no messages", rep.Rank)
-				}
-				if rep.FramesSent == 0 {
-					t.Errorf("rank %d reported no frames", rep.Rank)
-				}
-				if rep.FramesSent < rep.MsgsSent || (noBeacons && rep.FramesSent != rep.MsgsSent) {
-					t.Errorf("rank %d sent %d frames for %d messages (beacons possible: %v): a message was held across an iteration",
-						rep.Rank, rep.FramesSent, rep.MsgsSent, !noBeacons)
-				}
-				// Loopback deliveries can be faster than the send-timestamp
-				// clock resolution, so p50 may legitimately clamp to zero;
-				// ordering and non-negativity must still hold.
-				if rep.LatP50Sec < 0 || rep.LatP99Sec < rep.LatP50Sec {
-					t.Errorf("rank %d latency percentiles implausible: p50=%g p99=%g",
-						rep.Rank, rep.LatP50Sec, rep.LatP99Sec)
-				}
-			}
-		})
+		}
 	}
 }
 

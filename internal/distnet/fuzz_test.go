@@ -47,6 +47,14 @@ func FuzzFrameDecode(f *testing.F) {
 			{Src: 0, Dst: 1, Tag: 2, Iter: 5},
 			{Src: 1, Dst: 0, Tag: 1, Iter: 6, Data: []float64{}},
 		}},
+		// Holds: one an inbox owes, then three the decoder must refuse.
+		{Type: FrameData, Msg: cluster.Message{Src: 0, Dst: 1, Tag: 1, Iter: 4, SentAt: 0.5, Hold: 0.002, Data: []float64{1}}},
+		{Type: FrameData, Msg: cluster.Message{Src: 0, Dst: 1, Tag: 1, Iter: 4, Hold: -1}},
+		{Type: FrameData, Msg: cluster.Message{Src: 0, Dst: 1, Tag: 1, Iter: 4, Hold: math.NaN()}},
+		{Type: FrameBatch, Batch: []cluster.Message{
+			{Src: 0, Dst: 1, Tag: 1, Iter: 7, Hold: 0.002, Data: []float64{1, 2}},
+			{Src: 0, Dst: 1, Tag: 1, Iter: 8, Hold: math.Inf(1), Data: []float64{1, 2}},
+		}},
 	}
 	for i := range seeds {
 		var buf bytes.Buffer

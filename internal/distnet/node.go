@@ -1,7 +1,7 @@
 package distnet
 
 // The node runtime: one OS process per processor, driving the unchanged
-// internal/core engine through the cluster.Transport contract over real TCP
+// internal/core engine through the core.Transport contract over real TCP
 // links. RunNode is the whole lifecycle — join the coordinator, build the
 // peer mesh, pass the start barrier, run the engine, report the result,
 // tear down on the coordinator's shutdown.
@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -27,6 +28,7 @@ import (
 	"specomp/internal/cluster"
 	"specomp/internal/core"
 	"specomp/internal/faults"
+	"specomp/internal/inbox"
 	"specomp/internal/netmodel"
 	"specomp/internal/obs"
 )
@@ -44,8 +46,8 @@ type NodeConfig struct {
 	HTTPAddr string
 	// Faults, when non-nil, applies the simulator's fault semantics to this
 	// node's send path: every outgoing data message is planned through the
-	// model (drop / duplicate / extra sender-side delay) before it touches
-	// the socket. See faults.Injector.
+	// model (drop / duplicate / a delay each copy's receiver owes it) before
+	// it touches the socket. See faults.Injector.
 	Faults netmodel.Model
 	// FaultSeed seeds the injector's RNG.
 	FaultSeed int64
@@ -77,8 +79,8 @@ type NodeConfig struct {
 // linkQueueCap bounds every peer link's send queue. It does not grow with
 // run length: a full queue blocks Send — TCP backpressure — and that cannot
 // deadlock, because each link's writer drains into the socket and each
-// reader drains the socket into an inbox sized for the whole run, so no
-// send ever waits on the receiving engine.
+// reader drains the socket into an inbox that never blocks, so no send ever
+// waits on the receiving engine.
 const linkQueueCap = 128
 
 func (cfg *NodeConfig) normalize() error {
@@ -120,9 +122,9 @@ type NodeResult struct {
 	Wall time.Duration
 }
 
-// transport drives cluster.Transport over the peer mesh. The engine calls
-// it from a single goroutine; per-peer reader and writer goroutines feed
-// and drain the sockets.
+// transport drives core.Transport over the peer mesh. The engine calls it
+// from a single goroutine; per-peer reader and writer goroutines feed and
+// drain the sockets.
 type transport struct {
 	rank, p int
 	epoch   int
@@ -133,8 +135,7 @@ type transport struct {
 	// goroutine's sends; the data path pays one atomic load per access and
 	// keeps its zero-allocation steady state.
 	peers   []atomic.Pointer[peerConn]
-	inbox   chan cluster.Message
-	pending []cluster.Message
+	inbox   *inbox.Inbox
 	commSec float64
 	inj     *faults.Injector
 	procs   int
@@ -166,15 +167,9 @@ type transport struct {
 	// engine goroutine only.
 	lat []float64
 
-	// deadline is RecvDeadline's one reusable timer, engine goroutine only.
-	deadline *time.Timer
-
-	// held is the set of injector-delayed copies still in flight: a fired
-	// copy drops its own entry, close stops what is outstanding instead of
-	// leaking AfterFunc callbacks past the run. timersMu covers it and closed.
-	timersMu sync.Mutex
-	held     map[*heldCopy]struct{}
-	closed   bool
+	// closed is set by close, so the accept loop refuses replacement links
+	// during teardown.
+	closed atomic.Bool
 
 	msgsSent, msgsRecvd, bytesSent int
 	drops                          int // sends the injector suppressed
@@ -190,7 +185,14 @@ type transport struct {
 	traceWire bool
 }
 
-var _ cluster.Transport = (*transport)(nil)
+var _ interface {
+	core.Transport
+	core.SharedSender
+	core.DeadlineReceiver
+	core.FailureDetector
+	core.Epocher
+	core.NetStatser
+} = (*transport)(nil)
 
 // peer returns the current link to rank j (nil at own index).
 func (t *transport) peer(j int) *peerConn { return t.peers[j].Load() }
@@ -244,21 +246,20 @@ func (t *transport) SendShared(dst, tag, iter int, data []float64) {
 		return
 	}
 	// Fault injection is per message, not per frame: each logical message is
-	// planned individually (parity with the simulator's DeliveriesOf), and
-	// only the surviving immediate copies enter a batch. Delayed copies ship
-	// as single frames when their timers fire — by then the batch they would
-	// have joined has long been flushed.
+	// planned individually (parity with the simulator's DeliveriesOf). Every
+	// planned copy leaves at once, in the batcher like any send, carrying its
+	// delay as the hold the receiver's inbox owes it.
 	plan := t.inj.Plan(t.rank, dst, bytes, t.procs, m.SentAt)
 	if len(plan) == 0 {
 		t.drops++
 		return
 	}
 	for _, d := range plan {
-		if d <= 0 {
-			t.enqueueData(pc, m, bytes)
-			continue
+		m.Hold = 0
+		if d > 0 {
+			m.Hold = d
 		}
-		t.holdBack(pc, m, d)
+		t.enqueueData(pc, m, bytes)
 	}
 }
 
@@ -287,14 +288,15 @@ func (t *transport) enqueueData(pc *peerConn, m cluster.Message, bytes int) {
 func (t *transport) pop(dst, reason int) Frame {
 	msgs := t.pend[dst]
 	t.wobs.noteFlush(reason, len(msgs))
-	t.pend[dst] = getBatch()
 	t.pendBytes[dst] = 0
 	t.pendMsgs -= len(msgs)
-	if len(msgs) == 1 {
+	if len(msgs) == 1 { // a lone message keeps its slice: no pool round trip
 		m := msgs[0]
-		releaseBatch(msgs)
+		clear(msgs)
+		t.pend[dst] = msgs[:0]
 		return Frame{Type: FrameData, Msg: m}
 	}
+	t.pend[dst] = getBatch()
 	return Frame{Type: FrameBatch, Batch: msgs}
 }
 
@@ -312,58 +314,11 @@ func (t *transport) flushAll(reason int) {
 	}
 }
 
-// heldCopy is one injector-delayed copy waiting out its delay.
-type heldCopy struct {
-	t  *transport
-	pc *peerConn
-	m  cluster.Message
-	tm *time.Timer
-}
-
-// holdBack schedules a delayed transmission of one planned copy.
-func (t *transport) holdBack(pc *peerConn, m cluster.Message, delaySec float64) {
-	t.timersMu.Lock()
-	defer t.timersMu.Unlock()
-	if t.closed {
-		return
-	}
-	if t.held == nil {
-		t.held = make(map[*heldCopy]struct{})
-	}
-	h := &heldCopy{t: t, pc: pc, m: m}
-	h.tm = time.AfterFunc(time.Duration(delaySec*float64(time.Second)), h.release)
-	t.held[h] = struct{}{}
-}
-
-// release sends the copy once its delay is up. It leaves the in-flight set
-// first, so once a delayed message has been delivered nothing here still
-// pins its payload.
-func (h *heldCopy) release() {
-	h.t.timersMu.Lock()
-	delete(h.t.held, h)
-	h.t.timersMu.Unlock()
-	h.pc.send(Frame{Type: FrameData, Msg: h.m})
-}
-
-func (t *transport) takePending(src, tag int) (cluster.Message, bool) {
-	for i, m := range t.pending {
-		if matches(m, src, tag) {
-			t.pending = append(t.pending[:i], t.pending[i+1:]...)
-			t.msgsRecvd++
-			return m, true
-		}
-	}
-	return cluster.Message{}, false
-}
-
-func matches(m cluster.Message, src, tag int) bool {
-	return (src == cluster.Any || m.Src == src) && (tag == cluster.Any || m.Tag == tag)
-}
-
-// popped stamps a message just pulled off the inbox and records its
-// delivery latency (clamped at zero: SentAt and DeliveredAt are measured on
-// different processes' clocks).
+// popped stamps a message just taken from the inbox, counts it and records
+// its delivery latency (clamped at zero: SentAt and DeliveredAt are measured
+// on different processes' clocks).
 func (t *transport) popped(m *cluster.Message) {
+	t.msgsRecvd++
 	m.DeliveredAt = t.Now()
 	d := m.DeliveredAt - m.SentAt
 	if d < 0 {
@@ -384,81 +339,33 @@ func (t *transport) popped(m *cluster.Message) {
 // poll again. The flush can block on a full link queue, exactly as a
 // size-cap flush inside Send already can.
 func (t *transport) TryRecv(src, tag int) (cluster.Message, bool) {
-	if m, ok := t.takePending(src, tag); ok {
-		return m, true
+	m, ok := t.take(src, tag, math.Inf(-1))
+	if !ok {
+		t.flushAll(flushRecv)
 	}
-	for {
-		select {
-		case m := <-t.inbox:
-			t.popped(&m)
-			if matches(m, src, tag) {
-				t.msgsRecvd++
-				return m, true
-			}
-			t.pending = append(t.pending, m)
-		default:
-			t.flushAll(flushRecv)
-			return cluster.Message{}, false
-		}
-	}
+	return m, ok
 }
 
 func (t *transport) Recv(src, tag int) cluster.Message {
-	if m, ok := t.takePending(src, tag); ok {
-		return m
-	}
-	t.flushAll(flushRecv) // about to block: everything we owe the mesh goes out first
-	before := time.Now()
-	defer func() { t.commSec += time.Since(before).Seconds() }()
-	for {
-		m := <-t.inbox
-		t.popped(&m)
-		if matches(m, src, tag) {
-			t.msgsRecvd++
-			return m
-		}
-		t.pending = append(t.pending, m)
-	}
+	m, _ := t.RecvDeadline(src, tag, math.Inf(1))
+	return m
 }
 
 func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message, bool) {
-	if m, ok := t.takePending(src, tag); ok {
-		return m, true
-	}
 	t.flushAll(flushRecv) // about to block: everything we owe the mesh goes out first
 	before := time.Now()
 	defer func() { t.commSec += time.Since(before).Seconds() }()
-	d := time.Duration(timeout * float64(time.Second))
-	if d <= 0 {
-		return cluster.Message{}, false
+	return t.take(src, tag, timeout)
+}
+
+// take hands over the next visible message, waiting at most wait seconds.
+func (t *transport) take(src, tag int, wait float64) (cluster.Message, bool) {
+	inbox.MustAny(src, tag)
+	m, ok := t.inbox.Take(wait)
+	if ok {
+		t.popped(&m)
 	}
-	// One timer per transport, armed once per call. A call that returned on
-	// a message leaves it running, so stop it and drain any tick it left
-	// behind before re-arming (go.mod predates the go 1.23 timer channels).
-	if t.deadline == nil {
-		t.deadline = time.NewTimer(d)
-	} else {
-		if !t.deadline.Stop() {
-			select {
-			case <-t.deadline.C:
-			default:
-			}
-		}
-		t.deadline.Reset(d)
-	}
-	for {
-		select {
-		case m := <-t.inbox:
-			t.popped(&m)
-			if matches(m, src, tag) {
-				t.msgsRecvd++
-				return m, true
-			}
-			t.pending = append(t.pending, m)
-		case <-t.deadline.C:
-			return cluster.Message{}, false
-		}
-	}
+	return m, ok
 }
 
 func (t *transport) PhaseTime(ph cluster.Phase) float64 {
@@ -509,14 +416,10 @@ func (t *transport) reader(pc *peerConn) {
 		pc.touch()
 		switch f.Type {
 		case FrameData:
-			if !t.deliver(pc, f.Msg) {
-				return
-			}
+			t.inbox.Put(f.Msg)
 		case FrameBatch:
 			for _, m := range f.Batch {
-				if !t.deliver(pc, m) {
-					return
-				}
+				t.inbox.Put(m)
 			}
 		case FrameHeartbeat:
 			// touch above is the liveness half; the clock tail (if any)
@@ -528,17 +431,6 @@ func (t *transport) reader(pc *peerConn) {
 		default:
 			// Unknown control on a peer link: tolerate (forward compat).
 		}
-	}
-}
-
-// deliver hands one received message to the engine's inbox, reporting false
-// when the link is being torn down.
-func (t *transport) deliver(pc *peerConn, m cluster.Message) bool {
-	select {
-	case t.inbox <- m:
-		return true
-	case <-pc.stop:
-		return false
 	}
 }
 
@@ -564,18 +456,11 @@ func latPercentile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// close tears down every peer link and cancels injector-held sends, pushing
-// any still-pending batches out first (shutdown must not strand messages a
-// slower peer is waiting for).
+// close tears down every peer link, pushing any still-pending batches out
+// first (shutdown must not strand messages a slower peer is waiting for).
 func (t *transport) close() {
 	t.flushAll(flushClose)
-	t.timersMu.Lock()
-	t.closed = true
-	for h := range t.held {
-		h.tm.Stop()
-	}
-	t.held = nil
-	t.timersMu.Unlock()
+	t.closed.Store(true)
 	for j := range t.peers {
 		if pc := t.peer(j); pc != nil {
 			pc.close()
@@ -687,7 +572,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	tr := &transport{
 		rank: rank, p: p, epoch: cfg.Epoch,
 		peers:     make([]atomic.Pointer[peerConn], p),
-		inbox:     make(chan cluster.Message, p*(spec.MaxIter+16)),
+		inbox:     inbox.New(),
 		inj:       faults.NewInjector(cfg.Faults, cfg.FaultSeed),
 		procs:     p,
 		wire:      spec.Wire,
@@ -1061,10 +946,7 @@ func (t *transport) acceptReplacement(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	t.timersMu.Lock()
-	closing := t.closed
-	t.timersMu.Unlock()
-	if closing {
+	if t.closed.Load() {
 		conn.Close()
 		return
 	}

@@ -12,6 +12,7 @@ import (
 
 	"specomp/internal/cluster"
 	"specomp/internal/faults"
+	"specomp/internal/inbox"
 	"specomp/internal/netmodel"
 )
 
@@ -203,7 +204,8 @@ func TestHeartbeatPiggybacksOnTraffic(t *testing.T) {
 
 // linkedTransports builds two manual transports over one real TCP link —
 // rank 0 (optionally fault-injected) talking to rank 1 — with readers
-// running, mirroring what RunNode assembles around connectMesh.
+// running, mirroring what RunNode assembles around connectMesh. Both share
+// one clock origin, so a message's stamps compare across the pair.
 func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed int64) (*transport, *transport) {
 	t.Helper()
 	norm := RunSpec{Wire: wire} // Normalize fills the batch caps
@@ -213,14 +215,15 @@ func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed in
 	wire = norm.Wire
 
 	a, b := tcpPair(t)
+	start := time.Now()
 	mk := func(rank int, conn net.Conn, peer int, inj *faults.Injector) *transport {
 		tr := &transport{
 			rank: rank, p: 2, procs: 2,
 			peers: make([]atomic.Pointer[peerConn], 2),
-			inbox: make(chan cluster.Message, 4096),
+			inbox: inbox.New(),
 			inj:   inj,
 			wire:  wire,
-			start: time.Now(),
+			start: start,
 		}
 		if !wire.NoBatch {
 			tr.pend = make([][]cluster.Message, 2)

@@ -13,7 +13,7 @@
 //   - a coordinator handling membership, rank assignment, run configuration,
 //     barriers, checkpoint custody and result collection (coord.go), and a
 //     node runtime driving the unchanged internal/core engine through the
-//     cluster.Transport contract (node.go).
+//     core.Transport contract (node.go).
 //
 // A run is one coordinator process plus P node processes (cmd/speccoord and
 // cmd/specnode); nodes may equally run in-process for tests. Observability
@@ -33,6 +33,7 @@ import (
 	"sync"
 
 	"specomp/internal/cluster"
+	"specomp/internal/inbox"
 )
 
 // FrameType tags the kind of a wire frame.
@@ -164,7 +165,7 @@ type Frame struct {
 // with payload = [u8 type][type-specific body], all integers big-endian.
 // Body layouts (i64 = two's-complement int64, f64 = IEEE-754 bits):
 //
-//	data       i64 src, dst, tag, iter, epoch · f64 sentAt · u32 n|nil · n×f64
+//	data       i64 src, dst, tag, iter, epoch · f64 sentAt, hold · u32 n|nil · n×f64
 //	batch      u32 count · count×entry (see batch.go for the entry layout)
 //	hello      i64 rank, epoch · u32 len · addr bytes · u32 caps
 //	config     u32 len · blob
@@ -175,10 +176,13 @@ type Frame struct {
 //	shutdown   (empty)
 //	obs        i64 rank · u32 len · blob
 //
-// The hello caps word, the heartbeat clock tail and the result final tail
-// are optional on decode (absent reads as zero/nil) so frames from builds
-// predating them still parse; a partial clock tail, or a final tail whose
-// count disagrees with the bytes that follow it, is corrupt.
+// hold is the delay, in seconds, the receiver's inbox owes the message
+// (cluster.Message.Hold); one that is negative, NaN or beyond a
+// time.Duration is corrupt. The hello caps word, the heartbeat clock tail
+// and the result final tail are optional on decode (absent reads as
+// zero/nil) so frames from builds predating them still parse; a partial
+// clock tail, or a final tail whose count disagrees with the bytes that
+// follow it, is corrupt.
 
 // appendI64 encodes v big-endian onto dst.
 func appendI64(dst []byte, v int64) []byte {
@@ -207,7 +211,8 @@ func appendMsgHeader(dst []byte, m *cluster.Message) []byte {
 	dst = appendI64(dst, int64(m.Tag))
 	dst = appendI64(dst, int64(m.Iter))
 	dst = appendI64(dst, int64(m.Epoch))
-	return appendI64(dst, int64(math.Float64bits(m.SentAt)))
+	dst = appendI64(dst, int64(math.Float64bits(m.SentAt)))
+	return appendI64(dst, int64(math.Float64bits(m.Hold)))
 }
 
 // appendPayload encodes f's payload (type byte + body) onto dst. ds, when
@@ -558,14 +563,19 @@ func (d *Decoder) floats(p *payloadReader, i, n int) []float64 {
 }
 
 // decodeMsgHeader reads the fixed fields every data/batch message body
-// starts with.
-func decodeMsgHeader(p *payloadReader, m *cluster.Message) {
+// starts with, refusing a hold no inbox can owe.
+func decodeMsgHeader(p *payloadReader, m *cluster.Message) error {
 	m.Src = int(p.i64())
 	m.Dst = int(p.i64())
 	m.Tag = int(p.i64())
 	m.Iter = int(p.i64())
 	m.Epoch = int(p.i64())
 	m.SentAt = math.Float64frombits(uint64(p.i64()))
+	m.Hold = math.Float64frombits(uint64(p.i64()))
+	if p.err == nil && !inbox.ValidHold(m.Hold) {
+		return corruptf("message hold %v s", m.Hold)
+	}
+	return nil
 }
 
 // decodePayload decodes a checksummed payload (type byte + body) into f.
@@ -581,7 +591,9 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 	switch f.Type {
 	case FrameData:
 		m := &f.Msg
-		decodeMsgHeader(p, m)
+		if err := decodeMsgHeader(p, m); err != nil {
+			return err
+		}
 		if n := p.u32(); n != nilData {
 			m.Data = d.floats(p, 0, int(n))
 		}

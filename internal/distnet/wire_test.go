@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -11,10 +12,42 @@ import (
 	"testing"
 
 	"specomp/internal/cluster"
+	"specomp/internal/inbox"
 )
 
-// randFrame builds a random frame of a random type; the property test
-// round-trips it through the codec.
+// randHold draws a message hold: mostly one an inbox can owe, now and then
+// one the decoder must refuse (negative, NaN, +Inf, beyond a Duration).
+func randHold(rng *rand.Rand) float64 {
+	switch rng.Intn(32) {
+	case 0:
+		return -rng.ExpFloat64()
+	case 1:
+		return math.NaN()
+	case 2:
+		return math.Inf(1)
+	case 3:
+		return 1e10
+	}
+	if rng.Intn(2) == 0 {
+		return 0
+	}
+	return rng.ExpFloat64() * 1e-3
+}
+
+// holdsValid reports whether every message in f carries a hold the decoder
+// accepts.
+func holdsValid(f Frame) bool {
+	for _, m := range append([]cluster.Message{f.Msg}, f.Batch...) {
+		if !inbox.ValidHold(m.Hold) {
+			return false
+		}
+	}
+	return true
+}
+
+// randFrame builds a random frame of a random type; the property tests
+// round-trip it through the codec (or see it refused, for a hold no inbox
+// can owe).
 func randFrame(rng *rand.Rand) Frame {
 	types := []FrameType{
 		FrameData, FrameHello, FrameConfig, FrameHeartbeat,
@@ -35,6 +68,7 @@ func randFrame(rng *rand.Rand) Frame {
 			Iter:   rng.Intn(4096) - 2, // negative iters appear in control msgs
 			Epoch:  rng.Intn(8),
 			SentAt: rng.NormFloat64(),
+			Hold:   randHold(rng),
 		}
 		switch rng.Intn(3) {
 		case 0:
@@ -113,6 +147,12 @@ func TestFrameRoundTripRandom(t *testing.T) {
 			t.Fatalf("frame %d (%v): write: %v", i, want.Type, err)
 		}
 		got, err := readFrame(&buf)
+		if !holdsValid(want) {
+			if !errors.Is(err, ErrCorrupt) || buf.Len() != 0 {
+				t.Fatalf("frame %d (%v) carries a hold no inbox can owe: got %v with %d bytes left, want ErrCorrupt", i, want.Type, err, buf.Len())
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("frame %d (%v): read: %v", i, want.Type, err)
 		}
@@ -140,6 +180,12 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 	}
 	for i, want := range frames {
 		got, err := readFrame(&buf)
+		if !holdsValid(want) { // refused whole: the stream stays in step
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("frame %d carries a hold no inbox can owe: got %v, want ErrCorrupt", i, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -201,7 +247,7 @@ func TestReadFrameCorruptAndTruncated(t *testing.T) {
 	t.Run("lying data count refused", func(t *testing.T) {
 		// A valid CRC over a payload whose float count exceeds its bytes.
 		payload := []byte{byte(FrameData)}
-		for i := 0; i < 6; i++ { // src,dst,tag,iter,epoch,sentAt
+		for i := 0; i < 7; i++ { // src,dst,tag,iter,epoch,sentAt,hold
 			payload = append(payload, make([]byte, 8)...)
 		}
 		payload = append(payload, 0x7f, 0xff, 0xff, 0xff) // claims ~2G floats

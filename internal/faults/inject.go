@@ -3,21 +3,21 @@ package faults
 // Injector carries the simulator's FaultyModel semantics onto a real-network
 // send path (internal/distnet): instead of the simulation kernel consuming
 // the delivery plan, the sender asks Plan how many physical copies of a
-// message to transmit and how long to hold each one back. The exact same
-// model stack (Drop/Duplicate/DelaySpikes/Partition/Straggler over any base
-// model) therefore drives both substrates, and a seeded Injector consumes
-// randomness in the same order as the simulated cluster does — the parity
-// the inject tests pin down.
+// message to transmit and how long each one is delayed. The plan is made on
+// the sender; each copy leaves at once and carries its delay as the hold its
+// receiver owes it (cluster.Message.Hold), so no timer runs per copy. The
+// exact same model stack (Drop/Duplicate/DelaySpikes/Partition/Straggler
+// over any base model) therefore drives both substrates, and a seeded
+// Injector consumes randomness in the same order as the simulated cluster
+// does — the parity the inject tests pin down.
 //
-// Unlike the simulation, a real run has concurrent senders (delayed copies
-// are re-enqueued from timer goroutines), so Plan serializes access to the
-// model's RNG and any model state behind a mutex.
+// Plan serializes access to the model's RNG and any model state behind a
+// mutex, so one Injector may serve concurrent senders.
 //
 // Injection is per logical message, not per physical frame: when the
 // transport coalesces messages into batch frames, each message is planned
-// through the model individually before it joins a batch (and delayed
-// copies ship as their own single-message frames), so a fault plan is
-// identical whether or not batching is enabled — the parity
+// through the model individually before its copies join a batch, so a fault
+// plan is identical whether or not batching is enabled — the parity
 // TestBatchFaultParity pins.
 
 import (
@@ -46,8 +46,9 @@ func NewInjector(model netmodel.Model, seed int64) *Injector {
 	return &Injector{model: model, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Plan returns one sender-side hold-back delay (seconds) per physical copy
-// of the message to transmit; an empty plan means the message is dropped.
+// Plan returns one delay (seconds) per physical copy of the message to
+// transmit — the hold that copy's receiver owes it; an empty plan means the
+// message is dropped.
 // now is the transport's clock (wall seconds since the run started), which
 // windowed injectors (Partition, Straggler) match against. Safe for
 // concurrent use.

@@ -1,0 +1,147 @@
+// Package inbox is the receive side of both wall-clock transports (realtime
+// and distnet), and with it their one delivery rule: a message is in the
+// receiver's inbox the moment it arrives and becomes visible Message.Hold
+// seconds later by the inbox's own clock. The injected delay is owed at the
+// receiver, so nothing runs per message — a taker that never yields sees on
+// its next take exactly what a NIC would have buffered for it, however busy
+// either side is.
+//
+// The type is exported only because the two transport packages share it.
+package inbox
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"time"
+
+	"specomp/internal/cluster"
+)
+
+// forever is a due time or deadline that never comes.
+const forever = time.Duration(math.MaxInt64)
+
+// Inbox is one receiver's arrived messages, ordered by due time (arrival +
+// Hold) and, among equal due times, by arrival. Put may be called from any
+// goroutine; Take from one goroutine at a time.
+type Inbox struct {
+	// origin is the inbox clock's zero. Arrivals are stamped here rather than
+	// by the transport's clock: a distnet node starts its readers before it
+	// sets its own clock origin.
+	origin time.Time
+	// wake carries "something arrived" from Put to a waiting Take. One token
+	// is enough: the taker re-reads the whole queue when it wakes.
+	wake chan struct{}
+
+	mu   sync.Mutex
+	q    []entry // q[head:] is the queue, ascending by due
+	head int
+
+	timer *time.Timer // Take's one reusable wait
+}
+
+type entry struct {
+	due time.Duration
+	m   cluster.Message
+}
+
+// New returns an empty inbox whose clock starts now.
+func New() *Inbox {
+	return &Inbox{origin: time.Now(), wake: make(chan struct{}, 1)}
+}
+
+// ValidHold reports whether h seconds is a hold an inbox can owe: not
+// negative, not NaN, and representable as a time.Duration.
+func ValidHold(h float64) bool {
+	return h >= 0 && h*float64(time.Second) < math.MaxInt64
+}
+
+// MustAny panics unless (src, tag) is (Any, Any). The engine receives only
+// that, so an inbox keeps no selector; selective receive belongs to
+// *cluster.Proc, for its collectives.
+func MustAny(src, tag int) {
+	if src != cluster.Any || tag != cluster.Any {
+		panic(fmt.Sprintf("inbox: receive from src %d tag %d: a wall-clock transport receives only (Any, Any), as the engine does; selective receive is *cluster.Proc's", src, tag))
+	}
+}
+
+// Put queues m, due m.Hold seconds from now (ValidHold(m.Hold) must hold).
+// It never blocks and an inbox has no capacity. Arrivals are inserted from
+// the back, so traffic with one constant hold costs O(1) per message.
+func (b *Inbox) Put(m cluster.Message) {
+	due := time.Since(b.origin) + time.Duration(m.Hold*float64(time.Second))
+	b.mu.Lock()
+	if len(b.q) == cap(b.q) && b.head > 0 { // reuse the taken front before growing
+		n := copy(b.q, b.q[b.head:])
+		clear(b.q[n:])
+		b.q, b.head = b.q[:n], 0
+	}
+	b.q = append(b.q, entry{})
+	i := len(b.q) - 1
+	for ; i > b.head && b.q[i-1].due > due; i-- {
+		b.q[i] = b.q[i-1]
+	}
+	b.q[i] = entry{due: due, m: m}
+	b.mu.Unlock()
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Take removes and returns the earliest-due message once it is due, waiting
+// at most wait seconds for one: -Inf (or any wait ≤ 0) polls, +Inf waits for
+// ever. A wait lasts until the next Put or until the earlier of the earliest
+// due time and the end of the wait, so a short-hold message queued behind a
+// long-hold one is released at its own due time.
+func (b *Inbox) Take(wait float64) (cluster.Message, bool) {
+	var end time.Duration // 0: a poll
+	if wait > 0 {
+		end = forever
+		if ValidHold(wait) {
+			end = time.Since(b.origin) + time.Duration(wait*float64(time.Second))
+		}
+	}
+	for {
+		b.mu.Lock()
+		now := time.Since(b.origin) // under the lock: every queued arrival precedes it
+		next := forever
+		if b.head < len(b.q) {
+			e := &b.q[b.head]
+			if e.due <= now {
+				m := e.m
+				*e = entry{} // the queue pins no payload it has handed over
+				if b.head++; b.head == len(b.q) {
+					b.q, b.head = b.q[:0], 0
+				}
+				b.mu.Unlock()
+				return m, true
+			}
+			next = e.due
+		}
+		b.mu.Unlock()
+		if now >= end {
+			return cluster.Message{}, false
+		}
+		if until := min(next, end); until == forever {
+			<-b.wake
+		} else {
+			b.arm(until - now)
+			select {
+			case <-b.wake:
+			case <-b.timer.C:
+			}
+		}
+	}
+}
+
+// arm sets Take's timer to fire after d. A tick left over from a wait that
+// ended on a Put (go.mod predates the go 1.23 timer channels) costs one
+// spurious wake: Take re-reads the clock before it returns anything.
+func (b *Inbox) arm(d time.Duration) {
+	if b.timer == nil {
+		b.timer = time.NewTimer(d)
+		return
+	}
+	b.timer.Reset(d)
+}

@@ -18,8 +18,8 @@ func EscapeLabelValue(s string) string {
 	}
 	var b strings.Builder
 	b.Grow(len(s) + 2)
-	for _, c := range s {
-		switch c {
+	for i := 0; i < len(s); i++ { // bytes, not runes: a value need not be UTF-8
+		switch c := s[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -27,7 +27,7 @@ func EscapeLabelValue(s string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(c)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
@@ -228,13 +228,11 @@ func scanProm(r io.Reader, sample func(PromSample), header func(name, key, text 
 			if header == nil {
 				continue
 			}
+			// A header without text is a comment: WriteFamilies could not
+			// write it back.
 			fields := strings.SplitN(line, " ", 4)
-			if len(fields) >= 3 && (fields[1] == "HELP" || fields[1] == "TYPE") && validMetricName(fields[2]) {
-				text := ""
-				if len(fields) == 4 {
-					text = fields[3]
-				}
-				header(fields[2], fields[1], text)
+			if len(fields) == 4 && (fields[1] == "HELP" || fields[1] == "TYPE") && validMetricName(fields[2]) {
+				header(fields[2], fields[1], fields[3])
 			}
 			continue
 		}

@@ -121,6 +121,9 @@ func TestPipelineStageSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates; exact malloc counts are meaningless")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: the engine's buffer pools are sync.Pools with per-P caches, and
+	// a run that migrates between Ps mid-way makes the pool allocate.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mallocs := func(iters int) uint64 {
 		g := benchGraph(64)
 		ph := newStagePhantom(64)

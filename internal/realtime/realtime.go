@@ -1,8 +1,8 @@
 // Package realtime executes a synchronous iterative application with
-// speculative computation on REAL goroutines and channels — the library's
+// speculative computation on REAL goroutines — the library's
 // answer to "does this run outside the simulator?". Each processor is a
-// goroutine; messages travel over Go channels with an optional injected
-// wall-clock latency.
+// goroutine; a message goes straight into its receiver's inbox
+// (internal/inbox), with an optional injected wall-clock latency owed there.
 //
 // The package implements core.Transport, so the full engine runs here
 // unchanged: every forward window, the Publisher/Stopper/Corrector
@@ -20,6 +20,7 @@ import (
 
 	"specomp/internal/cluster"
 	"specomp/internal/core"
+	"specomp/internal/inbox"
 	"specomp/internal/obs"
 	"specomp/internal/predict"
 )
@@ -73,29 +74,22 @@ type Result struct {
 	CommBlocked time.Duration
 }
 
-// transport adapts goroutine channels to the full cluster.Transport
-// contract (and therefore to core.Transport plus all its optional
-// capability upgrades).
+// transport carries the engine over goroutines: a send is a Put straight
+// into the receiver's inbox, owed Delay there.
 type transport struct {
-	id, p int
-	inbox chan cluster.Message
-	peers []chan cluster.Message
-	// delay, in seconds, is visibility by the receiver's clock: a message is
-	// in the inbox the moment it is sent and handed over once Now() reads
-	// SentAt + delay. The inbox is FIFO in send order and delay is constant,
-	// so its head is always the next message due, and head — one message of
-	// look-ahead in front of pending — is the whole delay queue. Nothing runs
-	// per message: a rank that never yields sees on its next poll exactly
-	// what a NIC would have buffered for it.
-	delay   float64
+	id, p   int
+	inbox   *inbox.Inbox
+	peers   []*inbox.Inbox
+	hold    float64 // Delay in seconds, owed by the receiver (never negative)
 	start   time.Time
-	head    cluster.Message // off the inbox, not yet handed over (valid when hasHead)
-	hasHead bool
-	pending []cluster.Message // handed over, passed by a selective receive
 	commSec float64
 }
 
-var _ cluster.Transport = (*transport)(nil)
+var _ interface {
+	core.Transport
+	core.SharedSender
+	core.DeadlineReceiver
+} = (*transport)(nil)
 
 func (t *transport) ID() int { return t.id }
 
@@ -113,103 +107,41 @@ func (t *transport) Send(dst, tag, iter int, data []float64) {
 	t.SendShared(dst, tag, iter, payload)
 }
 
-// SendShared enqueues the message with its payload aliased, not copied; the
-// receiver adopts the slice. The caller must never mutate data afterwards,
-// which lets a broadcast share one immutable payload across all peers.
+// SendShared puts the message in dst's inbox with its payload aliased, not
+// copied; the receiver adopts the slice. The caller must never mutate data
+// afterwards, which lets a broadcast share one immutable payload across all
+// peers.
 func (t *transport) SendShared(dst, tag, iter int, data []float64) {
-	t.peers[dst] <- cluster.Message{Src: t.id, Dst: dst, Tag: tag, Iter: iter, Data: data, SentAt: t.Now()}
-}
-
-func matches(m cluster.Message, src, tag int) bool {
-	return (src == cluster.Any || m.Src == src) && (tag == cluster.Any || m.Tag == tag)
-}
-
-func (t *transport) takePending(src, tag int) (cluster.Message, bool) {
-	for i, m := range t.pending {
-		if matches(m, src, tag) {
-			t.pending = append(t.pending[:i], t.pending[i+1:]...)
-			return m, true
-		}
-	}
-	return cluster.Message{}, false
+	t.peers[dst].Put(cluster.Message{Src: t.id, Dst: dst, Tag: tag, Iter: iter, Data: data, SentAt: t.Now(), Hold: t.hold})
 }
 
 func (t *transport) TryRecv(src, tag int) (cluster.Message, bool) {
-	return t.recv(src, tag, math.Inf(-1))
+	return t.take(src, tag, math.Inf(-1))
 }
 
 func (t *transport) Recv(src, tag int) cluster.Message {
-	m, _ := t.blocked(src, tag, math.Inf(1))
+	m, _ := t.RecvDeadline(src, tag, math.Inf(1))
 	return m
 }
 
 // RecvDeadline implements core.DeadlineReceiver over a wall-clock timeout,
-// enabling the engine's graceful-degradation mode on the realtime substrate.
-// A message due only after the deadline stays queued for the next call.
+// with the wait accounted as communication time. A message due only after
+// the deadline stays queued for the next call.
 func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message, bool) {
-	return t.blocked(src, tag, t.Now()+timeout)
-}
-
-// blocked is recv with the wait accounted as communication time.
-func (t *transport) blocked(src, tag int, limit float64) (cluster.Message, bool) {
 	before := time.Now()
 	defer func() { t.commSec += time.Since(before).Seconds() }()
-	return t.recv(src, tag, limit)
+	return t.take(src, tag, timeout)
 }
 
-// recv returns the first matching message to become visible before the clock
-// reads limit; -Inf polls, +Inf waits for ever. Each turn waits once: on the
-// inbox while the look-ahead slot is empty (nothing can become visible before
-// something arrives), else by sleeping to the earlier of the head's due time
-// and the limit (nothing behind the head is due sooner).
-func (t *transport) recv(src, tag int, limit float64) (cluster.Message, bool) {
-	if m, ok := t.takePending(src, tag); ok {
-		return m, true
+// take hands over the next visible message, waiting at most wait seconds.
+func (t *transport) take(src, tag int, wait float64) (cluster.Message, bool) {
+	inbox.MustAny(src, tag)
+	m, ok := t.inbox.Take(wait)
+	if ok {
+		m.DeliveredAt = t.Now()
 	}
-	var expired <-chan time.Time // nil, so never ready, until a bounded call first finds the inbox empty
-	for {
-		if !t.hasHead {
-			if limit < 0 {
-				select {
-				case t.head = <-t.inbox:
-				default:
-					return cluster.Message{}, false
-				}
-			} else {
-				if expired == nil && !math.IsInf(limit, 1) {
-					timer := time.NewTimer(seconds(limit - t.Now()))
-					defer timer.Stop()
-					expired = timer.C
-				}
-				select {
-				case t.head = <-t.inbox:
-				case <-expired:
-					return cluster.Message{}, false
-				}
-			}
-			t.hasHead = true
-		}
-		now := t.Now() // the one clock read per message: visibility test and DeliveredAt
-		if due := t.head.SentAt + t.delay; t.delay > 0 && now < due {
-			if limit > now {
-				time.Sleep(seconds(min(limit, due) - now))
-			}
-			if limit < due {
-				return cluster.Message{}, false
-			}
-			continue
-		}
-		m := t.head
-		m.DeliveredAt = now
-		t.head, t.hasHead = cluster.Message{}, false
-		if matches(m, src, tag) {
-			return m, true
-		}
-		t.pending = append(t.pending, m)
-	}
+	return m, ok
 }
-
-func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 func (t *transport) PhaseTime(ph cluster.Phase) float64 {
 	if ph == cluster.PhaseComm {
@@ -219,15 +151,15 @@ func (t *transport) PhaseTime(ph cluster.Phase) float64 {
 }
 
 // newMesh builds p fully connected transports sharing one clock origin.
-func newMesh(p, maxIter int, delay time.Duration) []*transport {
-	inbox := make([]chan cluster.Message, p)
+func newMesh(p int, delay time.Duration) []*transport {
+	inboxes := make([]*inbox.Inbox, p)
+	for i := range inboxes {
+		inboxes[i] = inbox.New()
+	}
 	mesh := make([]*transport, p)
 	start := time.Now()
 	for i := range mesh {
-		// Generous buffering: senders must never block (MaxIter data
-		// messages from each peer, plus slack).
-		inbox[i] = make(chan cluster.Message, p*(maxIter+4))
-		mesh[i] = &transport{id: i, p: p, inbox: inbox[i], peers: inbox, delay: delay.Seconds(), start: start}
+		mesh[i] = &transport{id: i, p: p, inbox: inboxes[i], peers: inboxes, hold: max(delay, 0).Seconds(), start: start}
 	}
 	return mesh
 }
@@ -266,7 +198,7 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 	}
 	results := make([]Result, p)
 	errs := make([]error, p)
-	transports := newMesh(p, cfg.MaxIter, cfg.Delay)
+	transports := newMesh(p, cfg.Delay)
 	start := transports[0].start
 	var wg sync.WaitGroup
 	for pid := 0; pid < p; pid++ {

@@ -50,8 +50,10 @@ SUB="$WORK/specsubmit"
 sub() { "$SUB" -server "$URL" "$@"; }
 
 # Job 1: the batch run — whole pool, low priority, long enough to still be
-# mid-run when the urgent job lands, checkpointing so eviction has custody.
-BATCH=$(sub -name batch -priority 1 -procs 4 -iters 900 -checkpoint 5 | awk 'NR==1{print $1}')
+# mid-run when the urgent job lands (900 iterations had come to take well
+# under the 0.1 s this script polls at; 20 000 take about a second),
+# checkpointing so eviction has custody.
+BATCH=$(sub -name batch -priority 1 -procs 4 -iters 20000 -checkpoint 5 | awk 'NR==1{print $1}')
 say "submitted batch job $BATCH (priority 1, procs 4)"
 
 # Job 2: same priority, queues behind the batch job.
