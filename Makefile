@@ -26,19 +26,12 @@ test:
 test-short:
 	go test -short ./...
 
-# The substrates with real concurrency: goroutines (realtime), OS
-# processes over TCP (distnet, including the custody committer, the
-# acked-shutdown tests and the local fleet every launcher goes through), the
-# inbox both of them receive through (Put from any goroutine, Take from the
-# engine's), and the multi-run scheduler and its serve loop on top (sched) —
-# plus the engine and the simulator under them (core, cluster: a few
-# seconds), since the engine polls the transport from inside validation —
-# the fault injector (its Plan is safe for concurrent senders), and the apps
-# (internal/apps, nbody, pipeline), which compute into the engine's lent slot
-# and reuse per-instance scratch across Compute, Check and Correct on the
-# rule that one engine goroutine drives one App.
+# Every package under the race detector. The substrates with real
+# concurrency are goroutines (realtime), OS processes over TCP (distnet,
+# sched) and the inbox both wall-clock transports receive through; the rest
+# run under them or beside them.
 race:
-	go test -race ./internal/core/... ./internal/cluster/... ./internal/inbox/... ./internal/faults/... ./internal/realtime/... ./internal/distnet/... ./internal/sched/... ./internal/nbody/... ./internal/apps/... ./internal/pipeline/...
+	go test -race ./...
 
 # Before regenerating a golden journal (-update-golden): each committed
 # fixture beside a fresh run — bytes, final virtual time, events by kind — as
@@ -52,9 +45,11 @@ distributed:
 	go test -race -run 'TestLoopback|TestFourNode' -timeout 120s ./internal/distnet/
 
 # Fuzz the wire codec: truncated/corrupt/oversized frames must error,
-# never panic.
+# never panic. Then the config blob a node builds its run from: never
+# panics, and what it accepts is a normalized spec every rank can build.
 fuzz-wire:
 	go test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/distnet/
+	go test -run '^$$' -fuzz FuzzConfigBlob -fuzztime 30s -fuzzminimizetime 1s ./internal/distnet/
 
 # Fuzz the SPCK snapshot decoder (the restore path): never panics, never
 # over-allocates, and whatever it accepts re-encodes to the same bytes. The

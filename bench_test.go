@@ -240,38 +240,6 @@ func BenchmarkAblationPredictors(b *testing.B) {
 // falls back to the configured generic predictor.
 type noSpeculator struct{ core.App }
 
-// BenchmarkAsyncVsSpec compares the asynchronous-iterations baseline with
-// speculative computation on the Quick N-body workload.
-func BenchmarkAsyncVsSpec(b *testing.B) {
-	cfg := experiments.QuickNBody()
-	var tS, tA float64
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.ExtBaselines(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := rep.SeriesByName("total-simsec")
-		tS, tA = s.Y[1], s.Y[2]
-	}
-	b.ReportMetric(tS, "spec-simsec")
-	b.ReportMetric(tA, "async-simsec")
-}
-
-// BenchmarkBarnesHutEngine compares the direct O(N²) force kernel against
-// the Barnes-Hut O(N log N) kernel inside the speculative engine.
-func BenchmarkBarnesHutEngine(b *testing.B) {
-	var direct, bh float64
-	for i := 0; i < b.N; i++ {
-		direct = nbodyOnce(b, nil, nil)
-		bh = nbodyOnce(b, nil, func(app core.App) core.App {
-			app.(*nbody.App).MAC = 0.5
-			return app
-		})
-	}
-	b.ReportMetric(direct, "direct-simsec")
-	b.ReportMetric(bh, "bh-simsec")
-}
-
 // BenchmarkRealtime measures the wall-clock runtime's overhead per
 // iteration with zero injected latency (pure engine cost on goroutines).
 func BenchmarkRealtime(b *testing.B) {

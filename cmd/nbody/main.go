@@ -27,7 +27,6 @@ func main() {
 		theta = flag.Float64("theta", 0.01, "speculation error threshold θ")
 		ic    = flag.String("ic", "sphere", "initial condition: sphere, disk, clusters")
 		seed  = flag.Int64("seed", 1994, "random seed")
-		mac   = flag.Float64("mac", 0, "Barnes-Hut opening angle (0 = exact O(N²) direct sum)")
 	)
 	flag.Parse()
 
@@ -49,11 +48,7 @@ func main() {
 	}
 
 	instr := &nbody.Instrument{}
-	if *mac > 0 {
-		// Route through the custom runner to set the Barnes-Hut kernel.
-		fmt.Printf("force kernel: Barnes-Hut, opening angle %.2f\n", *mac)
-	}
-	results, err := cfg.RunWithKernel(*procs, *fw, *theta, *mac, instr)
+	results, err := cfg.Run(*procs, *fw, *theta, instr)
 	if err != nil {
 		log.Fatal(err)
 	}

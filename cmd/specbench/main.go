@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		exp = flag.String("exp", "all",
-			"experiment id: all, ext, or any of fig2, fig4, fig5, fig6, fig8, table2, table3, fig9, ext-fw, ext-bw, ext-async, ext-load, ext-topo, ext-faults, ext-chaos, ext-dag")
+			"experiment id: all, ext, or any of fig2, fig4, fig5, fig6, fig8, table2, table3, fig9, ext-fw, ext-bw, ext-load, ext-topo, ext-faults, ext-chaos, ext-dag")
 		quick   = flag.Bool("quick", false, "use the scaled-down configuration")
 		fault   = flag.Bool("faults", false, "shorthand for -exp ext-faults: run under an unreliable network")
 		crash   = flag.Bool("crash", false, "shorthand for -exp ext-chaos: the crash/restart chaos soak")
@@ -67,7 +67,7 @@ func main() {
 	case "all":
 		ids = []string{"fig2", "fig4", "fig5", "fig6", "fig8", "table2", "table3", "fig9"}
 	case "ext":
-		ids = []string{"ext-fw", "ext-bw", "ext-async", "ext-load", "ext-topo", "ext-apps", "ext-faults", "ext-dag"}
+		ids = []string{"ext-fw", "ext-bw", "ext-load", "ext-topo", "ext-apps", "ext-faults", "ext-dag"}
 	}
 	if *fault {
 		ids = []string{"ext-faults"}
@@ -177,8 +177,6 @@ func run(id string, cfg experiments.NBodyConfig) (experiments.Report, error) {
 		return experiments.ExtForwardWindows(cfg)
 	case "ext-bw":
 		return experiments.ExtPredictors(cfg)
-	case "ext-async":
-		return experiments.ExtBaselines(cfg)
 	case "ext-load":
 		return experiments.ExtLoad(cfg)
 	case "ext-topo":

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	specsoak [-procs 64] [-iters 150] [-chaos] [-delta] [-nobatch]
+//	specsoak [-procs 64] [-iters 150] [-chaos] [-delta]
 //	         [-kill N] [-kill-seed S] [-journal-dir DIR]
 //	         [-o BENCH_core.json] [-timeout 5m]
 //
@@ -69,7 +69,6 @@ func main() {
 		theta    = flag.Float64("theta", 1e-3, "speculation acceptance threshold θ")
 		chaos    = flag.Bool("chaos", false, "inject duplicates and delay spikes on every node's send path")
 		delta    = flag.Bool("delta", false, "enable the delta codec on batch frames")
-		nobatch  = flag.Bool("nobatch", false, "disable frame batching (per-message baseline)")
 		kill     = flag.Int("kill", 0, "SIGKILL this many live nodes mid-run on a seeded schedule and gate on convergence")
 		killSeed = flag.Int64("kill-seed", 1, "seed of the kill schedule")
 		ckpt     = flag.Int("checkpoint", 5, "checkpoint every K iterations during a kill run")
@@ -109,7 +108,7 @@ func main() {
 		// boundary traffic both ways at any P; the floor keeps small-P runs
 		// from degenerating into trivial strips.
 		Rows: max(2*(*procs), 64), Cols: 32,
-		Wire: distnet.WireSpec{Delta: *delta, NoBatch: *nobatch},
+		Wire: distnet.WireSpec{Delta: *delta},
 		Job:  "soak",
 	}
 	self, err := os.Executable()

@@ -389,7 +389,6 @@ type Proc struct {
 	msgsSent  int
 	msgsRecvd int
 	bytesSent int
-	maxQueue  int
 
 	// Reliable-delivery state (nil unless Config.Reliable).
 	nextSeq     []uint64                 // per-destination next sequence number
@@ -523,9 +522,6 @@ func (c *Cluster) journalV(proc int, kind string, iter, peer int, v float64) {
 		T: c.kernel.Now(), Proc: proc, Kind: kind, Iter: iter, Peer: peer, V: v,
 	})
 }
-
-// MaxQueueLen returns the high-water mark of the mailbox length.
-func (p *Proc) MaxQueueLen() int { return p.maxQueue }
 
 // Compute charges ops operations of work to the virtual clock under phase ph.
 func (p *Proc) Compute(ops float64, ph Phase) {
@@ -762,9 +758,6 @@ func (p *Proc) deliver(m Message) {
 	}
 	p.obsLatency.Observe(m.DeliveredAt - m.SentAt)
 	p.mbox = append(p.mbox, m)
-	if len(p.mbox) > p.maxQueue {
-		p.maxQueue = len(p.mbox)
-	}
 	if p.want != nil && p.want.matches(m) {
 		p.want = nil
 		p.c.kernel.Unblock(p.sp)
@@ -830,22 +823,5 @@ func (p *Proc) RecvDeadline(src, tag int, timeout float64) (Message, bool) {
 		p.sp.Park()
 		p.clocks[PhaseComm] += p.Now() - before
 		p.span(PhaseComm, before)
-	}
-}
-
-// Barrier performs a naive all-to-all barrier using tagged messages. It is
-// provided for the classical (non-speculative) baseline algorithms.
-func (p *Proc) Barrier(tag int) {
-	for k := 0; k < p.P(); k++ {
-		if k == p.id {
-			continue
-		}
-		p.Send(k, tag, 0, nil)
-	}
-	for k := 0; k < p.P(); k++ {
-		if k == p.id {
-			continue
-		}
-		p.Recv(k, tag)
 	}
 }

@@ -181,7 +181,17 @@ func TestBarrierSynchronizes(t *testing.T) {
 	after := make([]float64, 3)
 	c.Start(func(p *Proc) {
 		p.Idle(float64(p.ID())) // stagger arrivals: 0s, 1s, 2s
-		p.Barrier(99)
+		// A naive all-to-all barrier on one tag: selective receive per peer.
+		for k := 0; k < p.P(); k++ {
+			if k != p.ID() {
+				p.Send(k, 99, 0, nil)
+			}
+		}
+		for k := 0; k < p.P(); k++ {
+			if k != p.ID() {
+				p.Recv(k, 99)
+			}
+		}
 		after[p.ID()] = p.Now()
 	})
 	if err := c.Run(); err != nil {

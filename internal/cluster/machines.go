@@ -42,19 +42,6 @@ func UniformMachines(p int, ops float64) []Machine {
 	return ms
 }
 
-// MeasuredMachines wraps explicit capacities (e.g. benchmarked MIPS figures,
-// as the paper measured for its Sparc set), ordered as given.
-func MeasuredMachines(ops []float64) []Machine {
-	ms := make([]Machine, len(ops))
-	for i, o := range ops {
-		if o <= 0 {
-			panic("cluster: non-positive capacity")
-		}
-		ms[i] = Machine{Name: fmt.Sprintf("ws%02d", i+1), Ops: o}
-	}
-	return ms
-}
-
 // TotalOps returns the aggregate capacity Σ M_i of the machine set.
 func TotalOps(ms []Machine) float64 {
 	var sum float64

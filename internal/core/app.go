@@ -21,9 +21,9 @@ type CheckResult struct {
 // next call of the same method and may be overwritten by the one after, so
 // an app can serve results from a two-buffer ping-pong pair (ResultBuf) and
 // allocate nothing in steady state. A caller may therefore pass a result
-// straight back as an input of the very next call — RunAsync feeds Compute's
-// result back as view[j], the default repair folds Correct over its own
-// result — but must copy whatever it keeps longer, as the value plane does.
+// straight back as an input of the very next call — the default repair
+// folds Correct over its own result — but must copy whatever it keeps
+// longer, as the value plane does.
 // Results are a pure function of the arguments in value, never in buffer
 // identity. InitLocal and Speculator.Speculate results are the exception:
 // the caller keeps them, so they are freshly allocated.

@@ -55,8 +55,8 @@ const (
 // substrates, where the work happens inside the app itself.
 //
 // The engine receives only (cluster.Any, cluster.Any). Selective receive is
-// *cluster.Proc's, for its collectives; the wall-clock transports panic on
-// any other selector.
+// *cluster.Proc's alone; the wall-clock transports panic on any other
+// selector.
 //
 // Delivery rule on the wall-clock transports: a message is in the
 // receiver's inbox the moment it arrives and becomes visible Message.Hold

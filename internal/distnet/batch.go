@@ -26,9 +26,10 @@ package distnet
 // last non-empty vector seen in a *batch entry* (raw or delta — the base is
 // the decoded value, so both sides stay in lockstep over the in-order TCP
 // stream). Single FrameData frames and nil/empty payloads never touch the
-// state. Delta entries are only legal on links where the receiver
-// advertised CapDelta in its hello; a delta entry without a negotiated
-// tracker or without a matching-length base is corrupt.
+// state. Delta entries are only legal when the run's spec enables delta
+// coding (WireSpec.Delta, identical on every node); a delta entry reaching a
+// decoder that does not track bases, or without a matching-length base, is
+// corrupt.
 
 import (
 	"encoding/binary"
@@ -216,7 +217,7 @@ func (d *Decoder) decodeBatchEntry(p *payloadReader, i int) (cluster.Message, er
 		}
 	case encDelta:
 		if !d.Track || d.ds == nil {
-			return m, corruptf("batch entry %d: delta entry on a link without CapDelta", i)
+			return m, corruptf("batch entry %d: delta entry on a link without delta tracking", i)
 		}
 		elen := int(p.u32())
 		raw := p.bytes(elen)

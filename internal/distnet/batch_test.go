@@ -12,7 +12,7 @@ import (
 )
 
 // pipeCodec builds a connected Encoder/Decoder pair over one buffer, with
-// matching delta negotiation on both ends.
+// delta coding on or off at both ends.
 func pipeCodec(delta bool) (*Encoder, *Decoder, *bytes.Buffer) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, delta)

@@ -86,8 +86,8 @@ type CoordConfig struct {
 	// unwritten: custody exists to revive a run, and its holder Clears it.
 	Custody checkpoint.Store
 	// Fleet, when non-nil, aggregates the nodes' metrics snapshots: the
-	// coordinator advertises CapObs in its configs (inviting periodic
-	// pushes) and feeds every obs frame into it.
+	// coordinator's configs ask for periodic pushes (wireConfig.ObsPush) and
+	// it feeds every obs frame into it.
 	Fleet *FleetObs
 	// Logf, when non-nil, receives membership and lifecycle lines.
 	Logf func(format string, args ...any)
@@ -373,13 +373,10 @@ func (c *Coordinator) run() {
 	for _, m := range byRank {
 		peers[m.rank] = m.addr
 	}
-	var coordCaps uint32
-	if c.cfg.Fleet != nil {
-		coordCaps |= CapObs // invite metrics-snapshot pushes
-	}
+	obsPush := c.cfg.Fleet != nil // invite metrics-snapshot pushes
 	for _, m := range byRank {
 		ckpt, _ := c.custody.get(m.rank)
-		blob := encodeJSON(wireConfig{Rank: m.rank, Peers: peers, Spec: c.spec, Checkpoint: ckpt, CoordCaps: coordCaps})
+		blob := encodeJSON(wireConfig{Rank: m.rank, Peers: peers, Spec: c.spec, Checkpoint: ckpt, ObsPush: obsPush})
 		if err := m.write(&Frame{Type: FrameConfig, Blob: blob}); err != nil {
 			c.runErr = fmt.Errorf("distnet: sending config to rank %d: %w", m.rank, err)
 			c.teardown(byRank)
@@ -490,7 +487,7 @@ func (c *Coordinator) run() {
 		peers[rank] = ph.hello.Addr
 		delete(vacated, rank)
 		blob := encodeJSON(wireConfig{Rank: rank, Peers: append([]string(nil), peers...), Spec: c.spec,
-			Checkpoint: ckpt, CoordCaps: coordCaps, Rejoin: true})
+			Checkpoint: ckpt, ObsPush: obsPush, Rejoin: true})
 		if err := m.write(&Frame{Type: FrameConfig, Blob: blob}); err != nil {
 			vacate(rank, fmt.Errorf("distnet: sending rejoin config: %w", err))
 			return true // the conn was consumed either way

@@ -1,7 +1,6 @@
 package distnet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -334,9 +333,9 @@ func TestJacobiConvergesDistributed(t *testing.T) {
 }
 
 // TestWireModesConverge runs the same heat problem under each wire-plane
-// shape — batched (default), batched+delta, and per-message frames — with
-// no injected delay and with a 1 ms netmodel.Fixed one, whose copies ride
-// the same batches and delta codec, and asserts all six converge on the
+// shape — batched (default) and batched+delta — with no injected delay and
+// with a 1 ms netmodel.Fixed one, whose copies ride the same batches and
+// delta codec, and asserts all four converge on the
 // serial reference. It also checks the wire accounting in every mode: no
 // message is held across an iteration, so
 // in a fault-free run one broadcast is one frame per peer — FramesSent is
@@ -346,7 +345,6 @@ func TestWireModesConverge(t *testing.T) {
 	modes := map[string]WireSpec{
 		"batched": {},
 		"delta":   {Delta: true},
-		"nobatch": {NoBatch: true},
 	}
 	for name, wire := range modes {
 		for _, delay := range []float64{0, 0.001} {
@@ -407,16 +405,16 @@ func TestWireModesConverge(t *testing.T) {
 }
 
 // TestConfigBlobWithRetiredWireKnob: a coordinator from a build that still
-// had wire.linger_us hands out config blobs naming it; the node decodes them
-// with a plain Unmarshal, so the knob is ignored and the rest is kept.
+// had the wire knobs linger_us, no_batch and max_batch_* hands out config
+// blobs naming them; decodeConfig ignores the knobs and keeps the rest.
 func TestConfigBlobWithRetiredWireKnob(t *testing.T) {
 	blob := []byte(`{"rank":1,"peers":["a","b"],"spec":{"app":"heat","procs":2,"max_iter":10,` +
-		`"wire":{"delta":true,"max_batch_msgs":32,"max_batch_bytes":49152,"linger_us":150}}}`)
-	var wc wireConfig
-	if err := json.Unmarshal(blob, &wc); err != nil {
-		t.Fatalf("config blob carrying linger_us: %v", err)
+		`"wire":{"delta":true,"no_batch":false,"max_batch_msgs":32,"max_batch_bytes":49152,"linger_us":150}}}`)
+	wc, err := decodeConfig(blob)
+	if err != nil {
+		t.Fatalf("config blob carrying retired wire knobs: %v", err)
 	}
-	if want := (WireSpec{Delta: true, MaxBatchMsgs: 32, MaxBatchBytes: 48 << 10}); wc.Rank != 1 || wc.Spec.Wire != want {
+	if want := (WireSpec{Delta: true}); wc.Rank != 1 || wc.Spec.Wire != want {
 		t.Fatalf("decoded rank %d wire %+v, want rank 1 wire %+v", wc.Rank, wc.Spec.Wire, want)
 	}
 }

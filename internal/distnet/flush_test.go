@@ -70,27 +70,21 @@ func TestPollThatFindsAMessageDoesNotFlush(t *testing.T) {
 	wantRecv(t, tr0, 2, 5)
 }
 
-// TestIdlePollSendsNothing: polling with nothing pending costs no frame,
-// batched or not; an unbatched link needs no poll at all.
+// TestIdlePollSendsNothing: polling with nothing pending costs no frame.
 func TestIdlePollSendsNothing(t *testing.T) {
-	for name, wire := range map[string]WireSpec{"batched": {}, "nobatch": {NoBatch: true}} {
-		t.Run(name, func(t *testing.T) {
-			tr0, tr1 := linkedTransports(t, wire, nil, 0)
-			for i := 0; i < 3; i++ {
-				if _, ok := tr0.TryRecv(cluster.Any, cluster.Any); ok {
-					t.Fatal("poll found a message nobody sent")
-				}
+	t.Run("batched", func(t *testing.T) {
+		tr0, tr1 := linkedTransports(t, WireSpec{}, nil, 0)
+		for i := 0; i < 3; i++ {
+			if _, ok := tr0.TryRecv(cluster.Any, cluster.Any); ok {
+				t.Fatal("poll found a message nobody sent")
 			}
-			wantWire(t, tr0, 0, 0)
-			tr0.SendShared(1, 1, 0, []float64{1})
-			if wire.NoBatch {
-				wantWire(t, tr0, 0, 1)
-			}
-			tr0.TryRecv(cluster.Any, cluster.Any)
-			wantWire(t, tr0, 0, 1)
-			wantRecv(t, tr1, 1, 0)
-		})
-	}
+		}
+		wantWire(t, tr0, 0, 0)
+		tr0.SendShared(1, 1, 0, []float64{1})
+		tr0.TryRecv(cluster.Any, cluster.Any)
+		wantWire(t, tr0, 0, 1)
+		wantRecv(t, tr1, 1, 0)
+	})
 }
 
 // TestBurstStillLeavesAsBatches: a rejoin refill is many sends to one peer

@@ -33,7 +33,7 @@ func FuzzFrameDecode(f *testing.F) {
 		{Type: FrameData, Msg: cluster.Message{Src: 0, Dst: 1, Tag: 1, Iter: 3, SentAt: 0.25, Data: []float64{1, 2, 3}}},
 		{Type: FrameData, Msg: cluster.Message{Src: 2, Dst: cluster.Any, Tag: 2, Iter: -1}},
 		{Type: FrameHello, Rank: -1, Epoch: 1, Addr: "127.0.0.1:9999"},
-		{Type: FrameHello, Rank: 4, Epoch: 2, Addr: "127.0.0.1:80", Caps: CapBatch | CapDelta},
+		{Type: FrameHello, Rank: 4, Epoch: 2, Addr: "127.0.0.1:80"},
 		{Type: FrameConfig, Blob: []byte(`{"rank":0}`)},
 		{Type: FrameHeartbeat},
 		{Type: FrameBarrier, Seq: 0},
@@ -108,7 +108,7 @@ func FuzzFrameDecode(f *testing.F) {
 // elements bit-equal (reflect.DeepEqual would reject NaN == NaN).
 func frameEqualFuzz(a, b Frame) bool {
 	if a.Type != b.Type || a.Rank != b.Rank || a.Epoch != b.Epoch ||
-		a.Caps != b.Caps || a.Addr != b.Addr || a.Seq != b.Seq ||
+		a.Addr != b.Addr || a.Seq != b.Seq ||
 		!bytes.Equal(a.Blob, b.Blob) {
 		return false
 	}

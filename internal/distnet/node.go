@@ -9,7 +9,6 @@ package distnet
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -82,6 +81,13 @@ type NodeConfig struct {
 // reader drains the socket into an inbox that never blocks, so no send ever
 // waits on the receiving engine.
 const linkQueueCap = 128
+
+// A pending batch is flushed inline once it holds maxBatchMsgs messages or
+// maxBatchBytes payload bytes.
+const (
+	maxBatchMsgs  = 32
+	maxBatchBytes = 48 << 10
+)
 
 func (cfg *NodeConfig) normalize() error {
 	if cfg.Coord == "" {
@@ -159,7 +165,7 @@ type transport struct {
 	// entry to Recv/RecvDeadline (both sides flush before blocking, so
 	// batching can never deadlock the exchange) and when the engine returns.
 	// Engine goroutine only, so no lock and no timer.
-	pend      [][]cluster.Message // pooled slices, nil when batching is off
+	pend      [][]cluster.Message // pooled slices
 	pendBytes []int
 	pendMsgs  int // messages across all of pend; 0 lets a flush skip the walk
 
@@ -263,21 +269,16 @@ func (t *transport) SendShared(dst, tag, iter int, data []float64) {
 	}
 }
 
-// enqueueData queues one data message on its link: appended to the pending
-// batch when the link negotiated batching, a single frame otherwise. Size
+// enqueueData appends one data message to its link's pending batch. Size
 // caps flush inline.
 func (t *transport) enqueueData(pc *peerConn, m cluster.Message, bytes int) {
-	if !pc.opts.batch {
-		pc.send(Frame{Type: FrameData, Msg: m})
-		return
-	}
 	dst := pc.rank
 	t.pend[dst] = append(t.pend[dst], m)
 	t.pendBytes[dst] += bytes
 	t.pendMsgs++
-	if len(t.pend[dst]) >= t.wire.MaxBatchMsgs {
+	if len(t.pend[dst]) >= maxBatchMsgs {
 		pc.send(t.pop(dst, flushMsgs))
-	} else if t.pendBytes[dst] >= t.wire.MaxBatchBytes {
+	} else if t.pendBytes[dst] >= maxBatchBytes {
 		pc.send(t.pop(dst, flushBytes))
 	}
 }
@@ -401,12 +402,12 @@ func (t *transport) NetStats() cluster.NetStats {
 }
 
 // reader pumps one peer link into the shared inbox until the link dies. A
-// persistent Decoder carries the link's payload buffer and — when delta
-// coding is negotiated — its per-stream bases across frames. Payload rows
+// persistent Decoder carries the link's payload buffer and — when the spec
+// enables delta coding — its per-stream bases across frames. Payload rows
 // are freshly allocated per message (Reuse off): the engine adopts them.
 func (t *transport) reader(pc *peerConn) {
 	dec := NewDecoder(bufio.NewReaderSize(pc.conn, 64<<10))
-	dec.Track = t.wire.Delta // we advertised CapDelta iff the spec asks for delta
+	dec.Track = t.wire.Delta // every peer's encoder delta-codes iff the spec says so
 	var f Frame
 	for {
 		if err := dec.Decode(&f); err != nil {
@@ -521,11 +522,11 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The coordinator link is control plane: no batching, no delta coding,
+	// and piggybacked beacons without the clock tail.
 	coord := newPeerConn(-1, coordRaw, 64, wireOpts{})
 	defer coord.close()
-	// The coordinator link is control plane — no batching — but the hello
-	// still advertises the build's full capability set.
-	coord.send(Frame{Type: FrameHello, Rank: -1, Epoch: cfg.Epoch, Addr: ln.Addr().String(), Caps: CapBatch | CapDelta | CapObs})
+	coord.send(Frame{Type: FrameHello, Rank: -1, Epoch: cfg.Epoch, Addr: ln.Addr().String()})
 	stamps := LaunchStamps{JoinedUnix: unixNow()}
 
 	// The config frame assigns our rank and carries the membership + spec.
@@ -533,15 +534,12 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var wc wireConfig
-	if err := json.Unmarshal(cf.Blob, &wc); err != nil {
-		return nil, fmt.Errorf("distnet: decoding config: %w", err)
+	wc, err := decodeConfig(cf.Blob)
+	if err != nil {
+		return nil, err
 	}
 	spec := wc.Spec
 	rank, p := wc.Rank, spec.Procs
-	if rank < 0 || rank >= p || len(wc.Peers) != p {
-		return nil, fmt.Errorf("distnet: inconsistent config (rank %d of %d, %d peers)", rank, p, len(wc.Peers))
-	}
 	cfg.logf("rank %d/%d assigned, peers %v", rank, p, wc.Peers)
 
 	// Observability first: registry and journal exist before the mesh so
@@ -582,13 +580,11 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		journal:   journal,
 		traceWire: spec.Trace,
 	}
-	if !spec.Wire.NoBatch {
-		tr.pend = make([][]cluster.Message, p)
-		for i := range tr.pend {
-			tr.pend[i] = getBatch()
-		}
-		tr.pendBytes = make([]int, p)
+	tr.pend = make([][]cluster.Message, p)
+	for i := range tr.pend {
+		tr.pend[i] = getBatch()
 	}
+	tr.pendBytes = make([]int, p)
 	if wc.Rejoin {
 		cfg.logf("rank %d: rejoining a run in flight (epoch %d), dialing all survivors", rank, cfg.Epoch)
 	}
@@ -654,7 +650,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		cfg.logf("rank %d serving /metrics and /journal on http://%s", rank, httpAddr)
 	}
 
-	// Metrics push loop: when the coordinator advertised CapObs, ship it a
+	// Metrics push loop: when the coordinator asked for pushes, ship it a
 	// full registry snapshot (Prometheus text) every ObsPushMS so the fleet
 	// endpoint stays fresh while the run is live. A final push after the
 	// engine finishes precedes the result frame on the same TCP stream, so
@@ -670,7 +666,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		coord.send(Frame{Type: FrameObs, Rank: rank, Blob: append([]byte(nil), buf.Bytes()...)})
 	}
 	var pushStop, pushDone chan struct{}
-	if wc.CoordCaps&CapObs != 0 && spec.ObsPushMS > 0 {
+	if wc.ObsPush && spec.ObsPushMS > 0 {
 		pushStop = make(chan struct{})
 		pushDone = make(chan struct{})
 		go func() {
@@ -814,12 +810,10 @@ func readConfig(conn net.Conn, timeout time.Duration) (Frame, error) {
 // their accept loops authenticate the higher-epoch hello and swap out the
 // stale link. Each link opens with a hello exchange — the dialer
 // introduces itself, the acceptor replies with its own hello — so both
-// sides learn the peer's capability mask and the link's frame shape
-// (batching, delta) is the negotiated intersection.
+// sides learn the peer's rank and incarnation epoch.
 func (t *transport) connectMesh(ln net.Listener, peers []string, cfg NodeConfig, rejoin bool) error {
 	rank, p := t.rank, t.p
-	caps := localCaps(t.wire)
-	t.myHello = Frame{Type: FrameHello, Rank: rank, Epoch: t.epoch, Addr: peers[rank], Caps: caps}
+	t.myHello = Frame{Type: FrameHello, Rank: rank, Epoch: t.epoch, Addr: peers[rank]}
 	myHello := t.myHello
 
 	type dialed struct {
@@ -909,7 +903,7 @@ func (t *transport) connectMesh(ln net.Listener, peers []string, cfg NodeConfig,
 // installPeer wires a freshly handshaken connection in as the link to the
 // hello sender's rank.
 func (t *transport) installPeer(j int, conn net.Conn, hello Frame) *peerConn {
-	pc := newPeerConn(j, conn, t.nodeCfg.linkQueue, t.linkOptsFor(hello.Caps, j))
+	pc := newPeerConn(j, conn, t.nodeCfg.linkQueue, wireOpts{delta: t.wire.Delta, clock: true, obs: t.wobs.link(j)})
 	pc.epoch = hello.Epoch
 	t.swapPeer(pc)
 	return pc
@@ -969,16 +963,8 @@ func (t *transport) acceptReplacement(conn net.Conn) {
 	go pc.heartbeater(cfg.HeartbeatEvery)
 }
 
-// linkOptsFor negotiates the link shape with peer j and attaches the link's
-// instrumentation handle.
-func (t *transport) linkOptsFor(remoteCaps uint32, j int) wireOpts {
-	o := linkOpts(t.wire, remoteCaps)
-	o.obs = t.wobs.link(j)
-	return o
-}
-
 // dialPeer dials rank j, sends our hello and reads the reply, returning the
-// peer's hello (capability mask + incarnation epoch). The error taxonomy is
+// peer's hello (rank + incarnation epoch). The error taxonomy is
 // load-bearing here: a reply cut off mid-frame (io.ErrUnexpectedEOF — the
 // peer was tearing down a half-open accept, or the connection raced its
 // listener) is retried on a fresh connection within the dial budget, while

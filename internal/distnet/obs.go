@@ -58,8 +58,8 @@ const (
 
 // Batch flush reasons, the label values of MetricFlushes.
 const (
-	flushMsgs  = iota // batch hit MaxBatchMsgs
-	flushBytes        // batch hit MaxBatchBytes
+	flushMsgs  = iota // batch hit maxBatchMsgs
+	flushBytes        // batch hit maxBatchBytes
 	flushRecv         // the engine stopped talking: empty poll, blocking receive, or Run returned
 	flushClose        // transport teardown
 	flushReasons

@@ -54,39 +54,19 @@ func dialRetry(addr string, total time.Duration, logf func(string, ...any)) (net
 	}
 }
 
-// wireOpts is the per-link frame shape negotiated from the hello exchange
-// (the intersection of what this side wants and what the peer advertised)
-// plus the link's local instrumentation handle.
+// wireOpts is a link's frame shape plus its local instrumentation handle.
+// Peer links delta-code as the run's spec says and beacon with the clock
+// tail; the coordinator link does neither.
 type wireOpts struct {
-	batch bool // peer decodes FrameBatch
-	delta bool // peer decodes delta-coded batch entries
-	clock bool // peer decodes timestamped heartbeats (CapObs)
+	delta bool // delta-code batch entries (WireSpec.Delta)
+	clock bool // timestamped heartbeats, beaconed even when data flows
 	obs   *linkObs
-}
-
-// linkOpts intersects the local wire configuration with a peer's advertised
-// capability mask.
-func linkOpts(w WireSpec, remoteCaps uint32) wireOpts {
-	return wireOpts{
-		batch: !w.NoBatch && remoteCaps&CapBatch != 0,
-		delta: w.Delta && remoteCaps&CapDelta != 0,
-		clock: remoteCaps&CapObs != 0,
-	}
-}
-
-// localCaps is the capability mask this side advertises in its hellos.
-func localCaps(w WireSpec) uint32 {
-	caps := CapBatch | CapObs
-	if w.Delta {
-		caps |= CapDelta
-	}
-	return caps
 }
 
 // peerConn is one live link to a peer (or to the coordinator, rank -1).
 type peerConn struct {
 	rank int
-	// epoch is the peer incarnation this link was negotiated with; a
+	// epoch is the peer incarnation this link was opened with; a
 	// replacement connection must present a strictly higher one (stale
 	// reconnect attempts from a dead incarnation are refused).
 	epoch int
@@ -123,7 +103,7 @@ type peerConn struct {
 	// down latches on a hard read/write error or remote close.
 	down atomic.Bool
 
-	// Clock-sync state (CapObs links). The reader stores the last stamp the
+	// Clock-sync state (clock links). The reader stores the last stamp the
 	// peer sent plus its local arrival time; the next outbound beacon echoes
 	// them so the peer can close an NTP-style four-timestamp exchange. est
 	// folds in completed exchanges this side observes.

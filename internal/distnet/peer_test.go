@@ -208,12 +208,6 @@ func TestHeartbeatPiggybacksOnTraffic(t *testing.T) {
 // one clock origin, so a message's stamps compare across the pair.
 func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed int64) (*transport, *transport) {
 	t.Helper()
-	norm := RunSpec{Wire: wire} // Normalize fills the batch caps
-	if err := norm.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	wire = norm.Wire
-
 	a, b := tcpPair(t)
 	start := time.Now()
 	mk := func(rank int, conn net.Conn, peer int, inj *faults.Injector) *transport {
@@ -225,14 +219,12 @@ func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed in
 			wire:  wire,
 			start: start,
 		}
-		if !wire.NoBatch {
-			tr.pend = make([][]cluster.Message, 2)
-			for i := range tr.pend {
-				tr.pend[i] = getBatch()
-			}
-			tr.pendBytes = make([]int, 2)
+		tr.pend = make([][]cluster.Message, 2)
+		for i := range tr.pend {
+			tr.pend[i] = getBatch()
 		}
-		pc := newPeerConn(peer, conn, 4096, linkOpts(wire, localCaps(wire)))
+		tr.pendBytes = make([]int, 2)
+		pc := newPeerConn(peer, conn, 4096, wireOpts{delta: wire.Delta, clock: true})
 		tr.peers[peer].Store(pc)
 		go tr.reader(pc)
 		return tr
@@ -364,7 +356,7 @@ func TestDialPeerRetriesTruncatedHello(t *testing.T) {
 	}
 
 	goodHello := func(conn net.Conn) {
-		f := Frame{Type: FrameHello, Rank: 0, Epoch: 0, Addr: "x", Caps: CapBatch}
+		f := Frame{Type: FrameHello, Rank: 0, Epoch: 3, Addr: "x"}
 		_, _ = writeFrame(conn, nil, &f)
 	}
 
@@ -384,14 +376,14 @@ func TestDialPeerRetriesTruncatedHello(t *testing.T) {
 			return true
 		})
 		tr := &transport{rank: 1, p: 2, wire: WireSpec{}}
-		myHello := Frame{Type: FrameHello, Rank: 1, Addr: "y", Caps: CapBatch}
+		myHello := Frame{Type: FrameHello, Rank: 1, Addr: "y"}
 		conn, reply, err := tr.dialPeer(addr, 0, myHello, NodeConfig{DialTimeout: 10 * time.Second})
 		if err != nil {
 			t.Fatalf("dialPeer did not survive a truncated hello: %v", err)
 		}
 		conn.Close()
-		if reply.Caps&CapBatch == 0 {
-			t.Error("negotiated caps lost across the retry")
+		if reply.Epoch != 3 {
+			t.Errorf("reply epoch %d, want 3: the retried hello was not the one read", reply.Epoch)
 		}
 		if attempts := len(counted); attempts < 2 {
 			t.Errorf("server saw %d connections, want ≥ 2 (a retry)", attempts)
@@ -410,7 +402,7 @@ func TestDialPeerRetriesTruncatedHello(t *testing.T) {
 			return true
 		})
 		tr := &transport{rank: 1, p: 2, wire: WireSpec{}}
-		myHello := Frame{Type: FrameHello, Rank: 1, Addr: "y", Caps: CapBatch}
+		myHello := Frame{Type: FrameHello, Rank: 1, Addr: "y"}
 		_, _, err := tr.dialPeer(addr, 0, myHello, NodeConfig{DialTimeout: 3 * time.Second})
 		if err == nil {
 			t.Fatal("corrupt hello accepted")

@@ -72,14 +72,14 @@ type RunSpec struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// HoldSends forwards the speculative-send ablation switch.
 	HoldSends bool `json:"hold_sends,omitempty"`
-	// Wire tunes the data-plane framing (batching, delta coding, flush
-	// policy). The zero value means defaults: batching on, delta off.
+	// Wire tunes the data-plane framing. The zero value means delta coding
+	// off; peer links always batch.
 	Wire WireSpec `json:"wire,omitempty"`
 	// Job names the run in aggregated fleet metrics (the job label).
 	// Defaults to App.
 	Job string `json:"job,omitempty"`
 	// ObsPushMS is the period, in milliseconds, at which nodes push metrics
-	// snapshots to the coordinator when it advertised CapObs. 0 means the
+	// snapshots to the coordinator when it asked for them. 0 means the
 	// 500 ms default; negative disables pushing.
 	ObsPushMS int `json:"obs_push_ms,omitempty"`
 	// Trace enables wire-plane journal events (send/deliver stamps) and
@@ -89,20 +89,11 @@ type RunSpec struct {
 }
 
 // WireSpec tunes the distnet data plane. It travels inside the RunSpec so
-// the whole mesh agrees on framing policy; per-link shape is still
-// negotiated via hello capability masks, so mismatched builds degrade to
-// single-message frames.
+// every node of the mesh frames its links identically.
 type WireSpec struct {
-	// NoBatch disables multi-message frames (the per-message baseline the
-	// benchmarks compare against).
-	NoBatch bool `json:"no_batch,omitempty"`
 	// Delta enables delta coding of consecutive same-stream vectors inside
-	// batch frames (negotiated per link via CapDelta).
+	// batch frames, on every peer link.
 	Delta bool `json:"delta,omitempty"`
-	// MaxBatchMsgs flushes a pending batch at this many messages.
-	MaxBatchMsgs int `json:"max_batch_msgs,omitempty"`
-	// MaxBatchBytes flushes a pending batch at this many payload bytes.
-	MaxBatchBytes int `json:"max_batch_bytes,omitempty"`
 }
 
 // Normalize fills defaults and validates; the coordinator calls it once
@@ -122,12 +113,6 @@ func (s *RunSpec) Normalize() error {
 	}
 	if s.Theta <= 0 {
 		s.Theta = 1e-3
-	}
-	if s.Wire.MaxBatchMsgs <= 0 {
-		s.Wire.MaxBatchMsgs = 32
-	}
-	if s.Wire.MaxBatchBytes <= 0 {
-		s.Wire.MaxBatchBytes = 48 << 10
 	}
 	if s.Job == "" {
 		s.Job = s.App
@@ -322,15 +307,32 @@ type wireConfig struct {
 	// Checkpoint is the node's latest snapshot in coordinator custody (nil
 	// on a fresh run); a relaunched node restores and rejoins from it.
 	Checkpoint []byte `json:"checkpoint,omitempty"`
-	// CoordCaps advertises the coordinator's capabilities (the coordinator
-	// sends no hello, so its caps word travels here). CapObs invites
-	// periodic metrics-snapshot pushes.
-	CoordCaps uint32 `json:"coord_caps,omitempty"`
+	// ObsPush says the coordinator aggregates fleet metrics and wants the
+	// node's periodic metrics-snapshot pushes.
+	ObsPush bool `json:"obs_push,omitempty"`
 	// Rejoin marks a config answering a rejoin hello: the run is already in
 	// flight, the node's rank was vacated by its previous incarnation, and
 	// the mesh must be rebuilt by dialing every peer (their accept loops
 	// replace the stale links).
 	Rejoin bool `json:"rejoin,omitempty"`
+}
+
+// decodeConfig parses a FrameConfig body and re-validates what the node is
+// about to build from: the peer list and the rank first, which bounds Procs
+// by the blob's length, then the spec's own Normalize (idempotent on the
+// coordinator's normalized copy).
+func decodeConfig(blob []byte) (wireConfig, error) {
+	var wc wireConfig
+	if err := json.Unmarshal(blob, &wc); err != nil {
+		return wc, fmt.Errorf("distnet: decoding config: %w", err)
+	}
+	if p := wc.Spec.Procs; len(wc.Peers) != p || wc.Rank < 0 || wc.Rank >= p {
+		return wc, fmt.Errorf("distnet: inconsistent config (rank %d of %d, %d peers)", wc.Rank, p, len(wc.Peers))
+	}
+	if err := wc.Spec.Normalize(); err != nil {
+		return wc, err
+	}
+	return wc, nil
 }
 
 // resultMsg is the JSON body of a FrameResult. The rank's final partition

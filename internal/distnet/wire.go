@@ -44,7 +44,7 @@ type FrameType uint8
 // frames of the coordinator/mesh protocol.
 const (
 	FrameData       FrameType = 1 + iota // peer → peer: one cluster.Message
-	FrameHello                           // both directions: identity (rank, epoch, listen addr, caps)
+	FrameHello                           // both directions: identity (rank, epoch, listen addr)
 	FrameConfig                          // coord → node: rank, membership, run spec (JSON blob)
 	FrameHeartbeat                       // peer → peer: liveness beacon (idle links only)
 	FrameBarrier                         // node → coord: arrival; coord → node: release
@@ -82,20 +82,6 @@ func (t FrameType) String() string {
 	}
 	return fmt.Sprintf("frame(%d)", uint8(t))
 }
-
-// Link capability bits, carried in the hello frame's caps word. A sender
-// only emits a frame shape the receiving end advertised it can decode, so
-// mixed-version meshes degrade to the common subset instead of corrupting.
-const (
-	// CapBatch: the peer decodes FrameBatch multi-message frames.
-	CapBatch uint32 = 1 << iota
-	// CapDelta: the peer decodes delta-coded batch entries (enc 1) and
-	// tracks per-stream bases from link start.
-	CapDelta
-	// CapObs: the peer decodes obs frames (metrics snapshots) and the
-	// timestamped heartbeat tail used for clock-offset estimation.
-	CapObs
-)
 
 // MaxFrame bounds one frame's encoded payload. Larger frames are refused on
 // both encode and decode — the decoder never allocates more than this on
@@ -137,8 +123,6 @@ type Frame struct {
 	Rank int
 	// Epoch is the sender's incarnation epoch in a FrameHello.
 	Epoch int
-	// Caps is the sender's capability bitmask in a FrameHello.
-	Caps uint32
 	// Addr is the sender's peer listen address in a FrameHello.
 	Addr string
 	// Seq is the barrier identifier in a FrameBarrier.
@@ -152,7 +136,7 @@ type Frame struct {
 	// Nil means no tail.
 	Final []float64
 	// Clock is a FrameHeartbeat's optional timestamp tail (unix seconds),
-	// used for NTP-style clock-offset estimation on CapObs links:
+	// used for NTP-style clock-offset estimation on peer links:
 	// {sender's send time, echo of the last stamp seen from the peer, local
 	// receive time of that stamp}. All-zero means no tail.
 	Clock [3]float64
@@ -167,7 +151,7 @@ type Frame struct {
 //
 //	data       i64 src, dst, tag, iter, epoch · f64 sentAt, hold · u32 n|nil · n×f64
 //	batch      u32 count · count×entry (see batch.go for the entry layout)
-//	hello      i64 rank, epoch · u32 len · addr bytes · u32 caps
+//	hello      i64 rank, epoch · u32 len · addr bytes
 //	config     u32 len · blob
 //	heartbeat  (empty | 3×f64 clock stamps)
 //	barrier    i64 seq
@@ -178,11 +162,10 @@ type Frame struct {
 //
 // hold is the delay, in seconds, the receiver's inbox owes the message
 // (cluster.Message.Hold); one that is negative, NaN or beyond a
-// time.Duration is corrupt. The hello caps word, the heartbeat clock tail
-// and the result final tail are optional on decode (absent reads as
-// zero/nil) so frames from builds predating them still parse; a partial
-// clock tail, or a final tail whose count disagrees with the bytes that
-// follow it, is corrupt.
+// time.Duration is corrupt. The heartbeat clock tail and the result final
+// tail are optional (absent reads as zero/nil); a partial clock tail, or a
+// final tail whose count disagrees with the bytes that follow it, is
+// corrupt. Every node of a run is the same build: nothing is negotiated.
 
 // appendI64 encodes v big-endian onto dst.
 func appendI64(dst []byte, v int64) []byte {
@@ -244,7 +227,6 @@ func appendPayload(dst []byte, f *Frame, ds *deltaState) (_, tail []byte, _ erro
 		dst = appendI64(dst, int64(f.Epoch))
 		dst = appendU32(dst, uint32(len(f.Addr)))
 		dst = append(dst, f.Addr...)
-		dst = appendU32(dst, f.Caps)
 	case FrameConfig, FrameResult:
 		dst = appendU32(dst, uint32(len(f.Blob)))
 		dst = append(dst, f.Blob...)
@@ -330,7 +312,7 @@ func writeFrame(w io.Writer, scratch []byte, f *Frame) ([]byte, error) {
 }
 
 // Encoder writes frames to one stream, reusing its encode buffer and — when
-// delta coding is negotiated for the link — carrying the per-stream vector
+// the run's spec enables delta coding — carrying the per-stream vector
 // bases batch entries are delta-coded against. Not safe for concurrent use;
 // each link's writer goroutine owns one.
 type Encoder struct {
@@ -340,7 +322,7 @@ type Encoder struct {
 }
 
 // NewEncoder returns an Encoder writing to w. delta enables delta coding of
-// batch entries (only set it when the receiving end advertised CapDelta).
+// batch entries (only set it when the receiving Decoder tracks bases).
 func NewEncoder(w io.Writer, delta bool) *Encoder {
 	e := &Encoder{w: w}
 	if delta {
@@ -416,8 +398,8 @@ type Decoder struct {
 	// allocations; see the type comment.
 	Reuse bool
 	// Track maintains delta bases so enc-1 batch entries decode. Set iff
-	// this end advertised CapDelta on the link; a delta entry arriving with
-	// Track unset is corrupt.
+	// the sending Encoder delta-codes; a delta entry arriving with Track
+	// unset is corrupt.
 	Track bool
 
 	buf  []byte
@@ -615,9 +597,6 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 		f.Rank = int(p.i64())
 		f.Epoch = int(p.i64())
 		f.Addr = string(p.bytes(int(p.u32())))
-		if p.err == nil && p.off < len(p.b) {
-			f.Caps = p.u32() // optional tail: absent on pre-caps builds
-		}
 	case FrameConfig, FrameResult:
 		f.Blob = append([]byte(nil), p.bytes(int(p.u32()))...)
 		if f.Type == FrameResult && p.err == nil && p.off < len(p.b) {

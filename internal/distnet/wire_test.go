@@ -102,7 +102,6 @@ func randFrame(rng *rand.Rand) Frame {
 		f.Rank = rng.Intn(18) - 2 // -1 = unassigned must survive
 		f.Epoch = rng.Intn(5)
 		f.Addr = string(randBlob())
-		f.Caps = rng.Uint32() & (CapBatch | CapDelta | CapObs)
 	case FrameConfig, FrameResult:
 		f.Blob = randBlob()
 		if f.Type == FrameResult {
@@ -115,7 +114,7 @@ func randFrame(rng *rand.Rand) Frame {
 		f.Seq = rng.Intn(100) - 1
 	case FrameHeartbeat:
 		if rng.Intn(2) == 0 {
-			// Timestamped beacon (CapObs links). Clock[0] must be non-zero —
+			// Timestamped beacon (peer links). Clock[0] must be non-zero —
 			// zero means "no tail" and encodes to the empty legacy beacon.
 			f.Clock = [3]float64{
 				1 + rng.Float64()*1e9, rng.Float64() * 1e9, rng.Float64() * 1e9,

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"specomp/internal/cluster"
 	"specomp/internal/core"
 	"specomp/internal/nbody"
-	"specomp/internal/partition"
 	"specomp/internal/perfmodel"
 	"specomp/internal/predict"
 )
@@ -15,36 +13,6 @@ import (
 // the configured generic predictor instead — used to compare speculation
 // functions on an identical workload.
 type noSpeculator struct{ core.App }
-
-// runNBodyCustom runs the N-body workload with an arbitrary engine config
-// and app wrapper.
-func (cfg NBodyConfig) runNBodyCustom(p int, ecfg core.Config, wrap func(core.App) core.App, instr *nbody.Instrument) ([]core.Result, error) {
-	ms := cfg.machines()[:p]
-	caps := make([]float64, p)
-	for i, m := range ms {
-		caps[i] = m.Ops
-	}
-	counts := partition.Proportional(cfg.N, caps)
-	ic := cfg.IC
-	if ic == nil {
-		ic = nbody.UniformSphere
-	}
-	blocks := nbody.SplitParticles(ic(cfg.N, cfg.Seed), counts)
-	sim := nbody.DefaultSim()
-	if cfg.Dt > 0 {
-		sim.Dt = cfg.Dt
-	}
-	return core.RunCluster(
-		cluster.Config{Machines: ms, Net: cfg.net(), Seed: cfg.Seed},
-		ecfg,
-		func(pr *cluster.Proc) core.App {
-			var app core.App = nbody.NewApp(sim, blocks[pr.ID()], cfg.N, pr.ID(), cfg.Theta, instr)
-			if wrap != nil {
-				app = wrap(app)
-			}
-			return app
-		})
-}
 
 // ExtForwardWindows sweeps the forward window on the N-body workload and
 // overlays the extended performance model's prediction (perfmodel.SpecTimeFW,
@@ -145,58 +113,5 @@ func ExtPredictors(cfg NBodyConfig) (Report, error) {
 	rep.Lines = append(rep.Lines,
 		fmt.Sprintf("%-24s %6s %12.2f %12.2f", "eq.10 velocity (native)", "1",
 			core.TotalTime(native), 100*core.Aggregate(native).UnitBadFraction()))
-	return rep, nil
-}
-
-// ExtBaselines compares the blocking algorithm, speculative computation and
-// the asynchronous-iterations baseline on the same N-body workload.
-// Asynchronous iteration is wait-free but unchecked; speculation approaches
-// its speed while bounding the error per iteration.
-func ExtBaselines(cfg NBodyConfig) (Report, error) {
-	rep := Report{
-		ID:    "ext-async",
-		Title: fmt.Sprintf("blocking vs speculative vs asynchronous, p=%d, N=%d (extension)", cfg.MaxProcs, cfg.N),
-	}
-	blocking, err := cfg.Run(cfg.MaxProcs, 0, cfg.Theta, nil)
-	if err != nil {
-		return rep, err
-	}
-	spec, err := cfg.Run(cfg.MaxProcs, 1, cfg.Theta, nil)
-	if err != nil {
-		return rep, err
-	}
-
-	ms := cfg.machines()[:cfg.MaxProcs]
-	caps := make([]float64, len(ms))
-	for i, m := range ms {
-		caps[i] = m.Ops
-	}
-	counts := partition.Proportional(cfg.N, caps)
-	ic := cfg.IC
-	if ic == nil {
-		ic = nbody.UniformSphere
-	}
-	blocks := nbody.SplitParticles(ic(cfg.N, cfg.Seed), counts)
-	sim := nbody.DefaultSim()
-	if cfg.Dt > 0 {
-		sim.Dt = cfg.Dt
-	}
-	async, err := core.RunAsyncCluster(
-		cluster.Config{Machines: ms, Net: cfg.net(), Seed: cfg.Seed},
-		core.AsyncConfig{MaxIter: cfg.Iters},
-		func(pr *cluster.Proc) core.App {
-			return nbody.NewApp(sim, blocks[pr.ID()], cfg.N, pr.ID(), cfg.Theta, nil)
-		})
-	if err != nil {
-		return rep, err
-	}
-
-	tB, tS, tA := core.TotalTime(blocking), core.TotalTime(spec), core.TotalTime(async)
-	rep.Series = []Series{{Name: "total-simsec", X: []float64{0, 1, 2}, Y: []float64{tB, tS, tA}}}
-	rep.Lines = append(rep.Lines,
-		fmt.Sprintf("blocking:     %8.2f s", tB),
-		fmt.Sprintf("speculative:  %8.2f s (error-checked, bounded staleness)", tS),
-		fmt.Sprintf("asynchronous: %8.2f s (wait-free, UNCHECKED staleness)", tA),
-	)
 	return rep, nil
 }

@@ -51,22 +51,3 @@ func TestExtPredictorsRanksVelocityMethodsAhead(t *testing.T) {
 		}
 	}
 }
-
-func TestExtBaselinesOrdering(t *testing.T) {
-	cfg := QuickNBody()
-	rep, err := ExtBaselines(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.SeriesByName("total-simsec")
-	if s == nil || len(s.Y) != 3 {
-		t.Fatalf("missing totals")
-	}
-	tB, tS, tA := s.Y[0], s.Y[1], s.Y[2]
-	if !(tS < tB) {
-		t.Errorf("speculative (%v) should beat blocking (%v)", tS, tB)
-	}
-	if !(tA < tB) {
-		t.Errorf("async (%v) should beat blocking (%v)", tA, tB)
-	}
-}

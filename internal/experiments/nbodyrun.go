@@ -127,15 +127,17 @@ func (cfg NBodyConfig) net() netmodel.Model {
 // Run executes one N-body simulation on the fastest p machines with forward
 // window fw and threshold theta, returning the per-processor results.
 func (cfg NBodyConfig) Run(p, fw int, theta float64, instr *nbody.Instrument) ([]core.Result, error) {
-	return cfg.RunWithKernel(p, fw, theta, 0, instr)
-}
-
-// RunWithKernel is Run with a selectable force kernel: mac = 0 uses the
-// exact O(N²) direct sum, mac > 0 the Barnes-Hut tree at that opening angle.
-func (cfg NBodyConfig) RunWithKernel(p, fw int, theta, mac float64, instr *nbody.Instrument) ([]core.Result, error) {
 	if p < 1 || p > cfg.MaxProcs {
 		return nil, fmt.Errorf("experiments: p=%d out of range [1, %d]", p, cfg.MaxProcs)
 	}
+	cfg.Theta = theta
+	return cfg.runNBodyCustom(p, core.Config{FW: fw, MaxIter: cfg.Iters, Metrics: cfg.Obs}, nil, instr)
+}
+
+// runNBodyCustom runs the N-body workload on the fastest p machines with an
+// arbitrary engine config and app wrapper; the simulated network shares the
+// engine's metrics registry.
+func (cfg NBodyConfig) runNBodyCustom(p int, ecfg core.Config, wrap func(core.App) core.App, instr *nbody.Instrument) ([]core.Result, error) {
 	ms := cfg.machines()[:p]
 	caps := make([]float64, p)
 	for i, m := range ms {
@@ -152,11 +154,13 @@ func (cfg NBodyConfig) RunWithKernel(p, fw int, theta, mac float64, instr *nbody
 		sim.Dt = cfg.Dt
 	}
 	return core.RunCluster(
-		cluster.Config{Machines: ms, Net: cfg.net(), Seed: cfg.Seed, Metrics: cfg.Obs},
-		core.Config{FW: fw, MaxIter: cfg.Iters, Metrics: cfg.Obs},
+		cluster.Config{Machines: ms, Net: cfg.net(), Seed: cfg.Seed, Metrics: ecfg.Metrics},
+		ecfg,
 		func(pr *cluster.Proc) core.App {
-			app := nbody.NewApp(sim, blocks[pr.ID()], cfg.N, pr.ID(), theta, instr)
-			app.MAC = mac
+			var app core.App = nbody.NewApp(sim, blocks[pr.ID()], cfg.N, pr.ID(), cfg.Theta, instr)
+			if wrap != nil {
+				app = wrap(app)
+			}
 			return app
 		})
 }

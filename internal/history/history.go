@@ -145,16 +145,6 @@ func (r *IterRing[T]) Get(iter int) (T, bool) {
 	return zero, false
 }
 
-// Ptr returns a pointer to iteration iter's stored value for in-place
-// mutation, or nil when the iteration is absent.
-func (r *IterRing[T]) Ptr(iter int) *T {
-	s := r.slot(iter)
-	if s.ok && s.iter == iter {
-		return &s.v
-	}
-	return nil
-}
-
 // Put stores v for iteration iter, replacing any value already stored for
 // that iteration. When the slot held a DIFFERENT (older or newer) iteration,
 // that entry is evicted and returned so the caller can recycle it.

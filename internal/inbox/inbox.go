@@ -58,7 +58,7 @@ func ValidHold(h float64) bool {
 
 // MustAny panics unless (src, tag) is (Any, Any). The engine receives only
 // that, so an inbox keeps no selector; selective receive belongs to
-// *cluster.Proc, for its collectives.
+// *cluster.Proc alone.
 func MustAny(src, tag int) {
 	if src != cluster.Any || tag != cluster.Any {
 		panic(fmt.Sprintf("inbox: receive from src %d tag %d: a wall-clock transport receives only (Any, Any), as the engine does; selective receive is *cluster.Proc's", src, tag))

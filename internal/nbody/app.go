@@ -32,15 +32,6 @@ type App struct {
 	init   []Particle
 	// Theta is the eq.-11 error threshold θ.
 	Theta float64
-	// SpecOrder selects the speculation function: 1 (default) is the
-	// paper's eq. 10 (constant velocity); 2 adds the acceleration estimated
-	// from the last two snapshots — the higher-order-derivative extension
-	// the paper leaves as future work.
-	SpecOrder int
-	// MAC, when positive, switches the force kernel from the O(N²) direct
-	// sum to the Barnes-Hut O(N log N) tree with this opening angle (the
-	// paper's footnote-1 variant).
-	MAC float64
 	// Adapt, if non-nil, tunes Theta at run time toward a target
 	// recomputation rate.
 	Adapt *AdaptiveTheta
@@ -115,22 +106,9 @@ func (a *App) InitLocal() []float64 { return Encode(a.init) }
 func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.pid, t) }
 
 // ComputeInto implements core.ComputerInto: decode the global view, sum the
-// forces on the local block (direct, or Barnes-Hut when MAC > 0), advance it.
+// forces on the local block by the O(N²) direct sum, advance it.
 func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 	local := a.decode(a.pid, view[a.pid])
-	if a.MAC > 0 {
-		var all []Particle
-		for k, part := range view {
-			if len(part) > 0 {
-				all = append(all, a.decode(k, part)...)
-			}
-		}
-		tree := BuildOctree(all)
-		acc, _ := a.sim.AccelOnTree(local, tree, a.MAC)
-		a.next = a.sim.stepInto(a.next, local, acc)
-		encodeInto(out, a.next)
-		return
-	}
 	a.sources = a.sources[:0]
 	for k, part := range view {
 		if len(part) > 0 {
@@ -142,50 +120,23 @@ func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 	encodeInto(out, a.next)
 }
 
-// ComputeOps implements core.App: N_i·N pairwise force evaluations for the
-// direct sum; N_i·O(log N/θ²) plus the tree build for Barnes-Hut.
+// ComputeOps implements core.App: N_i·N pairwise force evaluations.
 func (a *App) ComputeOps() float64 {
-	if a.MAC > 0 {
-		interactions := float64(len(a.init)) * BHOpsEstimate(a.nTotal, a.MAC)
-		build := 10 * float64(a.nTotal) * math.Log2(float64(a.nTotal)+2)
-		return interactions*PairOps + build
-	}
 	return float64(len(a.init)) * float64(a.nTotal) * PairOps
 }
 
 // Speculate implements core.Speculator with the paper's eq. 10: positions
 // extrapolate along the last known velocity, r*(t) = r(t−s) + v(t−s)·s·Δt,
-// velocities are held constant. With SpecOrder >= 2 and at least two
-// snapshots of history, the acceleration estimated from consecutive
-// velocities is added: r* += ½·a·(s·Δt)², v* += a·s·Δt.
+// velocities are held constant.
 func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float64) {
 	ps := a.decode(0, hist[0])
 	a.next = resize(a.next, len(ps))
 	out := a.next
 	dt := a.sim.Dt * float64(steps)
-	var prev []Particle
-	secondOrder := a.SpecOrder >= 2 && len(hist) >= 2
-	if secondOrder {
-		prev = a.decode(1, hist[1])
-		if len(prev) != len(ps) {
-			secondOrder = false
-		}
-	}
 	for i, p := range ps {
-		pos := p.Pos.Add(p.Vel.Scale(dt))
-		vel := p.Vel
-		if secondOrder {
-			acc := p.Vel.Sub(prev[i].Vel).Scale(1 / a.sim.Dt)
-			pos = pos.Add(acc.Scale(0.5 * dt * dt))
-			vel = vel.Add(acc.Scale(dt))
-		}
-		out[i] = Particle{Mass: p.Mass, Pos: pos, Vel: vel}
+		out[i] = Particle{Mass: p.Mass, Pos: p.Pos.Add(p.Vel.Scale(dt)), Vel: p.Vel}
 	}
-	ops := float64(SpecOpsPerParticle * len(ps))
-	if secondOrder {
-		ops *= 2 // roughly double the flops per particle
-	}
-	return Encode(out), ops
+	return Encode(out), float64(SpecOpsPerParticle * len(ps))
 }
 
 // eq11 is the paper's eq. 11 for one remote particle a: its speculated

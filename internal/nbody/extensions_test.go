@@ -1,78 +1,12 @@
 package nbody
 
 import (
-	"math"
 	"testing"
 
 	"specomp/internal/cluster"
 	"specomp/internal/core"
 	"specomp/internal/netmodel"
 )
-
-func TestSecondOrderSpeculationEq(t *testing.T) {
-	sim := Sim{G: 1, Soft: 0.05, Dt: 0.5}
-	app := NewApp(sim, nil, 10, 0, 0.01, nil)
-	app.SpecOrder = 2
-	// Velocity changed from (0,0,0) to (1,0,0) over one step: a = 2 /s².
-	older := []Particle{{Mass: 1, Pos: Vec3{0, 0, 0}, Vel: Vec3{0, 0, 0}}}
-	newer := []Particle{{Mass: 1, Pos: Vec3{1, 0, 0}, Vel: Vec3{1, 0, 0}}}
-	pred, ops := app.Speculate(1, [][]float64{Encode(newer), Encode(older)}, 1)
-	got := Decode(pred)[0]
-	// r* = 1 + 1·0.5 + 0.5·2·0.25 = 1.75; v* = 1 + 2·0.5 = 2.
-	if math.Abs(got.Pos.X-1.75) > 1e-12 {
-		t.Errorf("pos = %v, want 1.75", got.Pos.X)
-	}
-	if math.Abs(got.Vel.X-2) > 1e-12 {
-		t.Errorf("vel = %v, want 2", got.Vel.X)
-	}
-	if ops != 2*SpecOpsPerParticle {
-		t.Errorf("ops = %g, want %d", ops, 2*SpecOpsPerParticle)
-	}
-}
-
-func TestSecondOrderFallsBackWithShortHistory(t *testing.T) {
-	sim := Sim{G: 1, Soft: 0.05, Dt: 0.5}
-	app := NewApp(sim, nil, 10, 0, 0.01, nil)
-	app.SpecOrder = 2
-	ps := []Particle{{Mass: 1, Pos: Vec3{1, 0, 0}, Vel: Vec3{1, 0, 0}}}
-	pred, ops := app.Speculate(1, [][]float64{Encode(ps)}, 1)
-	got := Decode(pred)[0]
-	if math.Abs(got.Pos.X-1.5) > 1e-12 { // first-order fallback
-		t.Errorf("pos = %v, want 1.5", got.Pos.X)
-	}
-	if ops != SpecOpsPerParticle {
-		t.Errorf("fallback ops = %g", ops)
-	}
-}
-
-func TestSecondOrderMoreAccurateOnSmoothOrbit(t *testing.T) {
-	// A particle on a circular orbit: constant-velocity extrapolation
-	// overshoots tangentially; adding the acceleration term should predict
-	// the curved path better.
-	sim := Sim{G: 1, Soft: 0.001, Dt: 0.05}
-	app1 := NewApp(sim, nil, 2, 0, 0.01, nil)
-	app2 := NewApp(sim, nil, 2, 0, 0.01, nil)
-	app2.SpecOrder = 2
-
-	// Generate the true trajectory around a unit central mass at origin.
-	traj := []Particle{{Mass: 1e-6, Pos: Vec3{1, 0, 0}, Vel: Vec3{0, 1, 0}}}
-	central := []Particle{{Mass: 1, Pos: Vec3{}}}
-	var snaps [][]float64
-	cur := traj
-	for i := 0; i < 3; i++ {
-		snaps = append([][]float64{Encode(cur)}, snaps...) // newest first
-		cur = sim.Step(cur, sim.AccelOn(cur, central))
-	}
-	truth := Decode(Encode(cur))[0]
-
-	p1, _ := app1.Speculate(0, snaps, 1)
-	p2, _ := app2.Speculate(0, snaps, 1)
-	e1 := Decode(p1)[0].Pos.Sub(truth.Pos).Norm()
-	e2 := Decode(p2)[0].Pos.Sub(truth.Pos).Norm()
-	if e2 >= e1 {
-		t.Errorf("second order (%.3e) not better than first order (%.3e)", e2, e1)
-	}
-}
 
 func TestAdaptiveThetaTracksTarget(t *testing.T) {
 	const n, iters = 48, 60

@@ -37,33 +37,3 @@ func (s Sim) Evolve(ps []Particle, iters int) []Particle {
 	}
 	return cur
 }
-
-// StepKDK advances the whole particle set one timestep with the
-// kick-drift-kick leapfrog, the standard second-order symplectic scheme for
-// collisionless N-body work. It needs two force evaluations per step but
-// halves neither accuracy nor stability the way first-order schemes do;
-// provided as the higher-accuracy serial reference.
-func (s Sim) StepKDK(ps []Particle) []Particle {
-	half := s.Dt / 2
-	acc := s.AccelOn(ps, ps)
-	mid := make([]Particle, len(ps))
-	for i, p := range ps {
-		v := p.Vel.Add(acc[i].Scale(half))
-		mid[i] = Particle{Mass: p.Mass, Vel: v, Pos: p.Pos.Add(v.Scale(s.Dt))}
-	}
-	acc2 := s.AccelOn(mid, mid)
-	out := make([]Particle, len(ps))
-	for i, p := range mid {
-		out[i] = Particle{Mass: p.Mass, Pos: p.Pos, Vel: p.Vel.Add(acc2[i].Scale(half))}
-	}
-	return out
-}
-
-// EvolveKDK runs the kick-drift-kick reference for iters timesteps.
-func (s Sim) EvolveKDK(ps []Particle, iters int) []Particle {
-	cur := ps
-	for t := 0; t < iters; t++ {
-		cur = s.StepKDK(cur)
-	}
-	return cur
-}

@@ -136,53 +136,6 @@ func TestEnergyApproximatelyConserved(t *testing.T) {
 	}
 }
 
-func TestKDKSecondOrderConvergence(t *testing.T) {
-	// Halving Δt should cut the KDK trajectory error roughly 4× (2nd
-	// order), vs roughly 2× for the 1st-order symplectic Euler.
-	base := RotatingDisk(12, 41)
-	const horizon = 0.4
-	ref := Sim{G: 1, Soft: 0.05, Dt: horizon / 512}
-	truth := ref.EvolveKDK(base, 512)
-	errAt := func(dt float64, kdk bool) float64 {
-		s := Sim{G: 1, Soft: 0.05, Dt: dt}
-		steps := int(horizon/dt + 0.5)
-		var got []Particle
-		if kdk {
-			got = s.EvolveKDK(base, steps)
-		} else {
-			got = s.Evolve(base, steps)
-		}
-		worst := 0.0
-		for i := range got {
-			if d := got[i].Pos.Sub(truth[i].Pos).Norm(); d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	coarse := errAt(horizon/16, true)
-	fine := errAt(horizon/32, true)
-	ratio := coarse / fine
-	if ratio < 3.0 {
-		t.Errorf("KDK error ratio %.2f on Δt halving, want ~4 (2nd order)", ratio)
-	}
-	// And KDK beats the 1st-order scheme at equal Δt.
-	if e1 := errAt(horizon/16, false); e1 <= coarse {
-		t.Errorf("KDK (%.3e) not more accurate than symplectic Euler (%.3e)", coarse, e1)
-	}
-}
-
-func TestKDKConservesEnergyTightly(t *testing.T) {
-	s := DefaultSim()
-	ps := RotatingDisk(40, 3)
-	e0 := s.Energy(ps)
-	evolved := s.EvolveKDK(ps, 100)
-	e1 := s.Energy(evolved)
-	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 0.005 {
-		t.Errorf("KDK energy drifted %.3f%% over 100 steps", rel*100)
-	}
-}
-
 func TestInitialConditionGenerators(t *testing.T) {
 	for name, gen := range map[string]func(int, int64) []Particle{
 		"sphere":   UniformSphere,

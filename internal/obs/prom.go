@@ -302,17 +302,3 @@ func validMetricName(s string) bool {
 	}
 	return len(s) > 0
 }
-
-// SampleNames returns the distinct metric names in samples, preserving first
-// appearance order.
-func SampleNames(samples []PromSample) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, s := range samples {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			out = append(out, s.Name)
-		}
-	}
-	return out
-}

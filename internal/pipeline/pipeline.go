@@ -95,9 +95,6 @@ func (g *Graph) Stages() int { return len(g.stages) }
 // Stage returns stage id's definition.
 func (g *Graph) Stage(id int) Stage { return g.stages[id] }
 
-// Upstream returns stage id's upstream stage ids. Callers must not mutate.
-func (g *Graph) Upstream(id int) []int { return g.up[id] }
-
 // DepGraph projects the stage DAG onto processor ranks under place
 // (place[stage] = rank, a permutation; nil means identity). The result is
 // what the engine consumes: rank place[s] reads rank place[u] for every

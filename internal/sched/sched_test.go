@@ -183,10 +183,10 @@ func TestQueuePersistRecovery(t *testing.T) {
 	}
 }
 
-// TestRetiredWireKnobInStoredSpecs: wire.linger_us no longer exists. A queue
-// file written by a build that still had it must load — the spec it held
-// otherwise unchanged — while a fresh submission naming it is refused like
-// any other unknown field.
+// TestRetiredWireKnobInStoredSpecs: wire.linger_us, no_batch and max_batch_*
+// no longer exist. A queue file written by a build that still had them must
+// load — the spec it held otherwise unchanged — while a fresh submission
+// naming one is refused like any other unknown field.
 func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sched-queue.json")
@@ -210,7 +210,10 @@ func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 	}
 	file, want := readQueue()
 	wire := want["wire"].(map[string]any)
-	wire["linger_us"] = 150
+	retired := map[string]any{"linger_us": 150, "no_batch": true, "max_batch_msgs": 32, "max_batch_bytes": 49152}
+	for k, v := range retired {
+		wire[k] = v
+	}
 	blob, err := json.Marshal(file)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +221,9 @@ func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	delete(wire, "linger_us") // want is again the spec as first persisted
+	for k := range retired {
+		delete(wire, k) // want is again the spec as first persisted
+	}
 
 	s2 := queueOnly(t, sched.Config{StateDir: dir})
 	if q := s2.Queue(); len(q.Pending) != 1 || q.Pending[0].ID != job.ID {
@@ -233,14 +238,16 @@ func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 
 	srv := httptest.NewServer(queueOnly(t, sched.Config{}).Handler())
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(
-		`{"spec":{"app":"heat","procs":2,"max_iter":10,"wire":{"linger_us":150}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("submission naming linger_us: %d, want 400", resp.StatusCode)
+	for _, knob := range []string{`"linger_us":150`, `"no_batch":true`} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(
+			`{"spec":{"app":"heat","procs":2,"max_iter":10,"wire":{`+knob+`}}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submission naming %s: %d, want 400", knob, resp.StatusCode)
+		}
 	}
 }
 

@@ -51,17 +51,6 @@ func (r *Recorder) EventHook() func(proc int, kind string, t float64) {
 	}
 }
 
-// EventCount returns how many recorded events have the given kind.
-func (r *Recorder) EventCount(kind string) int {
-	n := 0
-	for _, e := range r.Events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 // End returns the latest span end time.
 func (r *Recorder) End() float64 {
 	var worst float64

@@ -81,11 +81,6 @@ func RunCluster(cc ClusterConfig, cfg EngineConfig, factory Factory) ([]Result, 
 	return core.RunCluster(cc, cfg, factory)
 }
 
-// RunAsyncCluster executes the asynchronous-iterations baseline.
-func RunAsyncCluster(cc ClusterConfig, cfg core.AsyncConfig, factory Factory) ([]Result, error) {
-	return core.RunAsyncCluster(cc, cfg, factory)
-}
-
 // TotalTime returns a run's wall (virtual) time: the last processor finish.
 func TotalTime(results []Result) float64 { return core.TotalTime(results) }
 
