@@ -89,7 +89,7 @@ bench: bench-core
 # TakeCheckpoint are gated: TakeCheckpoint must read 0 allocs/op, and the
 # exact version of that claim (testing.AllocsPerRun) runs first in a process
 # of its own, where no other test's stragglers can allocate into the count.
-BENCH_CORE_SERIES = EngineIteration|ComputeKernel|CheckEq11|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|PipelineStage|CoordCustody|CoordTeardown|CheckpointEncode|TakeCheckpoint|CheckpointPath|Inbox
+BENCH_CORE_SERIES = EngineIteration|ComputeKernel|CheckEq11|LoopbackRoundTrip|LinkThroughput|WireInstrumentation|DeliveryLatency|PipelineStage|CoordCustody|CoordTeardown|CheckpointEncode|TakeCheckpoint|CheckpointPath|Inbox
 BENCH_CORE_PKGS = ./internal/core ./internal/checkpoint ./internal/apps/... ./internal/nbody ./internal/distnet ./internal/pipeline ./internal/inbox
 bench-core:
 	go test -run '^TestTakeCheckpointZeroAlloc$$' -count=1 ./internal/core

@@ -11,7 +11,7 @@ package core
 
 import (
 	"fmt"
-	"runtime/debug"
+	"runtime"
 	"testing"
 
 	"specomp/internal/checkpoint"
@@ -161,14 +161,31 @@ func BenchmarkEngineIteration(b *testing.B) {
 // nothing: on an engine frozen mid-run, one more iteration (broadcast,
 // assemble+speculate, compute, validate, retire) reads 0 allocations, with
 // the app's result copied into the value plane and with the plane's slot lent
-// to a strip-shaped app (64 Ki values). GC is disabled so sync.Pool contents
-// survive; testing.AllocsPerRun averages over 100 iterations, so a goroutine
-// left behind by another test cannot put a stray malloc into the count.
+// to a strip-shaped app (64 Ki values). testing.AllocsPerRun averages over
+// 100 iterations, so a goroutine left behind by another test cannot put a
+// stray malloc into the count.
 func TestSteadyStateZeroAlloc(t *testing.T) {
+	testSteadyIterations(t, 100, func() {})
+}
+
+// TestPoolSurvivesGC: the value plane's freelists belong to the engine, not
+// to the runtime, so a collection between two iterations empties nothing and
+// the next iteration still draws every buffer, 64 Ki-value strips included,
+// from them. (A sync.Pool is cleared by the GC; two collections clear its
+// victim cache too.)
+func TestPoolSurvivesGC(t *testing.T) {
+	testSteadyIterations(t, 20, func() { runtime.GC(); runtime.GC() })
+}
+
+// testSteadyIterations freezes an engine mid-run for each steady-state shape
+// and asserts that `runs` more iterations, each after a call to between,
+// allocate nothing beyond what between allocates on its own. (A collection
+// wakes the runtime's own cleanup goroutines, and what they allocate lands in
+// the same process-wide count.)
+func testSteadyIterations(t *testing.T, runs int, between func()) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; exact malloc counts are meaningless")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, c := range []struct {
 		name   string
 		ph     *phantom
@@ -180,9 +197,13 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		{"lent/strip64Ki-P2-FW0", newPhantom(2, 2*256), stripAs(newStripApp(256*256, 2*256), true), 0, 80},
 	} {
 		e := frozenEngine(t, c.ph, c.app, Config{FW: c.fw}, c.at)
-		step := func() { e.iterate(e.frontier + 1) }
+		step := func() {
+			between()
+			e.iterate(e.frontier + 1)
+		}
 		step()
-		if n := testing.AllocsPerRun(100, step); n != 0 {
+		alone := testing.AllocsPerRun(runs, between)
+		if n := testing.AllocsPerRun(runs, step) - alone; n != 0 {
 			t.Errorf("%s: a steady-state iteration allocates %v times", c.name, n)
 		}
 	}

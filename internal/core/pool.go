@@ -1,39 +1,31 @@
 package core
 
-import "sync"
-
 // emptyBuf is the shared zero-length buffer handed out for empty payloads,
 // preserving the non-nil/nil distinction without allocating.
 var emptyBuf = []float64{}
 
-// box carries a buffer in and out of a sync.Pool. Pooling bare slices would
-// allocate an interface box on every Put; keeping the slice inside a pointer
-// box (and recycling the boxes themselves) makes the steady-state get/put
-// cycle allocation-free.
-type box struct{ d []float64 }
-
-// bufPool hands out float64 buffers by exact length, one sync.Pool per
-// length class. The engine's payloads come in a tiny number of sizes (the
-// partition and its published form), so the class map stays small. A pool is
-// per-engine: buffers it hands out are only ever recycled by the same
-// single-threaded engine, so a returned buffer can never be concurrently
-// reused — sync.Pool just lets the GC reclaim idle buffers under pressure.
+// bufPool hands out float64 buffers by exact length, one freelist per length
+// class. The engine's payloads come in a tiny number of sizes (the partition
+// and its published form), so the class map stays small. A pool is
+// per-engine and the engine is single-threaded, so a returned buffer can
+// never be concurrently reused and no lock is needed. Unlike a sync.Pool,
+// the freelists outlive garbage collection: a steady run keeps cycling the
+// same buffers however often the GC runs. They are bounded by what the
+// engine has in flight — a class keeps no more buffers than it has handed
+// out, and a put beyond that is left to the GC.
 type bufPool struct {
-	pools map[int]*sync.Pool
-	boxes []*box // empty boxes awaiting reuse
+	classes map[int]*bufClass
+}
+
+// bufClass is one length's freelist; out counts its buffers handed out and
+// not yet put back.
+type bufClass struct {
+	free [][]float64
+	out  int
 }
 
 func newBufPool() *bufPool {
-	return &bufPool{pools: make(map[int]*sync.Pool)}
-}
-
-func (bp *bufPool) class(n int) *sync.Pool {
-	p := bp.pools[n]
-	if p == nil {
-		p = &sync.Pool{New: func() any { return &box{d: make([]float64, n)} }}
-		bp.pools[n] = p
-	}
-	return p
+	return &bufPool{classes: make(map[int]*bufClass)}
 }
 
 // get returns a length-n buffer with unspecified contents; callers must
@@ -42,28 +34,28 @@ func (bp *bufPool) get(n int) []float64 {
 	if n == 0 {
 		return emptyBuf
 	}
-	b := bp.class(n).Get().(*box)
-	d := b.d
-	b.d = nil
-	bp.boxes = append(bp.boxes, b)
-	return d
+	c := bp.classes[n]
+	if c == nil {
+		c = &bufClass{}
+		bp.classes[n] = c
+	}
+	c.out++
+	if k := len(c.free); k > 0 {
+		d := c.free[k-1]
+		c.free[k-1] = nil
+		c.free = c.free[:k-1]
+		return d
+	}
+	return make([]float64, n)
 }
 
 // put recycles a buffer previously obtained from get (or any buffer the
 // caller owns exclusively and will never touch again).
 func (bp *bufPool) put(s []float64) {
-	n := len(s)
-	if n == 0 {
+	c := bp.classes[len(s)]
+	if c == nil || c.out == 0 {
 		return
 	}
-	var b *box
-	if k := len(bp.boxes); k > 0 {
-		b = bp.boxes[k-1]
-		bp.boxes[k-1] = nil
-		bp.boxes = bp.boxes[:k-1]
-	} else {
-		b = &box{}
-	}
-	b.d = s
-	bp.class(n).Put(b)
+	c.out--
+	c.free = append(c.free, s)
 }

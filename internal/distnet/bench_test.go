@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -265,6 +266,28 @@ func BenchmarkWireInstrumentation(b *testing.B) {
 	}
 	b.Run("enabled", func(b *testing.B) { run(b, newWireObs(obs.NewRegistry(), 0, 2)) })
 	b.Run("nil", func(b *testing.B) { run(b, nil) })
+}
+
+// BenchmarkDeliveryLatency measures the record every delivered message
+// leaves for its node's p50/p99 report (latHist.add) over a stream of
+// 2 ms ± 0.3 ms samples. It must report 0 allocs/op: the histogram is a fixed
+// array, so a node's latency record does not grow with its run.
+func BenchmarkDeliveryLatency(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]float64, 1024)
+	for i := range samples {
+		samples[i] = 2e-3 + 0.6e-3*(rng.Float64()-0.5)
+	}
+	h := new(latHist)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.add(samples[i&1023])
+	}
+	b.StopTimer()
+	if h.quantile(0.5) == 0 {
+		b.Fatal("histogram read p50 = 0 after recording samples")
+	}
 }
 
 // benchSnapshot is a checkpoint blob the size svc-jobs ships (≈ 37 KB).

@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,8 +39,9 @@ type NodeConfig struct {
 	// address is reported to the coordinator for mesh assembly.
 	Listen string
 	// HTTPAddr, when non-empty, serves live introspection for the run:
-	// /metrics (Prometheus), /journal (JSONL), expvar and pprof — the same
-	// endpoint realtime runs get. Use "127.0.0.1:0" for an ephemeral port.
+	// /metrics (Prometheus), /journal (JSONL; the last 4096–8192 events
+	// unless the spec sets Trace), expvar and pprof — the same endpoint
+	// realtime runs get. Use "127.0.0.1:0" for an ephemeral port.
 	HTTPAddr string
 	// Faults, when non-nil, applies the simulator's fault semantics to this
 	// node's send path: every outgoing data message is planned through the
@@ -169,9 +169,9 @@ type transport struct {
 	pendBytes []int
 	pendMsgs  int // messages across all of pend; 0 lets a flush skip the walk
 
-	// lat collects per-message delivery latencies (DeliveredAt − SentAt),
-	// engine goroutine only.
-	lat []float64
+	// lat histograms per-message delivery latencies (DeliveredAt − SentAt)
+	// for the report's p50/p99: a fixed array, whatever the run length.
+	lat latHist
 
 	// closed is set by close, so the accept loop refuses replacement links
 	// during teardown.
@@ -325,7 +325,7 @@ func (t *transport) popped(m *cluster.Message) {
 	if d < 0 {
 		d = 0
 	}
-	t.lat = append(t.lat, d)
+	t.lat.add(d)
 	t.wobs.link(m.Src).observeLatency(d)
 	if t.traceWire {
 		t.journal.Record(obs.Event{T: m.DeliveredAt, Proc: t.rank, Kind: obs.EvDeliver, Iter: m.Iter, Peer: m.Src, V: d})
@@ -447,16 +447,6 @@ func (t *transport) framesSentTotal() int {
 	return int(n)
 }
 
-// latPercentile returns the q-quantile of the collected delivery latencies
-// (sorting in place on first use).
-func latPercentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 // close tears down every peer link, pushing any still-pending batches out
 // first (shutdown must not strand messages a slower peer is waiting for).
 func (t *transport) close() {
@@ -499,6 +489,32 @@ func (s *coordStore) Load(proc int) ([]byte, bool) {
 		return nil, false
 	}
 	return s.initial, true
+}
+
+// journalTail bounds the in-memory journal of a node that does not ship its
+// journal home: /journal serves the recent tail, and a JournalDir file keeps
+// the full history.
+const journalTail = 4096
+
+// nodeInstruments builds a node's registry and journal, each only when
+// something will read it; otherwise it is nil and every instrument on it
+// costs one nil check. The registry's readers are the coordinator's metrics
+// pushes and /metrics; the journal's are the Trace result, /journal and the
+// JournalDir file. Only a Trace journal keeps every event, because it
+// travels home whole in the result.
+func nodeInstruments(cfg NodeConfig, wc wireConfig) (*obs.Registry, *obs.Journal) {
+	var reg *obs.Registry
+	if wc.ObsPush && wc.Spec.ObsPushMS > 0 || cfg.HTTPAddr != "" {
+		reg = obs.NewRegistry()
+	}
+	var journal *obs.Journal
+	if wc.Spec.Trace || cfg.HTTPAddr != "" || cfg.JournalDir != "" {
+		journal = obs.NewJournal()
+		if !wc.Spec.Trace {
+			journal.Limit(journalTail)
+		}
+	}
+	return reg, journal
 }
 
 // RunNode joins the coordinator at cfg.Coord, participates in one full run,
@@ -544,9 +560,8 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 
 	// Observability first: registry and journal exist before the mesh so
 	// link construction, dial retries and the links themselves are
-	// instrumented from the first frame.
-	reg := obs.NewRegistry()
-	journal := obs.NewJournal()
+	// instrumented from the first frame — each only when something reads it.
+	reg, journal := nodeInstruments(cfg, wc)
 	core.RegisterEngineMetrics(reg, rank)
 	lp := obs.L("proc", strconv.Itoa(rank))
 	if cfg.JournalDir != "" {
@@ -560,10 +575,6 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		}
 		defer jw.Close() // flushes buffered tail events on every exit path
 		journal.Attach(jw)
-		if !spec.Trace {
-			// The file keeps full history; memory keeps a bounded tail.
-			journal.Limit(4096)
-		}
 	}
 
 	// Build the transport around the mesh.
@@ -724,7 +735,6 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	// Wire-plane throughput measures for the soak harness: delivery-latency
 	// percentiles, physical frame count, and whole-process allocations per
 	// message over the run.
-	sort.Float64s(tr.lat)
 	allocsPerMsg := 0.0
 	if n := tr.msgsSent + tr.msgsRecvd; n > 0 {
 		allocsPerMsg = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(n)
@@ -769,8 +779,8 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		MsgsSent: res.Stats.Net.MsgsSent, BytesSent: res.Stats.Net.BytesSent,
 		MsgsRecvd:    tr.msgsRecvd,
 		FramesSent:   tr.framesSentTotal(),
-		LatP50Sec:    latPercentile(tr.lat, 0.50),
-		LatP99Sec:    latPercentile(tr.lat, 0.99),
+		LatP50Sec:    tr.lat.quantile(0.50),
+		LatP99Sec:    tr.lat.quantile(0.99),
 		AllocsPerMsg: allocsPerMsg,
 		StartUnix:    float64(tr.start.UnixNano()) / 1e9,
 		LaunchStamps: stamps,
