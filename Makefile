@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-core bench-smoke bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched fuzz-obs soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext faults chaos metrics cover fmt vet lint examples
+.PHONY: all build test test-short bench bench-core bench-smoke bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched fuzz-obs soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext results-check faults chaos metrics cover fmt vet lint examples
 
 all: build vet test
 
@@ -164,6 +164,17 @@ results:
 # Regenerate the extension studies (results_ext.txt).
 results-ext:
 	go run ./cmd/specbench -exp ext -chart=false > results_ext.txt
+
+# Byte-identity gate on both committed results files: regenerate them into a
+# temporary directory and compare. Every engine change must pass it; a change
+# that moves a number re-records with `make results results-ext` and says why.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	go run ./cmd/specbench -exp all > "$$tmp/results_full.txt" && \
+	go run ./cmd/specbench -exp ext -chart=false > "$$tmp/results_ext.txt" && \
+	cmp results_full.txt "$$tmp/results_full.txt" && \
+	cmp results_ext.txt "$$tmp/results_ext.txt" && \
+	echo "results-check: results_full.txt and results_ext.txt are byte-identical"
 
 # Fault-injection study: loss, delay spikes, straggler (quick configuration).
 faults:

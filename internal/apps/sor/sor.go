@@ -159,19 +159,11 @@ var _ core.App = (*App)(nil)
 var _ core.ComputerInto = (*App)(nil)
 var _ core.Publisher = (*App)(nil)
 var _ core.Speculator = (*App)(nil)
-var _ core.Neighbors = (*App)(nil)
+var _ core.Grapher = (*App)(nil)
 
-// adjacent reports whether peer k's strip touches this processor's.
-func (a *App) adjacent(k int) bool {
-	lo, hi := a.rows()
-	return a.blocks[k][1] == lo || a.blocks[k][0] == hi
-}
-
-// Needs implements core.Neighbors: only adjacent strips feed the stencil.
-func (a *App) Needs(peer int) bool { return a.adjacent(peer) }
-
-// NeededBy implements core.Neighbors: strip adjacency is symmetric.
-func (a *App) NeededBy(peer int) bool { return a.adjacent(peer) }
+// Graph implements core.Grapher: only touching strips feed the stencil, in
+// both directions.
+func (a *App) Graph(p int) *core.DepGraph { return core.StripGraph(a.blocks) }
 
 func (a *App) rows() (lo, hi int) { return a.blocks[a.pid][0], a.blocks[a.pid][1] }
 

@@ -2,9 +2,12 @@ package core
 
 // The application contract: what a synchronous iterative algorithm must
 // provide to run under the speculative engine, plus the optional extensions
-// (publishing, neighbor restriction, incremental correction, convergence
-// stopping, domain-specific speculation) an app may implement to specialize
-// the default policies.
+// an app may implement: publishing, computing into the engine's slot,
+// incremental correction, convergence stopping, domain-specific speculation,
+// and (graph.go) a dependency graph. Each of the paper's three open decisions
+// has one extension point here: speculation is Speculator (else
+// Config.Predictor), the check is App.Check, repair is Corrector (else a
+// recompute).
 
 // CheckResult reports the outcome of validating one speculated message.
 type CheckResult struct {
@@ -21,7 +24,7 @@ type CheckResult struct {
 // next call of the same method and may be overwritten by the one after, so
 // an app can serve results from a two-buffer ping-pong pair (ResultBuf) and
 // allocate nothing in steady state. A caller may therefore pass a result
-// straight back as an input of the very next call — the default repair
+// straight back as an input of the very next call — the engine's repair
 // folds Correct over its own result — but must copy whatever it keeps
 // longer, as the value plane does.
 // Results are a pure function of the arguments in value, never in buffer
@@ -72,36 +75,16 @@ type ComputerInto interface {
 	ComputeInto(dst []float64, view [][]float64, t int)
 }
 
-// Neighbors is an optional App extension restricting the exchange pattern:
-// the paper's general model is all-to-all ("each variable can potentially
-// be a function of all other variables"), but stencil-style applications
-// read only a few peers, and speculating or checking payloads that are
-// never read is pure overhead. Needs(k) reports whether this processor
-// reads peer k's payload; NeededBy(k) whether peer k reads this
-// processor's. Implementations must be mutually consistent across
-// processors (j.Needs(k) == k.NeededBy(j)), or receives will deadlock; the
-// pattern is static for a run — the engine consults the predicates once at
-// startup to build its dependency masks. When an App implements Neighbors,
-// unneeded peers get no messages and a nil view entry, and Stopper.Done
-// sees nil entries for them too. Neighbors is the pairwise special case of
-// the Grapher extension (graph.go), which declares arbitrary task DAGs and
-// takes precedence when both are implemented.
-type Neighbors interface {
-	Needs(peer int) bool
-	NeededBy(peer int) bool
-}
-
 // Corrector is an optional App extension implementing the paper's
 // "correction function": instead of recomputing X_j(t+1) from scratch when
 // a speculation fails its check, the app patches the already-computed local
 // values incrementally given the prediction that was used and the actual
 // message (e.g. N-body subtracts the speculated pair forces and adds the
 // actual ones). Correct must return values identical to recomputing with
-// the corrected view; the engine still charges RepairOps. The default
-// RepairPolicy folds Correct over every failed peer, passing each result
-// back as the next call's computed — which App's ownership rule (valid
-// through the next Correct call) makes safe. Correct must not modify its
-// arguments.
+// the corrected view; the engine still charges RepairOps. The engine folds
+// Correct over every failed peer, passing each result back as the next
+// call's computed — which App's ownership rule (valid through the next
+// Correct call) makes safe. Correct must not modify its arguments.
 type Corrector interface {
 	// Correct returns the fixed X_j(t+1). computed is the speculatively
 	// computed local result; local is X_j(t); pred and act are peer k's
@@ -130,7 +113,7 @@ type Stopper interface {
 // snapshots of the peer's partition, newest first, and is only valid for
 // the duration of the call; steps is how many iterations past hist[0] to
 // extrapolate. It returns the prediction and the operation cost charged to
-// the clock. The default SpecPolicy routes through Speculate when the App
+// the clock. The engine speculates through Speculate when the App
 // implements it, falling back to Config.Predictor otherwise. Unlike the
 // other results, pred is retained by the engine until its iteration is
 // validated, so it must be freshly allocated on every call.

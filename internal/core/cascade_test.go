@@ -57,6 +57,9 @@ func fanInGraph(p int) *DepGraph {
 	return g
 }
 
+// Graph implements Grapher.
+func (a *fanIn) Graph(p int) *DepGraph { return fanInGraph(p) }
+
 func fanInF(x float64) float64 { return 3.2 * x * (1 - x) }
 
 func fanInInit(pid, p int) float64 { return 0.25 + 0.5*float64(pid)/float64(p) }
@@ -157,7 +160,7 @@ func TestCascadeComputesOnWhatHasArrived(t *testing.T) {
 			}
 			for _, fw := range []int{2, 3, 4} {
 				results, err := RunCluster(uniformCluster(p, 0.25),
-					Config{FW: fw, MaxIter: cascadeIters, Graph: fanInGraph(p)},
+					Config{FW: fw, MaxIter: cascadeIters},
 					func(pr *cluster.Proc) App { return &fanIn{pid: pr.ID(), p: p} })
 				if err != nil {
 					t.Fatal(err)
@@ -230,8 +233,8 @@ func TestCascadeComputesOnWhatHasArrived(t *testing.T) {
 			c.Start(func(p *cluster.Proc) {
 				app := &coupledMap{p: p, r: 3.2, eps: 0.3, computeOp: 500, repairOp: 250}
 				tr := &lateTransport{Proc: p, through: -1}
-				res, err := Run(tr, app, Config{FW: 2, MaxIter: cascadeIters,
-					Repair: &cascadeMarker{RepairPolicy: &defaultRepair{app: app}, tr: tr}})
+				res, err := Run(tr, &cascadeMarker{App: app, tr: tr, computed: -1},
+					Config{FW: 2, MaxIter: cascadeIters})
 				if err != nil {
 					t.Errorf("proc %d: %v", p.ID(), err)
 				}
@@ -287,20 +290,21 @@ func (l *lateTransport) Recv(src, tag int) cluster.Message {
 	return l.Proc.Recv(src, tag)
 }
 
-// cascadeMarker is a repair policy that tells the transport how far
-// recomputation has got. The engine polls for iteration s before it calls
-// Cascade for s, so X_k(s) becomes visible just after s was redone.
+// cascadeMarker wraps the app to tell the transport how far recomputation
+// has got: a second compute of an iteration is a repair or a cascade, the
+// only recomputes in this test. The engine polls for iteration s before it
+// redoes s, so X_k(s) becomes visible just after s was redone.
 type cascadeMarker struct {
-	RepairPolicy
-	tr *lateTransport
+	App
+	tr       *lateTransport
+	computed int // highest iteration computed so far
 }
 
-func (m *cascadeMarker) Repair(rc RepairContext) ([]float64, float64) {
-	m.tr.through = max(m.tr.through, rc.Iter)
-	return m.RepairPolicy.Repair(rc)
-}
-
-func (m *cascadeMarker) Cascade(cc CascadeContext) ([]float64, float64) {
-	m.tr.through = max(m.tr.through, cc.Iter)
-	return m.RepairPolicy.Cascade(cc)
+func (m *cascadeMarker) Compute(view [][]float64, t int) []float64 {
+	if t <= m.computed {
+		m.tr.through = max(m.tr.through, t)
+	} else {
+		m.computed = t
+	}
+	return m.App.Compute(view, t)
 }

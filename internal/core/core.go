@@ -22,11 +22,13 @@
 //     recomputation through any later speculatively computed iterations.
 //
 // The package is layered (see DESIGN.md §8): this file is the iteration
-// state machine; the open decisions live behind the SpecPolicy/CheckPolicy/
-// RepairPolicy interfaces (policy.go, defaults reproducing the seeded
-// behavior byte-for-byte); every payload lives in the pooled, ring-indexed
-// value plane (store.go, pool.go); the application contract is app.go; the
-// crash-recovery protocol is recover.go.
+// state machine, including the three decisions the paper leaves to the
+// application, each taken from one place — speculation from the app's
+// Speculator or Config.Predictor, the check from App.Check, repair from the
+// app's Corrector or a recompute; every payload lives in the pooled,
+// ring-indexed value plane (store.go, pool.go); the application contract is
+// app.go; the dependency graph is graph.go; the crash-recovery protocol is
+// recover.go.
 package core
 
 import (
@@ -147,23 +149,6 @@ type Config struct {
 	// the overdue peer. Defaults to 2 when Deadline is set.
 	MaxOverrun int
 
-	// Graph, when non-nil, declares the run's dependency structure as an
-	// explicit task DAG (see graph.go): this processor speculates on, checks
-	// and repairs exactly its in-edges, and broadcasts to exactly its
-	// out-edges. Nil resolves through the App's Grapher extension, then
-	// Neighbors, then the complete graph — the classical engine. Every
-	// processor of a run must use an identical graph.
-	Graph *DepGraph
-
-	// Spec, Check and Repair replace the engine's default policy set (see
-	// policy.go). Nil fields get the defaults, which reproduce the paper's
-	// behaviour: predict via Speculator/Predictor, judge via App.Check, and
-	// repair via Corrector or full recompute with cascades. Every processor
-	// of a run must use behaviourally identical policies.
-	Spec   SpecPolicy
-	Check  CheckPolicy
-	Repair RepairPolicy
-
 	// Metrics, when non-nil, receives the engine's counters, gauges and
 	// histograms (per-processor labels). Nil — the default — keeps the
 	// engine on a nil-check-only fast path.
@@ -270,28 +255,20 @@ type Result struct {
 }
 
 // engine is the per-processor iteration state machine. Payload storage
-// lives in the value plane; speculation, checking and repair decisions live
-// in the policies.
+// lives in the value plane.
 type engine struct {
 	p   Transport
 	app App
 	cfg Config
 
-	specPol   SpecPolicy
-	checkPol  CheckPolicy
-	repairPol RepairPolicy
-
 	pub     Publisher        // nil unless app implements it
 	into    ComputerInto     // nil unless app implements it
+	spec    Speculator       // nil unless app implements it
+	corr    Corrector        // nil unless app implements it
 	stopper Stopper          // nil unless app implements it
 	dr      DeadlineReceiver // nil unless the transport implements it
 	noter   Noter            // nil unless the transport implements it
 	shared  SharedSender     // nil unless the transport implements it
-
-	// edgeSpec / edgeCheck are the edge-aware faces of the resolved
-	// policies, non-nil only when the policy opts in (see policy.go).
-	edgeSpec  EdgeSpecPolicy
-	edgeCheck EdgeCheckPolicy
 
 	// Dependency structure, resolved once at startup (graph.go): inRanks is
 	// the sorted list of ranks this processor reads; needsM/neededByM are the
@@ -414,7 +391,7 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 	// puts more than RejoinLog iterations back in flight however far apart
 	// the checkpoints are — CheckpointEvery is tenant-supplied and must not
 	// size a ring on its own.
-	in, needsM, neededByM, err := resolveDeps(app, cfg.Graph, p.ID(), p.P())
+	in, needsM, neededByM, err := resolveDeps(app, p.ID(), p.P())
 	if err != nil {
 		return Result{}, err
 	}
@@ -423,50 +400,14 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 	peerCap := (cfg.BW + slack) + 2*slack + min(cfg.CheckpointEvery, cfg.RejoinLog) + 16
 	iterCap := slack + 4
 	e.plane = newValuePlane(p.ID(), p.P(), cfg.BW, peerCap, iterCap, in)
-	if p2, ok := app.(Publisher); ok {
-		e.pub = p2
-	}
+	e.pub, _ = app.(Publisher)
 	e.into, _ = app.(ComputerInto)
-	if st, ok := app.(Stopper); ok {
-		e.stopper = st
-	}
-	if d, ok := p.(DeadlineReceiver); ok {
-		e.dr = d
-	}
-	if n, ok := p.(Noter); ok {
-		e.noter = n
-	}
-	if sh, ok := p.(SharedSender); ok {
-		e.shared = sh
-	}
-	e.specPol = cfg.Spec
-	if e.specPol == nil {
-		ds := &defaultSpec{pred: cfg.Predictor, pool: e.plane.pool}
-		if s, ok := app.(Speculator); ok {
-			ds.app = s
-		} else if ip, ok := cfg.Predictor.(predict.InPlace); ok {
-			ds.inp = ip
-		}
-		e.specPol = ds
-	}
-	e.checkPol = cfg.Check
-	if e.checkPol == nil {
-		e.checkPol = defaultCheck{app: app}
-	}
-	e.repairPol = cfg.Repair
-	if e.repairPol == nil {
-		dr := &defaultRepair{app: app, into: e.into, maxOverrun: cfg.MaxOverrun, maxCrashOverrun: cfg.MaxCrashOverrun}
-		if co, ok := app.(Corrector); ok {
-			dr.corr = co
-		}
-		e.repairPol = dr
-	}
-	if es, ok := e.specPol.(EdgeSpecPolicy); ok {
-		e.edgeSpec = es
-	}
-	if ec, ok := e.checkPol.(EdgeCheckPolicy); ok {
-		e.edgeCheck = ec
-	}
+	e.spec, _ = app.(Speculator)
+	e.corr, _ = app.(Corrector)
+	e.stopper, _ = app.(Stopper)
+	e.dr, _ = p.(DeadlineReceiver)
+	e.noter, _ = p.(Noter)
+	e.shared, _ = p.(SharedSender)
 	e.ob = newEngineObs(cfg.Metrics, cfg.Journal, p.ID())
 	if e.ob != nil {
 		e.ob.p = p
@@ -538,7 +479,7 @@ func (e *engine) iterate(t int) {
 	e.broadcast(t)
 	e.drain()
 	view := e.assembleView(t)
-	next := compute(e.app, e.into, e.plane.ownSlot(t+1, view[e.p.ID()]), view, t)
+	next := e.compute(e.plane.ownSlot(t+1, view[e.p.ID()]), view, t)
 	ph := cluster.PhaseCompute
 	if e.degrading() && t-e.validated > e.cfg.FW {
 		// Running past the forward window on an overdue peer's
@@ -578,11 +519,25 @@ func (e *engine) iterate(t int) {
 	}
 }
 
+// compute evaluates X_j(t+1) into dst, the plane's slot, or — for an app
+// without ComputerInto — returns Compute's result for the caller to copy.
+func (e *engine) compute(dst []float64, view [][]float64, t int) []float64 {
+	if e.into == nil {
+		return e.app.Compute(view, t)
+	}
+	e.into.ComputeInto(dst, view, t)
+	return dst
+}
+
 // overrunBudget is how far validation may lag past the forward window
-// before the engine blocks hard on the overdue peer.
+// before the engine blocks hard on the overdue peer: MaxOverrun, stretched
+// by MaxCrashOverrun while a needed peer is down.
 func (e *engine) overrunBudget() int {
-	peerDown := e.fd != nil && e.cfg.MaxCrashOverrun > 0 && e.anyNeededPeerDown()
-	return e.repairPol.OverrunBudget(peerDown)
+	b := e.cfg.MaxOverrun
+	if e.fd != nil && e.cfg.MaxCrashOverrun > 0 && e.anyNeededPeerDown() {
+		b += e.cfg.MaxCrashOverrun
+	}
+	return b
 }
 
 // lookback bounds how far back stashed actuals stay useful: the speculation
@@ -720,7 +675,9 @@ func (e *engine) assembleView(t int) [][]float64 {
 }
 
 // speculate predicts peer k's iteration-t snapshot from the newest actual
-// snapshots on hand. Returns nil if no history exists yet or the policy
+// snapshots on hand: the app's Speculator when it has one, otherwise
+// Config.Predictor writing into a pooled buffer, so steady-state speculation
+// allocates nothing. Returns nil if no history exists yet or the Speculator
 // declines.
 func (e *engine) speculate(k, t int) []float64 {
 	hist, base := e.plane.collectHist(k, t, e.lookback(), e.cfg.BW)
@@ -735,13 +692,27 @@ func (e *engine) speculate(k, t int) []float64 {
 		pred []float64
 		ops  float64
 	)
-	if e.edgeSpec != nil {
-		pred, ops = e.edgeSpec.SpeculateEdge(Edge{From: k, To: e.p.ID()}, hist, steps)
+	if e.spec != nil {
+		pred, ops = e.spec.Speculate(k, hist, steps)
 	} else {
-		pred, ops = e.specPol.Speculate(k, hist, steps)
+		dst := e.plane.pool.get(len(hist[0]))
+		pred = e.cfg.Predictor.PredictInto(dst, hist, steps)
+		if len(pred) == 0 || &pred[0] != &dst[0] {
+			e.plane.pool.put(dst)
+		}
+		ops = e.cfg.Predictor.Ops() * float64(len(pred)) * float64(steps)
 	}
 	e.p.Compute(ops, cluster.PhaseSpec)
 	return pred
+}
+
+// recycle hands a prediction the engine no longer references (its iteration
+// was retired, or a cascade replaced it with the arrived actual) back to the
+// pool it was drawn from. A Speculator's predictions are the app's own.
+func (e *engine) recycle(pred []float64) {
+	if e.spec == nil {
+		e.plane.pool.put(pred)
+	}
 }
 
 // validateThrough blocks until every iteration up to and including t has all
@@ -883,8 +854,8 @@ func (e *engine) checkConverged(s int) {
 }
 
 // validateIter checks every prediction used at iteration t against the
-// actual messages; on any failure it asks the RepairPolicy to fix
-// X_j(t+1) and cascades recomputation through the speculated frontier.
+// actual messages with App.Check; on any failure it repairs X_j(t+1) and
+// cascades recomputation through the speculated frontier.
 func (e *engine) validateIter(t int) {
 	preds := e.plane.predsAt(t)
 	view := e.plane.viewAt(t)
@@ -907,12 +878,7 @@ func (e *engine) validateIter(t int) {
 			// is accepted unverified and contributes no history entry.
 			continue
 		}
-		var res CheckResult
-		if e.edgeCheck != nil {
-			res = e.edgeCheck.CheckEdge(Edge{From: k, To: e.p.ID()}, preds[k], act, e.plane.ownAt(t), t)
-		} else {
-			res = e.checkPol.Check(k, preds[k], act, e.plane.ownAt(t), t)
-		}
+		res := e.app.Check(k, preds[k], act, e.plane.ownAt(t), t)
 		if res.Ops > 0 {
 			e.p.Compute(res.Ops, cluster.PhaseCheck)
 		}
@@ -945,27 +911,28 @@ func (e *engine) validateIter(t int) {
 	if !dirty {
 		return
 	}
-	// Repair, charging the policy-reported cost (the paper's k·N_i·f_comp
-	// or a cheaper incremental correction).
+	// Repair, charging the app's RepairOps (the paper's k·N_i·f_comp or a
+	// cheaper incremental correction): fold the Corrector over every failed
+	// peer — each result passed back as the next call's computed, which App's
+	// ownership rule makes safe — or recompute from the patched view.
 	e.stats.Repairs++
 	e.ob.repaired(t, e.frontier-t)
-	fixed, ops := e.repairPol.Repair(RepairContext{
-		Iter:     t,
-		Node:     e.p.ID(),
-		View:     view,
-		Computed: e.plane.ownAt(t + 1),
-		Local:    e.plane.ownAt(t),
-		Preds:    preds,
-		BadPeers: badPeers,
-		Worst:    worst,
-		Dst:      e.plane.ownAt(t + 1),
-	})
-	copy(e.plane.ownSlot(t+1, fixed), fixed) // nothing moves when fixed is Dst
+	ops := e.app.RepairOps(worst)
+	fixed := e.plane.ownAt(t + 1)
+	if e.corr != nil {
+		local := e.plane.ownAt(t)
+		for _, k := range badPeers {
+			fixed = e.corr.Correct(fixed, local, k, preds[k], view[k], t)
+		}
+	} else {
+		fixed = e.compute(fixed, view, t)
+	}
+	copy(e.plane.ownSlot(t+1, fixed), fixed) // nothing moves when fixed is the slot
 	e.p.Compute(ops, cluster.PhaseCorrect)
 	// Cascade: any later iterations already computed used the stale
 	// X_j(t+1). Each is redone once, on the repaired local entry and on every
 	// input whose actual has arrived since (supersede): a wrong guess costs one
-	// recompute, not one per window slot. The clock charge is the policy's
+	// recompute, not one per window slot. The clock charge is the app's
 	// incremental repair cost — the affected work is the part touched by the
 	// corrected inputs, the same accounting the paper's k·N_i·f_comp term
 	// models (a full-recompute app simply returns ComputeOps from RepairOps).
@@ -973,8 +940,8 @@ func (e *engine) validateIter(t int) {
 		row := e.plane.viewAt(s)
 		row[e.p.ID()] = e.plane.ownAt(s)
 		e.supersede(s, row)
-		redo, cops := e.repairPol.Cascade(CascadeContext{Iter: s, Node: e.p.ID(), View: row, Worst: worst,
-			Dst: e.plane.ownAt(s + 1)})
+		redo := e.compute(e.plane.ownAt(s+1), row, s)
+		cops := e.app.RepairOps(worst)
 		copy(e.plane.ownSlot(s+1, redo), redo)
 		e.p.Compute(cops, cluster.PhaseCorrect)
 		e.stats.CascadeRedos++
@@ -996,7 +963,7 @@ func (e *engine) supersede(s int, row [][]float64) {
 	for _, k := range e.inRanks {
 		if act, ok := e.plane.actualOf(k, s); ok && preds[k] != nil {
 			row[k] = act
-			e.specPol.Recycle(preds[k])
+			e.recycle(preds[k])
 			preds[k] = nil
 			e.stats.SpecsSuperseded++
 			e.ob.specSuperseded(s, k)
@@ -1019,7 +986,7 @@ func (e *engine) actualIntoHistory(k, t int) {
 // recycling buffers back into the plane's pools.
 func (e *engine) retire(t int) {
 	e.plane.advanceFloors(e.validated, e.lookback())
-	e.plane.dropPreds(t, e.specPol.Recycle)
+	e.plane.dropPreds(t, e.recycle)
 	if t <= e.frontier {
 		// views[t] may still be needed by a cascade from an earlier repair
 		// only while t is unvalidated; once validated it is safe to drop.

@@ -369,9 +369,18 @@ func (a *chainApp) Check(peer int, pred, act, local []float64, t int) CheckResul
 
 func (a *chainApp) RepairOps(r CheckResult) float64 { return 60 }
 
-func (a *chainApp) Needs(peer int) bool { return peer == a.pid-1 || peer == a.pid+1 }
-
-func (a *chainApp) NeededBy(peer int) bool { return a.Needs(peer) }
+// Graph implements Grapher: each processor reads its chain neighbours.
+func (a *chainApp) Graph(p int) *DepGraph {
+	var edges []Edge
+	for i := 1; i < p; i++ {
+		edges = append(edges, Edge{From: i - 1, To: i}, Edge{From: i, To: i - 1})
+	}
+	g, err := NewDepGraph(p, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
 
 func TestNeighborsRestrictExchange(t *testing.T) {
 	const p, iters = 5, 10

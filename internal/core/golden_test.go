@@ -21,8 +21,9 @@ import (
 // behaviour across refactors: for a fixed seed, the structured run journal
 // (event kinds, iteration/peer stamps, virtual timestamps, checkpoint byte
 // counts) must stay byte-identical. The fixtures were generated before the
-// policy/value-plane decomposition, so any refactor that silently reorders
-// events, changes an op charge, or perturbs checkpoint encoding fails here.
+// value-plane decomposition and have held through every engine refactor
+// since, so any change that silently reorders events, changes an op charge,
+// or perturbs checkpoint encoding fails here.
 //
 // Regenerate intentionally with:
 //
@@ -120,19 +121,23 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// goldenJournal runs one golden case (optionally transforming its Config)
-// and returns the serialized journal.
-func goldenJournal(t *testing.T, tc goldenCase, mutate func(*Config)) []byte {
+// goldenJournal runs one golden case (optionally wrapping its app) and
+// returns the serialized journal.
+func goldenJournal(t *testing.T, tc goldenCase, wrap func(App) App) []byte {
 	t.Helper()
 	jr := obs.NewJournal()
-	cc := tc.cc()
-	cfg := tc.cfg()
-	if mutate != nil {
-		mutate(&cfg)
+	cc, cfg := tc.cc(), tc.cfg()
+	cc.Journal, cfg.Journal = jr, jr
+	_, err := RunCluster(cc, cfg, func(p *cluster.Proc) App {
+		var app App = &coupledMap{p: p, r: 3.2, eps: 0.3, threshold: tc.threshold, computeOp: 500, repairOp: 250}
+		if wrap != nil {
+			app = wrap(app)
+		}
+		return app
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cc.Journal = jr
-	cfg.Journal = jr
-	runCoupled(t, cc, cfg, tc.threshold)
 	var b bytes.Buffer
 	if err := jr.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
@@ -225,18 +230,20 @@ func summaryTable(name string, committed, fresh journalSummary) string {
 	return b.String()
 }
 
-// TestDegenerateGraphGolden pins the DepGraph refactor's central contract:
-// an explicitly configured complete graph is the degenerate one-stage case
-// of the classical engine. Every seeded golden scenario re-run with
-// Config.Graph = CompleteGraph(P) must produce a journal byte-identical to
-// the committed fixture — the same fixture that pins the pre-refactor
-// engine — so fixed-neighbor apps run unmodified through the DepGraph path.
+// completeGrapher declares the complete graph through Grapher.
+type completeGrapher struct{ App }
+
+func (completeGrapher) Graph(p int) *DepGraph { return CompleteGraph(p) }
+
+// TestDegenerateGraphGolden pins the DepGraph contract: the complete graph is
+// the degenerate one-stage case of the classical engine. Every seeded golden
+// scenario re-run with an app that declares CompleteGraph(P) through Grapher
+// must produce a journal byte-identical to the committed fixture — the same
+// fixture an app without a graph reproduces.
 func TestDegenerateGraphGolden(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			got := goldenJournal(t, tc, func(cfg *Config) {
-				cfg.Graph = CompleteGraph(len(tc.cc().Machines))
-			})
+			got := goldenJournal(t, tc, func(app App) App { return completeGrapher{app} })
 			path := filepath.Join("testdata", "journal_"+tc.name+".jsonl")
 			want, err := os.ReadFile(path)
 			if err != nil {

@@ -1,20 +1,19 @@
 package core
 
 // The dependency structure. The paper's model is synchronous iteration over
-// a fixed neighbor set — in the general case all-to-all, optionally
-// restricted through the Neighbors extension. DepGraph generalizes that to
-// an arbitrary directed dependency graph over the run's processors: an edge
-// (From → To) means processor To reads processor From's iteration payloads,
-// so To speculates on From's output, checks the prediction when the actual
-// broadcast lands, and repairs on mismatch. A multi-stage pipeline is a
-// chain; a stencil is a band; the classical engine is the complete graph —
-// the degenerate case every pre-DAG app runs through unchanged.
+// a fixed neighbor set — in the general case all-to-all. DepGraph
+// generalizes that to an arbitrary directed dependency graph over the run's
+// processors: an edge (From → To) means processor To reads processor From's
+// iteration payloads, so To speculates on From's output, checks the
+// prediction when the actual broadcast lands, and repairs on mismatch. A
+// multi-stage pipeline is a chain; a strip stencil is StripGraph; the
+// classical engine is the complete graph — the degenerate case every app
+// without a graph runs on.
 //
 // The graph is static for the lifetime of a run and must be identical on
-// every processor (it is part of the run's configuration, like FW and the
-// policies). Resolution order when the engine starts: Config.Graph if set,
-// else the App's Grapher extension, else the Neighbors extension, else the
-// complete graph.
+// every processor (it is part of the run's configuration, like FW). An app
+// declares it one way, through the Grapher extension; an app without one
+// runs on the complete graph.
 
 import (
 	"fmt"
@@ -22,16 +21,15 @@ import (
 )
 
 // Edge is one directed dependency: processor To reads processor From's
-// iteration payloads. Policies that differentiate behaviour per dependency
-// (EdgeSpecPolicy, EdgeCheckPolicy) receive the edge they act on.
+// iteration payloads.
 type Edge struct {
 	From int
 	To   int
 }
 
 // DepGraph is a static directed dependency graph over n processors.
-// Construct one with NewDepGraph, CompleteGraph or ChainGraph; the zero
-// value is not usable.
+// Construct one with NewDepGraph, CompleteGraph, ChainGraph or StripGraph;
+// the zero value is not usable.
 type DepGraph struct {
 	n   int
 	in  [][]int // in[j]: sorted ranks whose payloads node j reads
@@ -135,55 +133,59 @@ func (g *DepGraph) Edges() []Edge {
 	return out
 }
 
-// Grapher is an optional App extension declaring an arbitrary task DAG: the
-// engine reads the dependency structure from Graph(p) at startup instead of
-// assuming all-to-all exchange. Every processor of a run must return an
-// identical graph. Config.Graph, when set, takes precedence; Grapher takes
-// precedence over the pairwise Neighbors extension.
+// StripGraph is the dependency graph of a 1-D strip decomposition: blocks[j]
+// is rank j's half-open row range, and ranks whose strips touch (one ends
+// where the other begins) read each other. It is the graph a nearest-neighbour
+// stencil over horizontal strips runs on.
+func StripGraph(blocks [][2]int) *DepGraph {
+	var edges []Edge
+	for i, a := range blocks {
+		for j, b := range blocks {
+			if i != j && (b[1] == a[0] || b[0] == a[1]) {
+				edges = append(edges, Edge{From: j, To: i})
+			}
+		}
+	}
+	g, err := NewDepGraph(len(blocks), edges)
+	if err != nil {
+		panic(err) // unreachable: generated edges are always valid
+	}
+	return g
+}
+
+// Grapher is an optional App extension declaring the run's dependency graph:
+// the engine reads it from Graph(p) once at startup. An app without Grapher,
+// or whose Graph returns nil, runs on CompleteGraph(p) — the paper's
+// all-to-all model. Every processor of a run must return an identical graph.
+// Unneeded peers get no messages and a nil view entry, and Stopper.Done sees
+// nil entries for them too.
 type Grapher interface {
-	// Graph returns the run's dependency graph over p processors. Returning
-	// nil falls back to the Neighbors/complete-graph resolution.
+	// Graph returns the run's dependency graph over p processors.
 	Graph(p int) *DepGraph
 }
 
 // resolveDeps computes this processor's local view of the run's dependency
-// structure: the sorted list of ranks it reads (its in-edges) plus O(1)
-// needs/neededBy masks. Resolution order: Config.Graph, then Grapher, then
-// Neighbors, then the complete graph. The Neighbors predicates are consulted
-// once here — they are static for a run by contract.
-func resolveDeps(app App, g *DepGraph, self, np int) (in []int, needs, neededBy []bool, err error) {
+// graph: the sorted list of ranks it reads (its in-edges) plus O(1)
+// needs/neededBy masks.
+func resolveDeps(app App, self, np int) (in []int, needs, neededBy []bool, err error) {
+	var g *DepGraph
+	if gr, ok := app.(Grapher); ok {
+		g = gr.Graph(np)
+	}
 	if g == nil {
-		if gr, ok := app.(Grapher); ok {
-			g = gr.Graph(np)
-		}
+		g = CompleteGraph(np)
+	}
+	if g.Nodes() != np {
+		return nil, nil, nil, fmt.Errorf("core: DepGraph spans %d nodes, run has %d processors", g.Nodes(), np)
 	}
 	needs = make([]bool, np)
 	neededBy = make([]bool, np)
-	if g != nil {
-		if g.Nodes() != np {
-			return nil, nil, nil, fmt.Errorf("core: DepGraph spans %d nodes, run has %d processors", g.Nodes(), np)
-		}
-		in = g.In(self)
-		for _, k := range in {
-			needs[k] = true
-		}
-		for _, k := range g.Out(self) {
-			neededBy[k] = true
-		}
-		return in, needs, neededBy, nil
+	in = g.In(self)
+	for _, k := range in {
+		needs[k] = true
 	}
-	nbrs, restricted := app.(Neighbors)
-	for k := 0; k < np; k++ {
-		if k == self {
-			continue
-		}
-		if !restricted || nbrs.Needs(k) {
-			needs[k] = true
-			in = append(in, k)
-		}
-		if !restricted || nbrs.NeededBy(k) {
-			neededBy[k] = true
-		}
+	for _, k := range g.Out(self) {
+		neededBy[k] = true
 	}
 	return in, needs, neededBy, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -141,33 +142,51 @@ func TestChainGraphRun(t *testing.T) {
 // fail loudly at startup, not deadlock mid-run.
 func TestGraphSizeMismatch(t *testing.T) {
 	cc := cluster.Config{Machines: cluster.UniformMachines(3, 1000), Net: netmodel.Fixed{D: 0.1}}
-	_, err := RunCluster(cc, Config{FW: 1, MaxIter: 5, Graph: ChainGraph(4)}, func(p *cluster.Proc) App {
-		return &graphTestApp{rank: p.ID(), out: make([]float64, 1)}
+	_, err := RunCluster(cc, Config{FW: 1, MaxIter: 5}, func(p *cluster.Proc) App {
+		return &graphTestApp{rank: p.ID(), out: make([]float64, 1), g: ChainGraph(4)}
 	})
 	if err == nil {
 		t.Fatal("size-mismatched DepGraph accepted")
 	}
 }
 
-// TestConfigGraphPrecedence: Config.Graph overrides the app's Grapher — the
-// run below would diverge from the serial chain if the app's (complete)
-// graph won, because stage 1 would read rank 2's payloads too.
-func TestConfigGraphPrecedence(t *testing.T) {
-	const P, iters = 3, 12
-	cc := cluster.Config{
-		Machines: cluster.UniformMachines(P, 1000),
-		Net:      netmodel.Fixed{D: 0.2},
-		Seed:     9,
+// TestStripGraphMatchesAdjacency checks StripGraph against the predicate the
+// strip apps declared their neighbours with before it — peer k's strip
+// touches j's when it ends where j's begins or begins where j's ends — in
+// both directions (j reads k, and k reads j), for P = 1…8 over even and
+// uneven row splits.
+func TestStripGraphMatchesAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	split := func(p int, even bool) [][2]int {
+		blocks := make([][2]int, p)
+		lo := 0
+		for j := range blocks {
+			rows := 4
+			if !even {
+				rows = 1 + rng.Intn(6)
+			}
+			blocks[j] = [2]int{lo, lo + rows}
+			lo += rows
+		}
+		return blocks
 	}
-	results, err := RunCluster(cc, Config{FW: 1, MaxIter: iters, Graph: ChainGraph(P)},
-		func(p *cluster.Proc) App {
-			// The app itself declares the complete graph; Config wins.
-			return &graphTestApp{rank: p.ID(), out: make([]float64, 1), g: CompleteGraph(P)}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Stats.SpecsMade != 0 {
-		t.Errorf("source speculated %d times: Config.Graph did not take precedence", results[0].Stats.SpecsMade)
+	for p := 1; p <= 8; p++ {
+		for _, even := range []bool{true, false} {
+			blocks := split(p, even)
+			g := StripGraph(blocks)
+			if g.Nodes() != p {
+				t.Fatalf("P=%d: graph spans %d nodes", p, g.Nodes())
+			}
+			for j := 0; j < p; j++ {
+				lo, hi := blocks[j][0], blocks[j][1]
+				for k := 0; k < p; k++ {
+					adjacent := blocks[k][1] == lo || blocks[k][0] == hi
+					if g.HasEdge(k, j) != adjacent || g.HasEdge(j, k) != adjacent {
+						t.Errorf("P=%d blocks %v: edges %d↔%d = %v/%v, adjacency %v",
+							p, blocks, k, j, g.HasEdge(k, j), g.HasEdge(j, k), adjacent)
+					}
+				}
+			}
+		}
 	}
 }

@@ -353,7 +353,7 @@ func (vp *valuePlane) predsAt(iter int) [][]float64 {
 }
 
 // dropPreds retires an iteration's prediction row, handing each retained
-// prediction to recycle (the SpecPolicy's buffer-return hook).
+// prediction to recycle (the engine's buffer-return hook).
 func (vp *valuePlane) dropPreds(iter int, recycle func([]float64)) {
 	r, ok := vp.preds.del(iter)
 	if !ok {

@@ -162,33 +162,21 @@ func (f *FleetObs) Families() ([]obs.PromFamily, error) {
 
 	// Merge the node families by name. Rank order means a family's samples
 	// arrive node-by-node, already deterministic.
-	merged := make(map[string]*obs.PromFamily)
-	var order []string
+	var nodeFams []obs.PromFamily
 	for _, r := range ranks {
-		n := nodes[r]
-		fams, err := obs.ParsePromFamilies(bytes.NewReader(n.text))
+		fams, err := obs.ParsePromFamilies(bytes.NewReader(nodes[r].text))
 		if err != nil {
 			return nil, fmt.Errorf("distnet: rank %d snapshot: %w", r, err)
 		}
 		nl := obs.L("node", fmt.Sprintf("%d", r))
 		for _, fam := range fams {
-			m := merged[fam.Name]
-			if m == nil {
-				m = &obs.PromFamily{Name: fam.Name, Help: fam.Help, Type: fam.Type}
-				merged[fam.Name] = m
-				order = append(order, fam.Name)
-			}
-			for _, s := range fam.Samples {
-				m.Samples = append(m.Samples, injectLabels(s, jl, nl))
+			for i, s := range fam.Samples {
+				fam.Samples[i] = injectLabels(s, jl, nl)
 			}
 		}
+		nodeFams = append(nodeFams, fams...)
 	}
-	sort.Strings(order)
-	out := fleet
-	for _, name := range order {
-		out = append(out, *merged[name])
-	}
-	return out, nil
+	return append(fleet, obs.MergeFamilies(nodeFams)...), nil
 }
 
 // WriteProm renders the aggregated fleet exposition (see Families).

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -287,6 +288,26 @@ func WriteFamilies(w io.Writer, fams []PromFamily) error {
 		}
 	}
 	return nil
+}
+
+// MergeFamilies is the one rule by which expositions are merged: one family
+// per name, sorted by name, carrying the HELP and TYPE of the name's first
+// occurrence and the samples of every occurrence in input order. The result
+// shares no sample slice with fams.
+func MergeFamilies(fams []PromFamily) []PromFamily {
+	at := make(map[string]int, len(fams))
+	var out []PromFamily
+	for _, f := range fams {
+		i, ok := at[f.Name]
+		if !ok {
+			i = len(out)
+			at[f.Name] = i
+			out = append(out, PromFamily{Name: f.Name, Help: f.Help, Type: f.Type})
+		}
+		out[i].Samples = append(out[i].Samples, f.Samples...)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
+	return out
 }
 
 // validMetricName checks the Prometheus metric-name grammar

@@ -130,3 +130,48 @@ func TestParsePromRejectsBrokenEscapes(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeFamilies pins the merge rule both fleet aggregators use: one
+// family per name in name order, the first occurrence's HELP and TYPE,
+// every occurrence's samples in input order, a family kept even when it has
+// no samples, and no sample slice shared with the input.
+func TestMergeFamilies(t *testing.T) {
+	in, err := ParsePromFamilies(strings.NewReader(`# HELP b_total first help
+# TYPE b_total counter
+b_total{node="0"} 1
+# HELP a_gauge gauge
+# TYPE a_gauge gauge
+a_gauge 5
+# HELP b_total second help
+# TYPE b_total gauge
+b_total{node="1"} 2
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in = append(in, PromFamily{Name: "c_empty", Help: "no samples", Type: "gauge"},
+		PromFamily{Name: "b_total", Samples: []PromSample{{Name: "b_total", LabelPairs: []Label{L("node", "2")}, Value: 3}}})
+	merged := MergeFamilies(in)
+	var out bytes.Buffer
+	if err := WriteFamilies(&out, merged); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP a_gauge gauge
+# TYPE a_gauge gauge
+a_gauge 5
+# HELP b_total first help
+# TYPE b_total counter
+b_total{node="0"} 1
+b_total{node="1"} 2
+b_total{node="2"} 3
+# HELP c_empty no samples
+# TYPE c_empty gauge
+`
+	if out.String() != want {
+		t.Errorf("merged exposition:\n%s\nwant:\n%s", out.String(), want)
+	}
+	merged[1].Samples[0].Value = 99
+	if in[0].Samples[0].Value != 1 {
+		t.Error("merged family shares its sample slice with the input")
+	}
+}

@@ -17,8 +17,10 @@ type Holt struct {
 	BW int
 }
 
-// Predict implements Predictor.
-func (h Holt) Predict(hist [][]float64, steps int) []float64 {
+// PredictInto implements Predictor. Each variable's level and trend are
+// independent of every other's, so they are carried per variable in
+// registers and only the extrapolation is stored.
+func (h Holt) PredictInto(dst []float64, hist [][]float64, steps int) []float64 {
 	if len(hist) == 0 {
 		return nil
 	}
@@ -30,29 +32,20 @@ func (h Holt) Predict(hist [][]float64, steps int) []float64 {
 		depth = len(hist)
 	}
 	if depth < 2 {
-		return ZeroOrder{}.Predict(hist, steps)
+		return ZeroOrder{}.PredictInto(dst, hist, steps)
 	}
-	n := len(hist[0])
 	// Oldest-to-newest pass. hist is newest first: index depth-1 is oldest.
-	level := make([]float64, n)
-	trend := make([]float64, n)
-	copy(level, hist[depth-1])
-	for i := range trend {
-		trend[i] = hist[depth-2][i] - hist[depth-1][i]
-	}
-	for s := depth - 2; s >= 0; s-- {
-		x := hist[s]
-		for i := 0; i < n; i++ {
-			prevLevel := level[i]
-			level[i] = h.Alpha*x[i] + (1-h.Alpha)*(level[i]+trend[i])
-			trend[i] = h.Beta*(level[i]-prevLevel) + (1-h.Beta)*trend[i]
+	for i := range dst {
+		level := hist[depth-1][i]
+		trend := hist[depth-2][i] - hist[depth-1][i]
+		for s := depth - 2; s >= 0; s-- {
+			prevLevel := level
+			level = h.Alpha*hist[s][i] + (1-h.Alpha)*(level+trend)
+			trend = h.Beta*(level-prevLevel) + (1-h.Beta)*trend
 		}
+		dst[i] = level + float64(steps)*trend
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = level[i] + float64(steps)*trend[i]
-	}
-	return out
+	return dst
 }
 
 // Window implements Predictor.

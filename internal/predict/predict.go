@@ -8,20 +8,24 @@
 // is how many iterations ahead it extrapolates (used by forward windows > 1).
 //
 // Snapshot convention: hist[0] is the most recent value x(t−1), hist[1] is
-// x(t−2), and so on. Predict(hist, s) estimates x(t−1+s), so steps = 1 means
-// "the value in the not-yet-received message".
+// x(t−2), and so on. PredictInto(dst, hist, s) estimates x(t−1+s), so
+// steps = 1 means "the value in the not-yet-received message".
 package predict
 
 import "fmt"
 
 // Predictor extrapolates variable vectors from their history.
 type Predictor interface {
-	// Predict returns the estimated snapshot `steps` iterations after
-	// hist[0]. All snapshots in hist have equal length; the result has the
-	// same length. Predictors degrade gracefully when hist is shorter than
-	// their window (falling back to lower-order extrapolation), and return
-	// nil only when hist is empty.
-	Predict(hist [][]float64, steps int) []float64
+	// PredictInto writes the estimated snapshot `steps` iterations after
+	// hist[0] into dst, which has len(hist[0]) elements (all snapshots in
+	// hist have that length), so a hot loop speculates without allocating.
+	// It returns the slice holding the result — dst, except where an
+	// algorithm is inherently out of place (WeightedSum's multi-step
+	// rolling), which returns a fresh slice; callers use the return value.
+	// Predictors degrade gracefully when hist is shorter than their window
+	// (falling back to lower-order extrapolation), and return nil only when
+	// hist is empty.
+	PredictInto(dst []float64, hist [][]float64, steps int) []float64
 	// Window returns the backward window: the maximum number of past
 	// snapshots the predictor consults.
 	Window() int
@@ -32,33 +36,11 @@ type Predictor interface {
 	Ops() float64
 }
 
-// InPlace is implemented by predictors that can write their extrapolation
-// into a caller-provided buffer, letting a hot loop speculate without
-// allocating. All predictors in this package implement it.
-type InPlace interface {
-	// PredictInto computes the same values as Predict but writes them into
-	// dst, which must have len(hist[0]) elements. It returns the slice
-	// holding the result — dst on the in-place paths, but implementations
-	// whose algorithm is inherently out-of-place (e.g. multi-step rolling)
-	// may return a freshly allocated slice instead; callers must use the
-	// return value. The arithmetic (operation order, rounding) is identical
-	// to Predict. Returns nil when hist is empty.
-	PredictInto(dst []float64, hist [][]float64, steps int) []float64
-}
-
 // ZeroOrder predicts that values do not change: x*(t) = x(t−1). This is the
 // cheapest possible speculation function (BW = 1).
 type ZeroOrder struct{}
 
-// Predict implements Predictor.
-func (z ZeroOrder) Predict(hist [][]float64, steps int) []float64 {
-	if len(hist) == 0 {
-		return nil
-	}
-	return z.PredictInto(make([]float64, len(hist[0])), hist, steps)
-}
-
-// PredictInto implements InPlace.
+// PredictInto implements Predictor.
 func (ZeroOrder) PredictInto(dst []float64, hist [][]float64, steps int) []float64 {
 	if len(hist) == 0 {
 		return nil
@@ -82,15 +64,7 @@ func (ZeroOrder) Ops() float64 { return 1 }
 // N-body speculation (eq. 10), with BW = 2.
 type Linear struct{}
 
-// Predict implements Predictor.
-func (l Linear) Predict(hist [][]float64, steps int) []float64 {
-	if len(hist) == 0 {
-		return nil
-	}
-	return l.PredictInto(make([]float64, len(hist[0])), hist, steps)
-}
-
-// PredictInto implements InPlace.
+// PredictInto implements Predictor.
 func (Linear) PredictInto(dst []float64, hist [][]float64, steps int) []float64 {
 	if len(hist) == 0 {
 		return nil
@@ -122,15 +96,7 @@ type Damped struct {
 	Alpha float64
 }
 
-// Predict implements Predictor.
-func (d Damped) Predict(hist [][]float64, steps int) []float64 {
-	if len(hist) == 0 {
-		return nil
-	}
-	return d.PredictInto(make([]float64, len(hist[0])), hist, steps)
-}
-
-// PredictInto implements InPlace.
+// PredictInto implements Predictor.
 func (d Damped) PredictInto(dst []float64, hist [][]float64, steps int) []float64 {
 	if len(hist) == 0 {
 		return nil
@@ -162,15 +128,7 @@ type WeightedSum struct {
 	Weights []float64
 }
 
-// Predict implements Predictor.
-func (w WeightedSum) Predict(hist [][]float64, steps int) []float64 {
-	if len(hist) == 0 {
-		return nil
-	}
-	return w.PredictInto(make([]float64, len(hist[0])), hist, steps)
-}
-
-// PredictInto implements InPlace. Only the single-step case is computed in
+// PredictInto implements Predictor. Only the single-step case is computed in
 // place; multi-step prediction rolls the window forward through intermediate
 // snapshots and returns a freshly allocated result.
 func (w WeightedSum) PredictInto(dst []float64, hist [][]float64, steps int) []float64 {
@@ -251,15 +209,7 @@ type Polynomial struct {
 	Order int // >= 1; Order 1 equals Linear
 }
 
-// Predict implements Predictor.
-func (pl Polynomial) Predict(hist [][]float64, steps int) []float64 {
-	if len(hist) == 0 {
-		return nil
-	}
-	return pl.PredictInto(make([]float64, len(hist[0])), hist, steps)
-}
-
-// PredictInto implements InPlace. The Lagrange basis weights (at most
+// PredictInto implements Predictor. The Lagrange basis weights (at most
 // Order+1 of them) still allocate a small scratch slice; the per-variable
 // accumulation is in place.
 func (pl Polynomial) PredictInto(dst []float64, hist [][]float64, steps int) []float64 {

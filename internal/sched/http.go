@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 
 	"specomp/internal/distnet"
 	"specomp/internal/obs"
@@ -109,39 +108,16 @@ func (s *Scheduler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	merged := make(map[string]*obs.PromFamily, len(fams))
-	var order []string
-	add := func(fam obs.PromFamily) {
-		m := merged[fam.Name]
-		if m == nil {
-			cp := fam
-			cp.Samples = append([]obs.PromSample(nil), fam.Samples...)
-			merged[fam.Name] = &cp
-			order = append(order, fam.Name)
-			return
-		}
-		m.Samples = append(m.Samples, fam.Samples...)
-	}
-	for _, fam := range fams {
-		add(fam)
-	}
 	for _, jf := range s.jobFleets("") {
 		jfams, err := jf.fleet.Families()
 		if err != nil {
 			http.Error(w, fmt.Sprintf("job %s: %v", jf.id, err), http.StatusInternalServerError)
 			return
 		}
-		for _, fam := range jfams {
-			add(fam)
-		}
+		fams = append(fams, jfams...)
 	}
-	sort.Strings(order)
 	var out bytes.Buffer
-	final := make([]obs.PromFamily, 0, len(order))
-	for _, name := range order {
-		final = append(final, *merged[name])
-	}
-	if err := obs.WriteFamilies(&out, final); err != nil {
+	if err := obs.WriteFamilies(&out, obs.MergeFamilies(fams)); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

@@ -17,10 +17,10 @@ import (
 
 // TestServeDrainAndResume drives the service loop the way speccoord -serve
 // does, over a real listener with real node processes: a job submitted over
-// HTTP is running when the context is cancelled; Serve drains — submissions
-// get 503 while it does — and returns nil with the queue file and a full
-// custody namespace on disk; a second Serve on the same directories resumes
-// the job from custody and finishes it.
+// HTTP is running when the context is cancelled; Serve drains and returns
+// nil with the queue file and a full custody namespace on disk; a second
+// Serve on the same directories resumes the job from custody and finishes
+// it.
 func TestServeDrainAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process scheduler run is not -short")
@@ -96,26 +96,10 @@ func TestServeDrainAndResume(t *testing.T) {
 		t.Errorf("service has no pprof: %v %v", resp, err)
 	}
 
-	// Cancel, and keep submitting while the service drains: the first
-	// answers may still be 202 (cancellation is asynchronous), then 503
-	// until the listener closes.
+	// Cancel: Serve drains and returns. Submissions refused with 503 while
+	// a drain is under way are TestHTTPAPI's check; the drain window here
+	// lasts as long as one eviction, too short to hit from outside.
 	cancel()
-	saw503 := false
-	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
-		resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(
-			`{"name":"late","spec":{"app":"heat","procs":1,"max_iter":5}}`))
-		if err != nil {
-			break // drained and closed
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			saw503 = true
-			break
-		}
-	}
-	if !saw503 {
-		t.Error("no submission during the drain was refused with 503")
-	}
 	if err := <-done; err != nil {
 		t.Fatalf("Serve after cancel: %v", err)
 	}
