@@ -561,19 +561,9 @@ func (p *Proc) Idle(d float64) {
 // Send transmits data to processor dst with the given tag and iteration
 // stamp. The sender is charged Config.SendOps of CPU (attributed to the comm
 // phase); delivery latency comes from the network model. The payload is
-// copied, so the caller may reuse its buffer immediately.
+// copied once per Send, so the caller may reuse its buffer immediately; every
+// delivery (retransmissions, injected duplicates) shares the copy for good.
 func (p *Proc) Send(dst, tag, iter int, data []float64) {
-	payload := make([]float64, len(data))
-	copy(payload, data)
-	p.SendShared(dst, tag, iter, payload)
-}
-
-// SendShared is Send without the defensive payload copy: the message
-// references data directly (including across duplicate deliveries injected
-// by a faulty network model). The caller must never mutate data afterwards.
-// A broadcast of one immutable payload to many peers therefore costs zero
-// copies instead of one per destination.
-func (p *Proc) SendShared(dst, tag, iter int, data []float64) {
 	p.maybeCrash()
 	if dst < 0 || dst >= p.c.P() {
 		panic(fmt.Sprintf("cluster: Send to invalid processor %d", dst))
@@ -585,7 +575,8 @@ func (p *Proc) SendShared(dst, tag, iter int, data []float64) {
 		p.sp.Sleep(d)
 		p.span(PhaseComm, start)
 	}
-	payload := data
+	payload := make([]float64, len(data))
+	copy(payload, data)
 	bytes := 8*len(payload) + p.c.cfg.MsgHeaderBytes
 	msg := Message{
 		Src: p.id, Dst: dst, Tag: tag, Iter: iter, Epoch: p.epoch,

@@ -187,16 +187,20 @@ func testSteadyIterations(t *testing.T, runs int, between func()) {
 		t.Skip("race instrumentation allocates; exact malloc counts are meaningless")
 	}
 	for _, c := range []struct {
-		name   string
-		ph     *phantom
-		app    App
-		fw, at int
+		name string
+		ph   *phantom
+		app  App
+		cfg  Config
 	}{
-		{"copied/mean64-P4-FW2", newPhantom(4, 64), newBenchApp(64), 2, 80},
-		{"lent/strip64Ki-P2-FW2", newPhantom(2, 2*256), stripAs(newStripApp(256*256, 2*256), true), 2, 80},
-		{"lent/strip64Ki-P2-FW0", newPhantom(2, 2*256), stripAs(newStripApp(256*256, 2*256), true), 0, 80},
+		{"copied/mean64-P4-FW2", newPhantom(4, 64), newBenchApp(64), Config{FW: 2}},
+		{"lent/strip64Ki-P2-FW2", newPhantom(2, 2*256), stripAs(newStripApp(256*256, 2*256), true), Config{FW: 2}},
+		{"lent/strip64Ki-P2-FW0", newPhantom(2, 2*256), stripAs(newStripApp(256*256, 2*256), true), Config{}},
+		// Checkpointing: every broadcast is logged for rejoins (a pool copy,
+		// the entry pushed out going back), every fifth iteration snapshots.
+		{"copied/mean64-P4-FW2-checkpoint", newPhantom(4, 64), newBenchApp(64),
+			Config{FW: 2, CheckpointEvery: 5, CheckpointStore: discardStore{}}},
 	} {
-		e := frozenEngine(t, c.ph, c.app, Config{FW: c.fw}, c.at)
+		e := frozenEngine(t, c.ph, c.app, c.cfg, 80)
 		step := func() {
 			between()
 			e.iterate(e.frontier + 1)
@@ -238,9 +242,22 @@ func TestMemoryBoundUnderCrashRecovery(t *testing.T) {
 	}
 	defer func() { testRetireHook = nil }()
 
-	const P = 4
+	cc, cfg := crashRecoveryScenario()
+	results := runCoupled(t, cc, cfg, 0.02)
+	if Aggregate(results).Restores == 0 {
+		t.Fatal("scenario exercised no restores")
+	}
+	if worstPeer == 0 || worstIter == 0 {
+		t.Fatal("retire hook observed nothing")
+	}
+	t.Logf("worst per-peer retention %d, worst iteration-lane retention %d", worstPeer, worstIter)
+}
+
+// crashRecoveryScenario is a long coupled-map run on four processors with
+// two crashes: checkpoints, restores, rejoins and catch-up, on a fresh store.
+func crashRecoveryScenario() (cluster.Config, Config) {
 	cc := cluster.Config{
-		Machines:     cluster.UniformMachines(P, 1000),
+		Machines:     cluster.UniformMachines(4, 1000),
 		Net:          netmodel.Fixed{D: 0.02},
 		Reliable:     true,
 		RetryTimeout: 0.5,
@@ -257,14 +274,7 @@ func TestMemoryBoundUnderCrashRecovery(t *testing.T) {
 		CheckpointStore: checkpoint.NewMemStore(),
 		CheckpointOps:   50,
 	}
-	results := runCoupled(t, cc, cfg, 0.02)
-	if Aggregate(results).Restores == 0 {
-		t.Fatal("scenario exercised no restores")
-	}
-	if worstPeer == 0 || worstIter == 0 {
-		t.Fatal("retire hook observed nothing")
-	}
-	t.Logf("worst per-peer retention %d, worst iteration-lane retention %d", worstPeer, worstIter)
+	return cc, cfg
 }
 
 // discardStore is stable storage that keeps nothing.

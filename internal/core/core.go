@@ -66,6 +66,12 @@ const (
 // injected delay is owed at the receiver (internal/inbox). The simulator
 // delivers when its network model says and never sets Hold.
 //
+// Ownership rule: Send borrows its payload — the transport copies what it
+// needs before Send returns, so the caller may overwrite the slice at once. A
+// delivered Message.Data is the receiver's to read for as long as it likes;
+// a Releaser lends it and takes it back, and the engine hands every received
+// payload back through Release once it references it nowhere.
+//
 // Flush rule: a transport may coalesce several sent messages into one
 // physical frame (distnet batches per-iteration sends to the same peer),
 // provided messages owed equal holds keep their per-(src, dst) order. To
@@ -96,16 +102,14 @@ type DeadlineReceiver interface {
 
 var _ DeadlineReceiver = (*cluster.Proc)(nil)
 
-// SharedSender is an optional Transport extension for zero-copy sends: the
-// transport references the payload directly instead of copying it, under
-// the caller's guarantee that the slice is never mutated afterwards. The
-// engine uses it to share one immutable payload per broadcast across all
-// peers (and its own rejoin log) instead of copying once per destination.
-type SharedSender interface {
-	SendShared(dst, tag, iter int, data []float64)
+// Releaser is an optional Transport extension for transports that lend the
+// payloads they deliver: the engine calls Release with each received
+// Message.Data once it holds no reference to it, and the transport may then
+// reuse the buffer for a later delivery. A transport that can deliver one
+// buffer twice (the simulator's duplicates) must not implement it.
+type Releaser interface {
+	Release(data []float64)
 }
-
-var _ SharedSender = (*cluster.Proc)(nil)
 
 // Noter is an optional Transport extension for point-event timeline marks
 // (overruns, reconciliations). The simulated cluster forwards notes to its
@@ -268,7 +272,6 @@ type engine struct {
 	stopper Stopper          // nil unless app implements it
 	dr      DeadlineReceiver // nil unless the transport implements it
 	noter   Noter            // nil unless the transport implements it
-	shared  SharedSender     // nil unless the transport implements it
 
 	// Dependency structure, resolved once at startup (graph.go): inRanks is
 	// the sorted list of ranks this processor reads; needsM/neededByM are the
@@ -298,7 +301,7 @@ type engine struct {
 	store checkpoint.Store
 	fd    FailureDetector // nil unless the transport implements it
 	ep    Epocher         // nil unless the transport implements it
-	// sentLog retains recent own broadcast payloads (immutable copies) to
+	// sentLog retains copies of recent own broadcasts (pool buffers) to
 	// serve rejoin/refill requests from peers that lost them to a crash.
 	sentLog *history.Ring[histEntry]
 	// noActualBefore[k] > 0 marks a catch-up gap: no actual snapshot of
@@ -407,7 +410,9 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 	e.stopper, _ = app.(Stopper)
 	e.dr, _ = p.(DeadlineReceiver)
 	e.noter, _ = p.(Noter)
-	e.shared, _ = p.(SharedSender)
+	if r, ok := p.(Releaser); ok {
+		e.plane.release = r.Release
+	}
 	e.ob = newEngineObs(cfg.Metrics, cfg.Journal, p.ID())
 	if e.ob != nil {
 		e.ob.p = p
@@ -456,8 +461,11 @@ func (e *engine) run() {
 		// the peers to refill anything lost in the crash.
 		t0 = e.frontier + 1
 	} else {
+		// InitLocal's buffer is handed over (App): it becomes slot 0 and
+		// recycles through the pool like any slot.
 		init := e.app.InitLocal()
-		copy(e.plane.ownSlot(0, init), init)
+		e.plane.pool.adopt(init)
+		e.plane.own.put(0, init)
 	}
 	for t := t0; t < e.cfg.MaxIter && !e.stopped; t++ {
 		e.iterate(t)
@@ -554,34 +562,30 @@ func (e *engine) degrading() bool {
 }
 
 // broadcast sends the local partition (or its published projection) for
-// iteration t to every peer, and logs the payload so a crashed peer can ask
-// for it again on rejoin. On a SharedSender transport one immutable copy is
-// shared by every peer and the log; otherwise the transport copies per
-// destination.
+// iteration t to every peer, and logs a copy so a crashed peer can ask for it
+// again on rejoin. Send only borrows the payload, so the slot or the app's
+// Publish buffer goes out as it stands; the log's copy is a pool buffer, and
+// the entry it pushes out goes back to the pool.
 func (e *engine) broadcast(t int) {
 	payload := e.plane.ownAt(t)
 	if e.pub != nil {
 		payload = e.pub.Publish(payload)
 	}
-	if e.shared != nil {
-		payload = cloneFloats(payload)
-	}
 	if e.sentLog != nil {
-		logged := payload
-		if e.shared == nil {
-			logged = cloneFloats(payload)
+		var logged []float64
+		if payload != nil {
+			logged = e.plane.pool.get(len(payload))
+			copy(logged, payload)
 		}
-		e.sentLog.Push(histEntry{iter: t, data: logged})
+		if old, ok := e.sentLog.Push(histEntry{iter: t, data: logged}); ok {
+			e.plane.pool.put(old.data)
+		}
 	}
 	for k := 0; k < e.p.P(); k++ {
 		if k == e.p.ID() || !e.neededBy(k) {
 			continue
 		}
-		if e.shared != nil {
-			e.shared.SendShared(k, DataTag, t, payload)
-		} else {
-			e.p.Send(k, DataTag, t, payload)
-		}
+		e.p.Send(k, DataTag, t, payload)
 	}
 }
 
@@ -1001,14 +1005,3 @@ func (e *engine) retire(t int) {
 // testRetireHook, when non-nil (set only by tests), observes the engine
 // after each retire — the memory-bound invariant is asserted there.
 var testRetireHook func(e *engine, t int)
-
-// cloneFloats copies a payload into a fresh buffer (non-nil for non-nil
-// input, preserving the empty/nil distinction the transports' Send has).
-func cloneFloats(s []float64) []float64 {
-	if s == nil {
-		return nil
-	}
-	d := make([]float64, len(s))
-	copy(d, s)
-	return d
-}

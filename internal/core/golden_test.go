@@ -121,14 +121,17 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// goldenJournal runs one golden case (optionally wrapping its app) and
-// returns the serialized journal.
-func goldenJournal(t *testing.T, tc goldenCase, wrap func(App) App) []byte {
+// goldenJournal runs one golden case (optionally wrapping its app, and on
+// RunCluster unless run is given) and returns the serialized journal.
+func goldenJournal(t *testing.T, tc goldenCase, wrap func(App) App, run func(cluster.Config, Config, Factory) ([]Result, error)) []byte {
 	t.Helper()
+	if run == nil {
+		run = RunCluster
+	}
 	jr := obs.NewJournal()
 	cc, cfg := tc.cc(), tc.cfg()
 	cc.Journal, cfg.Journal = jr, jr
-	_, err := RunCluster(cc, cfg, func(p *cluster.Proc) App {
+	_, err := run(cc, cfg, func(p *cluster.Proc) App {
 		var app App = &coupledMap{p: p, r: 3.2, eps: 0.3, threshold: tc.threshold, computeOp: 500, repairOp: 250}
 		if wrap != nil {
 			app = wrap(app)
@@ -148,7 +151,7 @@ func goldenJournal(t *testing.T, tc goldenCase, wrap func(App) App) []byte {
 func TestGoldenJournals(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			got := goldenJournal(t, tc, nil)
+			got := goldenJournal(t, tc, nil, nil)
 			if len(got) == 0 {
 				t.Fatal("empty journal")
 			}
@@ -243,7 +246,7 @@ func (completeGrapher) Graph(p int) *DepGraph { return CompleteGraph(p) }
 func TestDegenerateGraphGolden(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			got := goldenJournal(t, tc, func(app App) App { return completeGrapher{app} })
+			got := goldenJournal(t, tc, func(app App) App { return completeGrapher{app} }, nil)
 			path := filepath.Join("testdata", "journal_"+tc.name+".jsonl")
 			want, err := os.ReadFile(path)
 			if err != nil {

@@ -34,11 +34,7 @@ func (bp *bufPool) get(n int) []float64 {
 	if n == 0 {
 		return emptyBuf
 	}
-	c := bp.classes[n]
-	if c == nil {
-		c = &bufClass{}
-		bp.classes[n] = c
-	}
+	c := bp.class(n)
 	c.out++
 	if k := len(c.free); k > 0 {
 		d := c.free[k-1]
@@ -58,4 +54,20 @@ func (bp *bufPool) put(s []float64) {
 	}
 	c.out--
 	c.free = append(c.free, s)
+}
+
+// adopt counts buf, handed over for good, as drawn from the pool.
+func (bp *bufPool) adopt(buf []float64) {
+	if len(buf) > 0 {
+		bp.class(len(buf)).out++
+	}
+}
+
+func (bp *bufPool) class(n int) *bufClass {
+	c := bp.classes[n]
+	if c == nil {
+		c = &bufClass{}
+		bp.classes[n] = c
+	}
+	return c
 }

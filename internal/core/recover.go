@@ -49,27 +49,18 @@ func (e *engine) intake(m cluster.Message) {
 		// First-wins is enforced by the plane: a rejoin re-send must never
 		// overwrite the copy peers already computed against.
 		e.plane.stash(m.Src, m.Iter, m.Data)
+		return
 	case RejoinTag:
 		e.handleRejoin(m)
 	case RejoinAckTag:
 		e.handleRejoinAck(m)
 	}
+	e.plane.giveBack(m.Data) // a protocol payload is read once, while handled
 }
 
 // sendRejoin asks peer k to re-send every broadcast above iteration have.
 func (e *engine) sendRejoin(k, have int) {
 	e.p.Send(k, RejoinTag, have, nil)
-}
-
-// sendData re-sends a logged broadcast payload. Logged payloads are
-// immutable engine-owned copies, so a SharedSender transport may alias them
-// instead of copying.
-func (e *engine) sendData(dst, iter int, data []float64) {
-	if e.shared != nil {
-		e.shared.SendShared(dst, DataTag, iter, data)
-		return
-	}
-	e.p.Send(dst, DataTag, iter, data)
 }
 
 // handleRejoin serves a peer's rejoin/refill request: re-send every logged
@@ -84,7 +75,7 @@ func (e *engine) handleRejoin(m cluster.Message) {
 			oldest = e.sentLog.At(n - 1).iter
 			for i := n - 1; i >= 0; i-- {
 				if h := e.sentLog.At(i); h.iter > m.Iter {
-					e.sendData(k, h.iter, h.data)
+					e.p.Send(k, DataTag, h.iter, h.data)
 				}
 			}
 		}
@@ -237,6 +228,7 @@ func (e *engine) buildSnapshot() *checkpoint.Snapshot {
 // repairs and cascades can run exactly as they would have.
 func (e *engine) applySnapshot(s *checkpoint.Snapshot) {
 	e.validated, e.frontier = s.Validated, s.Frontier
+	e.plane.restored = make(map[*float64]bool)
 	for _, en := range s.Own {
 		copy(e.plane.ownSlot(en.Iter, en.Data), en.Data)
 	}
@@ -245,6 +237,7 @@ func (e *engine) applySnapshot(s *checkpoint.Snapshot) {
 			continue
 		}
 		for _, en := range hs {
+			e.plane.keep(en.Data)
 			e.plane.pushHistory(k, en.Iter, en.Data)
 		}
 	}
@@ -253,6 +246,7 @@ func (e *engine) applySnapshot(s *checkpoint.Snapshot) {
 			continue
 		}
 		for _, en := range rs {
+			e.plane.keep(en.Data)
 			e.plane.stash(k, en.Iter, en.Data)
 		}
 	}

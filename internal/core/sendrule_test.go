@@ -4,7 +4,7 @@ package core
 // transport may defer a Send until the caller next polls empty, blocks in a
 // receive, or returns — never past that"). A batching transport relies on
 // the engine never computing on top of a deferred send, with no timer behind
-// it: between any Send/SendShared and the next App.Compute, or Run
+// it: between any Send and the next App.Compute, or Run
 // returning, the engine must have made an empty TryRecv or entered
 // Recv/RecvDeadline. Pinned here, where an engine change would break it.
 
@@ -29,7 +29,6 @@ type sendRecorder struct {
 var _ interface {
 	Transport
 	DeadlineReceiver
-	SharedSender
 	FailureDetector
 	Epocher
 	NetStatser
@@ -40,12 +39,6 @@ func (r *sendRecorder) Send(dst, tag, iter int, data []float64) {
 	r.owed++
 	r.sends++
 	r.Proc.Send(dst, tag, iter, data)
-}
-
-func (r *sendRecorder) SendShared(dst, tag, iter int, data []float64) {
-	r.owed++
-	r.sends++
-	r.Proc.SendShared(dst, tag, iter, data)
 }
 
 func (r *sendRecorder) TryRecv(src, tag int) (cluster.Message, bool) {

@@ -129,13 +129,15 @@ type valuePlane struct {
 	// edge k→self exists (payloads from such ranks are dropped on arrival).
 	laneOf []int
 	// peers[i] stashes the i-th in-edge's actual iteration payloads as
-	// delivered (buffers are adopted from the transport and never recycled,
-	// so stored history may alias them safely).
-	peers []lane[[]float64]
-	// hist[i] is the i-th in-edge's validated history: the BW newest
-	// validated snapshots, the speculation fallback when the stash has no
-	// base.
-	hist []*history.Ring[histEntry]
+	// delivered; hist[i] is its validated history (the BW newest validated
+	// snapshots, aliasing the stash), the speculation fallback when the stash
+	// has no base. The last of the two to drop a payload gives it back to the
+	// transport (release, nil unless it is a Releaser) — unless a restore put
+	// it there (restored): the snapshot's buffers were never lent.
+	peers    []lane[[]float64]
+	hist     []*history.Ring[histEntry]
+	release  func([]float64)
+	restored map[*float64]bool
 	// own holds the local partition per iteration in pooled slots (ownSlot),
 	// so app-returned slices are never retained.
 	own lane[[]float64]
@@ -186,28 +188,54 @@ func (vp *valuePlane) peerLane(k int) *lane[[]float64] {
 	return nil
 }
 
-// histRing returns source rank k's validated-history ring, or nil when no
-// edge k→self exists.
-func (vp *valuePlane) histRing(k int) *history.Ring[histEntry] {
-	if i := vp.laneOf[k]; i >= 0 {
-		return vp.hist[i]
+// stash records an actual snapshot, first-wins: a rejoin re-send must never
+// overwrite the copy peers already computed against. A duplicate, and a
+// payload from a rank with no edge to this processor, go straight back to
+// the transport; so does an entry the ring evicts below the floor, unless
+// the history still holds it.
+func (vp *valuePlane) stash(src, iter int, data []float64) {
+	i := vp.laneOf[src]
+	if i < 0 {
+		vp.giveBack(data)
+		return
 	}
-	return nil
+	l := &vp.peers[i]
+	if _, ok := l.get(iter); ok {
+		vp.giveBack(data)
+		return
+	}
+	if dropped, ok := l.put(iter, data); ok {
+		vp.unstashed(i, dropped)
+	}
 }
 
-// stash records an actual snapshot, first-wins: a rejoin re-send must never
-// overwrite the copy peers already computed against. Payloads from ranks
-// with no edge to this processor are dropped. Dropped evictions are
-// transport-owned buffers; the GC takes them.
-func (vp *valuePlane) stash(src, iter int, data []float64) {
-	l := vp.peerLane(src)
-	if l == nil {
-		return
+// unstashed gives back a payload in-edge i's stash dropped, unless its
+// history still holds the buffer.
+func (vp *valuePlane) unstashed(i int, data []float64) {
+	for r, j := vp.hist[i], 0; j < r.Len(); j++ {
+		if same(r.At(j).data, data) {
+			return
+		}
 	}
-	if _, ok := l.get(iter); ok {
-		return
+	vp.giveBack(data)
+}
+
+// same reports whether a and b are one buffer.
+func same(a, b []float64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// giveBack returns a received payload no holder references to the
+// transport that lent it.
+func (vp *valuePlane) giveBack(data []float64) {
+	if vp.release != nil && len(data) > 0 && !vp.restored[&data[0]] {
+		vp.release(data)
 	}
-	l.put(iter, data)
+}
+
+// keep marks a restored payload, which no transport lent.
+func (vp *valuePlane) keep(data []float64) {
+	if len(data) > 0 {
+		vp.restored[&data[0]] = true
+	}
 }
 
 // actualOf returns peer k's stashed iteration-iter payload.
@@ -220,10 +248,17 @@ func (vp *valuePlane) actualOf(k, iter int) ([]float64, bool) {
 }
 
 // pushHistory appends a validated snapshot to peer k's backward window.
-// data aliases the stash (stashed buffers are immutable), so no copy.
+// data aliases the stash (stashed buffers are immutable), so no copy; the
+// entry pushed out is given back unless the stash still holds its buffer.
 func (vp *valuePlane) pushHistory(k, iter int, data []float64) {
-	if r := vp.histRing(k); r != nil {
-		r.Push(histEntry{iter: iter, data: data})
+	i := vp.laneOf[k]
+	if i < 0 {
+		return
+	}
+	if old, ok := vp.hist[i].Push(histEntry{iter: iter, data: data}); ok {
+		if v, _ := vp.peers[i].get(old.iter); !same(v, old.data) {
+			vp.giveBack(old.data)
+		}
 	}
 }
 
@@ -254,7 +289,7 @@ func (vp *valuePlane) collectHist(k, t, lookback, bw int) ([][]float64, int) {
 		}
 	}
 	if base == -1 {
-		r := vp.histRing(k)
+		r := vp.hist[vp.laneOf[k]]
 		if r.Len() == 0 {
 			return nil, -1
 		}
@@ -374,7 +409,7 @@ func (vp *valuePlane) dropPreds(iter int, recycle func([]float64)) {
 // own/view/prediction state only around the validation point.
 func (vp *valuePlane) advanceFloors(validated, lookback int) {
 	for i := range vp.peers {
-		vp.peers[i].setFloor(validated-lookback, nil)
+		vp.peers[i].setFloor(validated-lookback, func(v []float64) { vp.unstashed(i, v) })
 	}
 	vp.own.setFloor(validated-1, vp.pool.put)
 	vp.views.setFloor(validated, vp.freeRow)
@@ -401,10 +436,10 @@ func (vp *valuePlane) ownEntries(dst []checkpoint.Entry, validated, frontier int
 }
 
 func (vp *valuePlane) histEntries(dst []checkpoint.Entry, k int) []checkpoint.Entry {
-	r := vp.histRing(k)
-	if r == nil {
+	if vp.laneOf[k] < 0 {
 		return dst
 	}
+	r := vp.hist[vp.laneOf[k]]
 	for i := r.Len() - 1; i >= 0; i-- { // oldest first
 		h := r.At(i)
 		dst = append(dst, checkpoint.Entry{Iter: h.iter, Data: h.data})

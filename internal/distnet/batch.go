@@ -85,7 +85,7 @@ func newDeltaState() *deltaState {
 }
 
 // note records data as the stream's new base, copying it into state-owned
-// memory (callers reuse or adopt their buffers).
+// memory (callers reuse or release their buffers).
 func (ds *deltaState) note(key streamKey, data []float64) {
 	prev := ds.prev[key]
 	if cap(prev) < len(data) {

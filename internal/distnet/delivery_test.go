@@ -22,7 +22,7 @@ var backend = inboxtest.Backend{
 			if hold != planned {
 				tx.inj, planned = faults.NewInjector(netmodel.Fixed{D: hold}, 1), hold
 			}
-			tx.SendShared(1, tag, iter, nil)
+			tx.Send(1, tag, iter, nil)
 			tx.flushAll(flushRecv)
 		}, rx
 	},

@@ -37,13 +37,13 @@ func wantWire(t *testing.T, tr *transport, pending, frames int) {
 	}
 }
 
-// TestEmptyPollFlushes: SendShared parks the message in the batcher; one
+// TestEmptyPollFlushes: Send parks the message in the batcher; one
 // poll that finds the inbox empty puts it on the wire, with no further call
 // on the sender. (Before the rule, only a blocking receive or the linger
 // sweep would have.)
 func TestEmptyPollFlushes(t *testing.T) {
 	tr0, tr1 := linkedTransports(t, WireSpec{}, nil, 0)
-	tr0.SendShared(1, 7, 3, []float64{1, 2})
+	tr0.Send(1, 7, 3, []float64{1, 2})
 	wantWire(t, tr0, 1, 0)
 	if _, ok := tr0.TryRecv(cluster.Any, cluster.Any); ok {
 		t.Fatal("poll found a message nobody sent")
@@ -58,7 +58,7 @@ func TestEmptyPollFlushes(t *testing.T) {
 func TestPollThatFindsAMessageDoesNotFlush(t *testing.T) {
 	tr0, tr1 := linkedTransports(t, WireSpec{}, nil, 0)
 	tr1.inbox.Put(cluster.Message{Src: 0, Dst: 1, Tag: 1, Iter: 0})
-	tr1.SendShared(0, 2, 5, []float64{3})
+	tr1.Send(0, 2, 5, []float64{3})
 	if _, ok := tr1.TryRecv(cluster.Any, cluster.Any); !ok {
 		t.Fatal("poll missed the queued message")
 	}
@@ -80,7 +80,7 @@ func TestIdlePollSendsNothing(t *testing.T) {
 			}
 		}
 		wantWire(t, tr0, 0, 0)
-		tr0.SendShared(1, 1, 0, []float64{1})
+		tr0.Send(1, 1, 0, []float64{1})
 		tr0.TryRecv(cluster.Any, cluster.Any)
 		wantWire(t, tr0, 0, 1)
 		wantRecv(t, tr1, 1, 0)
@@ -105,7 +105,7 @@ func TestBurstStillLeavesAsBatches(t *testing.T) {
 			tr0, tr1 := linkedTransports(t, WireSpec{}, nil, 0)
 			row := make([]float64, c.floats)
 			for i := 0; i < burst; i++ {
-				tr0.SendShared(1, 1, i, row)
+				tr0.Send(1, 1, i, row)
 			}
 			if got := tr0.framesSentTotal(); got != c.atCap {
 				t.Fatalf("%d frames left at the size caps, want %d", got, c.atCap)
@@ -125,7 +125,7 @@ func TestBurstStillLeavesAsBatches(t *testing.T) {
 func TestDelayedCopyIsOnTheWireAtOnce(t *testing.T) {
 	const hold = 0.2
 	tr0, tr1 := linkedTransports(t, WireSpec{}, netmodel.Fixed{D: hold}, 1)
-	tr0.SendShared(1, 1, 0, []float64{1})
+	tr0.Send(1, 1, 0, []float64{1})
 	wantWire(t, tr0, 1, 0)
 	tr0.TryRecv(cluster.Any, cluster.Any)
 	wantWire(t, tr0, 0, 1)

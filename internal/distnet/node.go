@@ -193,7 +193,7 @@ type transport struct {
 
 var _ interface {
 	core.Transport
-	core.SharedSender
+	core.Releaser
 	core.DeadlineReceiver
 	core.FailureDetector
 	core.Epocher
@@ -224,20 +224,13 @@ func (t *transport) Now() float64 { return time.Since(t.start).Seconds() }
 // cost.
 func (t *transport) Compute(float64, cluster.Phase) {}
 
+// Send enqueues each planned copy of the message with data copied into a row
+// of the node's inbox, which the link's writer releases once it is encoded.
 func (t *transport) Send(dst, tag, iter int, data []float64) {
-	payload := make([]float64, len(data))
-	copy(payload, data)
-	t.SendShared(dst, tag, iter, payload)
-}
-
-// SendShared enqueues the message with its payload aliased: serialization
-// in the writer goroutine is the copy, under the engine's guarantee that a
-// shared payload is never mutated after the send.
-func (t *transport) SendShared(dst, tag, iter int, data []float64) {
 	if dst < 0 || dst >= t.p {
 		panic(fmt.Sprintf("distnet: Send to invalid processor %d", dst))
 	}
-	m := cluster.Message{Src: t.rank, Dst: dst, Tag: tag, Iter: iter, Epoch: t.epoch, Data: data, SentAt: t.Now()}
+	m := cluster.Message{Src: t.rank, Dst: dst, Tag: tag, Iter: iter, Epoch: t.epoch, SentAt: t.Now()}
 	bytes := 8*len(data) + 64 // logical accounting parity with the simulator's default framing
 	t.msgsSent++
 	t.bytesSent += bytes
@@ -247,27 +240,32 @@ func (t *transport) SendShared(dst, tag, iter int, data []float64) {
 		t.journal.Record(obs.Event{T: m.SentAt, Proc: t.rank, Kind: obs.EvSend, Iter: iter, Peer: dst, V: float64(tag)})
 	}
 	pc := t.peer(dst)
-	if t.inj == nil {
-		t.enqueueData(pc, m, bytes)
-		return
-	}
-	// Fault injection is per message, not per frame: each logical message is
-	// planned individually (parity with the simulator's DeliveriesOf). Every
-	// planned copy leaves at once, in the batcher like any send, carrying its
-	// delay as the hold the receiver's inbox owes it.
-	plan := t.inj.Plan(t.rank, dst, bytes, t.procs, m.SentAt)
-	if len(plan) == 0 {
-		t.drops++
-		return
+	plan := oneCopy
+	if t.inj != nil {
+		// Fault injection is per message, not per frame: each logical message
+		// is planned individually (parity with the simulator's DeliveriesOf).
+		// Every planned copy leaves at once, in the batcher like any send,
+		// carrying its delay as the hold the receiver's inbox owes it.
+		if plan = t.inj.Plan(t.rank, dst, bytes, t.procs, m.SentAt); len(plan) == 0 {
+			t.drops++
+			return
+		}
 	}
 	for _, d := range plan {
 		m.Hold = 0
 		if d > 0 {
 			m.Hold = d
 		}
+		m.Data = t.inbox.Copy(data)
 		t.enqueueData(pc, m, bytes)
 	}
 }
+
+// oneCopy is the plan of a send without fault injection.
+var oneCopy = []float64{0}
+
+// Release implements core.Releaser: delivered payloads are inbox rows.
+func (t *transport) Release(data []float64) { t.inbox.Release(data) }
 
 // enqueueData appends one data message to its link's pending batch. Size
 // caps flush inline.
@@ -403,11 +401,13 @@ func (t *transport) NetStats() cluster.NetStats {
 
 // reader pumps one peer link into the shared inbox until the link dies. A
 // persistent Decoder carries the link's payload buffer and — when the spec
-// enables delta coding — its per-stream bases across frames. Payload rows
-// are freshly allocated per message (Reuse off): the engine adopts them.
+// enables delta coding — its per-stream bases across frames. It decodes each
+// payload into a row the inbox lends, which the engine gives back through
+// Release.
 func (t *transport) reader(pc *peerConn) {
 	dec := NewDecoder(bufio.NewReaderSize(pc.conn, 64<<10))
 	dec.Track = t.wire.Delta // every peer's encoder delta-codes iff the spec says so
+	dec.lend = t.inbox
 	var f Frame
 	for {
 		if err := dec.Decode(&f); err != nil {
@@ -913,7 +913,7 @@ func (t *transport) connectMesh(ln net.Listener, peers []string, cfg NodeConfig,
 // installPeer wires a freshly handshaken connection in as the link to the
 // hello sender's rank.
 func (t *transport) installPeer(j int, conn net.Conn, hello Frame) *peerConn {
-	pc := newPeerConn(j, conn, t.nodeCfg.linkQueue, wireOpts{delta: t.wire.Delta, clock: true, obs: t.wobs.link(j)})
+	pc := newPeerConn(j, conn, t.nodeCfg.linkQueue, wireOpts{delta: t.wire.Delta, clock: true, obs: t.wobs.link(j), rows: t.inbox})
 	pc.epoch = hello.Epoch
 	t.swapPeer(pc)
 	return pc

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"specomp/internal/inbox"
 	"specomp/internal/trace"
 )
 
@@ -61,6 +62,7 @@ type wireOpts struct {
 	delta bool // delta-code batch entries (WireSpec.Delta)
 	clock bool // timestamped heartbeats, beaconed even when data flows
 	obs   *linkObs
+	rows  *inbox.Inbox // lent the payload rows of outbound data (nil: none)
 }
 
 // peerConn is one live link to a peer (or to the coordinator, rank -1).
@@ -151,9 +153,10 @@ func (pc *peerConn) send(f Frame) {
 
 // writer drains the outgoing queue through one bufio.Writer, flushing
 // whenever the queue momentarily empties (message boundaries coalesce under
-// load, but nothing lingers unflushed). Once encoded, a batch frame's
-// message slice goes back to the batch pool and a checkpoint frame's blob
-// back to its sender (spare; dropped when the slots are full or absent).
+// load, but nothing lingers unflushed). Once encoded, a message's payload row
+// goes back to the inbox that lent it, a batch frame's message slice back to
+// the batch pool, and a checkpoint frame's blob back to its sender (spare;
+// dropped when the slots are full or absent).
 func (pc *peerConn) writer() {
 	defer close(pc.done)
 	bw := bufio.NewWriterSize(pc.conn, 64<<10)
@@ -162,7 +165,12 @@ func (pc *peerConn) writer() {
 	write := func(f *Frame) error {
 		err := enc.Encode(f)
 		switch {
+		case f.Type == FrameData:
+			pc.opts.rows.Release(f.Msg.Data)
 		case f.Batch != nil:
+			for i := range f.Batch {
+				pc.opts.rows.Release(f.Batch[i].Data)
+			}
 			releaseBatch(f.Batch)
 		case f.Type == FrameCheckpoint:
 			select {

@@ -224,7 +224,7 @@ func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed in
 			tr.pend[i] = getBatch()
 		}
 		tr.pendBytes = make([]int, 2)
-		pc := newPeerConn(peer, conn, 4096, wireOpts{delta: wire.Delta, clock: true})
+		pc := newPeerConn(peer, conn, 4096, wireOpts{delta: wire.Delta, clock: true, rows: tr.inbox})
 		tr.peers[peer].Store(pc)
 		go tr.reader(pc)
 		return tr
@@ -262,7 +262,7 @@ func TestBatchFaultParity(t *testing.T) {
 	// (the blocking-receive boundary RunNode's engine hits).
 	for iter := 0; iter < iters; iter++ {
 		for tag := 0; tag < tags; tag++ {
-			tr0.SendShared(1, tag, iter, payload(iter, tag))
+			tr0.Send(1, tag, iter, payload(iter, tag))
 		}
 		tr0.flushAll(flushRecv)
 	}

@@ -387,11 +387,13 @@ func corruptf(format string, args ...any) error {
 // Ownership contract of a decoded frame: f.Batch aliases a slice the next
 // Decode call reuses — consume or copy the messages first. With Reuse
 // false (the default), every Msg.Data payload and Blob is freshly allocated
-// and owned by the caller forever (the engine adopts payload buffers; a
-// checkpoint frame's Blob is the decode buffer itself, given away). With
-// Reuse true, payloads alias per-decoder buffers valid only until the next
-// Decode — the zero-allocation mode for consumers that finish with each
-// frame before reading the next (echo servers, benchmarks, relays).
+// and owned by the caller forever (a checkpoint frame's Blob is the decode
+// buffer itself, given away) — except on a node's peer links, whose
+// decoders take each payload row from the node's inbox, to be released
+// there once read. With Reuse true, payloads alias per-decoder buffers valid
+// only until the next Decode — the zero-allocation mode for consumers that
+// finish with each frame before reading the next (echo servers, benchmarks,
+// relays).
 type Decoder struct {
 	r io.Reader
 	// Reuse hands out payload rows owned by the decoder instead of fresh
@@ -402,6 +404,7 @@ type Decoder struct {
 	// unset is corrupt.
 	Track bool
 
+	lend *inbox.Inbox // lends payload rows when set (a node's peer links)
 	buf  []byte
 	ds   *deltaState
 	b    []cluster.Message // reused Batch backing
@@ -510,12 +513,16 @@ func (p *payloadReader) bytes(n int) []byte {
 var emptyFloats = []float64{}
 
 // row returns the payload buffer for the i-th message of the current frame:
-// a decoder-owned reused row under Reuse, a fresh allocation otherwise.
+// a decoder-owned reused row under Reuse, a row lent by lend when set, a
+// fresh allocation otherwise.
 func (d *Decoder) row(i, n int) []float64 {
 	if n == 0 {
 		return emptyFloats
 	}
 	if !d.Reuse {
+		if d.lend != nil {
+			return d.lend.Row(n)
+		}
 		return make([]float64, n)
 	}
 	for len(d.rows) <= i {

@@ -42,18 +42,21 @@ func (r *Ring[T]) Cap() int { return len(r.buf) }
 // Len returns the number of snapshots currently stored.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Push appends a snapshot as the newest entry, evicting the oldest if full.
-func (r *Ring[T]) Push(v T) {
+// Push appends a snapshot as the newest entry, evicting the oldest if full;
+// the evicted snapshot is returned so the caller can recycle its buffers.
+func (r *Ring[T]) Push(v T) (evicted T, wasEvicted bool) {
 	if r.clone != nil {
 		v = r.clone(v)
 	}
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = v
 		r.n++
-		return
+		return evicted, false
 	}
+	evicted = r.buf[r.start]
 	r.buf[r.start] = v
 	r.start = (r.start + 1) % len(r.buf)
+	return evicted, true
 }
 
 // At returns the snapshot `back` steps into the past: At(0) is the newest,
@@ -178,13 +181,4 @@ func (r *IterRing[T]) Delete(iter int) (T, bool) {
 	}
 	var zero T
 	return zero, false
-}
-
-// Reset empties the ring without reallocating the slot array.
-func (r *IterRing[T]) Reset() {
-	var zero iterSlot[T]
-	for i := range r.slots {
-		r.slots[i] = zero
-	}
-	r.n, r.max, r.put = 0, 0, false
 }

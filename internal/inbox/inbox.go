@@ -38,7 +38,23 @@ type Inbox struct {
 	head int
 
 	timer *time.Timer // Take's one reusable wait
+
+	// rows lends payload rows (Row, Release): a freelist per exact length,
+	// under a lock of its own so lending never waits behind the queue.
+	rowMu sync.Mutex
+	rows  map[int]*rowClass
 }
+
+// rowClass is one length's freelist; out counts its rows lent and not yet
+// released, so the freelist never outgrows the rows in flight at once.
+type rowClass struct {
+	free [][]float64
+	out  int
+}
+
+// PoisonReleased, set by tests only (before any row is lent), NaN-fills
+// every released row: a reader still holding one computes on NaN.
+var PoisonReleased bool
 
 type entry struct {
 	due time.Duration
@@ -47,7 +63,7 @@ type entry struct {
 
 // New returns an empty inbox whose clock starts now.
 func New() *Inbox {
-	return &Inbox{origin: time.Now(), wake: make(chan struct{}, 1)}
+	return &Inbox{origin: time.Now(), wake: make(chan struct{}, 1), rows: make(map[int]*rowClass)}
 }
 
 // ValidHold reports whether h seconds is a hold an inbox can owe: not
@@ -132,6 +148,59 @@ func (b *Inbox) Take(wait float64) (cluster.Message, bool) {
 			case <-b.timer.C:
 			}
 		}
+	}
+}
+
+// Row lends a length-n payload row with unspecified contents, to be given
+// back with Release once nothing references it. Safe from any goroutine.
+func (b *Inbox) Row(n int) []float64 {
+	if n == 0 {
+		return []float64{} // does not allocate
+	}
+	b.rowMu.Lock()
+	defer b.rowMu.Unlock()
+	c := b.rows[n]
+	if c == nil {
+		c = &rowClass{}
+		b.rows[n] = c
+	}
+	c.out++
+	if k := len(c.free); k > 0 {
+		r := c.free[k-1]
+		c.free[k-1] = nil
+		c.free = c.free[:k-1]
+		return r
+	}
+	return make([]float64, n)
+}
+
+// Copy lends a row holding a copy of data (nil stays nil).
+func (b *Inbox) Copy(data []float64) []float64 {
+	if data == nil {
+		return nil
+	}
+	r := b.Row(len(data))
+	copy(r, data)
+	return r
+}
+
+// Release takes back, once, a row Row lent; a row beyond what its length
+// has out is left to the collector, and a nil inbox takes nothing back. Safe
+// from any goroutine.
+func (b *Inbox) Release(r []float64) {
+	if b == nil || len(r) == 0 {
+		return
+	}
+	if PoisonReleased {
+		for i := range r {
+			r[i] = math.NaN()
+		}
+	}
+	b.rowMu.Lock()
+	defer b.rowMu.Unlock()
+	if c := b.rows[len(r)]; c != nil && c.out > 0 {
+		c.out--
+		c.free = append(c.free, r)
 	}
 }
 

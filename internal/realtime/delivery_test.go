@@ -15,7 +15,7 @@ var backend = inboxtest.Backend{
 		tx := mesh[0]
 		return func(tag, iter int, hold float64) {
 			tx.hold = hold
-			tx.SendShared(1, tag, iter, nil)
+			tx.Send(1, tag, iter, nil)
 		}, mesh[1]
 	},
 }

@@ -75,7 +75,8 @@ type Result struct {
 }
 
 // transport carries the engine over goroutines: a send is a Put straight
-// into the receiver's inbox, owed Delay there.
+// into the receiver's inbox, owed Delay there, its payload copied into a row
+// that inbox lends and takes back (core.Releaser).
 type transport struct {
 	id, p   int
 	inbox   *inbox.Inbox
@@ -87,7 +88,7 @@ type transport struct {
 
 var _ interface {
 	core.Transport
-	core.SharedSender
+	core.Releaser
 	core.DeadlineReceiver
 } = (*transport)(nil)
 
@@ -101,19 +102,15 @@ func (t *transport) Now() float64 { return time.Since(t.start).Seconds() }
 // done by the app itself.
 func (t *transport) Compute(float64, cluster.Phase) {}
 
+// Send puts the message in dst's inbox with data copied into a row that
+// inbox lends; the receiver's engine gives it back through Release.
 func (t *transport) Send(dst, tag, iter int, data []float64) {
-	payload := make([]float64, len(data))
-	copy(payload, data)
-	t.SendShared(dst, tag, iter, payload)
+	to := t.peers[dst]
+	to.Put(cluster.Message{Src: t.id, Dst: dst, Tag: tag, Iter: iter, Data: to.Copy(data), SentAt: t.Now(), Hold: t.hold})
 }
 
-// SendShared puts the message in dst's inbox with its payload aliased, not
-// copied; the receiver adopts the slice. The caller must never mutate data
-// afterwards, which lets a broadcast share one immutable payload across all
-// peers.
-func (t *transport) SendShared(dst, tag, iter int, data []float64) {
-	t.peers[dst].Put(cluster.Message{Src: t.id, Dst: dst, Tag: tag, Iter: iter, Data: data, SentAt: t.Now(), Hold: t.hold})
-}
+// Release implements core.Releaser: delivered payloads are own-inbox rows.
+func (t *transport) Release(data []float64) { t.inbox.Release(data) }
 
 func (t *transport) TryRecv(src, tag int) (cluster.Message, bool) {
 	return t.take(src, tag, math.Inf(-1))
