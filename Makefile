@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-core bench-smoke bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched fuzz-obs soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext results-check faults chaos metrics cover fmt vet lint examples
+.PHONY: all build test test-short bench bench-core bench-smoke bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched fuzz-obs soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext results-check faults chaos metrics cover fmt vet lint examples loc
 
 all: build vet test
 
@@ -197,6 +197,12 @@ cover:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines in tracked files, the count every line delta in
+# ROADMAP.md and CHANGES.md is stated in, and the share under bench/.
+loc:
+	@echo "non-test Go: $$(git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l) lines"
+	@echo "  under bench/: $$(git ls-files 'bench/*.go' | grep -v _test.go | xargs cat | wc -l) lines"
 
 examples:
 	go run ./examples/quickstart

@@ -73,8 +73,8 @@ func main() {
 		float64(tSpec.Microseconds())/1000, 100*float64(tBlock-tSpec)/float64(tBlock))
 	made, bad := 0, 0
 	for _, r := range results {
-		made += r.SpecsMade
-		bad += r.SpecsBad
+		made += r.Stats.SpecsMade
+		bad += r.Stats.SpecsBad
 	}
 	fmt.Printf("speculations: %d made, %d rejected\n", made, bad)
 	fmt.Printf("final values: ")

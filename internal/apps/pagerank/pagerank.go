@@ -286,19 +286,18 @@ func (a *App) ComputeOps() float64 {
 	return float64(2*edges) + float64(a.prob.G.N)
 }
 
-// Speculate implements core.Speculator: damped extrapolation of the peer's
-// block (zero-order by default; see SpecAlpha), cost-charged only for the
-// entries the local update actually reads.
-func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float64) {
-	out := make([]float64, len(hist[0]))
-	copy(out, hist[0])
+// SpeculateInto implements core.Speculator: damped extrapolation of the
+// peer's block (zero-order by default; see SpecAlpha), cost-charged only for
+// the entries the local update actually reads.
+func (a *App) SpeculateInto(dst []float64, peer int, hist [][]float64, steps int) float64 {
+	copy(dst, hist[0])
 	if a.SpecAlpha > 0 && len(hist) > 1 {
 		s := float64(steps) * a.SpecAlpha
-		for i := range out {
-			out[i] += s * (hist[0][i] - hist[1][i])
+		for i := range dst {
+			dst[i] += s * (hist[0][i] - hist[1][i])
 		}
 	}
-	return out, 3 * float64(a.relevant[peer])
+	return 3 * float64(a.relevant[peer])
 }
 
 // Check implements core.App with a *progress-relative* error metric: a

@@ -196,7 +196,7 @@ func (a *App) owner(r int) int {
 	panic(fmt.Sprintf("sor: row %d owned by nobody", r))
 }
 
-// Speculate implements core.Speculator with a colour-aware rule: a cell
+// SpeculateInto implements core.Speculator with a colour-aware rule: a cell
 // only changes during half-sweeps of its own colour, so the cells NOT
 // updated in the half-sweep being predicted are copied exactly from the
 // newest snapshot, and the updated colour's cells extrapolate along their
@@ -204,11 +204,10 @@ func (a *App) owner(r int) int {
 // Generic predictors fail here — consecutive snapshots alternate which
 // half of the cells moved — which is exactly why the engine lets the
 // application own its speculation function.
-func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float64) {
-	out := make([]float64, len(hist[0]))
-	copy(out, hist[0])
+func (a *App) SpeculateInto(dst []float64, peer int, hist [][]float64, steps int) float64 {
+	copy(dst, hist[0])
 	if len(hist) < 3 {
-		return out, float64(len(out)) // zero-order fallback
+		return float64(len(dst)) // zero-order fallback
 	}
 	// One step ahead, the colour due to update is the one that moved
 	// between hist[2] and hist[1] (same parity, two half-sweeps earlier);
@@ -217,10 +216,10 @@ func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float
 	// steps is a full sweep, captured by hist[0]−hist[2].
 	full := float64(steps / 2)
 	rem := float64(steps % 2)
-	for i := range out {
-		out[i] += full*(hist[0][i]-hist[2][i]) + rem*(hist[1][i]-hist[2][i])
+	for i := range dst {
+		dst[i] += full*(hist[0][i]-hist[2][i]) + rem*(hist[1][i]-hist[2][i])
 	}
-	return out, 4 * float64(len(out))
+	return 4 * float64(len(dst))
 }
 
 // Compute implements core.App: ComputeInto into the next result buffer.

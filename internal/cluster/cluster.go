@@ -101,11 +101,6 @@ type Config struct {
 	// OnSpan, if non-nil, receives every interval of virtual time a
 	// processor spends in a phase (used to render execution timelines).
 	OnSpan func(proc int, ph Phase, start, end float64)
-	// OnEvent, if non-nil, receives point events — reliable-layer
-	// retransmissions ("retrans"), duplicate suppressions ("dup"), abandoned
-	// messages ("giveup"), and engine notes such as degradation overruns —
-	// for timeline rendering alongside OnSpan.
-	OnEvent func(proc int, kind string, t float64)
 	// Load models background CPU competition on the timeshared machines;
 	// nil means dedicated machines (factor 1).
 	Load LoadModel
@@ -328,7 +323,6 @@ func (p *Proc) downAndRestart() {
 	}
 	p.obsCrashes.Inc()
 	p.obsDowntime.Add(down)
-	p.c.event(p.id, "crash")
 	p.c.journalV(p.id, obs.EvCrash, -1, obs.NoPeer, down)
 	p.clocks[PhaseOther] += down
 	start := p.Now()
@@ -336,7 +330,6 @@ func (p *Proc) downAndRestart() {
 	p.span(PhaseOther, start)
 	p.epoch++
 	p.dead = false
-	p.c.event(p.id, "restart")
 	p.c.journalV(p.id, obs.EvRestart, p.epoch, obs.NoPeer, 0)
 }
 
@@ -497,17 +490,6 @@ func (p *Proc) Epoch() int { return p.epoch }
 // heartbeats and timeouts.
 func (p *Proc) PeerDown(k int) bool { return p.c.procs[k].dead }
 
-// Note records a point event on the cluster's OnEvent hook at the current
-// virtual time — used by the engine to mark overruns and reconciliations.
-func (p *Proc) Note(kind string) { p.c.event(p.id, kind) }
-
-// event forwards a point event to the OnEvent hook, if any.
-func (c *Cluster) event(proc int, kind string) {
-	if f := c.cfg.OnEvent; f != nil {
-		f(proc, kind, c.kernel.Now())
-	}
-}
-
 // journal records a transport-layer event in the run journal, if any.
 func (c *Cluster) journal(proc int, kind string, iter, peer int) {
 	c.journalV(proc, kind, iter, peer, 0)
@@ -645,7 +627,6 @@ func (p *Proc) retransmit(dst int, pm *pendingMsg) {
 		// it back in sync after the restart.
 		p.peerDeadDrops++
 		delete(p.unacked[dst], pm.seq)
-		p.c.event(p.id, "peerdead")
 		p.obsPeerDead.Inc()
 		p.c.journal(p.id, obs.EvPeerDead, pm.msg.Iter, dst)
 		return
@@ -653,7 +634,6 @@ func (p *Proc) retransmit(dst int, pm *pendingMsg) {
 	if pm.retries >= p.c.cfg.MaxRetries {
 		p.giveUps++
 		delete(p.unacked[dst], pm.seq)
-		p.c.event(p.id, "giveup")
 		p.obsGiveUps.Inc()
 		p.c.journal(p.id, obs.EvGiveup, pm.msg.Iter, dst)
 		return
@@ -661,7 +641,6 @@ func (p *Proc) retransmit(dst int, pm *pendingMsg) {
 	pm.retries++
 	pm.timeout *= p.c.cfg.RetryBackoff
 	p.retries++
-	p.c.event(p.id, "retrans")
 	p.obsRetrans.Inc()
 	p.c.journal(p.id, obs.EvRetrans, pm.msg.Iter, dst)
 	p.transmit(dst, pm)
@@ -691,7 +670,6 @@ func (p *Proc) deliverReliable(m Message, seq uint64) {
 	p.sendAck(m.Src, seq, m.Epoch)
 	if p.seen[m.Src][seq] {
 		p.dupsDropped++
-		p.c.event(p.id, "dup")
 		p.obsDups.Inc()
 		p.c.journal(p.id, obs.EvDup, m.Iter, m.Src)
 		return

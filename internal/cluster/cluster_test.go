@@ -475,11 +475,16 @@ func (m duplicateAll) Deliveries(msg netmodel.Msg, rng *rand.Rand) []float64 {
 	return []float64{d, d + 0.05}
 }
 
+// TestReliableDeliverySuppressesDuplicates: no duplicate reaches the
+// mailbox, and each suppressed one is one dup event in the run journal, on
+// the receiver, naming the message's iteration and its sender.
 func TestReliableDeliverySuppressesDuplicates(t *testing.T) {
+	jr := obs.NewJournal()
 	c := New(Config{
 		Machines: []Machine{{Name: "a", Ops: 100}, {Name: "b", Ops: 100}},
 		Net:      duplicateAll{inner: netmodel.Fixed{D: 0.1}},
 		Reliable: true,
+		Journal:  jr,
 	})
 	var recvd int
 	c.Start(func(p *Proc) {
@@ -506,6 +511,62 @@ func TestReliableDeliverySuppressesDuplicates(t *testing.T) {
 	}
 	if dups := c.Proc(1).NetStats().DupsDropped; dups == 0 {
 		t.Error("no duplicates suppressed, expected some")
+	}
+	var iters []int
+	for _, e := range jr.Events() {
+		if e.Kind != obs.EvDup {
+			continue
+		}
+		if e.Proc != 1 || e.Peer != 0 {
+			t.Errorf("dup event mislabeled: %+v", e)
+		}
+		iters = append(iters, e.Iter)
+	}
+	if len(iters) != 2 || iters[0] != 0 || iters[1] != 1 {
+		t.Errorf("dup events for iterations %v, want [0 1]", iters)
+	}
+}
+
+// TestJournalRecordsGiveUp: a message whose MaxRetries retransmissions all
+// vanish is abandoned, and the abandonment is one giveup event in the run
+// journal, on the sender, naming the message's iteration and its receiver.
+func TestJournalRecordsGiveUp(t *testing.T) {
+	jr := obs.NewJournal()
+	c := New(Config{
+		Machines:     []Machine{{Name: "a", Ops: 100}, {Name: "b", Ops: 100}},
+		Net:          &dropFirstN{inner: netmodel.Fixed{D: 0.1}, n: math.MaxInt},
+		Reliable:     true,
+		RetryTimeout: 0.2,
+		MaxRetries:   2,
+		Journal:      jr,
+	})
+	c.Start(func(p *Proc) {
+		if p.ID() == 0 {
+			p.Send(1, 7, 3, []float64{42})
+		}
+		p.Idle(10) // outlive every retry timer
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var giveups []obs.Event
+	for _, e := range jr.Events() {
+		if e.Kind == obs.EvGiveup {
+			giveups = append(giveups, e)
+		}
+	}
+	if len(giveups) != 1 {
+		t.Fatalf("journal giveup events = %d, want 1", len(giveups))
+	}
+	if e := giveups[0]; e.Proc != 0 || e.Iter != 3 || e.Peer != 1 {
+		t.Errorf("giveup event mislabeled: %+v", e)
+	}
+	ns := c.Proc(0).NetStats()
+	if ns.GiveUps != 1 || ns.Retries != 2 {
+		t.Errorf("GiveUps = %d, Retries = %d, want 1 and 2", ns.GiveUps, ns.Retries)
+	}
+	if got := jr.Count(obs.EvRetrans); got != 2 {
+		t.Errorf("journal retrans events = %d, want 2", got)
 	}
 }
 

@@ -28,8 +28,8 @@ type CheckResult struct {
 // folds Correct over its own result — but must copy whatever it keeps
 // longer, as the value plane does.
 // Results are a pure function of the arguments in value, never in buffer
-// identity. InitLocal and Speculator.Speculate results are the exception:
-// the caller keeps them, so they are freshly allocated.
+// identity. InitLocal's result is the exception: the caller keeps it, so it
+// is freshly allocated.
 type App interface {
 	// InitLocal returns the processor's initial partition values X_j(0),
 	// freshly allocated.
@@ -112,13 +112,13 @@ type Stopper interface {
 // (e.g. the N-body velocity extrapolation of eq. 10). hist holds the actual
 // snapshots of the peer's partition, newest first, and is only valid for
 // the duration of the call; steps is how many iterations past hist[0] to
-// extrapolate. It returns the prediction and the operation cost charged to
-// the clock. The engine speculates through Speculate when the App
-// implements it, falling back to Config.Predictor otherwise. Unlike the
-// other results, pred is retained by the engine until its iteration is
-// validated, so it must be freshly allocated on every call.
+// extrapolate. SpeculateInto writes the prediction into dst — a buffer of
+// len(hist[0]) from the engine's pool, with unspecified contents, aliasing
+// nothing in hist — and returns the operation cost charged to the clock.
+// The engine speculates through SpeculateInto when the App implements it,
+// falling back to Config.Predictor otherwise.
 type Speculator interface {
-	Speculate(peer int, hist [][]float64, steps int) (pred []float64, ops float64)
+	SpeculateInto(dst []float64, peer int, hist [][]float64, steps int) (ops float64)
 }
 
 // ResultBuf is the ping-pong buffer pair behind App's result-ownership

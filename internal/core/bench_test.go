@@ -117,6 +117,20 @@ func (a *benchApp) Check(peer int, pred, act, local []float64, t int) CheckResul
 
 func (a *benchApp) RepairOps(r CheckResult) float64 { return 1 }
 
+// specBenchApp is benchApp with its own speculation function: the same
+// linear extrapolation predict.Linear makes, written into the engine's dst.
+type specBenchApp struct{ *benchApp }
+
+func (a specBenchApp) SpeculateInto(dst []float64, peer int, hist [][]float64, steps int) float64 {
+	copy(dst, hist[0])
+	if len(hist) > 1 {
+		for j := range dst {
+			dst[j] += float64(steps) * (hist[0][j] - hist[1][j])
+		}
+	}
+	return float64(len(dst))
+}
+
 // BenchmarkEngineIteration measures one engine iteration (broadcast,
 // assemble+speculate, compute, validate, retire) on the phantom transport.
 // allocs/op must be 0 at FW>0: the steady-state speculation path draws
@@ -193,6 +207,8 @@ func testSteadyIterations(t *testing.T, runs int, between func()) {
 		cfg  Config
 	}{
 		{"copied/mean64-P4-FW2", newPhantom(4, 64), newBenchApp(64), Config{FW: 2}},
+		// The app's Speculator writes into a pool buffer the engine recycles.
+		{"copied/mean64-P4-FW2-speculator", newPhantom(4, 64), specBenchApp{newBenchApp(64)}, Config{FW: 2}},
 		{"lent/strip64Ki-P2-FW2", newPhantom(2, 2*256), stripAs(newStripApp(256*256, 2*256), true), Config{FW: 2}},
 		{"lent/strip64Ki-P2-FW0", newPhantom(2, 2*256), stripAs(newStripApp(256*256, 2*256), true), Config{}},
 		// Checkpointing: every broadcast is logged for rejoins (a pool copy,

@@ -111,13 +111,6 @@ type Releaser interface {
 	Release(data []float64)
 }
 
-// Noter is an optional Transport extension for point-event timeline marks
-// (overruns, reconciliations). The simulated cluster forwards notes to its
-// OnEvent hook.
-type Noter interface {
-	Note(kind string)
-}
-
 // NetStatser is an optional Transport extension exposing transport-level
 // counters (retransmissions, duplicate suppressions); the engine copies
 // them into Stats.Net at the end of a run.
@@ -271,7 +264,6 @@ type engine struct {
 	corr    Corrector        // nil unless app implements it
 	stopper Stopper          // nil unless app implements it
 	dr      DeadlineReceiver // nil unless the transport implements it
-	noter   Noter            // nil unless the transport implements it
 
 	// Dependency structure, resolved once at startup (graph.go): inRanks is
 	// the sorted list of ranks this processor reads; needsM/neededByM are the
@@ -409,7 +401,6 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 	e.corr, _ = app.(Corrector)
 	e.stopper, _ = app.(Stopper)
 	e.dr, _ = p.(DeadlineReceiver)
-	e.noter, _ = p.(Noter)
 	if r, ok := p.(Releaser); ok {
 		e.plane.release = r.Release
 	}
@@ -679,10 +670,9 @@ func (e *engine) assembleView(t int) [][]float64 {
 }
 
 // speculate predicts peer k's iteration-t snapshot from the newest actual
-// snapshots on hand: the app's Speculator when it has one, otherwise
-// Config.Predictor writing into a pooled buffer, so steady-state speculation
-// allocates nothing. Returns nil if no history exists yet or the Speculator
-// declines.
+// snapshots on hand into a pooled buffer — through the app's Speculator
+// when it has one, otherwise Config.Predictor — so steady-state speculation
+// allocates nothing. Returns nil if no history exists yet.
 func (e *engine) speculate(k, t int) []float64 {
 	hist, base := e.plane.collectHist(k, t, e.lookback(), e.cfg.BW)
 	if base == -1 {
@@ -692,31 +682,17 @@ func (e *engine) speculate(k, t int) []float64 {
 	if steps < 1 {
 		steps = 1
 	}
-	var (
-		pred []float64
-		ops  float64
-	)
+	dst := e.plane.pool.get(len(hist[0]))
 	if e.spec != nil {
-		pred, ops = e.spec.Speculate(k, hist, steps)
-	} else {
-		dst := e.plane.pool.get(len(hist[0]))
-		pred = e.cfg.Predictor.PredictInto(dst, hist, steps)
-		if len(pred) == 0 || &pred[0] != &dst[0] {
-			e.plane.pool.put(dst)
-		}
-		ops = e.cfg.Predictor.Ops() * float64(len(pred)) * float64(steps)
+		e.p.Compute(e.spec.SpeculateInto(dst, k, hist, steps), cluster.PhaseSpec)
+		return dst
 	}
-	e.p.Compute(ops, cluster.PhaseSpec)
+	pred := e.cfg.Predictor.PredictInto(dst, hist, steps)
+	if len(pred) == 0 || &pred[0] != &dst[0] {
+		e.plane.pool.put(dst)
+	}
+	e.p.Compute(e.cfg.Predictor.Ops()*float64(len(pred))*float64(steps), cluster.PhaseSpec)
 	return pred
-}
-
-// recycle hands a prediction the engine no longer references (its iteration
-// was retired, or a cascade replaced it with the arrived actual) back to the
-// pool it was drawn from. A Speculator's predictions are the app's own.
-func (e *engine) recycle(pred []float64) {
-	if e.spec == nil {
-		e.plane.pool.put(pred)
-	}
 }
 
 // validateThrough blocks until every iteration up to and including t has all
@@ -740,7 +716,6 @@ func (e *engine) tryValidateThrough(t int) bool {
 			if !e.overrun[s] {
 				e.overrun[s] = true
 				e.stats.Overruns++
-				e.note("overrun")
 				e.ob.overrun(s)
 			}
 			return false
@@ -757,7 +732,6 @@ func (e *engine) finishIter(s int) {
 	if e.overrun[s] {
 		delete(e.overrun, s)
 		e.stats.Reconciles++
-		e.note("reconcile")
 		e.ob.reconciled(s)
 	}
 	e.checkConverged(s)
@@ -808,13 +782,6 @@ func (e *engine) waitActual(k, t int, timeout float64) bool {
 			return have
 		}
 		e.intake(m)
-	}
-}
-
-// note records a point event if the transport supports it.
-func (e *engine) note(kind string) {
-	if e.noter != nil {
-		e.noter.Note(kind)
 	}
 }
 
@@ -967,7 +934,7 @@ func (e *engine) supersede(s int, row [][]float64) {
 	for _, k := range e.inRanks {
 		if act, ok := e.plane.actualOf(k, s); ok && preds[k] != nil {
 			row[k] = act
-			e.recycle(preds[k])
+			e.plane.pool.put(preds[k])
 			preds[k] = nil
 			e.stats.SpecsSuperseded++
 			e.ob.specSuperseded(s, k)
@@ -990,7 +957,7 @@ func (e *engine) actualIntoHistory(k, t int) {
 // recycling buffers back into the plane's pools.
 func (e *engine) retire(t int) {
 	e.plane.advanceFloors(e.validated, e.lookback())
-	e.plane.dropPreds(t, e.recycle)
+	e.plane.dropPreds(t)
 	if t <= e.frontier {
 		// views[t] may still be needed by a cascade from an earlier repair
 		// only while t is unvalidated; once validated it is safe to drop.

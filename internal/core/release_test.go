@@ -37,7 +37,6 @@ var _ interface {
 	FailureDetector
 	Epocher
 	NetStatser
-	Noter
 } = (*lendingProc)(nil)
 
 func newLendingProc(t testing.TB, p *cluster.Proc) *lendingProc {

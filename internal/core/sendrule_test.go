@@ -32,7 +32,6 @@ var _ interface {
 	FailureDetector
 	Epocher
 	NetStatser
-	Noter
 } = (*sendRecorder)(nil)
 
 func (r *sendRecorder) Send(dst, tag, iter int, data []float64) {

@@ -387,18 +387,16 @@ func (vp *valuePlane) predsAt(iter int) [][]float64 {
 	return r
 }
 
-// dropPreds retires an iteration's prediction row, handing each retained
-// prediction to recycle (the engine's buffer-return hook).
-func (vp *valuePlane) dropPreds(iter int, recycle func([]float64)) {
+// dropPreds retires an iteration's prediction row, putting each retained
+// prediction back into the pool it was drawn from.
+func (vp *valuePlane) dropPreds(iter int) {
 	r, ok := vp.preds.del(iter)
 	if !ok {
 		return
 	}
-	if recycle != nil {
-		for _, p := range r {
-			if p != nil {
-				recycle(p)
-			}
+	for _, p := range r {
+		if p != nil {
+			vp.pool.put(p)
 		}
 	}
 	vp.freeRow(r)

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,7 +92,9 @@ type CoordConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// NodeReport is one node's outcome as collected by the coordinator.
+// NodeReport is one node's outcome: the JSON body of the FrameResult it
+// sends, as the coordinator keeps it. The coordinator sets Rank from the
+// connection, Addr from the rank's hello and Final from the frame's raw tail.
 type NodeReport struct {
 	Rank      int     `json:"rank"`
 	Addr      string  `json:"addr"`           // peer listen address
@@ -115,19 +116,20 @@ type NodeReport struct {
 	// how many checkpoint restores the engine performed.
 	Epoch    int `json:"epoch,omitempty"`
 	Restores int `json:"restores,omitempty"`
-	// Wire-plane throughput measures (see resultMsg): messages delivered to
-	// the engine, physical frames queued on peer links (MsgsSent plus
-	// beacons in a fault-free run; fewer only where a burst left as batch
-	// frames), delivery-latency percentiles, and whole-process heap
-	// allocations per message over the run.
+	// Wire-plane throughput measures: messages delivered to the engine,
+	// physical frames queued on peer links (MsgsSent plus beacons in a
+	// fault-free run; fewer only where a burst left as batch frames),
+	// delivery-latency percentiles, and whole-process heap allocations per
+	// message over the run.
 	MsgsRecvd    int     `json:"msgs_recvd,omitempty"`
 	FramesSent   int     `json:"frames_sent,omitempty"`
 	LatP50Sec    float64 `json:"lat_p50_sec,omitempty"`
 	LatP99Sec    float64 `json:"lat_p99_sec,omitempty"`
 	AllocsPerMsg float64 `json:"allocs_per_msg,omitempty"`
-	// Trace-merge support (see resultMsg): wall-clock run start, per-peer
-	// clock offset/RTT estimates, and — under RunSpec.Trace — the node's
-	// run journal for trace.FleetChromeEvents.
+	// Trace-merge support: the wall-clock instant of the node's journal t=0,
+	// its clock offset/RTT estimate to every peer (index-aligned by rank; 0
+	// at its own rank and where no estimate exists), and — under
+	// RunSpec.Trace — the node's run journal for trace.FleetChromeEvents.
 	StartUnix float64     `json:"start_unix,omitempty"`
 	ClockOff  []float64   `json:"clock_off,omitempty"`
 	ClockRTT  []float64   `json:"clock_rtt,omitempty"`
@@ -437,7 +439,7 @@ func (c *Coordinator) run() {
 	var (
 		barrierArrived = make(map[int]map[int]bool) // barrier id → ranks arrived
 		released       = make(map[int]bool)         // barrier ids already released
-		results        = make(map[int]*resultMsg)
+		results        = make(map[int]*NodeReport)
 		acked          = make(map[int]bool) // ranks whose current link reached end-of-stream after their result
 		vacated        = make(map[int]vacatedRank)
 		parked         []pendingHello
@@ -577,15 +579,16 @@ func (c *Coordinator) run() {
 					c.cfg.Fleet.Update(ev.rank, ev.f.Blob)
 				}
 			case FrameResult:
-				var rm resultMsg
-				if err := json.Unmarshal(ev.f.Blob, &rm); err != nil {
+				var rep NodeReport
+				if err := json.Unmarshal(ev.f.Blob, &rep); err != nil {
 					fail(fmt.Errorf("distnet: decoding rank %d result: %w", ev.rank, err))
 					return
 				}
-				rm.Rank = ev.rank // trust the connection, not the body
-				rm.Final = ev.f.Final
-				results[ev.rank] = &rm
-				c.logf("rank %d done: converged=%v iters=%d epoch=%d", ev.rank, rm.Converged, rm.Iters, rm.Epoch)
+				// Trust the connection, not the body, for who sent it and
+				// where it listens; the partition is the frame's raw tail.
+				rep.Rank, rep.Addr, rep.Final = ev.rank, peers[ev.rank], ev.f.Final
+				results[ev.rank] = &rep
+				c.logf("rank %d done: converged=%v iters=%d epoch=%d", ev.rank, rep.Converged, rep.Iters, rep.Epoch)
 			}
 
 		case ph := <-helloCh:
@@ -654,27 +657,8 @@ func (c *Coordinator) run() {
 
 	c.reports = make([]NodeReport, 0, p)
 	for rank := 0; rank < p; rank++ {
-		rm := results[rank]
-		c.reports = append(c.reports, NodeReport{
-			Rank: rank, Addr: peers[rank], HTTP: rm.HTTP,
-			Converged: rm.Converged, Iters: rm.Iters,
-			SpecsMade: rm.SpecsMade, SpecsBad: rm.SpecsBad, SpecsSuperseded: rm.SpecsSuperseded,
-			Repairs: rm.Repairs, Overruns: rm.Overruns,
-			WallSec: rm.WallSec, CommSec: rm.CommSec,
-			MsgsSent: rm.MsgsSent, BytesSent: rm.BytesSent,
-			Epoch: rm.Epoch, Restores: rm.Restores,
-			MsgsRecvd: rm.MsgsRecvd, FramesSent: rm.FramesSent,
-			LatP50Sec: rm.LatP50Sec, LatP99Sec: rm.LatP99Sec,
-			AllocsPerMsg: rm.AllocsPerMsg,
-			StartUnix:    rm.StartUnix,
-			LaunchStamps: rm.LaunchStamps,
-			ClockOff:     rm.ClockOff,
-			ClockRTT:     rm.ClockRTT,
-			Journal:      rm.Journal,
-			Final:        rm.Final,
-		})
+		c.reports = append(c.reports, *results[rank])
 	}
-	sort.Slice(c.reports, func(i, j int) bool { return c.reports[i].Rank < c.reports[j].Rank })
 }
 
 // awaitAcks is the tail of an acked shutdown. A node closes its coordinator

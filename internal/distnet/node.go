@@ -770,7 +770,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 
 	// Report the outcome, then hold the mesh open until the coordinator
 	// confirms every node is done.
-	coord.send(Frame{Type: FrameResult, Final: res.Final, Blob: encodeJSON(resultMsg{
+	coord.send(Frame{Type: FrameResult, Final: res.Final, Blob: encodeJSON(NodeReport{
 		Rank: rank, HTTP: httpAddr, Epoch: cfg.Epoch, Restores: res.Stats.Restores,
 		Converged: res.Converged, Iters: res.Stats.Iters,
 		SpecsMade: res.Stats.SpecsMade, SpecsBad: res.Stats.SpecsBad, SpecsSuperseded: res.Stats.SpecsSuperseded,

@@ -335,43 +335,6 @@ func decodeConfig(blob []byte) (wireConfig, error) {
 	return wc, nil
 }
 
-// resultMsg is the JSON body of a FrameResult. The rank's final partition
-// travels beside it as the frame's raw tail (Frame.Final), not as JSON text.
-type resultMsg struct {
-	Rank      int     `json:"rank"`
-	HTTP      string  `json:"http,omitempty"` // node's live obs endpoint, if served
-	Converged bool    `json:"converged"`
-	Iters     int     `json:"iters"`
-	Epoch     int     `json:"epoch,omitempty"`    // incarnation that produced this result
-	Restores  int     `json:"restores,omitempty"` // checkpoint restores the engine performed
-	SpecsMade int     `json:"specs_made"`
-	SpecsBad  int     `json:"specs_bad"`
-	Repairs   int     `json:"repairs"`
-	Overruns  int     `json:"overruns"`
-	WallSec   float64 `json:"wall_sec"`
-	CommSec   float64 `json:"comm_sec"`
-	MsgsSent  int     `json:"msgs_sent"`
-	BytesSent int     `json:"bytes_sent"`
-	// Predictions a cascade replaced with the arrived actual, never checked.
-	SpecsSuperseded int `json:"specs_superseded,omitempty"`
-	// Wire-plane throughput measures (the soak harness aggregates these).
-	MsgsRecvd    int     `json:"msgs_recvd,omitempty"`
-	FramesSent   int     `json:"frames_sent,omitempty"`
-	LatP50Sec    float64 `json:"lat_p50_sec,omitempty"`
-	LatP99Sec    float64 `json:"lat_p99_sec,omitempty"`
-	AllocsPerMsg float64 `json:"allocs_per_msg,omitempty"`
-	// Trace-merge support: the wall-clock instant of the node's journal t=0,
-	// its estimated clock offset/RTT to every peer (index-aligned by rank;
-	// 0 at its own rank and where no estimate exists), and — when the spec
-	// set Trace — the node's journal itself.
-	StartUnix float64     `json:"start_unix,omitempty"`
-	ClockOff  []float64   `json:"clock_off,omitempty"`
-	ClockRTT  []float64   `json:"clock_rtt,omitempty"`
-	Journal   []obs.Event `json:"journal,omitempty"`
-	Final     []float64   `json:"-"` // filled from Frame.Final on receipt
-	LaunchStamps
-}
-
 // LaunchStamps are a node's wall-clock launch milestones (unix seconds) on
 // the way to iteration 0 (StartUnix), so whoever dispatched the fleet can
 // split its launch latency from inside the run.

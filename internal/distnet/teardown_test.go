@@ -88,7 +88,7 @@ func scriptedFleet(t testing.TB, coord *Coordinator) []*scriptedNode {
 func report(nodes []*scriptedNode) (last time.Time) {
 	for _, n := range nodes {
 		last = time.Now()
-		n.send(Frame{Type: FrameResult, Blob: encodeJSON(resultMsg{Rank: n.rank, Converged: true, Iters: 1})})
+		n.send(Frame{Type: FrameResult, Blob: encodeJSON(NodeReport{Rank: n.rank, Converged: true, Iters: 1})})
 	}
 	return last
 }

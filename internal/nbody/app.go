@@ -44,7 +44,7 @@ type App struct {
 	sources  [][]Particle   // Compute's non-empty decoded view entries
 	acc      []Vec3         // Compute's accelerations
 	tol      []eq11         // Correct's per-remote tolerances
-	next     []Particle     // advanced (Compute) or extrapolated (Speculate) particles
+	next     []Particle     // advanced (Compute) or extrapolated (SpeculateInto) particles
 	out, fix core.ResultBuf // Compute and Correct results
 }
 
@@ -125,10 +125,10 @@ func (a *App) ComputeOps() float64 {
 	return float64(len(a.init)) * float64(a.nTotal) * PairOps
 }
 
-// Speculate implements core.Speculator with the paper's eq. 10: positions
-// extrapolate along the last known velocity, r*(t) = r(t−s) + v(t−s)·s·Δt,
-// velocities are held constant.
-func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float64) {
+// SpeculateInto implements core.Speculator with the paper's eq. 10:
+// positions extrapolate along the last known velocity,
+// r*(t) = r(t−s) + v(t−s)·s·Δt, velocities are held constant.
+func (a *App) SpeculateInto(dst []float64, peer int, hist [][]float64, steps int) float64 {
 	ps := a.decode(0, hist[0])
 	a.next = resize(a.next, len(ps))
 	out := a.next
@@ -136,7 +136,8 @@ func (a *App) Speculate(peer int, hist [][]float64, steps int) ([]float64, float
 	for i, p := range ps {
 		out[i] = Particle{Mass: p.Mass, Pos: p.Pos.Add(p.Vel.Scale(dt)), Vel: p.Vel}
 	}
-	return Encode(out), float64(SpecOpsPerParticle * len(ps))
+	encodeInto(dst, out)
+	return float64(SpecOpsPerParticle * len(ps))
 }
 
 // eq11 is the paper's eq. 11 for one remote particle a: its speculated

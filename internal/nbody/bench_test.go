@@ -50,7 +50,8 @@ func BenchmarkComputeKernelReference(b *testing.B) {
 // the stepped actual.
 func BenchmarkCheckEq11(b *testing.B) {
 	app, view := kernelBench()
-	pred, _ := app.Speculate(1, view[1:], 1)
+	pred := make([]float64, len(view[1]))
+	app.SpeculateInto(pred, 1, view[1:], 1)
 	all := append(Decode(view[0]), Decode(view[1])...)
 	actual := Encode(app.sim.StepAll(all)[len(all)/2:])
 	app.Check(1, pred, actual, view[0], 0)

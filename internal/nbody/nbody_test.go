@@ -169,7 +169,8 @@ func TestSpeculateEq10(t *testing.T) {
 	sim := Sim{G: 1, Soft: 0.05, Dt: 0.5}
 	app := NewApp(sim, nil, 10, 0, 0.01, nil)
 	ps := []Particle{{Mass: 2, Pos: Vec3{1, 1, 0}, Vel: Vec3{0.2, -0.4, 0}}}
-	pred, ops := app.Speculate(1, [][]float64{Encode(ps)}, 1)
+	pred := make([]float64, Floats)
+	ops := app.SpeculateInto(pred, 1, [][]float64{Encode(ps)}, 1)
 	got := Decode(pred)[0]
 	want := Vec3{1.1, 0.8, 0}
 	if got.Pos.Sub(want).Norm() > 1e-12 {
@@ -182,8 +183,8 @@ func TestSpeculateEq10(t *testing.T) {
 		t.Errorf("ops = %g, want %d", ops, SpecOpsPerParticle)
 	}
 	// Two steps extrapolate twice as far.
-	pred2, _ := app.Speculate(1, [][]float64{Encode(ps)}, 2)
-	got2 := Decode(pred2)[0]
+	app.SpeculateInto(pred, 1, [][]float64{Encode(ps)}, 2)
+	got2 := Decode(pred)[0]
 	want2 := Vec3{1.2, 0.6, 0}
 	if got2.Pos.Sub(want2).Norm() > 1e-12 {
 		t.Errorf("2-step speculated pos %v, want %v", got2.Pos, want2)

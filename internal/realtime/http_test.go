@@ -46,7 +46,7 @@ func TestObsEndpointServesMetricsAndJournal(t *testing.T) {
 	}
 	made := 0
 	for _, r := range results {
-		made += r.SpecsMade
+		made += r.Stats.SpecsMade
 	}
 	if made == 0 {
 		t.Fatal("no speculation — nothing to observe")

@@ -58,18 +58,11 @@ type Config struct {
 	HTTPAddr string
 }
 
-// Result is one processor's outcome.
+// Result is one processor's outcome: the engine's record plus wall-clock
+// timings.
 type Result struct {
-	Proc      int
-	Final     []float64
-	Converged bool
-	// Stats is the engine's full per-processor statistics record —
-	// speculation, check, repair, cascade, and phase-time accounting.
-	Stats     core.Stats
-	SpecsMade int
-	SpecsBad  int
-	Repairs   int
-	Elapsed   time.Duration
+	core.Result
+	Elapsed time.Duration
 	// CommBlocked is the wall-clock time spent blocked on receives.
 	CommBlocked time.Duration
 }
@@ -209,13 +202,7 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 				return
 			}
 			results[pid] = Result{
-				Proc:        pid,
-				Final:       res.Final,
-				Converged:   res.Converged,
-				Stats:       res.Stats,
-				SpecsMade:   res.Stats.SpecsMade,
-				SpecsBad:    res.Stats.SpecsBad,
-				Repairs:     res.Stats.Repairs,
+				Result:      res,
 				Elapsed:     time.Since(start),
 				CommBlocked: time.Duration(res.Stats.CommTime * float64(time.Second)),
 			}

@@ -9,8 +9,9 @@ import (
 
 // ChromeEvent is one record of the Chrome trace-event format (the JSON
 // Perfetto and chrome://tracing load). Phase spans are complete events
-// (ph "X") with microsecond timestamps and durations; point events are
-// instants (ph "i"); pid/tid naming uses metadata events (ph "M").
+// (ph "X") with microsecond timestamps and durations; a fleet journal's
+// point events are instants (ph "i"); pid/tid naming uses metadata events
+// (ph "M").
 // See the Trace Event Format spec for field meanings.
 type ChromeEvent struct {
 	Name  string         `json:"name"`
@@ -43,8 +44,8 @@ type NamedRecorder struct {
 
 const usPerSec = 1e6
 
-// ChromeEvents converts the recorder's spans and point events to trace
-// events on process pid, sorted by (tid, ts) so every track is monotonic.
+// ChromeEvents converts the recorder's spans to trace events on process
+// pid, sorted by (tid, ts) so every track is monotonic.
 // name labels the process track (empty for none).
 func (r *Recorder) ChromeEvents(pid int, name string) []ChromeEvent {
 	procs := map[int]bool{}
@@ -59,18 +60,6 @@ func (r *Recorder) ChromeEvents(pid int, name string) []ChromeEvent {
 			Dur:  (s.End - s.Start) * usPerSec,
 			Pid:  pid,
 			Tid:  s.Proc,
-		})
-	}
-	for _, e := range r.Events {
-		procs[e.Proc] = true
-		out = append(out, ChromeEvent{
-			Name:  e.Kind,
-			Cat:   "event",
-			Ph:    "i",
-			Ts:    e.Time * usPerSec,
-			Pid:   pid,
-			Tid:   e.Proc,
-			Scope: "t",
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool {

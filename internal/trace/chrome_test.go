@@ -17,9 +17,6 @@ func sampleRecorder() *Recorder {
 	hook(0, cluster.PhaseCheck, 3, 3.5)
 	hook(1, cluster.PhaseSpec, 0, 1)
 	hook(1, cluster.PhaseCompute, 1, 3)
-	ev := r.EventHook()
-	ev(1, "retrans", 1.5)
-	ev(0, "overrun", 3.5)
 	return &r
 }
 
@@ -44,7 +41,7 @@ func TestChromeTraceStructure(t *testing.T) {
 	// Every event carries the required fields; timestamps are monotonic
 	// within each (pid, tid) track.
 	lastTs := map[[2]int]float64{}
-	spans, instants, metas := 0, 0, 0
+	spans, metas := 0, 0
 	for _, e := range f.TraceEvents {
 		ph, ok := e["ph"].(string)
 		if !ok {
@@ -62,8 +59,6 @@ func TestChromeTraceStructure(t *testing.T) {
 			continue
 		case "X":
 			spans++
-		case "i":
-			instants++
 		default:
 			t.Fatalf("unexpected phase %q", ph)
 		}
@@ -77,8 +72,8 @@ func TestChromeTraceStructure(t *testing.T) {
 		}
 		lastTs[key] = ts
 	}
-	if spans != 5 || instants != 2 || metas == 0 {
-		t.Errorf("spans=%d instants=%d metas=%d, want 5/2/>0", spans, instants, metas)
+	if spans != 5 || metas == 0 {
+		t.Errorf("spans=%d metas=%d, want 5/>0", spans, metas)
 	}
 }
 
@@ -87,7 +82,6 @@ func TestChromeTraceStructure(t *testing.T) {
 func TestChromeTraceGolden(t *testing.T) {
 	var r Recorder
 	r.Hook()(0, cluster.PhaseCompute, 0, 1)
-	r.EventHook()(0, "dup", 0.5)
 	var b bytes.Buffer
 	if err := r.WriteChrome(&b, "g"); err != nil {
 		t.Fatal(err)
@@ -122,15 +116,6 @@ func TestChromeTraceGolden(t *testing.T) {
    "dur": 1000000,
    "pid": 0,
    "tid": 0
-  },
-  {
-   "name": "dup",
-   "cat": "event",
-   "ph": "i",
-   "ts": 500000,
-   "pid": 0,
-   "tid": 0,
-   "s": "t"
   }
  ],
  "displayTimeUnit": "ms"
@@ -174,39 +159,6 @@ func TestChromeTraceMultiRunTracks(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "runA") || !strings.Contains(b.String(), "runB") {
 		t.Error("process names missing")
-	}
-}
-
-func TestGanttEventOverlayAndHorizonClamp(t *testing.T) {
-	var r Recorder
-	r.Hook()(0, cluster.PhaseCompute, 0, 10)
-	ev := r.EventHook()
-	ev(0, "retrans", 5)
-	ev(0, "giveup", 10)  // exactly at the horizon: must clamp to the last cell
-	ev(0, "ignored", 11) // beyond the horizon: dropped
-	ev(2, "offgrid", 5)  // row out of range: dropped
-	out := r.Gantt(1, 10, 10)
-	row := ""
-	for _, l := range strings.Split(out, "\n") {
-		if strings.HasPrefix(l, "P0 ") {
-			row = l
-		}
-	}
-	if row == "" {
-		t.Fatalf("no P0 row in:\n%s", out)
-	}
-	cells := row[strings.Index(row, "|")+1 : strings.LastIndex(row, "|")]
-	if len(cells) != 10 {
-		t.Fatalf("row %q has %d cells", cells, len(cells))
-	}
-	if cells[5] != '!' {
-		t.Errorf("mid-run event not overlaid: %q", cells)
-	}
-	if cells[9] != '!' {
-		t.Errorf("event at t == horizon dropped from the last cell: %q", cells)
-	}
-	if strings.Count(cells, "!") != 2 {
-		t.Errorf("expected exactly 2 overlay marks in %q", cells)
 	}
 }
 

@@ -20,34 +20,15 @@ type Span struct {
 	End   float64
 }
 
-// Event is a point occurrence on a processor's timeline: a reliable-layer
-// retransmission ("retrans"), a suppressed duplicate ("dup"), an abandoned
-// message ("giveup"), or an engine degradation mark ("overrun",
-// "reconcile").
-type Event struct {
-	Proc int
-	Kind string
-	Time float64
-}
-
-// Recorder collects spans and point events; its Hook and EventHook methods
-// plug into cluster.Config.OnSpan and cluster.Config.OnEvent.
+// Recorder collects spans; its Hook method plugs into cluster.Config.OnSpan.
 type Recorder struct {
-	Spans  []Span
-	Events []Event
+	Spans []Span
 }
 
 // Hook returns a function suitable for cluster.Config.OnSpan.
 func (r *Recorder) Hook() func(proc int, ph cluster.Phase, start, end float64) {
 	return func(proc int, ph cluster.Phase, start, end float64) {
 		r.Spans = append(r.Spans, Span{Proc: proc, Phase: ph, Start: start, End: end})
-	}
-}
-
-// EventHook returns a function suitable for cluster.Config.OnEvent.
-func (r *Recorder) EventHook() func(proc int, kind string, t float64) {
-	return func(proc int, kind string, t float64) {
-		r.Events = append(r.Events, Event{Proc: proc, Kind: kind, Time: t})
 	}
 }
 
@@ -133,29 +114,12 @@ func (r *Recorder) Gantt(procs, width int, horizon float64) string {
 			rows[s.Proc][c] = g
 		}
 	}
-	// Point events overlay the phase glyphs so retransmissions and overruns
-	// stand out on the row where they happened.
-	for _, e := range r.Events {
-		if e.Proc < 0 || e.Proc >= procs {
-			continue
-		}
-		c := int(e.Time / horizon * float64(width))
-		if c < 0 || e.Time > horizon {
-			continue
-		}
-		if c >= width {
-			// An event exactly at t == horizon maps to cell `width`; clamp to
-			// the last cell so end-of-run faults stay visible.
-			c = width - 1
-		}
-		rows[e.Proc][c] = '!'
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "time: 0 %s %.3fs\n", strings.Repeat("-", maxInt(0, width-14)), horizon)
 	for i, row := range rows {
 		fmt.Fprintf(&b, "P%-2d |%s|\n", i, row)
 	}
-	b.WriteString("legend: C compute, . wait-comm, s speculate, k check, R repair, o overrun, ! fault event\n")
+	b.WriteString("legend: C compute, . wait-comm, s speculate, k check, R repair, o overrun\n")
 	return b.String()
 }
 
