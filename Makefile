@@ -40,9 +40,10 @@ golden-summary:
 	go test ./internal/core -run '^TestGoldenJournals$$' -golden-summary -v | grep -E '^ +\|'
 
 # Multi-process loopback smoke: a real coordinator plus one OS process per
-# node over 127.0.0.1, race-checked.
+# node over 127.0.0.1, race-checked, and stray connections during
+# membership and mesh build, which must change nothing.
 distributed:
-	go test -race -run 'TestLoopback|TestFourNode' -timeout 120s ./internal/distnet/
+	go test -race -run 'TestLoopback|TestFourNode|Membership|MeshBuild' -timeout 120s ./internal/distnet/
 
 # Fuzz the wire codec: truncated/corrupt/oversized frames must error,
 # never panic. Then the config blob a node builds its run from: never

@@ -108,7 +108,7 @@ type Config struct {
 	// Reliable enables a reliable-delivery layer over the (possibly faulty)
 	// network: every message carries a per-link sequence number, receivers
 	// acknowledge each delivery, and senders retransmit unacknowledged
-	// messages after RetryTimeout with exponential backoff. Duplicate
+	// messages after RetryTimeout, doubling it per retransmission. Duplicate
 	// deliveries (from the network or from retransmissions whose ack was
 	// lost) are suppressed at the receiver. Acks travel through the same
 	// network model as data and can themselves be lost.
@@ -116,9 +116,6 @@ type Config struct {
 	// RetryTimeout is the initial retransmission timeout in virtual seconds
 	// (default 0.5).
 	RetryTimeout float64
-	// RetryBackoff multiplies the timeout after every retransmission
-	// (default 2).
-	RetryBackoff float64
 	// MaxRetries bounds retransmissions per message (default 12); after
 	// that the message is abandoned and the per-processor give-up counter
 	// increments.
@@ -184,9 +181,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.RetryTimeout <= 0 {
 		cfg.RetryTimeout = 0.5
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 2
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 12
@@ -363,7 +357,7 @@ type pendingMsg struct {
 	msg     Message
 	seq     uint64
 	bytes   int
-	timeout float64 // current retransmission timeout (grows by RetryBackoff)
+	timeout float64 // current retransmission timeout (doubles per retransmission)
 	retries int
 	acked   bool
 }
@@ -639,7 +633,7 @@ func (p *Proc) retransmit(dst int, pm *pendingMsg) {
 		return
 	}
 	pm.retries++
-	pm.timeout *= p.c.cfg.RetryBackoff
+	pm.timeout *= 2
 	p.retries++
 	p.obsRetrans.Inc()
 	p.c.journal(p.id, obs.EvRetrans, pm.msg.Iter, dst)

@@ -166,10 +166,9 @@ type Config struct {
 	// the processor's crashes — in the simulation, any store living outside
 	// the cluster (checkpoint.MemStore) does.
 	CheckpointStore checkpoint.Store
-	// CheckpointOps and CheckpointOpsPerByte set the operation cost charged
-	// to the perf model per snapshot: base plus per-encoded-byte.
-	CheckpointOps        float64
-	CheckpointOpsPerByte float64
+	// CheckpointOps is the operation cost charged to the perf model per
+	// snapshot.
+	CheckpointOps float64
 	// RejoinLog is how many recent own broadcasts are retained to serve
 	// peers' rejoin requests. Defaults to 64 when CheckpointEvery > 0. It
 	// must comfortably exceed the deepest frontier gap two processors can

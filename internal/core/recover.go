@@ -178,8 +178,8 @@ func (e *engine) takeCheckpoint() {
 	e.ckptBuf = checkpoint.AppendEncode(e.ckptBuf[:0], e.buildSnapshot())
 	blob := e.ckptBuf
 	e.store.Save(e.p.ID(), blob)
-	if ops := e.cfg.CheckpointOps + e.cfg.CheckpointOpsPerByte*float64(len(blob)); ops > 0 {
-		e.p.Compute(ops, cluster.PhaseOther)
+	if e.cfg.CheckpointOps > 0 {
+		e.p.Compute(e.cfg.CheckpointOps, cluster.PhaseOther)
 	}
 	e.stats.Checkpoints++
 	e.stats.CheckpointBytes += int64(len(blob))

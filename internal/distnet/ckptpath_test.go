@@ -34,7 +34,7 @@ func TestStreamedFrameMatchesAssembledFrame(t *testing.T) {
 		for _, f := range []Frame{
 			{Type: FrameCheckpoint, Rank: 3, Blob: blob},
 			{Type: FrameObs, Rank: 1, Blob: blob},
-			{Type: FrameBarrier, Seq: n},
+			{Type: FrameBarrier},
 		} {
 			if err := enc.Encode(&f); err != nil {
 				t.Fatal(err)

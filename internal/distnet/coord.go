@@ -1,17 +1,17 @@
 package distnet
 
-// The coordinator: membership, rank assignment, run configuration,
-// barriers, checkpoint custody and result collection. It is control plane
-// only — no application data flows through it; peers exchange partitions
-// directly over the mesh.
+// The coordinator: membership, rank assignment, run configuration, the
+// start barrier, checkpoint custody and result collection. It is control
+// plane only — no application data flows through it; peers exchange
+// partitions directly over the mesh.
 //
 // Protocol, in run order (all frames over each node's one coordinator
 // connection):
 //
 //	node  → coord   hello   {epoch, peer-listen-addr}
 //	coord → node    config  {rank, peers[], spec, checkpoint?}   (after P hellos)
-//	node  → coord   barrier {0}                                  (mesh is up)
-//	coord → node    barrier {0}                                  (all meshes up: start)
+//	node  → coord   barrier                                      (mesh is up)
+//	coord → node    barrier                                      (all meshes up: start)
 //	node  → coord   checkpoint {proc, blob}                      (0..n times during the run)
 //	node  → coord   result  {json}
 //	coord → node    shutdown                                     (after P results)
@@ -168,7 +168,7 @@ type Coordinator struct {
 	ackTimeout time.Duration
 
 	mu      sync.Mutex
-	members []*coordMember // by rank, populated once gather completes
+	members []*coordMember // by rank, each published as it joins
 	stats   CoordStats
 	closed  bool
 
@@ -333,9 +333,10 @@ type vacatedRank struct {
 	cause error
 }
 
-// pendingHello is a rejoin hello that arrived before any rank was vacated
-// (the respawned node can outrace the coordinator's detection of the old
-// connection's death); it is parked until a vacancy appears.
+// pendingHello is a connection whose hello the acceptor has read. After
+// membership a rejoin hello that arrived before any rank was vacated (the
+// respawned node can outrace the coordinator's detection of the old
+// connection's death) is parked until a vacancy appears.
 type pendingHello struct {
 	conn  net.Conn
 	hello Frame
@@ -356,20 +357,43 @@ func (c *Coordinator) run() {
 	deadline := time.Now().Add(c.cfg.Timeout)
 	p := c.spec.Procs
 
-	members, err := c.gather(deadline)
+	// One acceptor serves the listener for the whole run, membership and
+	// rejoins alike. Each hello is read on its own goroutine, so a silent
+	// or garbled connection delays nobody; it is closed at the deadline or
+	// on its bad frame. A read hello waits for the run loop to take it, or
+	// is closed when the run ends. The acceptor dies with the listener at
+	// teardown.
+	hellos := make(chan pendingHello)
+	go func() {
+		_ = c.ln.(*net.TCPListener).SetDeadline(deadline) // a "tcp" listener
+		for {
+			conn, err := c.ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				hello, err := readHello(conn, time.Until(deadline))
+				if err != nil {
+					conn.Close()
+					return
+				}
+				select {
+				case hellos <- pendingHello{conn: conn, hello: hello, at: time.Now()}:
+				case <-c.done:
+					conn.Close()
+				}
+			}()
+		}
+	}()
+
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	byRank, err := c.gather(hellos, timer.C)
 	if err != nil {
 		c.runErr = err
-		c.teardown(members)
+		c.teardown(byRank)
 		return
 	}
-	// By-rank membership, published for Close.
-	byRank := make([]*coordMember, p)
-	for _, m := range members {
-		byRank[m.rank] = m
-	}
-	c.mu.Lock()
-	c.members = byRank
-	c.mu.Unlock()
 
 	peers := make([]string, p)
 	for _, m := range byRank {
@@ -410,39 +434,13 @@ func (c *Coordinator) run() {
 		startReader(m)
 	}
 
-	// Rejoin acceptor: the listener stays open for the whole run so a
-	// respawned node can come back. Every accepted hello is handed to the
-	// event loop; the acceptor dies with the listener at teardown.
-	helloCh := make(chan pendingHello, p)
-	go func() {
-		for {
-			_ = setAcceptDeadline(c.ln, deadline)
-			conn, err := c.ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				hello, err := readHello(conn, time.Until(deadline))
-				if err != nil {
-					conn.Close()
-					return
-				}
-				select {
-				case helloCh <- pendingHello{conn: conn, hello: hello, at: time.Now()}:
-				case <-c.done:
-					conn.Close()
-				}
-			}()
-		}
-	}()
-
 	var (
-		barrierArrived = make(map[int]map[int]bool) // barrier id → ranks arrived
-		released       = make(map[int]bool)         // barrier ids already released
-		results        = make(map[int]*NodeReport)
-		acked          = make(map[int]bool) // ranks whose current link reached end-of-stream after their result
-		vacated        = make(map[int]vacatedRank)
-		parked         []pendingHello
+		arrived = make(map[int]bool) // ranks at the start barrier
+		started bool                 // the start barrier was released
+		results = make(map[int]*NodeReport)
+		acked   = make(map[int]bool) // ranks whose current link reached end-of-stream after their result
+		vacated = make(map[int]vacatedRank)
+		parked  []pendingHello
 	)
 
 	// vacate declares rank ownerless: its connection is closed, the cause
@@ -512,9 +510,6 @@ func (c *Coordinator) run() {
 	liveness := time.NewTicker(tickEvery)
 	defer liveness.Stop()
 
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-
 	fail := func(err error) {
 		c.runErr = err
 		for _, ph := range parked {
@@ -553,24 +548,18 @@ func (c *Coordinator) run() {
 			}
 			switch ev.f.Type {
 			case FrameBarrier:
-				id := ev.f.Seq
-				if released[id] {
-					// A rejoiner reaching a barrier the fleet already passed:
-					// release it alone, instantly.
-					_ = m.write(&Frame{Type: FrameBarrier, Seq: id})
+				if started {
+					// A rejoiner reaching the barrier the fleet already
+					// passed: release it alone, at once.
+					_ = m.write(&Frame{Type: FrameBarrier})
 					continue
 				}
-				if barrierArrived[id] == nil {
-					barrierArrived[id] = make(map[int]bool)
-				}
-				barrierArrived[id][ev.rank] = true
-				if len(barrierArrived[id]) == p {
-					c.logf("barrier %d released", id)
-					released[id] = true
+				if arrived[ev.rank] = true; len(arrived) == p {
+					c.logf("start barrier released")
+					started = true
 					for _, mm := range byRank {
-						_ = mm.write(&Frame{Type: FrameBarrier, Seq: id})
+						_ = mm.write(&Frame{Type: FrameBarrier})
 					}
-					delete(barrierArrived, id)
 				}
 			case FrameCheckpoint:
 				c.custody.put(ev.rank, ev.f.Blob) // the connection names the rank, not the body
@@ -591,7 +580,7 @@ func (c *Coordinator) run() {
 				c.logf("rank %d done: converged=%v iters=%d epoch=%d", ev.rank, rep.Converged, rep.Iters, rep.Epoch)
 			}
 
-		case ph := <-helloCh:
+		case ph := <-hellos:
 			if ph.hello.Epoch <= 0 {
 				// A fresh (epoch-0) hello after membership closed: not a
 				// rejoin — an over-spawned or misdirected node.
@@ -690,26 +679,32 @@ func (c *Coordinator) awaitAcks(events <-chan coordEvent, byRank []*coordMember,
 	}
 }
 
-// gather accepts connections until every rank has said hello, assigning
-// ranks in arrival order.
-func (c *Coordinator) gather(deadline time.Time) ([]*coordMember, error) {
+// gather takes the first P hellos the acceptor hands over, assigning
+// ranks in arrival order, until the run deadline fires. Each member is
+// published to c.members as it joins, so Close severs it; Close itself ends
+// the wait with ErrCoordClosed. It returns the members by rank (nil where
+// none joined).
+func (c *Coordinator) gather(hellos <-chan pendingHello, deadline <-chan time.Time) ([]*coordMember, error) {
 	p := c.spec.Procs
-	members := make([]*coordMember, 0, p)
-	for len(members) < p {
-		_ = setAcceptDeadline(c.ln, deadline)
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return members, fmt.Errorf("distnet: waiting for %d more nodes: %w", p-len(members), err)
+	members := make([]*coordMember, p)
+	c.mu.Lock()
+	c.members = members
+	c.mu.Unlock()
+	for rank := 0; rank < p; rank++ {
+		var ph pendingHello
+		select {
+		case ph = <-hellos:
+		case <-c.abort:
+			return members, ErrCoordClosed
+		case <-deadline:
+			return members, fmt.Errorf("distnet: run timed out after %v waiting for %d more nodes", c.cfg.Timeout, p-rank)
 		}
-		hello, err := readHello(conn, time.Until(deadline))
-		if err != nil {
-			conn.Close()
-			return members, err
-		}
-		m := &coordMember{rank: len(members), addr: hello.Addr, epoch: hello.Epoch, conn: conn}
+		m := &coordMember{rank: rank, addr: ph.hello.Addr, epoch: ph.hello.Epoch, conn: ph.conn}
 		m.lastSeen.Store(time.Now().UnixNano())
-		members = append(members, m)
-		c.logf("node %d joined from %s (peer addr %s, epoch %d)", m.rank, conn.RemoteAddr(), m.addr, m.epoch)
+		c.mu.Lock()
+		members[rank] = m
+		c.mu.Unlock()
+		c.logf("node %d joined from %s (peer addr %s, epoch %d)", rank, ph.conn.RemoteAddr(), m.addr, m.epoch)
 	}
 	return members, nil
 }

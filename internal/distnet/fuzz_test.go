@@ -36,7 +36,7 @@ func FuzzFrameDecode(f *testing.F) {
 		{Type: FrameHello, Rank: 4, Epoch: 2, Addr: "127.0.0.1:80"},
 		{Type: FrameConfig, Blob: []byte(`{"rank":0}`)},
 		{Type: FrameHeartbeat},
-		{Type: FrameBarrier, Seq: 0},
+		{Type: FrameBarrier},
 		{Type: FrameCheckpoint, Rank: 3, Blob: []byte{1, 2, 3, 4}},
 		{Type: FrameResult, Blob: []byte(`{"converged":true}`)},
 		{Type: FrameResult, Blob: []byte(`{"iters":3}`), Final: []float64{1.5, math.NaN(), math.Copysign(0, -1)}},
@@ -108,8 +108,7 @@ func FuzzFrameDecode(f *testing.F) {
 // elements bit-equal (reflect.DeepEqual would reject NaN == NaN).
 func frameEqualFuzz(a, b Frame) bool {
 	if a.Type != b.Type || a.Rank != b.Rank || a.Epoch != b.Epoch ||
-		a.Addr != b.Addr || a.Seq != b.Seq ||
-		!bytes.Equal(a.Blob, b.Blob) {
+		a.Addr != b.Addr || !bytes.Equal(a.Blob, b.Blob) {
 		return false
 	}
 	if !msgEqual(a.Msg, b.Msg) || !msgEqual(cluster.Message{Data: a.Final}, cluster.Message{Data: b.Final}) {

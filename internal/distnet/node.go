@@ -149,13 +149,18 @@ type transport struct {
 
 	hbTimeout time.Duration
 
-	// Reconnect support: the listener stays open for the whole run, the
-	// accept loop authenticates replacement hellos under meshMu, and
-	// detachedFrames accumulates the frame counts of links retired by a
-	// swap so framesSentTotal stays complete.
+	// Mesh admission: the listener serves the whole run, and every link,
+	// dialed or accepted, is admitted by install under meshMu. linked counts
+	// the filled peer slots and meshUp closes when all are; closed is set by
+	// close, after which install refuses. detachedFrames accumulates the
+	// frame counts of links retired by a swap so framesSentTotal stays
+	// complete.
 	meshMu         sync.Mutex
 	myHello        Frame
 	nodeCfg        NodeConfig
+	linked         int
+	meshUp         chan struct{}
+	closed         bool
 	detachedFrames atomic.Int64
 
 	// Batch accumulation: per-destination pending messages, leaving as one
@@ -172,10 +177,6 @@ type transport struct {
 	// lat histograms per-message delivery latencies (DeliveredAt − SentAt)
 	// for the report's p50/p99: a fixed array, whatever the run length.
 	lat latHist
-
-	// closed is set by close, so the accept loop refuses replacement links
-	// during teardown.
-	closed atomic.Bool
 
 	msgsSent, msgsRecvd, bytesSent int
 	drops                          int // sends the injector suppressed
@@ -202,19 +203,6 @@ var _ interface {
 
 // peer returns the current link to rank j (nil at own index).
 func (t *transport) peer(j int) *peerConn { return t.peers[j].Load() }
-
-// swapPeer installs pc as the link to its rank, retiring any previous
-// link: its frame counter is folded into detachedFrames and it is closed
-// in the background (close drains the writer, which can block briefly on a
-// dead socket's write deadline).
-func (t *transport) swapPeer(pc *peerConn) {
-	if old := t.peers[pc.rank].Swap(pc); old != nil {
-		go func() {
-			old.close()
-			t.detachedFrames.Add(old.framesSent.Load())
-		}()
-	}
-}
 
 func (t *transport) ID() int      { return t.rank }
 func (t *transport) P() int       { return t.p }
@@ -451,7 +439,9 @@ func (t *transport) framesSentTotal() int {
 // first (shutdown must not strand messages a slower peer is waiting for).
 func (t *transport) close() {
 	t.flushAll(flushClose)
-	t.closed.Store(true)
+	t.meshMu.Lock()
+	t.closed = true
+	t.meshMu.Unlock()
 	for j := range t.peers {
 		if pc := t.peer(j); pc != nil {
 			pc.close()
@@ -604,17 +594,6 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		return nil, err
 	}
 	stamps.MeshUnix = unixNow()
-	// The listener stays open for the rest of the run: a crashed peer's
-	// replacement incarnation reconnects through it.
-	go tr.acceptLoop(ln)
-	for j := range tr.peers {
-		pc := tr.peer(j)
-		if pc == nil {
-			continue
-		}
-		go tr.reader(pc)
-		go pc.heartbeater(cfg.HeartbeatEvery)
-	}
 	// Heartbeat the coordinator link too: its liveness window (the
 	// coordinator's NodeTimeout) is how a hung node is detected without
 	// waiting for the global run timeout. Beacons piggyback on control
@@ -622,7 +601,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	go coord.heartbeater(cfg.HeartbeatEvery)
 
 	// Control-plane reader for the coordinator link.
-	barrierCh := make(chan int, 8)
+	barrierCh := make(chan struct{}, 1)
 	shutdownCh := make(chan struct{})
 	go func() {
 		br := bufio.NewReader(coordRaw)
@@ -636,7 +615,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 			coord.touch()
 			switch f.Type {
 			case FrameBarrier:
-				barrierCh <- f.Seq
+				barrierCh <- struct{}{} // the coordinator releases each link once
 			case FrameShutdown:
 				close(shutdownCh)
 				return
@@ -697,7 +676,7 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 
 	// Start barrier: every node reports its mesh up; the coordinator
 	// releases them together so no engine races ahead of a half-built mesh.
-	coord.send(Frame{Type: FrameBarrier, Seq: 0})
+	coord.send(Frame{Type: FrameBarrier})
 	select {
 	case <-barrierCh:
 	case <-shutdownCh:
@@ -813,164 +792,131 @@ func readConfig(conn net.Conn, timeout time.Duration) (Frame, error) {
 	return f, nil
 }
 
-// connectMesh establishes one TCP link per peer pair. On a fresh run this
-// node dials every lower rank (which is already listening) and accepts one
-// connection from every higher rank. On a rejoin the run is already in
-// flight and every survivor is listening, so this node dials ALL peers;
-// their accept loops authenticate the higher-epoch hello and swap out the
-// stale link. Each link opens with a hello exchange — the dialer
+// connectMesh builds the peer mesh. acceptLoop starts first and admits
+// every inbound link for the rest of the run; then this node dials — on a
+// fresh run every lower rank (already listening, and accepting this node's
+// dial), on a rejoin every peer, whose install swaps its stale link out by
+// the epoch rule. Each link opens with a hello exchange — the dialer
 // introduces itself, the acceptor replies with its own hello — so both
-// sides learn the peer's rank and incarnation epoch.
+// sides learn the peer's rank and incarnation epoch. connectMesh returns
+// once every slot holds a link; a failed dial, or a slot still empty after
+// DialTimeout+30s, is an error naming the rank.
 func (t *transport) connectMesh(ln net.Listener, peers []string, cfg NodeConfig, rejoin bool) error {
-	rank, p := t.rank, t.p
-	t.myHello = Frame{Type: FrameHello, Rank: rank, Epoch: t.epoch, Addr: peers[rank]}
-	myHello := t.myHello
+	t.myHello = Frame{Type: FrameHello, Rank: t.rank, Epoch: t.epoch, Addr: peers[t.rank]}
+	t.meshUp = make(chan struct{})
+	if t.p == 1 {
+		close(t.meshUp)
+	}
+	wait := cfg.DialTimeout + 30*time.Second
+	timeout := time.NewTimer(wait)
+	defer timeout.Stop()
+	go t.acceptLoop(ln)
 
-	type dialed struct {
-		rank  int
-		conn  net.Conn
-		hello Frame
-		err   error
-	}
-	dialTo := 0 // fresh run: dial [0, rank)
+	dialTo := t.rank // fresh run: dial [0, rank)
 	if rejoin {
-		dialTo = p // rejoin: dial everyone but self
-	} else {
-		dialTo = rank
+		dialTo = t.p // rejoin: dial everyone but self
 	}
-	ch := make(chan dialed, p)
+	errs := make(chan error, t.p)
 	dials := 0
 	for j := 0; j < dialTo; j++ {
-		if j == rank {
+		if j == t.rank {
 			continue
 		}
-		j := j
 		dials++
-		go func() {
-			conn, hello, err := t.dialPeer(peers[j], j, myHello, cfg)
-			ch <- dialed{rank: j, conn: conn, hello: hello, err: err}
-		}()
+		go func(j int) {
+			conn, hello, err := t.dialPeer(peers[j], j, t.myHello, cfg)
+			if err == nil && !t.install(conn, hello, false) {
+				conn.Close()
+			}
+			errs <- err
+		}(j)
 	}
-
-	// Accept the higher ranks while the dials run (fresh run only; a
-	// rejoiner reaches every peer by dialing).
-	accepts := 0
-	if !rejoin {
-		accepts = p - 1 - rank
-	}
-	acceptErr := make(chan error, 1)
-	go func() {
-		for need := accepts; need > 0; need-- {
-			_ = setAcceptDeadline(ln, time.Now().Add(cfg.DialTimeout+30*time.Second))
-			conn, err := ln.Accept()
-			if err != nil {
-				acceptErr <- fmt.Errorf("distnet: accepting peer: %w", err)
-				return
-			}
-			hello, err := readHello(conn, cfg.DialTimeout)
-			if err != nil {
-				conn.Close()
-				acceptErr <- err
-				return
-			}
-			if hello.Rank <= rank || hello.Rank >= p {
-				conn.Close()
-				acceptErr <- fmt.Errorf("distnet: unexpected hello from rank %d", hello.Rank)
-				return
-			}
-			if t.peer(hello.Rank) != nil {
-				conn.Close()
-				acceptErr <- fmt.Errorf("distnet: duplicate connection from rank %d", hello.Rank)
-				return
-			}
-			if _, err := writeFrame(conn, nil, &myHello); err != nil {
-				conn.Close()
-				acceptErr <- fmt.Errorf("distnet: hello reply to rank %d: %w", hello.Rank, err)
-				return
-			}
-			t.installPeer(hello.Rank, conn, hello)
+	for ; dials > 0; dials-- {
+		if err := <-errs; err != nil {
+			return err
 		}
-		acceptErr <- nil
-	}()
-
-	var firstErr error
-	for i := 0; i < dials; i++ {
-		d := <-ch
-		if d.err != nil {
-			if firstErr == nil {
-				firstErr = d.err
-			}
-			continue
+	}
+	select {
+	case <-t.meshUp:
+		return nil
+	case <-timeout.C:
+	}
+	for j := range t.peers {
+		if j != t.rank && t.peer(j) == nil {
+			return fmt.Errorf("distnet: mesh incomplete: no link with rank %d after %v", j, wait)
 		}
-		t.installPeer(d.rank, d.conn, d.hello)
 	}
-	if err := <-acceptErr; err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return nil
 }
 
-// installPeer wires a freshly handshaken connection in as the link to the
-// hello sender's rank.
-func (t *transport) installPeer(j int, conn net.Conn, hello Frame) *peerConn {
-	pc := newPeerConn(j, conn, t.nodeCfg.linkQueue, wireOpts{delta: t.wire.Delta, clock: true, obs: t.wobs.link(j), rows: t.inbox})
-	pc.epoch = hello.Epoch
-	t.swapPeer(pc)
-	return pc
-}
-
-// acceptLoop serves inbound peer connections for the rest of the run —
-// the reconnect path a rejoining peer takes after a crash. It exits when
+// acceptLoop serves the peer listener for the whole run, mesh build and
+// rejoins alike: each inbound connection's hello is read on its own
+// goroutine and the connection goes to install. A silent, garbled or
+// refused connection is closed and changes nothing. The loop exits when
 // the listener closes at teardown.
 func (t *transport) acceptLoop(ln net.Listener) {
-	_ = setAcceptDeadline(ln, time.Time{}) // clear the mesh-build deadline
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		go t.acceptReplacement(conn)
+		go func() {
+			hello, err := readHello(conn, t.nodeCfg.DialTimeout)
+			if err != nil || !t.install(conn, hello, true) {
+				conn.Close()
+			}
+		}()
 	}
 }
 
-// acceptReplacement authenticates one inbound connection as a rejoining
-// peer and swaps it in over the stale link. The epoch rule is the guard:
-// only a hello from a strictly newer incarnation of the peer may replace
-// the current link, so duplicate dials and a dead incarnation's late
-// packets can never tear down a healthy connection.
-func (t *transport) acceptReplacement(conn net.Conn) {
-	cfg := t.nodeCfg
-	hello, err := readHello(conn, cfg.DialTimeout)
-	if err != nil {
-		conn.Close()
-		return
-	}
+// install is the one rule every peer link passes, dialed or accepted,
+// during mesh build or after: conn, whose far end introduced itself with
+// hello, becomes the link to hello's rank if that slot is empty (any
+// incarnation) or holds a strictly older epoch — so a duplicate dial or a
+// dead incarnation's late connect never tears down a healthy link. A
+// self-ranked or out-of-range hello, and anything after close, is refused.
+// The accept side passes reply: its hello answer goes out only once the
+// rule has admitted the connection. An admitted link gets its reader and
+// heartbeater, and a link it replaces is closed; a refused conn is the
+// caller's to close.
+func (t *transport) install(conn net.Conn, hello Frame, reply bool) bool {
 	j := hello.Rank
 	if j < 0 || j >= t.p || j == t.rank {
-		conn.Close()
-		return
-	}
-	if t.closed.Load() {
-		conn.Close()
-		return
+		return false
 	}
 	t.meshMu.Lock()
-	if cur := t.peer(j); cur != nil && hello.Epoch <= cur.epoch {
-		t.meshMu.Unlock()
-		conn.Close() // stale or duplicate incarnation
-		return
+	cur := t.peer(j)
+	admit := !t.closed && (cur == nil || hello.Epoch > cur.epoch)
+	if admit && reply {
+		_, err := writeFrame(conn, nil, &t.myHello)
+		admit = err == nil
 	}
-	if _, err := writeFrame(conn, nil, &t.myHello); err != nil {
+	if !admit {
 		t.meshMu.Unlock()
-		conn.Close()
-		return
+		return false
 	}
-	pc := t.installPeer(j, conn, hello)
+	pc := newPeerConn(j, conn, t.nodeCfg.linkQueue, wireOpts{delta: t.wire.Delta, clock: true, obs: t.wobs.link(j), rows: t.inbox})
+	pc.epoch = hello.Epoch
+	t.peers[j].Store(pc)
+	if cur == nil {
+		if t.linked++; t.linked == t.p-1 {
+			close(t.meshUp)
+		}
+	}
 	t.meshMu.Unlock()
-	t.wobs.noteReconnect()
-	cfg.logf("rank %d: peer %d reconnected with epoch %d, stale link retired", t.rank, j, hello.Epoch)
+	if cur != nil {
+		// Retire the stale link in the background: close drains its writer,
+		// which can block briefly on a dead socket's write deadline.
+		go func() {
+			cur.close()
+			t.detachedFrames.Add(cur.framesSent.Load())
+		}()
+		t.wobs.noteReconnect()
+		t.nodeCfg.logf("rank %d: peer %d reconnected with epoch %d, stale link retired", t.rank, j, hello.Epoch)
+	}
 	go t.reader(pc)
-	go pc.heartbeater(cfg.HeartbeatEvery)
+	go pc.heartbeater(t.nodeCfg.HeartbeatEvery)
+	return true
 }
 
 // dialPeer dials rank j, sends our hello and reads the reply, returning the
@@ -1023,12 +969,4 @@ func (t *transport) dialPeer(addr string, j int, myHello Frame, cfg NodeConfig) 
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// setAcceptDeadline applies a deadline when the listener supports it.
-func setAcceptDeadline(ln net.Listener, t time.Time) error {
-	if tl, ok := ln.(*net.TCPListener); ok {
-		return tl.SetDeadline(t)
-	}
-	return nil
 }

@@ -70,8 +70,6 @@ type RunSpec struct {
 	// CheckpointEvery, when positive, snapshots engine state every K
 	// iterations; blobs are shipped to the coordinator for custody.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// HoldSends forwards the speculative-send ablation switch.
-	HoldSends bool `json:"hold_sends,omitempty"`
 	// Wire tunes the data-plane framing. The zero value means delta coding
 	// off; peer links always batch.
 	Wire WireSpec `json:"wire,omitempty"`
@@ -286,8 +284,7 @@ func AssembleHeat(s RunSpec, reports []NodeReport) ([][]float64, error) {
 func (s RunSpec) CoreConfig(metrics *obs.Registry, journal *obs.Journal, store checkpoint.Store) core.Config {
 	cfg := core.Config{
 		FW: s.FW, BW: s.BW, MaxIter: s.MaxIter,
-		HoldSends: s.HoldSends,
-		Deadline:  s.Deadline, MaxOverrun: s.MaxOverrun,
+		Deadline: s.Deadline, MaxOverrun: s.MaxOverrun,
 		MaxCrashOverrun: s.MaxCrashOverrun,
 		Metrics:         metrics, Journal: journal,
 	}

@@ -93,7 +93,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		cases := map[string][]byte{
 			"unknown type":   frameFor([]byte{0xee}),
 			"trailing bytes": frameFor(append([]byte{byte(FrameHeartbeat)}, 0xaa)),
-			"truncated body": frameFor(append([]byte{byte(FrameBarrier)}, 1, 2, 3)), // seq needs 8 bytes, has 3
+			"truncated body": frameFor(append([]byte{byte(FrameHello)}, 1, 2, 3)), // rank needs 8 bytes, has 3
 			"lying data len": frameFor(append(append([]byte{byte(FrameData)}, make([]byte, 48)...), 0x7f, 0xff, 0xff, 0xff)),
 			"empty payload":  frameFor(nil),
 			"zero length":    {0, 0, 0, 0},

@@ -75,7 +75,7 @@ func scriptedFleet(t testing.TB, coord *Coordinator) []*scriptedNode {
 			t.Fatal(err)
 		}
 		n.rank = wc.Rank
-		n.send(Frame{Type: FrameBarrier, Seq: 0})
+		n.send(Frame{Type: FrameBarrier})
 	}
 	for _, n := range nodes {
 		n.expect(FrameBarrier)

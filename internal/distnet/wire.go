@@ -11,9 +11,13 @@
 //     backoff, buffered writers, idle-link heartbeats and dead-peer
 //     detection (peer.go);
 //   - a coordinator handling membership, rank assignment, run configuration,
-//     barriers, checkpoint custody and result collection (coord.go), and a
-//     node runtime driving the unchanged internal/core engine through the
-//     core.Transport contract (node.go).
+//     the start barrier, checkpoint custody and result collection
+//     (coord.go), and a node runtime driving the unchanged internal/core
+//     engine through the core.Transport contract (node.go). Each side
+//     serves its listener with one acceptor for the whole run: every
+//     inbound connection's hello is read on its own goroutine and decided
+//     by one rule, so a stray, silent or garbled connection is closed and
+//     changes nothing.
 //
 // A run is one coordinator process plus P node processes (cmd/speccoord and
 // cmd/specnode); nodes may equally run in-process for tests. Observability
@@ -125,8 +129,6 @@ type Frame struct {
 	Epoch int
 	// Addr is the sender's peer listen address in a FrameHello.
 	Addr string
-	// Seq is the barrier identifier in a FrameBarrier.
-	Seq int
 	// Blob carries the JSON body of FrameConfig/FrameResult, the checkpoint
 	// snapshot of FrameCheckpoint, and the Prometheus text snapshot of
 	// FrameObs.
@@ -154,7 +156,7 @@ type Frame struct {
 //	hello      i64 rank, epoch · u32 len · addr bytes
 //	config     u32 len · blob
 //	heartbeat  (empty | 3×f64 clock stamps)
-//	barrier    i64 seq
+//	barrier    (empty)
 //	checkpoint i64 proc · u32 len · blob
 //	result     u32 len · blob · (empty | u32 n · n×f64 final)
 //	shutdown   (empty)
@@ -237,15 +239,13 @@ func appendPayload(dst []byte, f *Frame, ds *deltaState) (_, tail []byte, _ erro
 		dst = appendI64(dst, int64(f.Rank))
 		dst = appendU32(dst, uint32(len(f.Blob)))
 		tail = f.Blob
-	case FrameBarrier:
-		dst = appendI64(dst, int64(f.Seq))
 	case FrameHeartbeat:
 		if f.Clock != ([3]float64{}) {
 			for _, v := range f.Clock {
 				dst = appendI64(dst, int64(math.Float64bits(v)))
 			}
 		}
-	case FrameShutdown:
+	case FrameBarrier, FrameShutdown:
 		// No body.
 	default:
 		return nil, nil, fmt.Errorf("distnet: encoding unknown frame type %d", f.Type)
@@ -630,8 +630,6 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 		} else {
 			f.Blob = append([]byte(nil), f.Blob...)
 		}
-	case FrameBarrier:
-		f.Seq = int(p.i64())
 	case FrameHeartbeat:
 		if p.off < len(p.b) {
 			// Optional clock tail: exactly three stamps or nothing.
@@ -639,7 +637,7 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 				f.Clock[i] = math.Float64frombits(uint64(p.i64()))
 			}
 		}
-	case FrameShutdown:
+	case FrameBarrier, FrameShutdown:
 		// No body.
 	default:
 		return corruptf("unknown frame type %d", payload[0])

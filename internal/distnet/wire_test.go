@@ -110,8 +110,6 @@ func randFrame(rng *rand.Rand) Frame {
 	case FrameCheckpoint, FrameObs:
 		f.Rank = rng.Intn(16)
 		f.Blob = randBlob()
-	case FrameBarrier:
-		f.Seq = rng.Intn(100) - 1
 	case FrameHeartbeat:
 		if rng.Intn(2) == 0 {
 			// Timestamped beacon (peer links). Clock[0] must be non-zero —

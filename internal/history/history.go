@@ -10,30 +10,16 @@ type Ring[T any] struct {
 	buf   []T
 	start int // index of oldest element
 	n     int
-	clone func(T) T // applied on Push when set (NewRingCopy)
 }
 
 // NewRing creates a ring holding up to capacity snapshots. Push stores the
 // value as given — a T containing a slice or pointer stays aliased to the
-// caller's memory; use NewRingCopy when the caller reuses its buffers.
+// caller's memory, so a caller that reuses its buffers pushes a copy.
 func NewRing[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
 		panic("history: capacity must be positive")
 	}
 	return &Ring[T]{buf: make([]T, capacity)}
-}
-
-// NewRingCopy creates a ring that defensively copies every pushed snapshot
-// through clone, so a caller mutating its value after Push cannot corrupt
-// stored history. Use this whenever T carries a slice the producer recycles
-// (e.g. an app's scratch state vector).
-func NewRingCopy[T any](capacity int, clone func(T) T) *Ring[T] {
-	if clone == nil {
-		panic("history: nil clone")
-	}
-	r := NewRing[T](capacity)
-	r.clone = clone
-	return r
 }
 
 // Cap returns the ring's capacity (the backward window size).
@@ -45,9 +31,6 @@ func (r *Ring[T]) Len() int { return r.n }
 // Push appends a snapshot as the newest entry, evicting the oldest if full;
 // the evicted snapshot is returned so the caller can recycle its buffers.
 func (r *Ring[T]) Push(v T) (evicted T, wasEvicted bool) {
-	if r.clone != nil {
-		v = r.clone(v)
-	}
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = v
 		r.n++

@@ -107,7 +107,6 @@ func TestRingMatchesSliceModelProperty(t *testing.T) {
 func TestPushAliasesCallerSlice(t *testing.T) {
 	// Documents the plain ring's sharp edge: Push stores slice-bearing values
 	// as-is, so a caller mutating its buffer afterwards rewrites history.
-	// Producers that recycle buffers must use NewRingCopy.
 	r := NewRing[[]float64](2)
 	buf := []float64{1, 2}
 	r.Push(buf)
@@ -115,40 +114,4 @@ func TestPushAliasesCallerSlice(t *testing.T) {
 	if got := r.At(0)[0]; got != 99 {
 		t.Fatalf("plain ring unexpectedly copied: got %g", got)
 	}
-}
-
-func TestNewRingCopyProtectsAgainstMutation(t *testing.T) {
-	// Regression: with a clone function, mutating the pushed slice (or a
-	// struct carrying one) after Push must not corrupt stored history.
-	clone := func(s []float64) []float64 {
-		cp := make([]float64, len(s))
-		copy(cp, s)
-		return cp
-	}
-	r := NewRingCopy(2, clone)
-	buf := []float64{1, 2}
-	r.Push(buf)
-	buf[0], buf[1] = 99, 99
-	if got := r.At(0); got[0] != 1 || got[1] != 2 {
-		t.Fatalf("stored history corrupted by caller mutation: %v", got)
-	}
-	// Eviction path clones too.
-	r.Push(buf) // {99,99}
-	buf[0] = -1
-	r.Push(buf) // evicts {1,2}
-	if got := r.At(1); got[0] != 99 {
-		t.Fatalf("evicting push corrupted older entry: %v", got)
-	}
-	if got := r.At(0); got[0] != -1 {
-		t.Fatalf("newest entry wrong: %v", got)
-	}
-}
-
-func TestNewRingCopyNilCloneRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRingCopy(nil) did not panic")
-		}
-	}()
-	NewRingCopy[int](1, nil)
 }

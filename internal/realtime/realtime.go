@@ -37,8 +37,6 @@ type Config struct {
 	BW int
 	// Predictor is the generic speculation function (default predict.Linear).
 	Predictor predict.Predictor
-	// HoldSends forwards the engine's speculative-send ablation switch.
-	HoldSends bool
 	// Delay is an artificial per-message latency emulating a slow
 	// interconnect: a message becomes visible to its receiver Delay after it
 	// was sent, by the receiver's own clock, however busy either side is.
@@ -165,8 +163,7 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 	p := cfg.Procs
 	ecfg := core.Config{
 		FW: cfg.FW, BW: cfg.BW, MaxIter: cfg.MaxIter,
-		Predictor: cfg.Predictor, HoldSends: cfg.HoldSends,
-		Metrics: cfg.Metrics, Journal: cfg.Journal,
+		Predictor: cfg.Predictor, Metrics: cfg.Metrics, Journal: cfg.Journal,
 	}
 	if cfg.Metrics != nil {
 		// Pre-register every worker's engine families plus the transport's

@@ -292,11 +292,12 @@ func TestDrainEvictsToCustodyAndPersistsQueue(t *testing.T) {
 		return s
 	}
 
+	// The job must still be running when Drain comes: custody covers the
+	// fleet after its first CheckpointEvery iterations, and MaxIter makes
+	// the whole run thousands of times longer than that.
+	spec := distnet.RunSpec{App: "heat", Procs: 3, MaxIter: 20000, FW: 2, Theta: 1e-3, Rows: 48, Cols: 32, CheckpointEvery: 5}
 	s := mk()
-	st, err := s.Submit(sched.JobSpec{Name: "survivor", Priority: 2, Spec: distnet.RunSpec{
-		App: "heat", Procs: 3, MaxIter: 900, FW: 2, Theta: 1e-3,
-		Rows: 48, Cols: 32, CheckpointEvery: 5,
-	}})
+	st, err := s.Submit(sched.JobSpec{Name: "survivor", Priority: 2, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +330,14 @@ func TestDrainEvictsToCustodyAndPersistsQueue(t *testing.T) {
 	if err := s.Drain(time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	switch got, err := s.Status(st.ID); {
+	case err != nil:
+		t.Fatal(err)
+	case got.State == sched.StateDone:
+		t.Fatalf("job finished before Drain: the run did not outlast the custody-coverage wait, so there was nothing to evict (%+v)", got)
+	case got.State != sched.StatePreempted:
+		t.Fatalf("job after Drain: %s, want %s", got.State, sched.StatePreempted)
+	}
 	s.Close()
 
 	// The successor inherits the queue and resumes the evicted job from
@@ -342,7 +351,6 @@ func TestDrainEvictsToCustodyAndPersistsQueue(t *testing.T) {
 	if final.Preemptions < 1 || final.Restores < 1 {
 		t.Errorf("restarted job shows no eviction/restore history: %+v", final)
 	}
-	spec := distnet.RunSpec{App: "heat", Procs: 3, MaxIter: 900, FW: 2, Theta: 1e-3, Rows: 48, Cols: 32, CheckpointEvery: 5}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}

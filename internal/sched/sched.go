@@ -65,6 +65,10 @@ type LaunchInfo struct {
 // unit tests and dry runs use.
 type NodeLauncher func(info LaunchInfo) (*exec.Cmd, error)
 
+// defaultCheckpointEvery is the checkpoint cadence given to submissions
+// that set none, so every job has custody to be evicted to.
+const defaultCheckpointEvery = 5
+
 // Config parameterizes a Scheduler.
 type Config struct {
 	// TotalRanks is the node-pool capacity: the sum of Procs over running
@@ -98,10 +102,6 @@ type Config struct {
 	// liveness windows (see distnet.CoordConfig).
 	NodeTimeout time.Duration
 	RejoinWait  time.Duration
-	// DefaultCheckpointEvery is applied to submissions that set no
-	// checkpoint cadence, so every job has custody to be evicted to
-	// (default 5; negative = leave submissions untouched).
-	DefaultCheckpointEvery int
 	// Metrics receives the scheduler's instruments (nil = a private
 	// registry, still served from /metrics).
 	Metrics *obs.Registry
@@ -155,9 +155,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.EvictGrace <= 0 {
 		cfg.EvictGrace = 10 * time.Second
 	}
-	if cfg.DefaultCheckpointEvery == 0 {
-		cfg.DefaultCheckpointEvery = 5
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -210,10 +207,10 @@ func (s *Scheduler) Submit(req JobSpec) (JobStatus, error) {
 	if req.Name == "" {
 		req.Name = spec.App
 	}
-	if spec.CheckpointEvery == 0 && s.cfg.DefaultCheckpointEvery > 0 {
+	if spec.CheckpointEvery == 0 {
 		// Preemption needs custody to evict to; an uncheckpointed batch job
 		// would lose all progress on every eviction.
-		spec.CheckpointEvery = s.cfg.DefaultCheckpointEvery
+		spec.CheckpointEvery = defaultCheckpointEvery
 	}
 
 	s.mu.Lock()
