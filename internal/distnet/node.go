@@ -436,7 +436,8 @@ func (t *transport) framesSentTotal() int {
 }
 
 // close tears down every peer link, pushing any still-pending batches out
-// first (shutdown must not strand messages a slower peer is waiting for).
+// first (shutdown must not strand messages a slower peer is waiting for),
+// and releases the inbox's timer.
 func (t *transport) close() {
 	t.flushAll(flushClose)
 	t.meshMu.Lock()
@@ -447,6 +448,7 @@ func (t *transport) close() {
 			pc.close()
 		}
 	}
+	t.inbox.Close()
 }
 
 // coordStore adapts the coordinator connection to checkpoint.Store: Save

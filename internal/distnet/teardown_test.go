@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"specomp/internal/checkpoint"
+	"specomp/internal/inbox/inboxtest"
+	"specomp/internal/netmodel"
 )
 
 // scriptedNode is one fake node's control connection.
@@ -143,6 +145,26 @@ func TestWaitReturnsPromptlyAfterLastResult(t *testing.T) {
 	if best >= 25*time.Millisecond {
 		t.Errorf("Wait returned %v after the last result, want < 25ms", best)
 	}
+}
+
+// TestFleetReleasesInboxTimers: an in-process fleet whose messages carry a
+// hold owes them to each node's inbox timer; once the run is over and the
+// coordinator closed, no goroutine and no timer descriptor is left.
+func TestFleetReleasesInboxTimers(t *testing.T) {
+	before := inboxtest.HeldNow()
+	spec := RunSpec{App: "heat", Procs: 3, MaxIter: 30, FW: 1, Theta: 1e-3, Rows: 12, Cols: 8}
+	coord, err := NewCoordinator(CoordConfig{Spec: spec, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	launchNodes(t, spec.Procs, func(rank int) NodeConfig {
+		return NodeConfig{Coord: coord.Addr(), Faults: netmodel.Fixed{D: 0.001}, FaultSeed: int64(rank)}
+	})
+	if _, err := coord.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	inboxtest.Released(t, before)
 }
 
 // TestShutdownAckTimeoutBoundsAHungMember: a member that never closes its

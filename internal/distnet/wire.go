@@ -253,10 +253,80 @@ func appendPayload(dst []byte, f *Frame, ds *deltaState) (_, tail []byte, _ erro
 	return dst, tail, nil
 }
 
-// scratchPool recycles encode/decode byte buffers for the stateless
-// writeFrame/readFrame paths (control-plane links, tests). The data-plane
-// Encoder/Decoder hold their own persistent buffers instead.
-var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+// scratchBufs lends encode/decode byte buffers to the stateless
+// writeFrame/readFrame paths (control-plane links, tests); the data-plane
+// Encoder/Decoder hold their own persistent buffers instead. It is a plain
+// freelist, not a sync.Pool: a pool's hit depends on the P a goroutine runs
+// on and on when the collector last ran, so whether the coordinator decoded
+// a rank's final partition (a frame of megabytes) into a fresh buffer
+// changed from one fleet run to the next, 2 MB a rank on kernel-heat. For
+// the same reason readFrame borrows only once it knows the frame's length,
+// and takes the buffer that fits it best. A buffer only grows; the list
+// keeps at most scratchKeep, and the large ones are those that carried
+// result frames, no more than were decoded at once.
+var scratchBufs struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+const scratchKeep = 16
+
+// getScratch lends the smallest free buffer that holds n bytes, else the
+// largest free one for its user to grow (nil when none is free).
+func getScratch(n int) []byte {
+	scratchBufs.mu.Lock()
+	defer scratchBufs.mu.Unlock()
+	free := scratchBufs.free
+	best := -1
+	for i, b := range free {
+		if best < 0 || fitsBetter(cap(b), cap(free[best]), n) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := free[best]
+	last := len(free) - 1
+	free[best], free[last] = free[last], nil
+	scratchBufs.free = free[:last]
+	return b
+}
+
+// fitsBetter reports whether a buffer of capacity c serves an n-byte need
+// better than one of capacity cur: it holds n and is smaller, or cur does
+// not hold n and c is larger.
+func fitsBetter(c, cur, n int) bool {
+	if cur >= n {
+		return c >= n && c < cur
+	}
+	return c > cur
+}
+
+// putScratch gives b back to scratchBufs. When the list is full, b takes
+// the place of its smallest buffer if it is larger, else goes to the
+// collector.
+func putScratch(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	scratchBufs.mu.Lock()
+	defer scratchBufs.mu.Unlock()
+	free := scratchBufs.free
+	if len(free) < scratchKeep {
+		scratchBufs.free = append(free, b[:0])
+		return
+	}
+	small := 0
+	for i := range free {
+		if cap(free[i]) < cap(free[small]) {
+			small = i
+		}
+	}
+	if cap(b) > cap(free[small]) {
+		free[small] = b[:0]
+	}
+}
 
 // frameHead encodes f into buf (reusing its capacity) up to where its tail
 // begins — length prefix and payload head — and returns the checksum of the
@@ -293,19 +363,19 @@ func frameInto(buf []byte, f *Frame, ds *deltaState) ([]byte, error) {
 
 // writeFrame encodes f raw (no delta state) and writes it to w. scratch is
 // an optional reusable buffer; the (possibly grown) buffer is returned for
-// the next call. A nil scratch borrows a pooled buffer for the write and
+// the next call. A nil scratch borrows a scratchBufs buffer for the write and
 // returns nil, so one-shot callers stay allocation-free too.
 func writeFrame(w io.Writer, scratch []byte, f *Frame) ([]byte, error) {
 	pooled := scratch == nil
 	if pooled {
-		scratch = *scratchPool.Get().(*[]byte)
+		scratch = getScratch(0)
 	}
 	buf, err := frameInto(scratch, f, nil)
 	if err == nil {
 		_, err = w.Write(buf)
 	}
 	if pooled {
-		scratchPool.Put(&buf)
+		putScratch(buf)
 		return nil, err
 	}
 	return buf, err
@@ -423,19 +493,33 @@ func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 // decoder never panics and never allocates more than the wire actually
 // carries (bounded by MaxFrame).
 func (d *Decoder) Decode(f *Frame) error {
+	n, err := d.header()
+	if err != nil {
+		return err
+	}
+	return d.body(f, n)
+}
+
+// header reads a frame's length prefix: the payload's size in bytes.
+func (d *Decoder) header() (uint32, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if err == io.EOF {
-			return io.EOF // clean close between frames
+			return 0, io.EOF // clean close between frames
 		}
-		return fmt.Errorf("distnet: truncated frame header: %w", noEOF(err))
+		return 0, fmt.Errorf("distnet: truncated frame header: %w", noEOF(err))
 	}
 	n := binary.BigEndian.Uint32(d.hdr[:])
 	if n == 0 {
-		return corruptf("empty frame")
+		return 0, corruptf("empty frame")
 	}
 	if n > MaxFrame {
-		return corruptf("frame payload %d bytes exceeds MaxFrame", n)
+		return 0, corruptf("frame payload %d bytes exceeds MaxFrame", n)
 	}
+	return n, nil
+}
+
+// body reads and decodes the n-byte payload and checksum after a header.
+func (d *Decoder) body(f *Frame, n uint32) error {
 	if cap(d.buf) < int(n)+4 {
 		d.buf = make([]byte, n+4)
 	}
@@ -651,15 +735,26 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 	return nil
 }
 
-// readFrame reads and decodes one frame from r with a one-shot pooled
-// decoder — the stateless path for control-plane links and tests. The
-// returned frame owns all its memory (Batch entries are copied out).
+// readFrame reads and decodes one frame from r with a one-shot decoder on a
+// scratchBufs buffer — the stateless path for control-plane links and
+// tests. The returned frame owns all its memory (Batch entries are copied
+// out).
 func readFrame(r io.Reader) (Frame, error) {
 	d := Decoder{r: r, Track: true}
-	d.buf = *scratchPool.Get().(*[]byte)
 	var f Frame
-	err := d.Decode(&f)
-	scratchPool.Put(&d.buf)
+	n, err := d.header()
+	if err != nil {
+		return f, err
+	}
+	if d.buf = getScratch(int(n) + 4); cap(d.buf) < int(n)+4 {
+		putScratch(d.buf) // too small here, not for the next small frame
+		// Grow rounds the capacity up to what the allocator hands out
+		// anyway, which leaves room for a frame a little longer at no cost:
+		// a rank's result frame differs by some bytes from run to run.
+		d.buf = slices.Grow([]byte(nil), int(n)+4)
+	}
+	err = d.body(&f, n)
+	putScratch(d.buf)
 	if err == nil && f.Batch != nil {
 		f.Batch = append([]cluster.Message(nil), f.Batch...)
 	}

@@ -3,6 +3,7 @@ package distnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -203,6 +204,98 @@ func encodeFrame(t *testing.T, f Frame) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// withEmptyScratch runs f with the scratch list emptied, then puts back
+// what it held.
+func withEmptyScratch(f func()) {
+	scratchBufs.mu.Lock()
+	saved := scratchBufs.free
+	scratchBufs.free = nil
+	scratchBufs.mu.Unlock()
+	defer func() {
+		scratchBufs.mu.Lock()
+		scratchBufs.free = saved
+		scratchBufs.mu.Unlock()
+	}()
+	f()
+}
+
+// A result frame is read into a borrowed scratch buffer that outlives the
+// collector and fits a frame a few bytes longer than the one it last held:
+// once one 2 MB result has been read, the next ones allocate only the
+// values they return, with small frames and collections in between. As a
+// sync.Pool the list lost its buffers to collections, and an exact-size
+// buffer did not fit the next result, so the coordinator's allocations
+// changed from one fleet run to the next.
+func TestReadFrameReusesScratch(t *testing.T) {
+	final := make([]float64, 1<<18)
+	encode := func(f Frame) []byte { // with a scratch of its own: the list stays as the reads leave it
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, []byte{}, &f); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	result := func(iters int) []byte {
+		return encode(Frame{Type: FrameResult, Blob: fmt.Appendf(nil, `{"iters":%d}`, iters), Final: final})
+	}
+	small := encode(Frame{Type: FrameData, Msg: cluster.Message{Src: 1, Data: []float64{1}}})
+	withEmptyScratch(func() {
+		if _, err := readFrame(bytes.NewReader(result(5))); err != nil {
+			t.Fatal(err)
+		}
+		for i, iters := range []int{50, 5, 5000, 500000} {
+			runtime.GC()
+			runtime.GC()
+			if _, err := readFrame(bytes.NewReader(small)); err != nil {
+				t.Fatal(err)
+			}
+			enc := result(iters)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := readFrame(bytes.NewReader(enc)); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			if grew, values := m1.TotalAlloc-m0.TotalAlloc, uint64(8*len(final)); grew > values+values/2 {
+				t.Errorf("read %d: a %d-byte result frame allocated %d bytes, %d of them its values", i, len(enc), grew, values)
+			}
+		}
+	})
+}
+
+// The scratch list lends the smallest buffer that fits, else its largest,
+// and when full keeps a larger buffer in place of its smallest: a small
+// frame never takes the buffer a result frame needs while another is free.
+func TestScratchBestFit(t *testing.T) {
+	withEmptyScratch(func() {
+		putScratch(make([]byte, 0, 64))
+		putScratch(make([]byte, 0, 1<<20))
+		putScratch(make([]byte, 0, 4096))
+		for _, c := range []struct{ n, want int }{{10, 64}, {1000, 4096}, {5000, 1 << 20}} {
+			b := getScratch(c.n)
+			if cap(b) != c.want {
+				t.Errorf("getScratch(%d) lent a %d-byte buffer, want %d", c.n, cap(b), c.want)
+			}
+			putScratch(b)
+		}
+		if b := getScratch(2 << 20); cap(b) != 1<<20 {
+			t.Errorf("getScratch of more than any holds lent %d bytes, want the largest (%d)", cap(b), 1<<20)
+		}
+		scratchBufs.free = nil
+		for range scratchKeep {
+			putScratch(make([]byte, 0, 64))
+		}
+		putScratch(make([]byte, 0, 1<<20))
+		putScratch(make([]byte, 0, 32))
+		if n := len(scratchBufs.free); n != scratchKeep {
+			t.Fatalf("%d buffers kept, want %d", n, scratchKeep)
+		}
+		if b := getScratch(1 << 20); cap(b) != 1<<20 {
+			t.Errorf("a full list dropped the large buffer (lent %d bytes)", cap(b))
+		}
+	})
 }
 
 func TestReadFrameCorruptAndTruncated(t *testing.T) {

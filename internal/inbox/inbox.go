@@ -6,6 +6,10 @@
 // its next take exactly what a NIC would have buffered for it, however busy
 // either side is.
 //
+// A hold is owed at the queue: a Put that is not yet due arms the inbox's
+// one timer for the earliest due time and wakes nobody, and the timer wakes
+// a waiting taker once, when the message falls due.
+//
 // The type is exported only because the two transport packages share it.
 package inbox
 
@@ -29,15 +33,25 @@ type Inbox struct {
 	// by the transport's clock: a distnet node starts its readers before it
 	// sets its own clock origin.
 	origin time.Time
-	// wake carries "something arrived" from Put to a waiting Take. One token
-	// is enough: the taker re-reads the whole queue when it wakes.
+	// wake tells a waiting Take to read the queue again: a Put of a message
+	// due at once posts it, and so does the timer when it fires. One token
+	// is enough: the taker re-reads the whole queue when it wakes. Both
+	// share the channel so that a zero-hold wait is one plain receive.
 	wake chan struct{}
 
 	mu   sync.Mutex
 	q    []entry // q[head:] is the queue, ascending by due
 	head int
 
-	timer *time.Timer // Take's one reusable wait
+	// timer owes the queue's holds and Take's deadlines. It is made on the
+	// first arm (most inboxes never hold a message) and released by Close.
+	timer timer
+	// armed is the instant timer is set for, forever when no setting is
+	// pending. Once it has passed, only a Take reading the queue clears it:
+	// until then the expiry's wake may still be on its way, and re-arming
+	// the timer would discard an expiry nobody has read.
+	armed  time.Duration
+	closed bool
 
 	// rows lends payload rows (Row, Release): a freelist per exact length,
 	// under a lock of its own so lending never waits behind the queue.
@@ -63,7 +77,7 @@ type entry struct {
 
 // New returns an empty inbox whose clock starts now.
 func New() *Inbox {
-	return &Inbox{origin: time.Now(), wake: make(chan struct{}, 1), rows: make(map[int]*rowClass)}
+	return &Inbox{origin: time.Now(), wake: make(chan struct{}, 1), armed: forever, rows: make(map[int]*rowClass)}
 }
 
 // ValidHold reports whether h seconds is a hold an inbox can owe: not
@@ -83,9 +97,14 @@ func MustAny(src, tag int) {
 
 // Put queues m, due m.Hold seconds from now (ValidHold(m.Hold) must hold).
 // It never blocks and an inbox has no capacity. Arrivals are inserted from
-// the back, so traffic with one constant hold costs O(1) per message.
+// the back, so traffic with one constant hold costs O(1) per message. A
+// message due at once wakes a waiting Take; one not yet due wakes nobody, it
+// only brings the timer forward when it is due before the timer's setting.
+// If that setting has passed unread, Put posts the timer's wake instead:
+// the taker it was for re-reads the queue and arms the timer itself.
 func (b *Inbox) Put(m cluster.Message) {
-	due := time.Since(b.origin) + time.Duration(m.Hold*float64(time.Second))
+	now := time.Since(b.origin)
+	due := now + time.Duration(m.Hold*float64(time.Second))
 	b.mu.Lock()
 	if len(b.q) == cap(b.q) && b.head > 0 { // reuse the taken front before growing
 		n := copy(b.q, b.q[b.head:])
@@ -98,18 +117,29 @@ func (b *Inbox) Put(m cluster.Message) {
 		b.q[i] = b.q[i-1]
 	}
 	b.q[i] = entry{due: due, m: m}
+	held := due > now
+	if prev := b.armed; held && prev <= now {
+		post(b.wake)
+	} else if held && due < prev {
+		b.arm(due, now)
+		if prev <= time.Since(b.origin) { // it passed between the two clock reads
+			post(b.wake)
+		}
+	}
 	b.mu.Unlock()
-	select {
-	case b.wake <- struct{}{}:
-	default:
+	if !held {
+		post(b.wake)
 	}
 }
 
 // Take removes and returns the earliest-due message once it is due, waiting
 // at most wait seconds for one: -Inf (or any wait ≤ 0) polls, +Inf waits for
-// ever. A wait lasts until the next Put or until the earlier of the earliest
-// due time and the end of the wait, so a short-hold message queued behind a
-// long-hold one is released at its own due time.
+// ever. A wait lasts until the next Put of a message due at once or until
+// the earlier of the earliest due time and the end of the wait, so a
+// short-hold message queued behind a long-hold one is released at its own
+// due time. After Close, a Take that would wait for a due time or a
+// deadline returns nothing at once; one that waits only for a Put still
+// waits.
 func (b *Inbox) Take(wait float64) (cluster.Message, bool) {
 	var end time.Duration // 0: a poll
 	if wait > 0 {
@@ -119,8 +149,20 @@ func (b *Inbox) Take(wait float64) (cluster.Message, bool) {
 		}
 	}
 	for {
+		if end > 0 {
+			// A token left by a Put or an expiry already served would only
+			// wake this wait for nothing: whatever it announced is in the
+			// queue before it is posted, so the read below sees it.
+			select {
+			case <-b.wake:
+			default:
+			}
+		}
 		b.mu.Lock()
 		now := time.Since(b.origin) // under the lock: every queued arrival precedes it
+		if b.armed <= now {
+			b.armed = forever // this read of the queue is what the expiry was for
+		}
 		next := forever
 		if b.head < len(b.q) {
 			e := &b.q[b.head]
@@ -135,19 +177,39 @@ func (b *Inbox) Take(wait float64) (cluster.Message, bool) {
 			}
 			next = e.due
 		}
-		b.mu.Unlock()
 		if now >= end {
+			b.mu.Unlock()
 			return cluster.Message{}, false
 		}
-		if until := min(next, end); until == forever {
-			<-b.wake
-		} else {
-			b.arm(until - now)
-			select {
-			case <-b.wake:
-			case <-b.timer.C:
-			}
+		until := min(next, end)
+		if until != forever && until != b.armed {
+			b.arm(until, now)
 		}
+		closed := b.closed
+		b.mu.Unlock()
+		if closed && until != forever {
+			return cluster.Message{}, false
+		}
+		<-b.wake
+		if testWaitHook != nil {
+			testWaitHook()
+		}
+	}
+}
+
+// testWaitHook, set by tests only, runs each time a Take's wait returns.
+var testWaitHook func()
+
+// Close releases the inbox's timer. Put still queues after Close but arms
+// nothing, and Take no longer waits for a due time or a deadline. Safe to
+// call more than once, from any goroutine.
+func (b *Inbox) Close() {
+	b.mu.Lock()
+	t := b.timer
+	b.timer, b.closed = nil, true
+	b.mu.Unlock()
+	if t != nil {
+		t.close()
 	}
 }
 
@@ -204,13 +266,16 @@ func (b *Inbox) Release(r []float64) {
 	}
 }
 
-// arm sets Take's timer to fire after d. A tick left over from a wait that
-// ended on a Put (go.mod predates the go 1.23 timer channels) costs one
-// spurious wake: Take re-reads the clock before it returns anything.
-func (b *Inbox) arm(d time.Duration) {
-	if b.timer == nil {
-		b.timer = time.NewTimer(d)
+// arm sets the timer, made here on first use, to fire at inbox-clock instant
+// at; now is the caller's reading of that clock. Under mu; after Close it
+// does nothing.
+func (b *Inbox) arm(at, now time.Duration) {
+	if b.closed {
 		return
 	}
-	b.timer.Reset(d)
+	if b.timer == nil {
+		b.timer = newTimer(b.wake)
+	}
+	b.timer.set(at - now)
+	b.armed = at
 }

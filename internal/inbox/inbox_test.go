@@ -2,6 +2,8 @@ package inbox
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,10 +181,100 @@ func TestPoisonReleased(t *testing.T) {
 	}
 }
 
+// A Put that is not yet due wakes nobody: a taker blocked on an empty inbox
+// returns a 20 ms-hold message no earlier than its hold, after exactly one
+// wait, the timer's. Whether or not the taker is already blocked when the
+// message is put, a wake from the Put would be a second wait return.
+func TestUnduePutWakesNobody(t *testing.T) {
+	const hold = 20 * time.Millisecond
+	var waits atomic.Int32
+	testWaitHook = func() { waits.Add(1) }
+	defer func() { testWaitHook = nil }()
+	b := New()
+	defer b.Close()
+	took := make(chan time.Time, 1)
+	go func() {
+		if m, ok := b.Take(math.Inf(1)); !ok || m.Iter != 1 {
+			t.Errorf("blocking take returned (%+v, %v)", m, ok)
+		}
+		took <- time.Now()
+	}()
+	time.Sleep(5 * time.Millisecond) // let the taker block
+	put := time.Now()
+	b.Put(cluster.Message{Iter: 1, Hold: hold.Seconds()})
+	if d := (<-took).Sub(put); d < hold {
+		t.Fatalf("a %v hold was taken after %v", hold, d)
+	}
+	if n := waits.Load(); n != 1 {
+		t.Fatalf("the taker's wait returned %d times, want once (when the message fell due)", n)
+	}
+}
+
+// A Put that finds the timer's setting passed but not yet read does not
+// re-arm over it (re-arming a timerfd discards an unread expiry): the taker
+// waiting for that expiry still wakes when its message falls due, not at
+// the new message's due time. With one P held by this goroutine, the timer's
+// reader cannot run between the expiry and the second Put.
+func TestPutDoesNotDiscardAnUnreadExpiry(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b := New()
+	defer b.Close()
+	took := make(chan int, 1)
+	go func() {
+		m, _ := b.Take(math.Inf(1))
+		took <- m.Iter
+	}()
+	time.Sleep(5 * time.Millisecond) // let the taker block
+	put := time.Now()
+	b.Put(cluster.Message{Iter: 1, Hold: 0.002})
+	for time.Since(put) < 5*time.Millisecond { // past the first due time, holding the only P
+	}
+	b.Put(cluster.Message{Iter: 2, Hold: 3600})
+	select {
+	case it := <-took:
+		if it != 1 {
+			t.Fatalf("took message %d, want 1", it)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the taker missed its message's due time: the second Put discarded the expiry")
+	}
+}
+
+// Close may be called twice; after it a held Put still queues but makes no
+// timer, a Take does not wait for a due time it has no timer for, and a
+// message due at once is still handed over.
+func TestClose(t *testing.T) {
+	b := New()
+	b.Put(cluster.Message{Iter: 1, Hold: 3600})
+	if b.timer == nil {
+		t.Fatal("a held Put made no timer")
+	}
+	b.Close()
+	b.Close()
+	b.Put(cluster.Message{Iter: 2, Hold: 3600})
+	if b.timer != nil {
+		t.Fatal("a Put after Close made a timer")
+	}
+	if m, ok := b.Take(math.Inf(1)); ok {
+		t.Fatalf("took %+v an hour before it is due", m)
+	}
+	b.Put(cluster.Message{Iter: 3})
+	if m, ok := b.Take(math.Inf(1)); !ok || m.Iter != 3 {
+		t.Fatalf("take after Close returned (%+v, %v), want the due message", m, ok)
+	}
+	if n := len(b.q) - b.head; n != 2 {
+		t.Fatalf("%d messages queued, want the two held ones", n)
+	}
+}
+
 // BenchmarkInbox prices the inbox on the engine's two hot calls, one message
-// through (Put then a polling Take) and a poll of an empty inbox, and the row
-// pool the transports copy payloads into: a row lent on one goroutine and
-// released on another. All must read 0 allocs/op.
+// through (Put then a polling Take) and a poll of an empty inbox; a
+// zero-hold wake (two goroutines passing a message back and forth through
+// two inboxes, each blocked in Take until the other's Put wakes it); a held
+// message's wake (Put with a 300 µs hold, then a blocking Take), with how
+// late the Take returns as excess-µs; and the row pool the transports copy
+// payloads into: a row lent on one goroutine and released on another. All
+// must read 0 allocs/op.
 func BenchmarkInbox(b *testing.B) {
 	b.Run("put-take", func(b *testing.B) {
 		in := New()
@@ -194,6 +286,46 @@ func BenchmarkInbox(b *testing.B) {
 				b.Fatal("a zero-hold message was not visible")
 			}
 		}
+	})
+	b.Run("wake-take", func(b *testing.B) {
+		ping, pong := New(), New()
+		m := cluster.Message{Src: 1, Tag: 1}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < b.N; i++ {
+				ping.Take(math.Inf(1))
+				pong.Put(m)
+			}
+		}()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ping.Put(m)
+			if _, ok := pong.Take(math.Inf(1)); !ok {
+				b.Fatal("a blocking take returned nothing")
+			}
+		}
+		<-done
+	})
+	b.Run("held-wake", func(b *testing.B) {
+		const hold = 300 * time.Microsecond
+		in := New()
+		defer in.Close()
+		m := cluster.Message{Src: 1, Tag: 1, Hold: hold.Seconds()}
+		in.Put(m) // makes the timer
+		in.Take(math.Inf(1))
+		var late time.Duration
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			put := time.Now()
+			in.Put(m)
+			if _, ok := in.Take(math.Inf(1)); !ok {
+				b.Fatal("a blocking take returned nothing")
+			}
+			late += time.Since(put) - hold
+		}
+		b.ReportMetric(late.Seconds()*1e6/float64(b.N), "excess-µs")
 	})
 	b.Run("row-release", func(b *testing.B) {
 		in := New()

@@ -10,8 +10,9 @@ import (
 // one mesh. The sender puts straight into the receiver's inbox, so arrivals
 // are stamped on the sender's goroutine and the busy-P row runs on one P.
 var backend = inboxtest.Backend{
-	Link: func(*testing.T) (func(tag, iter int, hold float64), inboxtest.Receiver) {
+	Link: func(t *testing.T) (func(tag, iter int, hold float64), inboxtest.Receiver) {
 		mesh := newMesh(2, 0)
+		t.Cleanup(func() { mesh[0].inbox.Close(); mesh[1].inbox.Close() })
 		tx := mesh[0]
 		return func(tag, iter int, hold float64) {
 			tx.hold = hold

@@ -206,6 +206,9 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 		}()
 	}
 	wg.Wait()
+	for _, tr := range transports {
+		tr.inbox.Close()
+	}
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("realtime: processor %d: %w", i, err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"specomp/internal/core"
+	"specomp/internal/inbox/inboxtest"
 )
 
 // rtMap is the same globally coupled logistic map used by the core tests,
@@ -221,4 +222,16 @@ func TestSingleProcessor(t *testing.T) {
 	if results[0].Stats.SpecsMade != 0 {
 		t.Error("single proc speculated")
 	}
+}
+
+// A run with a delay owes its holds to each inbox's timer; when Run returns
+// those timers are released: no goroutine and no timer descriptor is left.
+func TestRunReleasesInboxTimers(t *testing.T) {
+	before := inboxtest.HeldNow()
+	results, err := Run(Config{Procs: 3, MaxIter: 20, FW: 1, Delay: time.Millisecond},
+		func(pid, procs int) core.App { return &rtMap{pid: pid, p: procs, threshold: 0.05} })
+	if err != nil || len(results) != 3 {
+		t.Fatalf("run: %d results, err %v", len(results), err)
+	}
+	inboxtest.Released(t, before)
 }
