@@ -210,10 +210,8 @@ func (a *App) ghostRow(view [][]float64, r int, wantLast bool) []float64 {
 func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.pid, t) }
 
 // ComputeInto implements core.ComputerInto: stencil update of the owned
-// rows, the neighbours' published edge rows as ghosts. The side columns are
-// peeled off the inner loop (insulated edges read the cell itself), and every
-// row is re-sliced to the current row's length so the loop carries no bounds
-// check; the arithmetic is SerialStep's, operand for operand.
+// rows, the neighbours' published edge rows as ghosts, one stencilRow per
+// interior row; the arithmetic is SerialStep's, operand for operand.
 func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 	lo, hi := a.rows()
 	g := a.grid
@@ -240,18 +238,46 @@ func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 		if r+1 < hi {
 			below = strip[i+cols : i+2*cols]
 		}
-		above, below, dst = above[:len(cur)], below[:len(cur)], dst[:len(cur)]
-		last := len(cur) - 1
-		x := cur[0]
-		dst[0] = x + alpha*(above[0]+below[0]+x+cur[min(1, last)]-4*x)
-		for c := 1; c < len(cur)-1; c++ {
-			x := cur[c]
-			dst[c] = x + alpha*(above[c]+below[c]+cur[c-1]+cur[c+1]-4*x)
-		}
-		if last > 0 {
-			x := cur[last]
-			dst[last] = x + alpha*(above[last]+below[last]+cur[last-1]+x-4*x)
-		}
+		stencilRow(dst, above, cur, below, alpha)
+	}
+}
+
+// vector reports whether stencilRow hands the interior of each row to the
+// four-wide kernel (stencil_amd64.s). It is fixed at package init from the
+// CPU's features; tests turn it off to check the portable loop alone.
+var vector = hasAVX2()
+
+// stencilRow writes one interior row's update into dst. The side columns are
+// peeled off the inner loop (insulated edges read the cell itself). The
+// vector kernel takes whole blocks of four interior cells and interiorGo the
+// 0–3 left over, or the whole interior when vector is off; both evaluate
+// SerialStep's expression operand for operand,
+// x + α·((((above+below)+left)+right) − 4x), with no fused multiply-add, so
+// each cell is the same sequence of IEEE-754 operations on either loop.
+func stencilRow(dst, above, cur, below []float64, alpha float64) {
+	above, below, dst = above[:len(cur)], below[:len(cur)], dst[:len(cur)]
+	last := len(cur) - 1
+	x := cur[0]
+	dst[0] = x + alpha*(above[0]+below[0]+x+cur[min(1, last)]-4*x)
+	if last == 0 {
+		return
+	}
+	x = cur[last]
+	dst[last] = x + alpha*(above[last]+below[last]+cur[last-1]+x-4*x)
+	n := 0
+	if vector {
+		n = rowAVX2(dst, above, cur, below, alpha)
+	}
+	interiorGo(dst[n:], above[n:], cur[n:], below[n:], alpha)
+}
+
+// interiorGo writes the cells [1, len(cur)−1) of a row window. Every row is
+// re-sliced to cur's length so the loop carries no bounds check.
+func interiorGo(dst, above, cur, below []float64, alpha float64) {
+	above, below, dst = above[:len(cur)], below[:len(cur)], dst[:len(cur)]
+	for c := 1; c < len(cur)-1; c++ {
+		x := cur[c]
+		dst[c] = x + alpha*(above[c]+below[c]+cur[c-1]+cur[c+1]-4*x)
 	}
 }
 

@@ -166,11 +166,13 @@ func flatten(f [][]float64) []float64 {
 	return out
 }
 
-// gridShape draws a stencil problem: tiny grids, the degenerate widths, and
+// gridShape draws a stencil problem: tiny grids, the degenerate widths,
+// widths up to 40 columns (heat's vector kernel takes blocks of four interior
+// cells, so these cover every leftover count and several blocks per row), and
 // P anywhere from one strip to one row per strip.
 func gridShape(rng *rand.Rand, i int) (rows, cols int, blocks [][2]int) {
 	rows = 1 + rng.Intn(12)
-	cols = []int{1, 2, 3, 4 + rng.Intn(8)}[i%4]
+	cols = []int{1, 2, 3, 4 + rng.Intn(37)}[i%4]
 	p := 1 + rng.Intn(rows)
 	if i%3 == 0 {
 		p = rows // every strip a single row, Dirichlet rows alone on a rank
