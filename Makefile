@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-core bench-smoke bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched fuzz-obs soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext results-check faults chaos metrics cover fmt vet lint examples loc
+.PHONY: all build test test-short bench bench-core bench-smoke bench-pairs race golden-summary distributed fuzz-wire fuzz-checkpoint fuzz-sched fuzz-obs soak soak-short chaos-dist obs-fleet dag serve-smoke results results-ext results-check faults chaos metrics cover fmt vet lint examples loc knobs
 
 all: build vet test
 
@@ -204,6 +204,23 @@ fmt:
 loc:
 	@echo "non-test Go: $$(git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l) lines"
 	@echo "  under bench/: $$(git ls-files 'bench/*.go' | grep -v _test.go | xargs cat | wc -l) lines"
+
+# Exported fields of the nine structs a run is configured through, `A, B T`
+# counted as two: the settable-value count a simplicity change states.
+KNOBS = internal/core/core.go:Config internal/realtime/realtime.go:Config \
+	internal/cluster/cluster.go:Config internal/sched/sched.go:Config \
+	internal/distnet/spec.go:RunSpec internal/distnet/spec.go:WireSpec \
+	internal/distnet/node.go:NodeConfig internal/distnet/coord.go:CoordConfig \
+	internal/distnet/supervise.go:SuperviseConfig
+knobs:
+	@total=0; for f in $(KNOBS); do \
+		n=$$(awk -v t="$${f##*:}" '$$0 ~ "^type " t " struct" { s = 1; next } \
+			s && /^}/ { s = 0 } \
+			s && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Z][A-Za-z0-9_]*)*/) { \
+				m = substr($$0, 1, RLENGTH); c += gsub(/,/, "", m) + 1 } \
+			END { print c + 0 }' "$${f%%:*}") || exit 1; \
+		printf '%-46s %3d\n' "$$f" "$$n"; total=$$((total + n)); \
+	done; echo "settable values: $$total"
 
 examples:
 	go run ./examples/quickstart

@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"specomp/internal/faults"
@@ -80,10 +81,10 @@ type Machine struct {
 	Ops  float64 // capacity M_i: operations per second
 }
 
-// NoMsgHeader is the Config.MsgHeaderBytes sentinel for a network with zero
-// protocol framing overhead. (The zero value of MsgHeaderBytes selects the
-// 64-byte default, so "explicitly no header" needs its own value.)
-const NoMsgHeader = -1
+// MsgHeaderBytes is the protocol framing added to every message's payload
+// size when computing network delays and byte counts; an ack is a bare
+// header. distnet counts its logical bytes with the same figure.
+const MsgHeaderBytes = 64
 
 // Config parameterizes a Cluster.
 type Config struct {
@@ -91,13 +92,6 @@ type Config struct {
 	Net      netmodel.Model
 	Seed     int64
 	Horizon  float64 // optional virtual-time limit
-	// MsgHeaderBytes is added to every message's payload size when computing
-	// network delays (protocol framing). Zero selects the default of 64;
-	// use NoMsgHeader (-1) to model a network with no framing overhead.
-	MsgHeaderBytes int
-	// SendOps is the CPU cost, in operations, charged to the sender per
-	// message (packing and protocol work).
-	SendOps float64
 	// OnSpan, if non-nil, receives every interval of virtual time a
 	// processor spends in a phase (used to render execution timelines).
 	OnSpan func(proc int, ph Phase, start, end float64)
@@ -155,8 +149,16 @@ type Message struct {
 	Hold float64
 }
 
-// Any matches any source or tag in Recv/TryRecv.
+// Any is the only source and tag a receive accepts (see MustAny).
 const Any = -1
+
+// MustAny panics unless (src, tag) is (Any, Any). The engine receives only
+// that, so no transport keeps a selector; all three backends check with it.
+func MustAny(src, tag int) {
+	if src != Any || tag != Any {
+		panic(fmt.Sprintf("cluster: receive from src %d tag %d: a transport receives only (Any, Any), as the engine does", src, tag))
+	}
+}
 
 // Cluster is a set of simulated machines wired to a network model.
 type Cluster struct {
@@ -172,12 +174,6 @@ func New(cfg Config) *Cluster {
 	}
 	if len(cfg.Machines) == 0 {
 		panic("cluster: no machines")
-	}
-	if cfg.MsgHeaderBytes == 0 {
-		cfg.MsgHeaderBytes = 64
-	}
-	if cfg.MsgHeaderBytes < 0 {
-		cfg.MsgHeaderBytes = 0
 	}
 	if cfg.RetryTimeout <= 0 {
 		cfg.RetryTimeout = 0.5
@@ -286,8 +282,8 @@ func (p *Proc) beginCrash(downtime float64) {
 	}
 	p.crashPending = true
 	p.pendingDown = downtime
-	if p.want != nil { // parked on a receive: wake it so the crash lands now
-		p.want = nil
+	if p.parked != 0 { // parked on a receive: wake it so the crash lands now
+		p.parked = 0
 		p.c.kernel.Unblock(p.sp)
 	}
 }
@@ -311,7 +307,7 @@ func (p *Proc) downAndRestart() {
 	p.crashes++
 	p.downtimeSec += down
 	p.mbox = nil
-	p.want = nil
+	p.parked = 0
 	if p.c.cfg.Reliable {
 		p.resetReliable()
 	}
@@ -343,15 +339,6 @@ func (p *Proc) resetReliable() {
 // Run drives the simulation to completion.
 func (c *Cluster) Run() error { return c.kernel.Run() }
 
-// filter describes what a parked receiver is waiting for.
-type filter struct {
-	src, tag int
-}
-
-func (f filter) matches(m Message) bool {
-	return (f.src == Any || m.Src == f.src) && (f.tag == Any || m.Tag == f.tag)
-}
-
 // pendingMsg is one unacknowledged reliable-layer transmission.
 type pendingMsg struct {
 	msg     Message
@@ -369,8 +356,9 @@ type Proc struct {
 	id   int
 	mach Machine
 
-	mbox []Message
-	want *filter
+	mbox   []Message
+	parked uint64 // token of the receive the processor is parked on; 0 when not parked
+	waits  uint64 // receive tokens issued
 
 	clocks    [numPhases]float64
 	msgsSent  int
@@ -535,25 +523,18 @@ func (p *Proc) Idle(d float64) {
 }
 
 // Send transmits data to processor dst with the given tag and iteration
-// stamp. The sender is charged Config.SendOps of CPU (attributed to the comm
-// phase); delivery latency comes from the network model. The payload is
-// copied once per Send, so the caller may reuse its buffer immediately; every
-// delivery (retransmissions, injected duplicates) shares the copy for good.
+// stamp. Sending costs the sender no virtual time; delivery latency comes
+// from the network model. The payload is copied once per Send, so the caller
+// may reuse its buffer immediately; every delivery (retransmissions, injected
+// duplicates) shares the copy for good.
 func (p *Proc) Send(dst, tag, iter int, data []float64) {
 	p.maybeCrash()
 	if dst < 0 || dst >= p.c.P() {
 		panic(fmt.Sprintf("cluster: Send to invalid processor %d", dst))
 	}
-	if p.c.cfg.SendOps > 0 {
-		d := p.c.cfg.SendOps / p.mach.Ops
-		p.clocks[PhaseComm] += d
-		start := p.Now()
-		p.sp.Sleep(d)
-		p.span(PhaseComm, start)
-	}
 	payload := make([]float64, len(data))
 	copy(payload, data)
-	bytes := 8*len(payload) + p.c.cfg.MsgHeaderBytes
+	bytes := 8*len(payload) + MsgHeaderBytes
 	msg := Message{
 		Src: p.id, Dst: dst, Tag: tag, Iter: iter, Epoch: p.epoch,
 		Data: payload, SentAt: p.Now(),
@@ -681,7 +662,7 @@ func (p *Proc) sendAck(src int, seq uint64, epoch int) {
 	srcProc := p.c.procs[src]
 	from := p.id
 	for _, delay := range netmodel.DeliveriesOf(p.c.cfg.Net, netmodel.Msg{
-		Src: p.id, Dst: src, Bytes: p.c.cfg.MsgHeaderBytes, Procs: p.c.P(), Now: p.c.kernel.Now(),
+		Src: p.id, Dst: src, Bytes: MsgHeaderBytes, Procs: p.c.P(), Now: p.c.kernel.Now(),
 	}, p.c.kernel.Rand()) {
 		if delay < 0 {
 			panic("cluster: negative network delay")
@@ -701,7 +682,7 @@ func (p *Proc) ackReceived(from int, seq uint64, epoch int) {
 	}
 }
 
-// deliver runs in kernel context: enqueue and wake a matching waiter.
+// deliver runs in kernel context: enqueue and wake a parked receiver.
 // Deliveries to a dead processor are dropped, and messages from a peer's
 // older incarnation are discarded (the unreliable path's epoch filter; the
 // reliable path checks before acknowledging).
@@ -721,47 +702,41 @@ func (p *Proc) deliver(m Message) {
 	}
 	p.obsLatency.Observe(m.DeliveredAt - m.SentAt)
 	p.mbox = append(p.mbox, m)
-	if p.want != nil && p.want.matches(m) {
-		p.want = nil
+	if p.parked != 0 {
+		p.parked = 0
 		p.c.kernel.Unblock(p.sp)
 	}
 }
 
-// TryRecv returns a queued message matching (src, tag) without blocking.
-// Use Any for either field to match anything.
+// TryRecv returns the oldest queued message without blocking. src and tag
+// must be Any (MustAny).
 func (p *Proc) TryRecv(src, tag int) (Message, bool) {
+	MustAny(src, tag)
 	p.maybeCrash()
-	f := filter{src: src, tag: tag}
-	for i, m := range p.mbox {
-		if f.matches(m) {
-			p.mbox = append(p.mbox[:i], p.mbox[i+1:]...)
-			p.msgsRecvd++
-			return m, true
-		}
+	if len(p.mbox) == 0 {
+		return Message{}, false
 	}
-	return Message{}, false
+	m := p.mbox[0]
+	p.mbox = append(p.mbox[:0], p.mbox[1:]...)
+	p.msgsRecvd++
+	return m, true
 }
 
-// Recv blocks until a message matching (src, tag) arrives and returns it.
-// Time spent blocked is attributed to the comm phase.
+// Recv blocks until a message arrives and returns the oldest. Time spent
+// blocked is attributed to the comm phase.
 func (p *Proc) Recv(src, tag int) Message {
 	for {
 		if m, ok := p.TryRecv(src, tag); ok {
 			return m
 		}
-		f := filter{src: src, tag: tag}
-		p.want = &f
-		before := p.Now()
-		p.sp.Park()
-		p.clocks[PhaseComm] += p.Now() - before
-		p.span(PhaseComm, before)
+		p.park(math.Inf(1))
 	}
 }
 
-// RecvDeadline blocks until a message matching (src, tag) arrives or
-// timeout seconds of virtual time elapse, whichever comes first. The second
-// return value is false when the deadline expired with no matching message.
-// Time spent blocked is attributed to the comm phase.
+// RecvDeadline blocks until a message arrives or timeout seconds of virtual
+// time elapse, whichever comes first. The second return value is false when
+// the deadline expired with no message. Time spent blocked is attributed to
+// the comm phase.
 func (p *Proc) RecvDeadline(src, tag int, timeout float64) (Message, bool) {
 	deadline := p.Now() + timeout
 	for {
@@ -771,20 +746,29 @@ func (p *Proc) RecvDeadline(src, tag int, timeout float64) (Message, bool) {
 		if p.Now() >= deadline {
 			return Message{}, false
 		}
-		f := filter{src: src, tag: tag}
-		fp := &f
-		p.want = fp
-		p.c.kernel.Schedule(deadline-p.Now(), func() {
+		p.park(deadline - p.Now())
+	}
+}
+
+// park blocks the processor on a fresh receive token until a delivery, a
+// crash or, after a finite timeout, the token's timer wakes it, and charges
+// the wait to the comm phase.
+func (p *Proc) park(timeout float64) {
+	p.waits++
+	tok := p.waits
+	p.parked = tok
+	if !math.IsInf(timeout, 1) {
+		p.c.kernel.Schedule(timeout, func() {
 			// Wake the receiver only if it is still parked on this exact
 			// wait; a delivery (or an older timer) may have beaten us.
-			if p.want == fp {
-				p.want = nil
+			if p.parked == tok {
+				p.parked = 0
 				p.c.kernel.Unblock(p.sp)
 			}
 		})
-		before := p.Now()
-		p.sp.Park()
-		p.clocks[PhaseComm] += p.Now() - before
-		p.span(PhaseComm, before)
 	}
+	before := p.Now()
+	p.sp.Park()
+	p.clocks[PhaseComm] += p.Now() - before
+	p.span(PhaseComm, before)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,7 +53,7 @@ func TestSendRecvLatency(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, 7, 3, []float64{1, 2, 3})
 		} else {
-			got = p.Recv(0, 7)
+			got = p.Recv(Any, Any)
 			recvAt = p.Now()
 		}
 	})
@@ -83,7 +84,7 @@ func TestSendCopiesPayload(t *testing.T) {
 			p.Send(1, 0, 0, data)
 			data[0] = -1 // mutation after send must not affect the message
 		} else {
-			got = p.Recv(0, 0)
+			got = p.Recv(Any, Any)
 		}
 	})
 	if err := c.Run(); err != nil {
@@ -101,9 +102,9 @@ func TestTryRecvNonBlocking(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, 1, 0, nil)
 		} else {
-			_, early = p.TryRecv(0, 1) // message still in flight
+			_, early = p.TryRecv(Any, Any) // message still in flight
 			p.Idle(10)
-			_, late = p.TryRecv(0, 1) // delivered by now
+			_, late = p.TryRecv(Any, Any) // delivered by now
 		}
 	})
 	if err := c.Run(); err != nil {
@@ -114,31 +115,6 @@ func TestTryRecvNonBlocking(t *testing.T) {
 	}
 	if !late {
 		t.Error("TryRecv missed a delivered message")
-	}
-}
-
-func TestRecvFiltersBySourceAndTag(t *testing.T) {
-	c := New(Config{
-		Machines: UniformMachines(3, 100),
-		Net:      netmodel.Fixed{D: 1},
-	})
-	var fromTwo Message
-	c.Start(func(p *Proc) {
-		switch p.ID() {
-		case 0:
-			p.Send(2, 9, 0, []float64{0})
-		case 1:
-			p.Send(2, 9, 0, []float64{1})
-		case 2:
-			fromTwo = p.Recv(1, 9) // specifically from proc 1
-			p.Recv(0, 9)           // then drain the other
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fromTwo.Src != 1 || fromTwo.Data[0] != 1 {
-		t.Errorf("filtered recv returned %+v", fromTwo)
 	}
 }
 
@@ -160,11 +136,31 @@ func TestRecvAnyMatchesWildcard(t *testing.T) {
 	}
 }
 
+// TestSelectorRefused: the simulator receives only (Any, Any), as both
+// wall-clock transports do; a selector is a bug the run reports.
+func TestSelectorRefused(t *testing.T) {
+	for name, recv := range map[string]func(*Proc){
+		"TryRecv(0, Any)":         func(p *Proc) { p.TryRecv(0, Any) },
+		"Recv(Any, 1)":            func(p *Proc) { p.Recv(Any, 1) },
+		"RecvDeadline(0, 1, 0.1)": func(p *Proc) { p.RecvDeadline(0, 1, 0.1) },
+	} {
+		c := twoProcCluster(netmodel.Fixed{D: 1})
+		c.Start(func(p *Proc) {
+			if p.ID() == 1 {
+				recv(p)
+			}
+		})
+		if err := c.Run(); err == nil || !strings.Contains(err.Error(), "(Any, Any)") {
+			t.Errorf("%s: err = %v, want the (Any, Any) rule", name, err)
+		}
+	}
+}
+
 func TestDeadlockWhenNoSender(t *testing.T) {
 	c := twoProcCluster(netmodel.Fixed{D: 1})
 	c.Start(func(p *Proc) {
 		if p.ID() == 1 {
-			p.Recv(0, 0) // never sent
+			p.Recv(Any, Any) // never sent
 		}
 	})
 	err := c.Run()
@@ -181,7 +177,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	after := make([]float64, 3)
 	c.Start(func(p *Proc) {
 		p.Idle(float64(p.ID())) // stagger arrivals: 0s, 1s, 2s
-		// A naive all-to-all barrier on one tag: selective receive per peer.
+		// A naive all-to-all barrier: one message to and from every peer.
 		for k := 0; k < p.P(); k++ {
 			if k != p.ID() {
 				p.Send(k, 99, 0, nil)
@@ -189,7 +185,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		}
 		for k := 0; k < p.P(); k++ {
 			if k != p.ID() {
-				p.Recv(k, 99)
+				p.Recv(Any, Any)
 			}
 		}
 		after[p.ID()] = p.Now()
@@ -210,32 +206,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestSendOpsChargedToSender(t *testing.T) {
-	c := New(Config{
-		Machines: []Machine{{Name: "a", Ops: 100}, {Name: "b", Ops: 100}},
-		Net:      netmodel.Fixed{D: 0},
-		SendOps:  200, // 2 seconds at 100 ops/s
-	})
-	var sendDone float64
-	c.Start(func(p *Proc) {
-		if p.ID() == 0 {
-			p.Send(1, 0, 0, nil)
-			sendDone = p.Now()
-		} else {
-			p.Recv(0, 0)
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sendDone != 2 {
-		t.Errorf("send completed at %g, want 2", sendDone)
-	}
-	if got := c.Proc(0).PhaseTime(PhaseComm); got != 2 {
-		t.Errorf("sender comm clock = %g, want 2", got)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	c := twoProcCluster(netmodel.Fixed{D: 1})
 	c.Start(func(p *Proc) {
@@ -243,8 +213,8 @@ func TestStatsCounters(t *testing.T) {
 			p.Send(1, 0, 0, []float64{1, 2})
 			p.Send(1, 0, 1, []float64{3})
 		} else {
-			p.Recv(0, 0)
-			p.Recv(0, 0)
+			p.Recv(Any, Any)
+			p.Recv(Any, Any)
 		}
 	})
 	if err := c.Run(); err != nil {
@@ -307,7 +277,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 				}
 			} else {
 				for i := 0; i < n; i++ {
-					m := p.Recv(0, 5)
+					m := p.Recv(Any, Any)
 					got = append(got, m.Iter)
 				}
 			}
@@ -366,8 +336,8 @@ func TestSharedBusResetOnReuse(t *testing.T) {
 				p.Send(1, 1, 0, []float64{1})
 				p.Send(1, 2, 0, []float64{2})
 			} else {
-				p.Recv(0, 1)
-				p.Recv(0, 2)
+				p.Recv(Any, Any)
+				p.Recv(Any, Any)
 				recvAt = p.Now()
 			}
 		})
@@ -380,37 +350,6 @@ func TestSharedBusResetOnReuse(t *testing.T) {
 	second := run()
 	if first != second {
 		t.Errorf("reused SharedBus inflated delays: first run recv at %g, second at %g", first, second)
-	}
-}
-
-func TestMsgHeaderBytesSentinel(t *testing.T) {
-	run := func(header int) int {
-		c := New(Config{
-			Machines:       []Machine{{Name: "a", Ops: 100}, {Name: "b", Ops: 100}},
-			Net:            netmodel.Fixed{D: 0.1},
-			MsgHeaderBytes: header,
-		})
-		c.Start(func(p *Proc) {
-			if p.ID() == 0 {
-				p.Send(1, 1, 0, []float64{1, 2})
-			} else {
-				p.Recv(0, 1)
-			}
-		})
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-		_, _, bytes := c.Proc(0).Stats()
-		return bytes
-	}
-	if got := run(0); got != 16+64 {
-		t.Errorf("default header: bytesSent = %d, want %d", got, 16+64)
-	}
-	if got := run(NoMsgHeader); got != 16 {
-		t.Errorf("NoMsgHeader: bytesSent = %d, want 16 (zero framing)", got)
-	}
-	if got := run(10); got != 16+10 {
-		t.Errorf("explicit header: bytesSent = %d, want %d", got, 16+10)
 	}
 }
 
@@ -428,7 +367,7 @@ func TestReliableDeliveryRecoversDrops(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, 7, 3, []float64{42})
 		} else {
-			got = p.Recv(0, 7)
+			got = p.Recv(Any, Any)
 		}
 	})
 	if err := c.Run(); err != nil {
@@ -455,7 +394,7 @@ func TestWithoutReliableDropDeadlocks(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, 7, 0, nil)
 		} else {
-			p.Recv(0, 7)
+			p.Recv(Any, Any)
 		}
 	})
 	if err := c.Run(); !errors.Is(err, simtime.ErrDeadlock) {
@@ -492,8 +431,8 @@ func TestReliableDeliverySuppressesDuplicates(t *testing.T) {
 			p.Send(1, 7, 0, []float64{1})
 			p.Send(1, 7, 1, []float64{2})
 		} else {
-			p.Recv(0, 7)
-			p.Recv(0, 7)
+			p.Recv(Any, Any)
+			p.Recv(Any, Any)
 			p.Idle(1) // let the duplicate copies arrive
 			for {
 				if _, ok := p.TryRecv(Any, Any); !ok {
@@ -582,10 +521,10 @@ func TestRecvDeadlineTimesOutAndRecovers(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, 7, 0, []float64{1})
 		} else {
-			_, ok := p.RecvDeadline(0, 7, 0.5)
+			_, ok := p.RecvDeadline(Any, Any, 0.5)
 			timedOut = !ok
 			wakeAt = p.Now()
-			_, ok = p.RecvDeadline(0, 7, 5)
+			_, ok = p.RecvDeadline(Any, Any, 5)
 			gotLate = ok
 		}
 	})
@@ -618,7 +557,7 @@ func TestTransportMetricsAndJournal(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, 7, 3, []float64{42})
 		} else {
-			p.Recv(0, 7)
+			p.Recv(Any, Any)
 		}
 	})
 	if err := c.Run(); err != nil {
@@ -658,7 +597,7 @@ func TestNilObsConfigCostsNothing(t *testing.T) {
 		if p.ID() == 0 {
 			p.Send(1, 1, 0, []float64{1})
 		} else {
-			p.Recv(0, 1)
+			p.Recv(Any, Any)
 		}
 	})
 	if err := c.Run(); err != nil {

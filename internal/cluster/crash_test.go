@@ -37,7 +37,7 @@ func TestCrashRestartLifecycle(t *testing.T) {
 		incarnations++
 		epochs = append(epochs, p.Epoch())
 		for {
-			if _, ok := p.RecvDeadline(0, 1, 1.0); !ok {
+			if _, ok := p.RecvDeadline(Any, Any, 1.0); !ok {
 				return
 			}
 			got++
@@ -110,11 +110,11 @@ func TestReliablePeerDeadDropsRetransmission(t *testing.T) {
 			return
 		}
 		if p.Epoch() == 0 {
-			p.Recv(0, 1) // parked here when the crash lands
+			p.Recv(Any, Any) // parked here when the crash lands
 			t.Error("first incarnation received a message unexpectedly")
 			return
 		}
-		_, gotAfterRestart = p.RecvDeadline(0, 1, 1.0)
+		_, gotAfterRestart = p.RecvDeadline(Any, Any, 1.0)
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -160,11 +160,11 @@ func TestStaleEpochMessageDiscarded(t *testing.T) {
 	var sawSecond bool
 	c.Start(func(p *Proc) {
 		if p.ID() == 0 {
-			m, ok := p.RecvDeadline(1, 1, 3.0)
+			m, ok := p.RecvDeadline(Any, Any, 3.0)
 			if ok {
 				firstIter = m.Iter
 			}
-			_, sawSecond = p.RecvDeadline(1, 1, 2.0)
+			_, sawSecond = p.RecvDeadline(Any, Any, 2.0)
 			return
 		}
 		if p.Epoch() == 0 {

@@ -36,7 +36,7 @@ func TestMessageStormExactlyOnceProperty(t *testing.T) {
 			}
 			// Receive everything addressed to us.
 			for i := 0; i < (p-1)*perPair; i++ {
-				msg := pr.Recv(Any, 7)
+				msg := pr.Recv(Any, Any)
 				key := [3]int{msg.Src, msg.Tag, msg.Iter}
 				if got[pr.ID()][key] {
 					ok = false // duplicate
@@ -83,7 +83,7 @@ func TestManyProcessesManyMessages(t *testing.T) {
 				}
 			}
 			for k := 0; k < p-1; k++ {
-				pr.Recv(Any, r)
+				pr.Recv(Any, Any)
 				recvd[pr.ID()]++
 			}
 			pr.Compute(100, PhaseCompute)

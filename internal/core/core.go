@@ -56,9 +56,9 @@ const (
 // Compute charges work to the substrate's clock — a no-op for wall-clock
 // substrates, where the work happens inside the app itself.
 //
-// The engine receives only (cluster.Any, cluster.Any). Selective receive is
-// *cluster.Proc's alone; the wall-clock transports panic on any other
-// selector.
+// The engine receives only (cluster.Any, cluster.Any), and every backend
+// panics on any other selector (cluster.MustAny). The (src, tag) parameters
+// remain only because the benchmark harness calls the methods with them.
 //
 // Delivery rule on the wall-clock transports: a message is in the
 // receiver's inbox the moment it arrives and becomes visible Message.Hold
@@ -180,12 +180,6 @@ type Config struct {
 	// outage by speculating deeper past the forward window. Defaults to 6
 	// when checkpointing and Deadline are both enabled.
 	MaxCrashOverrun int
-	// RejoinRetry is how long a blocked validation waits before (re)sending
-	// a rejoin/refill request for a missing message — the recovery path for
-	// data lost to a crash or abandoned by the reliable layer after
-	// MaxRetries. Defaults to 4×Deadline, or 1 when Deadline is 0. Active
-	// only when CheckpointEvery > 0 on a DeadlineReceiver transport.
-	RejoinRetry float64
 }
 
 // Stats aggregates one processor's speculation behaviour over a run.
@@ -357,12 +351,6 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 		}
 		if cfg.MaxCrashOverrun <= 0 && cfg.Deadline > 0 {
 			cfg.MaxCrashOverrun = 6
-		}
-		if cfg.RejoinRetry <= 0 {
-			cfg.RejoinRetry = 4 * cfg.Deadline
-			if cfg.RejoinRetry == 0 {
-				cfg.RejoinRetry = 1
-			}
 		}
 	} else {
 		cfg.MaxCrashOverrun = 0
@@ -607,10 +595,14 @@ func (e *engine) drain() {
 // available, dispatching any other traffic that arrives meanwhile. It
 // returns nil when the snapshot can never arrive (a catch-up gap) — callers
 // must then accept the speculation unverified. With crash recovery enabled
-// the wait is chunked into RejoinRetry slices: each expiry re-requests the
-// missing range from k, healing messages lost to a crash window or
-// abandoned by the reliable layer.
+// the wait is chunked into slices of 4×Deadline (1 when Deadline is 0):
+// each expiry re-requests the missing range from k, healing messages lost
+// to a crash window or abandoned by the reliable layer after MaxRetries.
 func (e *engine) actual(k, t int) []float64 {
+	retry := 4 * e.cfg.Deadline
+	if retry == 0 {
+		retry = 1
+	}
 	for {
 		if v, ok := e.plane.actualOf(k, t); ok {
 			return v
@@ -619,7 +611,7 @@ func (e *engine) actual(k, t int) []float64 {
 			return nil
 		}
 		if e.cfg.CheckpointEvery > 0 && e.dr != nil {
-			if m, ok := e.dr.RecvDeadline(cluster.Any, cluster.Any, e.cfg.RejoinRetry); ok {
+			if m, ok := e.dr.RecvDeadline(cluster.Any, cluster.Any, retry); ok {
 				e.intake(m)
 			} else if e.fd == nil || !e.fd.PeerDown(k) {
 				// Patience expired with the peer alive: the message is

@@ -59,7 +59,7 @@ func startHelperFleet(t *testing.T, cfg CoordConfig) *LocalFleet {
 	t.Helper()
 	cfg.Logf = t.Logf
 	f, err := StartLocal(cfg, SuperviseConfig{
-		MaxRespawns: 3, BackoffMin: 50 * time.Millisecond, BackoffMax: 500 * time.Millisecond, Logf: t.Logf,
+		MaxRespawns: 3, Logf: t.Logf,
 	}, func(coord string, slot, epoch int) (*exec.Cmd, error) {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestHelperSpecnode$", "-test.v")
 		cmd.Env = append(os.Environ(), helperEnv+"=1", coordEnv+"="+coord, epochEnv+"="+strconv.Itoa(epoch))

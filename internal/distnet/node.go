@@ -219,7 +219,7 @@ func (t *transport) Send(dst, tag, iter int, data []float64) {
 		panic(fmt.Sprintf("distnet: Send to invalid processor %d", dst))
 	}
 	m := cluster.Message{Src: t.rank, Dst: dst, Tag: tag, Iter: iter, Epoch: t.epoch, SentAt: t.Now()}
-	bytes := 8*len(data) + 64 // logical accounting parity with the simulator's default framing
+	bytes := 8*len(data) + cluster.MsgHeaderBytes // logical accounting parity with the simulator
 	t.msgsSent++
 	t.bytesSent += bytes
 	t.obsMsgsSent.Inc()
@@ -347,7 +347,7 @@ func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message
 
 // take hands over the next visible message, waiting at most wait seconds.
 func (t *transport) take(src, tag int, wait float64) (cluster.Message, bool) {
-	inbox.MustAny(src, tag)
+	cluster.MustAny(src, tag)
 	m, ok := t.inbox.Take(wait)
 	if ok {
 		t.popped(&m)

@@ -58,10 +58,10 @@ type RunSpec struct {
 	Tol float64 `json:"tol,omitempty"`
 	// Seed seeds problem generation (jacobi) — every node must agree.
 	Seed int64 `json:"seed"`
-	// Deadline and MaxOverrun forward the engine's graceful-degradation
-	// knobs (wall-clock seconds on this substrate).
-	Deadline   float64 `json:"deadline,omitempty"`
-	MaxOverrun int     `json:"max_overrun,omitempty"`
+	// Deadline forwards the engine's graceful-degradation deadline
+	// (wall-clock seconds on this substrate); the overrun budget is the
+	// engine's default, 2 iterations when Deadline > 0.
+	Deadline float64 `json:"deadline,omitempty"`
 	// MaxCrashOverrun forwards the engine's crash-bridging window: extra
 	// speculative iterations allowed past a peer reported down, so
 	// survivors compute through a crash until the peer rejoins (0 = engine
@@ -284,9 +284,8 @@ func AssembleHeat(s RunSpec, reports []NodeReport) ([][]float64, error) {
 func (s RunSpec) CoreConfig(metrics *obs.Registry, journal *obs.Journal, store checkpoint.Store) core.Config {
 	cfg := core.Config{
 		FW: s.FW, BW: s.BW, MaxIter: s.MaxIter,
-		Deadline: s.Deadline, MaxOverrun: s.MaxOverrun,
-		MaxCrashOverrun: s.MaxCrashOverrun,
-		Metrics:         metrics, Journal: journal,
+		Deadline: s.Deadline, MaxCrashOverrun: s.MaxCrashOverrun,
+		Metrics: metrics, Journal: journal,
 	}
 	if s.CheckpointEvery > 0 && store != nil {
 		cfg.CheckpointEvery = s.CheckpointEvery

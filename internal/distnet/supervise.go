@@ -32,17 +32,20 @@ import (
 // respawn budget ran out.
 var ErrRespawnBudget = errors.New("distnet: respawn budget exhausted")
 
+// Respawn backoff bounds (see SuperviseConfig.MaxRespawns).
+const (
+	backoffMin = 100 * time.Millisecond
+	backoffMax = 2 * time.Second
+)
+
 // SuperviseConfig parameterizes one supervised node slot.
 type SuperviseConfig struct {
 	// Start builds the child command for the given incarnation epoch (0 on
 	// first launch). The supervisor calls cmd.Start/Wait itself. Required.
 	Start func(epoch int) (*exec.Cmd, error)
 	// MaxRespawns bounds how many times a crashed child is relaunched
-	// (default 3).
+	// (default 3). Respawn k waits 100 ms·2^(k-1), at most 2 s.
 	MaxRespawns int
-	// BackoffMin and BackoffMax bound the capped exponential backoff
-	// between a crash and the respawn (defaults 100ms and 2s).
-	BackoffMin, BackoffMax time.Duration
 	// Logf, when non-nil, receives lifecycle lines.
 	Logf func(format string, args ...any)
 }
@@ -56,6 +59,7 @@ type Supervisor struct {
 	epoch    int
 	respawns int
 	stopped  bool
+	stop     chan struct{} // closed by the first Stop: cuts a backoff short
 
 	done chan struct{}
 	err  error // final outcome, valid after done closes
@@ -69,13 +73,7 @@ func Supervise(cfg SuperviseConfig) (*Supervisor, error) {
 	if cfg.MaxRespawns <= 0 {
 		cfg.MaxRespawns = 3
 	}
-	if cfg.BackoffMin <= 0 {
-		cfg.BackoffMin = 100 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
-	}
-	s := &Supervisor{cfg: cfg, done: make(chan struct{})}
+	s := &Supervisor{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
 	cmd, err := s.launch(0)
 	if err != nil {
 		return nil, err
@@ -134,13 +132,18 @@ func (s *Supervisor) loop() {
 		epoch, respawns := s.epoch, s.respawns
 		s.mu.Unlock()
 
-		backoff := s.cfg.BackoffMin << (respawns - 1)
-		if backoff > s.cfg.BackoffMax || backoff <= 0 {
-			backoff = s.cfg.BackoffMax
+		backoff := backoffMin << (respawns - 1)
+		if backoff > backoffMax || backoff <= 0 {
+			backoff = backoffMax
 		}
 		s.logf("supervised node died (%v); respawn %d/%d with epoch %d after %v",
 			waitErr, respawns, s.cfg.MaxRespawns, epoch, backoff)
-		time.Sleep(backoff)
+		timer := time.NewTimer(backoff)
+		select {
+		case <-timer.C:
+		case <-s.stop:
+			timer.Stop()
+		}
 
 		s.mu.Lock()
 		if s.stopped {
@@ -173,7 +176,10 @@ func (s *Supervisor) Kill() {
 // follows. Wait still reports any failure latched before the stop.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
-	s.stopped = true
+	if !s.stopped {
+		s.stopped = true
+		close(s.stop)
+	}
 	cmd := s.cmd
 	s.mu.Unlock()
 	if cmd != nil && cmd.Process != nil {

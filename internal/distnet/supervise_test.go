@@ -3,7 +3,9 @@ package distnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -48,8 +50,6 @@ func TestSupervisorExhaustsRespawnBudget(t *testing.T) {
 	s, err := Supervise(SuperviseConfig{
 		Start:       shCmd("exit 3", &mu, &epochs),
 		MaxRespawns: 2,
-		BackoffMin:  time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
 		Logf:        t.Logf,
 	})
 	if err != nil {
@@ -82,10 +82,8 @@ func TestSupervisorKillTriggersRespawn(t *testing.T) {
 	var mu sync.Mutex
 	var epochs []int
 	s, err := Supervise(SuperviseConfig{
-		Start:      shCmd("sleep 60", &mu, &epochs),
-		BackoffMin: time.Millisecond,
-		BackoffMax: 4 * time.Millisecond,
-		Logf:       t.Logf,
+		Start: shCmd("sleep 60", &mu, &epochs),
+		Logf:  t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +116,38 @@ func TestSupervisorStopIsNotACrash(t *testing.T) {
 	}
 	if s.Respawns() != 0 {
 		t.Errorf("stop triggered %d respawns", s.Respawns())
+	}
+}
+
+// TestSupervisorStopCutsBackoffShort: a Stop during a respawn backoff ends
+// supervision at once. The stop lands on the log line of the third respawn,
+// whose backoff is 400 ms; Wait must return well inside it.
+func TestSupervisorStopCutsBackoffShort(t *testing.T) {
+	sup := make(chan *Supervisor, 1)
+	var stoppedAt time.Time
+	s, err := Supervise(SuperviseConfig{
+		Start: shCmd("exit 3", nil, nil),
+		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			t.Log(line)
+			if strings.Contains(line, "respawn 3/3") {
+				stoppedAt = time.Now()
+				(<-sup).Stop()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup <- s
+	if err := s.Wait(); err != nil {
+		t.Fatalf("stop during a backoff reported %v", err)
+	}
+	if stoppedAt.IsZero() {
+		t.Fatal("the third respawn was never logged")
+	}
+	if d := time.Since(stoppedAt); d > 100*time.Millisecond {
+		t.Errorf("Wait returned %v after Stop, want < 100ms: the backoff ran out first", d)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestGiveUpDegradesNotDeadlocks(t *testing.T) {
 			cluster.Config{Machines: machines, Net: net, Reliable: true,
 				RetryTimeout: 0.5, MaxRetries: 3, Horizon: 600},
 			core.Config{FW: 1, MaxIter: 40, Deadline: 2, MaxOverrun: 4,
-				CheckpointEvery: 5, CheckpointStore: checkpoint.NewMemStore(), RejoinRetry: 5},
+				CheckpointEvery: 5, CheckpointStore: checkpoint.NewMemStore()},
 			func(p *cluster.Proc) core.App { return jacobi.NewApp(prob, blocks, p.ID(), 1e-4) })
 	}
 	base, err := run(netmodel.Fixed{D: 0.4})

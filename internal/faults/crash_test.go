@@ -80,7 +80,7 @@ func chaosJournal(t *testing.T, net netmodel.Model) string {
 			return
 		}
 		for {
-			if _, ok := p.RecvDeadline(0, 1, 1.5); !ok {
+			if _, ok := p.RecvDeadline(cluster.Any, cluster.Any, 1.5); !ok {
 				return
 			}
 		}

@@ -14,7 +14,6 @@
 package inbox
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -84,15 +83,6 @@ func New() *Inbox {
 // negative, not NaN, and representable as a time.Duration.
 func ValidHold(h float64) bool {
 	return h >= 0 && h*float64(time.Second) < math.MaxInt64
-}
-
-// MustAny panics unless (src, tag) is (Any, Any). The engine receives only
-// that, so an inbox keeps no selector; selective receive belongs to
-// *cluster.Proc alone.
-func MustAny(src, tag int) {
-	if src != cluster.Any || tag != cluster.Any {
-		panic(fmt.Sprintf("inbox: receive from src %d tag %d: a wall-clock transport receives only (Any, Any), as the engine does; selective receive is *cluster.Proc's", src, tag))
-	}
 }
 
 // Put queues m, due m.Hold seconds from now (ValidHold(m.Hold) must hold).

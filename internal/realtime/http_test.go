@@ -102,23 +102,3 @@ func TestObsEndpointServesMetricsAndJournal(t *testing.T) {
 		t.Error("/debug/pprof/ index looks wrong")
 	}
 }
-
-func TestRunStartsEndpointFromConfig(t *testing.T) {
-	// HTTPAddr wires the endpoint for the duration of the run; the server is
-	// closed when Run returns, so this only asserts the run still succeeds
-	// and the registry was populated.
-	reg := obs.NewRegistry()
-	_, err := Run(Config{Procs: 2, MaxIter: 5, FW: 1, Metrics: reg, HTTPAddr: "127.0.0.1:0"},
-		func(pid, procs int) core.App { return &rtMap{pid: pid, p: procs, threshold: 0.5} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Totals()[core.MetricIterations] != 2*5 {
-		t.Errorf("iterations total = %g, want 10", reg.Totals()[core.MetricIterations])
-	}
-	// A bad address must fail cleanly.
-	if _, err := Run(Config{Procs: 1, MaxIter: 1, HTTPAddr: "256.0.0.1:bad"},
-		func(pid, procs int) core.App { return &rtMap{pid: pid, p: procs} }); err == nil {
-		t.Error("invalid HTTPAddr accepted")
-	}
-}

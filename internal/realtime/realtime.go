@@ -22,7 +22,6 @@ import (
 	"specomp/internal/core"
 	"specomp/internal/inbox"
 	"specomp/internal/obs"
-	"specomp/internal/predict"
 )
 
 // Config parameterizes a real-time run.
@@ -31,12 +30,10 @@ type Config struct {
 	Procs int
 	// MaxIter is the number of iterations.
 	MaxIter int
-	// FW is the forward window (any value the engine supports).
+	// FW is the forward window (any value the engine supports). Speculation
+	// takes the engine's defaults: the app's Speculator, else predict.Linear
+	// over a backward window of max(its window, 2).
 	FW int
-	// BW is the backward window; defaults to the predictor's window.
-	BW int
-	// Predictor is the generic speculation function (default predict.Linear).
-	Predictor predict.Predictor
 	// Delay is an artificial per-message latency emulating a slow
 	// interconnect: a message becomes visible to its receiver Delay after it
 	// was sent, by the receiver's own clock, however busy either side is.
@@ -48,12 +45,6 @@ type Config struct {
 	// with wall-clock seconds since the run started. Unlike the simulated
 	// cluster, ordering across workers is not deterministic.
 	Journal *obs.Journal
-	// HTTPAddr, when non-empty, serves live introspection for the duration
-	// of the run: Prometheus text exposition at /metrics (from Metrics),
-	// expvar at /debug/vars, and net/http/pprof at /debug/pprof/. Use
-	// "127.0.0.1:0" to bind an ephemeral port (obs.Listen is the same
-	// endpoint for standalone use, and reports the address it bound).
-	HTTPAddr string
 }
 
 // Result is one processor's outcome: the engine's record plus wall-clock
@@ -123,7 +114,7 @@ func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message
 
 // take hands over the next visible message, waiting at most wait seconds.
 func (t *transport) take(src, tag int, wait float64) (cluster.Message, bool) {
-	inbox.MustAny(src, tag)
+	cluster.MustAny(src, tag)
 	m, ok := t.inbox.Take(wait)
 	if ok {
 		m.DeliveredAt = t.Now()
@@ -162,8 +153,7 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 	}
 	p := cfg.Procs
 	ecfg := core.Config{
-		FW: cfg.FW, BW: cfg.BW, MaxIter: cfg.MaxIter,
-		Predictor: cfg.Predictor, Metrics: cfg.Metrics, Journal: cfg.Journal,
+		FW: cfg.FW, MaxIter: cfg.MaxIter, Metrics: cfg.Metrics, Journal: cfg.Journal,
 	}
 	if cfg.Metrics != nil {
 		// Pre-register every worker's engine families plus the transport's
@@ -175,13 +165,6 @@ func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
 				"reliable-layer retransmissions (always 0 on the in-process channel transport)",
 				obs.L("proc", fmt.Sprint(pid)))
 		}
-	}
-	if cfg.HTTPAddr != "" {
-		srv, err := obs.Listen(cfg.HTTPAddr, obs.Handler(cfg.Metrics, cfg.Journal))
-		if err != nil {
-			return nil, fmt.Errorf("realtime: obs endpoint: %w", err)
-		}
-		defer srv.Close()
 	}
 	results := make([]Result, p)
 	errs := make([]error, p)

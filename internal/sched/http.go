@@ -99,7 +99,7 @@ func (s *Scheduler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.met.custodyLag.Set(lag)
 	var buf bytes.Buffer
-	if err := s.cfg.Metrics.WriteProm(&buf); err != nil {
+	if err := s.reg.WriteProm(&buf); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

@@ -102,9 +102,6 @@ type Config struct {
 	// liveness windows (see distnet.CoordConfig).
 	NodeTimeout time.Duration
 	RejoinWait  time.Duration
-	// Metrics receives the scheduler's instruments (nil = a private
-	// registry, still served from /metrics).
-	Metrics *obs.Registry
 	// Logf, when non-nil, receives scheduler lifecycle lines.
 	Logf func(format string, args ...any)
 }
@@ -123,6 +120,7 @@ type Stats struct {
 // Scheduler is the multi-run job scheduler.
 type Scheduler struct {
 	cfg Config
+	reg *obs.Registry // the scheduler's own series, served from /metrics
 	met schedMetrics
 
 	mu        sync.Mutex
@@ -155,12 +153,11 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.EvictGrace <= 0 {
 		cfg.EvictGrace = 10 * time.Second
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	s := &Scheduler{
 		cfg:     cfg,
-		met:     newSchedMetrics(cfg.Metrics),
+		reg:     reg,
+		met:     newSchedMetrics(reg),
 		jobs:    make(map[string]*Job),
 		tenants: make(map[string]bool),
 	}
@@ -184,7 +181,7 @@ func (s *Scheduler) logf(format string, args ...any) {
 }
 
 // Registry returns the registry holding the scheduler's own series.
-func (s *Scheduler) Registry() *obs.Registry { return s.cfg.Metrics }
+func (s *Scheduler) Registry() *obs.Registry { return s.reg }
 
 // Stats snapshots the cumulative counters.
 func (s *Scheduler) Stats() Stats {

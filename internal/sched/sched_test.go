@@ -184,10 +184,10 @@ func TestQueuePersistRecovery(t *testing.T) {
 }
 
 // TestRetiredWireKnobInStoredSpecs: wire.linger_us, no_batch and max_batch_*
-// and the spec's hold_sends no longer exist. A queue file written by a
-// build that still had them must load — the spec it held otherwise
-// unchanged — while a fresh submission naming one is refused like any
-// other unknown field.
+// and the spec's hold_sends and max_overrun no longer exist. A queue file
+// written by a build that still had them must load — the spec it held
+// otherwise unchanged — while a fresh submission naming one is refused like
+// any other unknown field.
 func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sched-queue.json")
@@ -216,6 +216,7 @@ func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 		wire[k] = v
 	}
 	want["hold_sends"] = true
+	want["max_overrun"] = 3
 	blob, err := json.Marshal(file)
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +228,7 @@ func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 		delete(wire, k) // want is again the spec as first persisted
 	}
 	delete(want, "hold_sends")
+	delete(want, "max_overrun")
 
 	s2 := queueOnly(t, sched.Config{StateDir: dir})
 	if q := s2.Queue(); len(q.Pending) != 1 || q.Pending[0].ID != job.ID {
@@ -241,7 +243,7 @@ func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 
 	srv := httptest.NewServer(queueOnly(t, sched.Config{}).Handler())
 	defer srv.Close()
-	for _, knob := range []string{`"wire":{"linger_us":150}`, `"wire":{"no_batch":true}`, `"hold_sends":true`} {
+	for _, knob := range []string{`"wire":{"linger_us":150}`, `"wire":{"no_batch":true}`, `"hold_sends":true`, `"max_overrun":3`} {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(
 			`{"spec":{"app":"heat","procs":2,"max_iter":10,`+knob+`}}`))
 		if err != nil {

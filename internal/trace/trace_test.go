@@ -82,7 +82,7 @@ func TestGanttFromRealRun(t *testing.T) {
 			p.Compute(100, cluster.PhaseCompute) // 1s
 			p.Send(1, 1, 0, []float64{1})
 		} else {
-			p.Recv(0, 1)
+			p.Recv(cluster.Any, cluster.Any)
 		}
 	})
 	if err := c.Run(); err != nil {
