@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"specomp/internal/core"
+	"specomp/internal/cpu"
 )
 
 // Grid describes the global problem.
@@ -245,7 +246,7 @@ func (a *App) ComputeInto(out []float64, view [][]float64, t int) {
 // vector reports whether stencilRow hands the interior of each row to the
 // four-wide kernel (stencil_amd64.s). It is fixed at package init from the
 // CPU's features; tests turn it off to check the portable loop alone.
-var vector = hasAVX2()
+var vector = cpu.HasAVX2()
 
 // stencilRow writes one interior row's update into dst. The side columns are
 // peeled off the inner loop (insulated edges read the cell itself). The

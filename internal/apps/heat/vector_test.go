@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"specomp/internal/cpu"
 )
 
 // loops returns the row loops this machine can run: the portable Go loop,
 // and the vector kernel where the CPU has one.
 func loops() []bool {
-	if hasAVX2() {
+	if cpu.HasAVX2() {
 		return []bool{false, true}
 	}
 	return []bool{false}
@@ -94,6 +96,9 @@ func sameCells(got, want [][]float64, nanBits bool) error {
 // columns — each leftover count 0–3, up to nine blocks per row — over random
 // strip decompositions, one-row strips among them.
 func TestBothLoopsMatchSerialStepBitForBit(t *testing.T) {
+	if vector != cpu.HasAVX2() {
+		t.Fatalf("vector = %v at init, cpu.HasAVX2() = %v", vector, cpu.HasAVX2())
+	}
 	rng := rand.New(rand.NewSource(46))
 	for cols := 1; cols <= 40; cols++ {
 		for i := 0; i < 6; i++ {

@@ -177,8 +177,10 @@ func (e eq11) accepts(d2 float64) bool {
 	return dist != 0 && e.specErr/dist <= e.theta
 }
 
-// Check implements core.App with eq. 11 over every (remote, local) pair. A
-// prediction of the wrong length fails them all.
+// Check implements core.App with eq. 11 over every (remote, local) pair,
+// four remote particles at a time: checkVector where the CPU has AVX2 and
+// no Instrument records force errors, else (or when the block needs the
+// exact test) checkGo. A prediction of the wrong length fails them all.
 func (a *App) Check(peer int, predicted, actual, local []float64, t int) core.CheckResult {
 	pred := a.decode(0, predicted)
 	act := a.decode(1, actual)
@@ -191,6 +193,62 @@ func (a *App) Check(peer int, predicted, actual, local []float64, t int) core.Ch
 	if len(pred) != len(act) {
 		res.Bad, act = total, nil
 	}
+	for i := 0; i < len(act); i += 4 {
+		n := min(4, len(act)-i)
+		if !vector || a.Instr != nil || !a.checkVector(&res, pred[i:i+n], act[i:i+n], loc) {
+			a.checkGo(&res, pred[i:i+n], act[i:i+n], loc)
+		}
+	}
+	if a.Instr != nil {
+		a.Instr.PairsBad += int64(res.Bad)
+		a.Instr.PairsTotal += int64(res.Total)
+		if res.Bad > 0 {
+			a.Instr.ChecksFailed++
+		} else {
+			a.Instr.ChecksAccepted++
+		}
+	}
+	if a.Adapt != nil {
+		a.Theta = a.Adapt.adjust(a.Theta, res.Bad, res.Total)
+	}
+	return res
+}
+
+// bracketBlock is four remote particles, one per lane of bracketAVX2:
+// positions and eq.-11 brackets in, bad-pair counts out. The field order is
+// the kernel's layout.
+type bracketBlock struct {
+	x, y, z, lo, hi [4]float64
+	bad             [4]int64
+}
+
+// checkVector decides eq. 11 for up to four remote particles against every
+// local one by their brackets alone, one remote per lane of bracketAVX2 (a
+// short block repeats its last remote in the spare lanes), and adds their
+// bad pairs to res. It adds nothing and reports false when some pair needs
+// the exact test — inside its bracket (every pair, for a remote whose
+// bracket is [0, +Inf]) or NaN — and the block then takes checkGo.
+func (a *App) checkVector(res *core.CheckResult, pred, act, loc []Particle) bool {
+	var b bracketBlock
+	for l := range 4 {
+		k := min(l, len(act)-1)
+		tol := newEq11(pred[k].Pos, act[k].Pos, a.Theta)
+		p := act[k].Pos
+		b.x[l], b.y[l], b.z[l], b.lo[l], b.hi[l] = p.X, p.Y, p.Z, tol.lo, tol.hi
+	}
+	if !bracketAVX2(&b, loc) {
+		return false
+	}
+	for _, n := range b.bad[:len(act)] {
+		res.Bad += int(n)
+	}
+	return true
+}
+
+// checkGo is eq. 11 pair by pair for each remote particle against every
+// local one, adding bad pairs to res and, when a.Instr is set, recording
+// the force error of each accepted pair.
+func (a *App) checkGo(res *core.CheckResult, pred, act, loc []Particle) {
 	for i := range act {
 		tol := newEq11(pred[i].Pos, act[i].Pos, a.Theta)
 		for j := range loc {
@@ -210,19 +268,6 @@ func (a *App) Check(peer int, predicted, actual, local []float64, t int) core.Ch
 			}
 		}
 	}
-	if a.Instr != nil {
-		a.Instr.PairsBad += int64(res.Bad)
-		a.Instr.PairsTotal += int64(res.Total)
-		if res.Bad > 0 {
-			a.Instr.ChecksFailed++
-		} else {
-			a.Instr.ChecksAccepted++
-		}
-	}
-	if a.Adapt != nil {
-		a.Theta = a.Adapt.adjust(a.Theta, res.Bad, res.Total)
-	}
-	return res
 }
 
 // RepairOps implements core.App: each out-of-tolerance pair costs two pair

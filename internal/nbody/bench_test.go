@@ -16,15 +16,32 @@ func kernelBench() (app *App, view [][]float64) {
 	return app, view
 }
 
-// BenchmarkComputeKernel measures one direct-sum force evaluation and
-// timestep of rank 0's half of 512 particles — the f_comp the engine charges
-// per iteration.
-func BenchmarkComputeKernel(b *testing.B) {
-	app, view := kernelBench()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		view[0] = app.Compute(view, i)
+// loopBench runs f twice, as <shape> with the vector kernels where the CPU
+// has them and as <shape>/go with the Go loops alone.
+func loopBench(b *testing.B, shape string, f func(b *testing.B)) {
+	for _, loop := range []struct {
+		suffix string
+		vector bool
+	}{{"", vector}, {"/go", false}} {
+		b.Run(shape+loop.suffix, func(b *testing.B) {
+			defer func(was bool) { vector = was }(vector)
+			vector = loop.vector
+			f(b)
+		})
 	}
+}
+
+// BenchmarkComputeKernel measures one direct-sum force evaluation and
+// timestep of rank 0's half of 512 particles (256 targets, 512 sources) —
+// the f_comp the engine charges per iteration.
+func BenchmarkComputeKernel(b *testing.B) {
+	loopBench(b, "256x512", func(b *testing.B) {
+		app, view := kernelBench()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			view[0] = app.Compute(view, i)
+		}
+	})
 }
 
 // BenchmarkComputeKernelReference is BenchmarkComputeKernel with the
@@ -49,16 +66,18 @@ func BenchmarkComputeKernelReference(b *testing.B) {
 // local particles at the benchmark's θ: a one-step eq.-10 prediction against
 // the stepped actual.
 func BenchmarkCheckEq11(b *testing.B) {
-	app, view := kernelBench()
-	pred := make([]float64, len(view[1]))
-	app.SpeculateInto(pred, 1, view[1:], 1)
-	all := append(Decode(view[0]), Decode(view[1])...)
-	actual := Encode(app.sim.StepAll(all)[len(all)/2:])
-	app.Check(1, pred, actual, view[0], 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := app.Check(1, pred, actual, view[0], i); res.Total != 256*256 {
-			b.Fatal(res)
+	loopBench(b, "256x256", func(b *testing.B) {
+		app, view := kernelBench()
+		pred := make([]float64, len(view[1]))
+		app.SpeculateInto(pred, 1, view[1:], 1)
+		all := append(Decode(view[0]), Decode(view[1])...)
+		actual := Encode(app.sim.StepAll(all)[len(all)/2:])
+		app.Check(1, pred, actual, view[0], 0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res := app.Check(1, pred, actual, view[0], i); res.Total != 256*256 {
+				b.Fatal(res)
+			}
 		}
-	}
+	})
 }

@@ -1,6 +1,10 @@
 package nbody
 
-import "math"
+import (
+	"math"
+
+	"specomp/internal/cpu"
+)
 
 // Sim holds the physical constants of a simulation.
 type Sim struct {
@@ -52,15 +56,60 @@ func (s Sim) AccelOn(on []Particle, sources ...[]Particle) []Vec3 {
 	return s.accelInto(nil, on, sources)
 }
 
+// vector reports whether accelInto and App.Check hand their pairs to the
+// four-wide kernels (vector_amd64.s). It is fixed at package init from the
+// CPU's features; tests turn it off to check the Go loops alone.
+var vector = cpu.HasAVX2()
+
 // accelInto is AccelOn reusing acc's backing array when it is large enough.
-// Each pass over the sources carries two targets (an odd tail pairs the last
-// target with itself). SQRTSD merges into its destination register, so with
-// one target every pair's square root waits for the one before it; two
-// independent chains run at the divider's throughput. Each target keeps the
-// per-pair expression d·((G·m)·(1/(r²·√r²))) and the source order 0…N−1, so
-// the result is bit-identical to summing one target at a time.
+// Every target keeps the per-pair expression d·((G·m)·(1/(r²·√r²))), the
+// r² == 0 skip and the source order 0…N−1, so the result is bit-identical to
+// summing one target at a time, whichever of two loops runs: accelVector
+// where the CPU has AVX2, else accelGo.
 func (s Sim) accelInto(acc []Vec3, on []Particle, sources [][]Particle) []Vec3 {
 	acc = resize(acc, len(on))
+	if vector {
+		s.accelVector(acc, on, sources)
+	} else {
+		s.accelGo(acc, on, sources)
+	}
+	return acc
+}
+
+// accelBlock is four targets, one per lane of accelAVX2: positions in,
+// accelerations summed in place. The field order is the kernel's layout.
+type accelBlock struct {
+	x, y, z    [4]float64
+	ax, ay, az [4]float64
+}
+
+// accelVector carries four targets through each pass over a source set; a
+// last block of fewer repeats its last target in the spare lanes. YMM
+// VSQRTPD and VDIVPD take four pairs' square root and division at about the
+// cost of one scalar pair's.
+func (s Sim) accelVector(acc []Vec3, on []Particle, sources [][]Particle) {
+	soft2 := s.Soft * s.Soft
+	for i := 0; i < len(on); i += 4 {
+		var b accelBlock
+		for l := range 4 {
+			p := on[min(i+l, len(on)-1)].Pos
+			b.x[l], b.y[l], b.z[l] = p.X, p.Y, p.Z
+		}
+		for _, set := range sources {
+			accelAVX2(&b, set, s.G, soft2)
+		}
+		for l := range min(4, len(on)-i) {
+			acc[i+l] = Vec3{b.ax[l], b.ay[l], b.az[l]}
+		}
+	}
+}
+
+// accelGo carries two targets through each pass over the sources (an odd
+// tail pairs the last target with itself). SQRTSD merges into its
+// destination register, so with one target every pair's square root waits
+// for the one before it; two independent chains run at the divider's
+// throughput.
+func (s Sim) accelGo(acc []Vec3, on []Particle, sources [][]Particle) {
 	soft2 := s.Soft * s.Soft
 	for i := 0; i < len(on); i += 2 {
 		k := min(i+1, len(on)-1)
@@ -83,5 +132,4 @@ func (s Sim) accelInto(acc []Vec3, on []Particle, sources [][]Particle) []Vec3 {
 		}
 		acc[i], acc[k] = ai, ak
 	}
-	return acc
 }

@@ -93,10 +93,18 @@ func randParticles(rng *rand.Rand, n int) []Particle {
 }
 
 func TestAccelMatchesReferenceBits(t *testing.T) {
+	for _, on := range loops() {
+		t.Run(loopName(on), func(t *testing.T) {
+			withVector(on, func() { accelMatchesReferenceBits(t) })
+		})
+	}
+}
+
+func accelMatchesReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	targetCounts := []int{0, 1, 2, 3, 4, 5, 8, 13, 16, 31}
+	targetCounts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 31}
 	pairs := 0
-	for c := 0; c < 240; c++ {
+	for c := 0; c < 260; c++ {
 		s := Sim{G: math.Pow(10, 4*rng.Float64()-2), Soft: 0.05 * float64(c%3), Dt: 1e-3}
 		on := randParticles(rng, targetCounts[c%len(targetCounts)])
 		// One, several, empty and unequal source sets; every third case puts
@@ -142,9 +150,10 @@ func TestAccelMatchesReferenceBits(t *testing.T) {
 // boundary: remote particle i is displaced by exactly θ·dist to one local
 // partner (the generator of TestEq11BoundsPairForceErrorProperty), one ulp
 // either side of it, by nothing, or at random; some local particles coincide
-// with a remote one (dist = 0).
+// with a remote one (dist = 0). There are 1–9 remote particles, so every
+// block of four the vector check takes has each length 1–4.
 func boundaryCase(rng *rand.Rand, theta float64) (pred, act, loc []Particle) {
-	act = randParticles(rng, 1+rng.Intn(5))
+	act = randParticles(rng, 1+rng.Intn(9))
 	loc = randParticles(rng, 1+rng.Intn(5))
 	for j := range loc {
 		loc[j].Pos = loc[j].Pos.Add(Vec3{2, 0, 0})
@@ -178,6 +187,14 @@ func boundaryCase(rng *rand.Rand, theta float64) (pred, act, loc []Particle) {
 }
 
 func TestCheckMatchesReferenceVerdicts(t *testing.T) {
+	for _, on := range loops() {
+		t.Run(loopName(on), func(t *testing.T) {
+			withVector(on, func() { checkMatchesReferenceVerdicts(t) })
+		})
+	}
+}
+
+func checkMatchesReferenceVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	thetas := []float64{0, 1e-4, 1e-3, 1e-2, 0.1}
 	cases, inBracket := 0, 0
