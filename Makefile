@@ -205,12 +205,12 @@ loc:
 	@echo "non-test Go: $$(git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l) lines"
 	@echo "  under bench/: $$(git ls-files 'bench/*.go' | grep -v _test.go | xargs cat | wc -l) lines"
 
-# Exported fields of the nine structs a run is configured through, `A, B T`
+# Exported fields of the eight structs a run is configured through, `A, B T`
 # counted as two: the settable-value count a simplicity change states.
 KNOBS = internal/core/core.go:Config internal/realtime/realtime.go:Config \
 	internal/cluster/cluster.go:Config internal/sched/sched.go:Config \
-	internal/distnet/spec.go:RunSpec internal/distnet/spec.go:WireSpec \
-	internal/distnet/node.go:NodeConfig internal/distnet/coord.go:CoordConfig \
+	internal/distnet/spec.go:RunSpec internal/distnet/node.go:NodeConfig \
+	internal/distnet/coord.go:CoordConfig \
 	internal/distnet/supervise.go:SuperviseConfig
 knobs:
 	@total=0; for f in $(KNOBS); do \

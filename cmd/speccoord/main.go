@@ -8,7 +8,7 @@
 //	speccoord [-addr host:port] [-app heat|jacobi|pipeline] [-procs P] [-iters N]
 //	          [-fw W] [-theta θ] [-rows R] [-cols C] [-n N] [-tol T]
 //	          [-width W] [-place r0,r1,...] [-exact] [-verify ε]
-//	          [-checkpoint K] [-deadline s] [-crash-overrun K] [-delta]
+//	          [-checkpoint K] [-deadline s] [-crash-overrun K]
 //	          [-spawn] [-max-respawns R] [-custody-dir DIR]
 //	          [-node-timeout d] [-rejoin-wait d] [-http] [-timeout d]
 //	          [-fleet host:port] [-job name] [-trace-out file] [-selfcheck] [-hold d]
@@ -99,7 +99,6 @@ func main() {
 		ckpt      = flag.Int("checkpoint", 0, "checkpoint every K iterations (0 = off)")
 		deadline  = flag.Float64("deadline", 0, "per-iteration wall-clock deadline in seconds (0 = off; enables graceful degradation and crash bridging)")
 		crashOver = flag.Int("crash-overrun", 0, "extra speculative iterations past a dead peer (0 = engine default)")
-		delta     = flag.Bool("delta", false, "enable the delta codec on batch frames")
 		spawn     = flag.Bool("spawn", false, "launch the node processes locally, each under a supervisor")
 		respawns  = flag.Int("max-respawns", 3, "how many times a crashed spawned node is relaunched before giving up")
 		custody   = flag.String("custody-dir", "", "persist checkpoint custody here (atomic per-rank files); a restarted coordinator resumes it")
@@ -201,7 +200,6 @@ func main() {
 		Width: *width, Exact: *exact,
 		Seed: *seed, CheckpointEvery: *ckpt,
 		Deadline: *deadline, MaxCrashOverrun: *crashOver,
-		Wire:      distnet.WireSpec{Delta: *delta},
 		Job:       *job,
 		ObsPushMS: *obsPush,
 		Trace:     *traceOut != "",

@@ -8,16 +8,16 @@
 //
 // Usage:
 //
-//	specsoak [-procs 64] [-iters 150] [-chaos] [-delta]
+//	specsoak [-procs 64] [-iters 150] [-chaos]
 //	         [-kill N] [-kill-seed S] [-journal-dir DIR]
 //	         [-o BENCH_core.json] [-timeout 5m]
 //
 // With -o, the soak series are merged into the existing report (other
 // series are kept); without it the summary only prints. The coordinator
 // aggregates every node's metrics snapshots (the fleet plane), so the soak
-// also records fleet-level wire series — mean batch occupancy and delta
-// compression ratio — that no single process can see. -journal-dir makes
-// every node stream its run journal to a size-capped JSONL file there.
+// also records a fleet-level wire series — mean batch occupancy — that no
+// single process can see. -journal-dir makes every node stream its run
+// journal to a size-capped JSONL file there.
 //
 // The kill soak: -kill N runs the fleet twice — once fault-free to record
 // the baseline field and wall time, then again under a seeded
@@ -68,7 +68,6 @@ func main() {
 		fw       = flag.Int("fw", 2, "forward speculation window")
 		theta    = flag.Float64("theta", 1e-3, "speculation acceptance threshold θ")
 		chaos    = flag.Bool("chaos", false, "inject duplicates and delay spikes on every node's send path")
-		delta    = flag.Bool("delta", false, "enable the delta codec on batch frames")
 		kill     = flag.Int("kill", 0, "SIGKILL this many live nodes mid-run on a seeded schedule and gate on convergence")
 		killSeed = flag.Int64("kill-seed", 1, "seed of the kill schedule")
 		ckpt     = flag.Int("checkpoint", 5, "checkpoint every K iterations during a kill run")
@@ -108,8 +107,7 @@ func main() {
 		// boundary traffic both ways at any P; the floor keeps small-P runs
 		// from degenerating into trivial strips.
 		Rows: max(2*(*procs), 64), Cols: 32,
-		Wire: distnet.WireSpec{Delta: *delta},
-		Job:  "soak",
+		Job: "soak",
 	}
 	self, err := os.Executable()
 	if err != nil {
@@ -223,23 +221,17 @@ func main() {
 		p50Median*1e6, p99Worst*1e6)
 	fmt.Printf("  allocs    %.1f per message (whole process, mean rank)\n", allocMean)
 
-	// Fleet-level wire series from the aggregated metrics plane: mean batch
-	// occupancy (msgs per flushed batch) and delta compression ratio across
-	// every node's final snapshot — numbers no single process can report.
-	batchMean, deltaMean := 0.0, 0.0
+	// A fleet-level wire series from the aggregated metrics plane: mean batch
+	// occupancy (msgs per flushed batch) across every node's final snapshot —
+	// a number no single process can report.
+	batchMean := 0.0
 	tot, err := fleet.Totals()
 	if err != nil {
 		logger.Printf("fleet totals unavailable: %v", err)
-	} else {
-		if c := tot[distnet.MetricBatchOccupancy+"_count"]; c > 0 {
-			batchMean = tot[distnet.MetricBatchOccupancy+"_sum"] / c
-			fmt.Printf("  fleet     %.1f msgs/batch mean occupancy (%d nodes aggregated)\n",
-				batchMean, len(fleet.Ranks()))
-		}
-		if c := tot[distnet.MetricDeltaRatio+"_count"]; c > 0 {
-			deltaMean = tot[distnet.MetricDeltaRatio+"_sum"] / c
-			fmt.Printf("  fleet     %.2f delta compression ratio mean (coded/raw bytes)\n", deltaMean)
-		}
+	} else if c := tot[distnet.MetricBatchOccupancy+"_count"]; c > 0 {
+		batchMean = tot[distnet.MetricBatchOccupancy+"_sum"] / c
+		fmt.Printf("  fleet     %.1f msgs/batch mean occupancy (%d nodes aggregated)\n",
+			batchMean, len(fleet.Ranks()))
 	}
 
 	if *out == "" {
@@ -252,17 +244,14 @@ func main() {
 	}
 	// SoakMsgRate's ns_per_op = wall nanoseconds per delivered message across
 	// the whole mesh: the aggregate-throughput series (lower is faster). The
-	// two fleet series hold a raw mean (msgs per flushed batch, coded/raw
-	// bytes) there — synthetic series under the shared schema.
+	// fleet series holds a raw mean (msgs per flushed batch) there — a
+	// synthetic series under the shared schema.
 	add("SoakMsgRate", totalMsgs, 1e9*maxWall/float64(totalMsgs), 0)
 	add("SoakDeliveryP50", totalMsgs, 1e9*p50Median, 0)
 	add("SoakDeliveryP99", totalMsgs, 1e9*p99Worst, 0)
 	add("SoakAllocsPerMsg", totalMsgs, 0, int64(allocMean+0.5))
 	if batchMean > 0 {
 		add("SoakBatchOccupancy", totalFrames, batchMean, 0)
-	}
-	if deltaMean > 0 {
-		add("SoakDeltaRatio", totalFrames, deltaMean, 0)
 	}
 	rep, err := benchfmt.Load(*out)
 	if err != nil && !os.IsNotExist(err) {

@@ -185,7 +185,6 @@ func benchLinkThroughput(b *testing.B, batchSize int, lo *linkObs) {
 	}
 	defer conn.Close()
 	enc := NewEncoder(conn, false)
-	enc.instrumentDelta(lo)
 
 	msg := cluster.Message{
 		Src: 0, Dst: 1, Tag: 1, SentAt: 0.5,

@@ -47,7 +47,8 @@ func smallApp(s RunSpec) bool {
 // Run with: go test -run '^$' -fuzz FuzzConfigBlob -fuzzminimizetime 1s ./internal/distnet
 func FuzzConfigBlob(f *testing.F) {
 	f.Add(configSeed(f, RunSpec{App: "heat", Procs: 4, Rows: 48, Cols: 32, MaxIter: 500, FW: 2}, 1, false))
-	f.Add(configSeed(f, RunSpec{App: "jacobi", Procs: 4, N: 64, Tol: 1e-9, Wire: WireSpec{Delta: true}}, 3, false))
+	// A spec from a build that still had the wire object: the decoder drops it.
+	f.Add([]byte(`{"rank":3,"peers":["a","b","c","d"],"spec":{"app":"jacobi","procs":4,"n":64,"tol":1e-9,"wire":{"delta":true}}}`))
 	f.Add(configSeed(f, RunSpec{App: "pipeline", Procs: 4, Placement: []int{2, 0, 3, 1}, Exact: true}, 0, false))
 	f.Add(configSeed(f, RunSpec{App: "heat", Procs: 2, CheckpointEvery: 5, MaxCrashOverrun: 3}, 1, true))
 	f.Add([]byte(`{"rank":0,"peers":["a"],"spec":{"app":"heat","procs":1}}`))

@@ -16,7 +16,7 @@ import (
 // hold: the injector's plan.
 var backend = inboxtest.Backend{
 	Link: func(t *testing.T) (func(tag, iter int, hold float64), inboxtest.Receiver) {
-		tx, rx := linkedTransports(t, WireSpec{}, netmodel.Fixed{}, 1)
+		tx, rx := linkedTransports(t, netmodel.Fixed{}, 1)
 		planned := 0.0
 		return func(tag, iter int, hold float64) {
 			if hold != planned {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -332,90 +333,89 @@ func TestJacobiConvergesDistributed(t *testing.T) {
 	}
 }
 
-// TestWireModesConverge runs the same heat problem under each wire-plane
-// shape — batched (default) and batched+delta — with no injected delay and
-// with a 1 ms netmodel.Fixed one, whose copies ride the same batches and
-// delta codec, and asserts all four converge on the
-// serial reference. It also checks the wire accounting in every mode: no
-// message is held across an iteration, so
-// in a fault-free run one broadcast is one frame per peer — FramesSent is
-// MsgsSent plus beacons, never less, and exactly MsgsSent when the run ends
-// before the first beacon is due — and delivery-latency percentiles are sane.
+// TestWireModesConverge runs the same heat problem on batched peer links
+// with no injected delay and with a 1 ms netmodel.Fixed one, whose copies
+// ride the same batches, and asserts both converge on the serial reference.
+// It also checks the wire accounting in each: no message is held across an
+// iteration, so in a fault-free run one broadcast is one frame per peer —
+// FramesSent is MsgsSent plus beacons, never less, and exactly MsgsSent when
+// the run ends before the first beacon is due — and delivery-latency
+// percentiles are sane.
 func TestWireModesConverge(t *testing.T) {
-	modes := map[string]WireSpec{
-		"batched": {},
-		"delta":   {Delta: true},
-	}
-	for name, wire := range modes {
-		for _, delay := range []float64{0, 0.001} {
-			if delay > 0 {
-				name += "+1ms"
-			}
-			t.Run(name, func(t *testing.T) {
-				spec := RunSpec{App: "heat", Procs: 4, MaxIter: 60, FW: 2, Theta: 1e-3,
-					Rows: 24, Cols: 16, Wire: wire}
-				began := time.Now()
-				coord, err := NewCoordinator(CoordConfig{Spec: spec, Timeout: time.Minute})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer coord.Close()
-				spec = coord.Spec()
-				const beaconEvery = time.Second
-				launchNodes(t, spec.Procs, func(rank int) NodeConfig {
-					cfg := NodeConfig{Coord: coord.Addr(), HeartbeatEvery: beaconEvery}
-					if delay > 0 {
-						cfg.Faults = netmodel.Fixed{D: delay}
-					}
-					return cfg
-				})
-				reports, err := coord.Wait()
-				if err != nil {
-					t.Fatal(err)
-				}
-				// No link existed for a whole beacon interval: no beacons.
-				noBeacons := time.Since(began) < beaconEvery
-				serial := heat.DefaultGrid(spec.Rows, spec.Cols).SerialRun(spec.MaxIter)
-				field := assembleHeat(t, spec, reports)
-				if d := heat.MaxDiff(field, serial); d > 0.5 {
-					t.Errorf("field deviates %g from serial reference", d)
-				}
-				for _, rep := range reports {
-					if rep.MsgsRecvd == 0 {
-						t.Errorf("rank %d delivered no messages", rep.Rank)
-					}
-					if rep.FramesSent == 0 {
-						t.Errorf("rank %d reported no frames", rep.Rank)
-					}
-					if rep.FramesSent < rep.MsgsSent || (noBeacons && rep.FramesSent != rep.MsgsSent) {
-						t.Errorf("rank %d sent %d frames for %d messages (beacons possible: %v): a message was held across an iteration",
-							rep.Rank, rep.FramesSent, rep.MsgsSent, !noBeacons)
-					}
-					// Loopback deliveries can be faster than the send-timestamp
-					// clock resolution, so p50 may legitimately clamp to zero;
-					// ordering and non-negativity must still hold.
-					if rep.LatP50Sec < 0 || rep.LatP99Sec < rep.LatP50Sec {
-						t.Errorf("rank %d latency percentiles implausible: p50=%g p99=%g",
-							rep.Rank, rep.LatP50Sec, rep.LatP99Sec)
-					}
-				}
-			})
+	for _, delay := range []float64{0, 0.001} {
+		name := "batched"
+		if delay > 0 {
+			name += "+1ms"
 		}
+		t.Run(name, func(t *testing.T) {
+			spec := RunSpec{App: "heat", Procs: 4, MaxIter: 60, FW: 2, Theta: 1e-3,
+				Rows: 24, Cols: 16}
+			began := time.Now()
+			coord, err := NewCoordinator(CoordConfig{Spec: spec, Timeout: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			spec = coord.Spec()
+			const beaconEvery = time.Second
+			launchNodes(t, spec.Procs, func(rank int) NodeConfig {
+				cfg := NodeConfig{Coord: coord.Addr(), HeartbeatEvery: beaconEvery}
+				if delay > 0 {
+					cfg.Faults = netmodel.Fixed{D: delay}
+				}
+				return cfg
+			})
+			reports, err := coord.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No link existed for a whole beacon interval: no beacons.
+			noBeacons := time.Since(began) < beaconEvery
+			serial := heat.DefaultGrid(spec.Rows, spec.Cols).SerialRun(spec.MaxIter)
+			field := assembleHeat(t, spec, reports)
+			if d := heat.MaxDiff(field, serial); d > 0.5 {
+				t.Errorf("field deviates %g from serial reference", d)
+			}
+			for _, rep := range reports {
+				if rep.MsgsRecvd == 0 {
+					t.Errorf("rank %d delivered no messages", rep.Rank)
+				}
+				if rep.FramesSent == 0 {
+					t.Errorf("rank %d reported no frames", rep.Rank)
+				}
+				if rep.FramesSent < rep.MsgsSent || (noBeacons && rep.FramesSent != rep.MsgsSent) {
+					t.Errorf("rank %d sent %d frames for %d messages (beacons possible: %v): a message was held across an iteration",
+						rep.Rank, rep.FramesSent, rep.MsgsSent, !noBeacons)
+				}
+				// Loopback deliveries can be faster than the send-timestamp
+				// clock resolution, so p50 may legitimately clamp to zero;
+				// ordering and non-negativity must still hold.
+				if rep.LatP50Sec < 0 || rep.LatP99Sec < rep.LatP50Sec {
+					t.Errorf("rank %d latency percentiles implausible: p50=%g p99=%g",
+						rep.Rank, rep.LatP50Sec, rep.LatP99Sec)
+				}
+			}
+		})
 	}
 }
 
 // TestConfigBlobWithRetiredWireKnob: a coordinator from a build that still
-// had the wire knobs linger_us, no_batch and max_batch_* hands out config
-// blobs naming them; decodeConfig ignores the knobs and keeps the rest.
+// had the spec's wire object (delta, linger_us, no_batch, max_batch_*) hands
+// out config blobs naming it; decodeConfig drops the object and keeps the
+// rank and the rest of the spec.
 func TestConfigBlobWithRetiredWireKnob(t *testing.T) {
 	blob := []byte(`{"rank":1,"peers":["a","b"],"spec":{"app":"heat","procs":2,"max_iter":10,` +
 		`"wire":{"delta":true,"no_batch":false,"max_batch_msgs":32,"max_batch_bytes":49152,"linger_us":150}}}`)
 	wc, err := decodeConfig(blob)
 	if err != nil {
-		t.Fatalf("config blob carrying retired wire knobs: %v", err)
+		t.Fatalf("config blob carrying the retired wire object: %v", err)
 	}
-	if want := (WireSpec{Delta: true}); wc.Rank != 1 || wc.Spec.Wire != want {
-		t.Fatalf("decoded rank %d wire %+v, want rank 1 wire %+v", wc.Rank, wc.Spec.Wire, want)
+	want := RunSpec{App: "heat", Procs: 2, MaxIter: 10}
+	if err := want.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if wc.Rank != 1 || !reflect.DeepEqual(wc.Spec, want) {
+		t.Fatalf("decoded rank %d spec %+v, want rank 1 spec %+v", wc.Rank, wc.Spec, want)
 	}
 }
 

@@ -42,7 +42,7 @@ func wantWire(t *testing.T, tr *transport, pending, frames int) {
 // on the sender. (Before the rule, only a blocking receive or the linger
 // sweep would have.)
 func TestEmptyPollFlushes(t *testing.T) {
-	tr0, tr1 := linkedTransports(t, WireSpec{}, nil, 0)
+	tr0, tr1 := linkedTransports(t, nil, 0)
 	tr0.Send(1, 7, 3, []float64{1, 2})
 	wantWire(t, tr0, 1, 0)
 	if _, ok := tr0.TryRecv(cluster.Any, cluster.Any); ok {
@@ -56,7 +56,7 @@ func TestEmptyPollFlushes(t *testing.T) {
 // will poll again; only the poll that comes up empty is the engine's "I have
 // stopped talking".
 func TestPollThatFindsAMessageDoesNotFlush(t *testing.T) {
-	tr0, tr1 := linkedTransports(t, WireSpec{}, nil, 0)
+	tr0, tr1 := linkedTransports(t, nil, 0)
 	tr1.inbox.Put(cluster.Message{Src: 0, Dst: 1, Tag: 1, Iter: 0})
 	tr1.Send(0, 2, 5, []float64{3})
 	if _, ok := tr1.TryRecv(cluster.Any, cluster.Any); !ok {
@@ -73,7 +73,7 @@ func TestPollThatFindsAMessageDoesNotFlush(t *testing.T) {
 // TestIdlePollSendsNothing: polling with nothing pending costs no frame.
 func TestIdlePollSendsNothing(t *testing.T) {
 	t.Run("batched", func(t *testing.T) {
-		tr0, tr1 := linkedTransports(t, WireSpec{}, nil, 0)
+		tr0, tr1 := linkedTransports(t, nil, 0)
 		for i := 0; i < 3; i++ {
 			if _, ok := tr0.TryRecv(cluster.Any, cluster.Any); ok {
 				t.Fatal("poll found a message nobody sent")
@@ -102,7 +102,7 @@ func TestBurstStillLeavesAsBatches(t *testing.T) {
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			tr0, tr1 := linkedTransports(t, WireSpec{}, nil, 0)
+			tr0, tr1 := linkedTransports(t, nil, 0)
 			row := make([]float64, c.floats)
 			for i := 0; i < burst; i++ {
 				tr0.Send(1, 1, i, row)
@@ -124,7 +124,7 @@ func TestBurstStillLeavesAsBatches(t *testing.T) {
 // before it is due; its delay is owed at the receiver, which holds it.
 func TestDelayedCopyIsOnTheWireAtOnce(t *testing.T) {
 	const hold = 0.2
-	tr0, tr1 := linkedTransports(t, WireSpec{}, netmodel.Fixed{D: hold}, 1)
+	tr0, tr1 := linkedTransports(t, netmodel.Fixed{D: hold}, 1)
 	tr0.Send(1, 1, 0, []float64{1})
 	wantWire(t, tr0, 1, 0)
 	tr0.TryRecv(cluster.Any, cluster.Any)

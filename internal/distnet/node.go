@@ -145,7 +145,6 @@ type transport struct {
 	commSec float64
 	inj     *faults.Injector
 	procs   int
-	wire    WireSpec
 
 	hbTimeout time.Duration
 
@@ -388,13 +387,11 @@ func (t *transport) NetStats() cluster.NetStats {
 }
 
 // reader pumps one peer link into the shared inbox until the link dies. A
-// persistent Decoder carries the link's payload buffer and — when the spec
-// enables delta coding — its per-stream bases across frames. It decodes each
-// payload into a row the inbox lends, which the engine gives back through
-// Release.
+// persistent Decoder carries the link's payload buffer across frames. It
+// decodes each payload into a row the inbox lends, which the engine gives
+// back through Release.
 func (t *transport) reader(pc *peerConn) {
 	dec := NewDecoder(bufio.NewReaderSize(pc.conn, 64<<10))
-	dec.Track = t.wire.Delta // every peer's encoder delta-codes iff the spec says so
 	dec.lend = t.inbox
 	var f Frame
 	for {
@@ -530,8 +527,8 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The coordinator link is control plane: no batching, no delta coding,
-	// and piggybacked beacons without the clock tail.
+	// The coordinator link is control plane: no batching, and piggybacked
+	// beacons without the clock tail.
 	coord := newPeerConn(-1, coordRaw, 64, wireOpts{})
 	defer coord.close()
 	coord.send(Frame{Type: FrameHello, Rank: -1, Epoch: cfg.Epoch, Addr: ln.Addr().String()})
@@ -576,7 +573,6 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		inbox:     inbox.New(),
 		inj:       faults.NewInjector(cfg.Faults, cfg.FaultSeed),
 		procs:     p,
-		wire:      spec.Wire,
 		hbTimeout: cfg.HeartbeatTimeout,
 		nodeCfg:   cfg,
 		wobs:      newWireObs(reg, rank, p),
@@ -897,7 +893,7 @@ func (t *transport) install(conn net.Conn, hello Frame, reply bool) bool {
 		t.meshMu.Unlock()
 		return false
 	}
-	pc := newPeerConn(j, conn, t.nodeCfg.linkQueue, wireOpts{delta: t.wire.Delta, clock: true, obs: t.wobs.link(j), rows: t.inbox})
+	pc := newPeerConn(j, conn, t.nodeCfg.linkQueue, wireOpts{clock: true, obs: t.wobs.link(j), rows: t.inbox})
 	pc.epoch = hello.Epoch
 	t.peers[j].Store(pc)
 	if cur == nil {

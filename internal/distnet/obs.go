@@ -1,7 +1,7 @@
 package distnet
 
-// Wire-plane instrumentation: metric handles for the batching layer, the
-// delta codec, per-peer links and the control plane. Everything is built on
+// Wire-plane instrumentation: metric handles for the batching layer,
+// per-peer links and the control plane. Everything is built on
 // internal/obs's nil-safe instruments and wrapped in nil-safe methods here,
 // so a transport without a registry pays one nil check per event and the
 // data path keeps its zero-allocation steady state.
@@ -22,14 +22,6 @@ const (
 	// MetricFlushes counts batch flushes by reason label
 	// (msgs|bytes|recv|close).
 	MetricFlushes = "specomp_wire_flush_total"
-	// MetricDeltaRatio histograms encoded-size/raw-size for delta-coded batch
-	// entries (1 recorded for fallbacks, so the mean is the realized ratio).
-	MetricDeltaRatio = "specomp_wire_delta_ratio"
-	// MetricDeltaEntries counts batch entries emitted delta-coded.
-	MetricDeltaEntries = "specomp_wire_delta_entries_total"
-	// MetricDeltaFallback counts entries with a usable base where the delta
-	// was not smaller than raw, so raw went on the wire.
-	MetricDeltaFallback = "specomp_wire_delta_fallback_total"
 	// MetricSendQueue gauges the per-peer writer queue depth at enqueue time.
 	MetricSendQueue = "specomp_wire_sendq_depth"
 	// MetricFramesSent counts frames written per peer link.
@@ -70,15 +62,12 @@ var flushReasonNames = [flushReasons]string{"msgs", "bytes", "recv", "close"}
 
 // linkObs is the instrument set of one peer link.
 type linkObs struct {
-	sendq         *obs.Gauge
-	frames        *obs.Counter
-	heartbeats    *obs.Counter
-	latency       *obs.Histogram
-	deltaRatio    *obs.Histogram
-	deltaEntries  *obs.Counter
-	deltaFallback *obs.Counter
-	clockOffset   *obs.Gauge
-	clockRTT      *obs.Gauge
+	sendq       *obs.Gauge
+	frames      *obs.Counter
+	heartbeats  *obs.Counter
+	latency     *obs.Histogram
+	clockOffset *obs.Gauge
+	clockRTT    *obs.Gauge
 }
 
 // noteFrame counts one frame written to the socket. Nil-safe.
@@ -155,7 +144,6 @@ func newWireObs(reg *obs.Registry, rank, procs int) *wireObs {
 	for i, name := range flushReasonNames {
 		w.flush[i] = reg.Counter(MetricFlushes, "Batch flushes by reason.", lp, obs.L("reason", name))
 	}
-	ratioBuckets := []float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1}
 	latBuckets := obs.ExpBuckets(1e-5, 2, 16)
 	for p := 0; p < procs; p++ {
 		if p == rank {
@@ -163,15 +151,12 @@ func newWireObs(reg *obs.Registry, rank, procs int) *wireObs {
 		}
 		pl := obs.L("peer", strconv.Itoa(p))
 		w.links[p] = &linkObs{
-			sendq:         reg.Gauge(MetricSendQueue, "Writer queue depth at enqueue time.", lp, pl),
-			frames:        reg.Counter(MetricFramesSent, "Frames written per peer link.", lp, pl),
-			heartbeats:    reg.Counter(MetricHeartbeats, "Explicit heartbeat beacons sent.", lp, pl),
-			latency:       reg.Histogram(MetricWireLatency, "Send-to-deliver latency (s).", latBuckets, lp, pl),
-			deltaRatio:    reg.Histogram(MetricDeltaRatio, "Delta-coded size over raw size per entry.", ratioBuckets, lp, pl),
-			deltaEntries:  reg.Counter(MetricDeltaEntries, "Batch entries emitted delta-coded.", lp, pl),
-			deltaFallback: reg.Counter(MetricDeltaFallback, "Delta attempts that fell back to raw.", lp, pl),
-			clockOffset:   reg.Gauge(MetricClockOffset, "Estimated peer clock offset (s, peer minus local).", lp, pl),
-			clockRTT:      reg.Gauge(MetricClockRTT, "RTT of the minimum-RTT clock sample (s).", lp, pl),
+			sendq:       reg.Gauge(MetricSendQueue, "Writer queue depth at enqueue time.", lp, pl),
+			frames:      reg.Counter(MetricFramesSent, "Frames written per peer link.", lp, pl),
+			heartbeats:  reg.Counter(MetricHeartbeats, "Explicit heartbeat beacons sent.", lp, pl),
+			latency:     reg.Histogram(MetricWireLatency, "Send-to-deliver latency (s).", latBuckets, lp, pl),
+			clockOffset: reg.Gauge(MetricClockOffset, "Estimated peer clock offset (s, peer minus local).", lp, pl),
+			clockRTT:    reg.Gauge(MetricClockRTT, "RTT of the minimum-RTT clock sample (s).", lp, pl),
 		}
 	}
 	return w

@@ -56,10 +56,8 @@ func dialRetry(addr string, total time.Duration, logf func(string, ...any)) (net
 }
 
 // wireOpts is a link's frame shape plus its local instrumentation handle.
-// Peer links delta-code as the run's spec says and beacon with the clock
-// tail; the coordinator link does neither.
+// Peer links beacon with the clock tail; the coordinator link does not.
 type wireOpts struct {
-	delta bool // delta-code batch entries (WireSpec.Delta)
 	clock bool // timestamped heartbeats, beaconed even when data flows
 	obs   *linkObs
 	rows  *inbox.Inbox // lent the payload rows of outbound data (nil: none)
@@ -160,8 +158,7 @@ func (pc *peerConn) send(f Frame) {
 func (pc *peerConn) writer() {
 	defer close(pc.done)
 	bw := bufio.NewWriterSize(pc.conn, 64<<10)
-	enc := NewEncoder(bw, pc.opts.delta)
-	enc.instrumentDelta(pc.opts.obs)
+	enc := NewEncoder(bw, false)
 	write := func(f *Frame) error {
 		err := enc.Encode(f)
 		switch {

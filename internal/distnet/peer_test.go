@@ -206,7 +206,7 @@ func TestHeartbeatPiggybacksOnTraffic(t *testing.T) {
 // rank 0 (optionally fault-injected) talking to rank 1 — with readers
 // running, mirroring what RunNode assembles around connectMesh. Both share
 // one clock origin, so a message's stamps compare across the pair.
-func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed int64) (*transport, *transport) {
+func linkedTransports(t *testing.T, model netmodel.Model, seed int64) (*transport, *transport) {
 	t.Helper()
 	a, b := tcpPair(t)
 	start := time.Now()
@@ -216,7 +216,6 @@ func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed in
 			peers: make([]atomic.Pointer[peerConn], 2),
 			inbox: inbox.New(),
 			inj:   inj,
-			wire:  wire,
 			start: start,
 		}
 		tr.pend = make([][]cluster.Message, 2)
@@ -224,7 +223,7 @@ func linkedTransports(t *testing.T, wire WireSpec, model netmodel.Model, seed in
 			tr.pend[i] = getBatch()
 		}
 		tr.pendBytes = make([]int, 2)
-		pc := newPeerConn(peer, conn, 4096, wireOpts{delta: wire.Delta, clock: true, rows: tr.inbox})
+		pc := newPeerConn(peer, conn, 4096, wireOpts{clock: true, rows: tr.inbox})
 		tr.peers[peer].Store(pc)
 		go tr.reader(pc)
 		return tr
@@ -256,7 +255,7 @@ func TestBatchFaultParity(t *testing.T) {
 		return []float64{float64(iter), float64(tag), float64(iter * tag)}
 	}
 
-	tr0, tr1 := linkedTransports(t, WireSpec{Delta: true}, model(), seed)
+	tr0, tr1 := linkedTransports(t, model(), seed)
 
 	// Sender: a deterministic message sequence, flushed once per iteration
 	// (the blocking-receive boundary RunNode's engine hits).
@@ -375,7 +374,7 @@ func TestDialPeerRetriesTruncatedHello(t *testing.T) {
 			goodHello(conn)
 			return true
 		})
-		tr := &transport{rank: 1, p: 2, wire: WireSpec{}}
+		tr := &transport{rank: 1, p: 2}
 		myHello := Frame{Type: FrameHello, Rank: 1, Addr: "y"}
 		conn, reply, err := tr.dialPeer(addr, 0, myHello, NodeConfig{DialTimeout: 10 * time.Second})
 		if err != nil {
@@ -401,7 +400,7 @@ func TestDialPeerRetriesTruncatedHello(t *testing.T) {
 			io.Copy(io.Discard, conn) // hold the conn open so the close isn't the error
 			return true
 		})
-		tr := &transport{rank: 1, p: 2, wire: WireSpec{}}
+		tr := &transport{rank: 1, p: 2}
 		myHello := Frame{Type: FrameHello, Rank: 1, Addr: "y"}
 		_, _, err := tr.dialPeer(addr, 0, myHello, NodeConfig{DialTimeout: 3 * time.Second})
 		if err == nil {

@@ -70,9 +70,6 @@ type RunSpec struct {
 	// CheckpointEvery, when positive, snapshots engine state every K
 	// iterations; blobs are shipped to the coordinator for custody.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Wire tunes the data-plane framing. The zero value means delta coding
-	// off; peer links always batch.
-	Wire WireSpec `json:"wire,omitempty"`
 	// Job names the run in aggregated fleet metrics (the job label).
 	// Defaults to App.
 	Job string `json:"job,omitempty"`
@@ -84,14 +81,6 @@ type RunSpec struct {
 	// ships each node's journal home in its result, so the coordinator can
 	// merge a cross-process speculation trace.
 	Trace bool `json:"trace,omitempty"`
-}
-
-// WireSpec tunes the distnet data plane. It travels inside the RunSpec so
-// every node of the mesh frames its links identically.
-type WireSpec struct {
-	// Delta enables delta coding of consecutive same-stream vectors inside
-	// batch frames, on every peer link.
-	Delta bool `json:"delta,omitempty"`
 }
 
 // Normalize fills defaults and validates; the coordinator calls it once

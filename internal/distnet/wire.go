@@ -6,7 +6,7 @@
 //
 //   - a length-prefixed, CRC-checked binary wire codec for cluster.Message
 //     plus the control frames of the runtime protocol, with multi-message
-//     batch frames and an optional delta codec (wire.go, batch.go);
+//     batch frames (wire.go, batch.go);
 //   - per-peer TCP connection management — dial retry with exponential
 //     backoff, buffered writers, idle-link heartbeats and dead-peer
 //     detection (peer.go);
@@ -97,6 +97,11 @@ const MaxFrame = 16 << 20
 // rejoin frames carry nil payloads).
 const nilData = ^uint32(0)
 
+// msgBodyMin is the smallest data body: seven 8-byte fields and the length
+// word of a nil payload. The decoder bounds a batch frame's claimed entry
+// count by it before decoding anything.
+const msgBodyMin = 7*8 + 4
+
 // Error taxonomy of the decoder. Every decode failure is exactly one of:
 //
 //   - io.EOF — the stream closed cleanly between frames;
@@ -152,7 +157,7 @@ type Frame struct {
 // Body layouts (i64 = two's-complement int64, f64 = IEEE-754 bits):
 //
 //	data       i64 src, dst, tag, iter, epoch · f64 sentAt, hold · u32 n|nil · n×f64
-//	batch      u32 count · count×entry (see batch.go for the entry layout)
+//	batch      u32 count · count×data body
 //	hello      i64 rank, epoch · u32 len · addr bytes
 //	config     u32 len · blob
 //	heartbeat  (empty | 3×f64 clock stamps)
@@ -188,41 +193,38 @@ func appendFloats(dst []byte, v []float64) []byte {
 	return dst
 }
 
-// appendMsgHeader encodes the fixed fields every data/batch message body
-// starts with.
-func appendMsgHeader(dst []byte, m *cluster.Message) []byte {
+// appendMsg encodes m as a data body, the body of a FrameData frame and of
+// each batch entry.
+func appendMsg(dst []byte, m *cluster.Message) []byte {
 	dst = appendI64(dst, int64(m.Src))
 	dst = appendI64(dst, int64(m.Dst))
 	dst = appendI64(dst, int64(m.Tag))
 	dst = appendI64(dst, int64(m.Iter))
 	dst = appendI64(dst, int64(m.Epoch))
 	dst = appendI64(dst, int64(math.Float64bits(m.SentAt)))
-	return appendI64(dst, int64(math.Float64bits(m.Hold)))
+	dst = appendI64(dst, int64(math.Float64bits(m.Hold)))
+	if m.Data == nil {
+		return appendU32(dst, nilData)
+	}
+	return appendFloats(dst, m.Data)
 }
 
-// appendPayload encodes f's payload (type byte + body) onto dst. ds, when
-// non-nil, enables delta coding of batch entries (Encoder state); a nil ds
-// encodes every entry raw. The blob of a checkpoint or obs frame — the last
-// field of its body and nearly all of its bytes — is not copied: it comes
-// back as tail, the bytes that follow dst on the wire.
-func appendPayload(dst []byte, f *Frame, ds *deltaState) (_, tail []byte, _ error) {
+// appendPayload encodes f's payload (type byte + body) onto dst. The blob of
+// a checkpoint or obs frame — the last field of its body and nearly all of
+// its bytes — is not copied: it comes back as tail, the bytes that follow
+// dst on the wire.
+func appendPayload(dst []byte, f *Frame) (_, tail []byte, _ error) {
 	dst = append(dst, byte(f.Type))
 	switch f.Type {
 	case FrameData:
-		m := &f.Msg
-		dst = appendMsgHeader(dst, m)
-		if m.Data == nil {
-			dst = appendU32(dst, nilData)
-		} else {
-			dst = appendFloats(dst, m.Data)
-		}
+		dst = appendMsg(dst, &f.Msg)
 	case FrameBatch:
 		if len(f.Batch) == 0 {
 			return nil, nil, fmt.Errorf("distnet: encoding empty batch frame")
 		}
 		dst = appendU32(dst, uint32(len(f.Batch)))
 		for i := range f.Batch {
-			dst = appendBatchEntry(dst, &f.Batch[i], ds)
+			dst = appendMsg(dst, &f.Batch[i])
 		}
 	case FrameHello:
 		dst = appendI64(dst, int64(f.Rank))
@@ -331,11 +333,11 @@ func putScratch(b []byte) {
 // frameHead encodes f into buf (reusing its capacity) up to where its tail
 // begins — length prefix and payload head — and returns the checksum of the
 // whole payload. The complete frame is head · tail · u32 sum.
-func frameHead(buf []byte, f *Frame, ds *deltaState) (head, tail []byte, sum uint32, err error) {
+func frameHead(buf []byte, f *Frame) (head, tail []byte, sum uint32, err error) {
 	// Reserve the length prefix, encode the payload in place, then patch the
 	// length in.
 	buf = append(buf[:0], 0, 0, 0, 0)
-	buf, tail, err = appendPayload(buf, f, ds)
+	buf, tail, err = appendPayload(buf, f)
 	if err != nil {
 		return buf, nil, 0, err
 	}
@@ -353,24 +355,24 @@ func frameHead(buf []byte, f *Frame, ds *deltaState) (head, tail []byte, sum uin
 
 // frameInto encodes f into buf (reusing its capacity) as a complete frame:
 // length prefix, payload, checksum.
-func frameInto(buf []byte, f *Frame, ds *deltaState) ([]byte, error) {
-	buf, tail, sum, err := frameHead(buf, f, ds)
+func frameInto(buf []byte, f *Frame) ([]byte, error) {
+	buf, tail, sum, err := frameHead(buf, f)
 	if err != nil {
 		return buf, err
 	}
 	return appendU32(append(buf, tail...), sum), nil
 }
 
-// writeFrame encodes f raw (no delta state) and writes it to w. scratch is
-// an optional reusable buffer; the (possibly grown) buffer is returned for
-// the next call. A nil scratch borrows a scratchBufs buffer for the write and
-// returns nil, so one-shot callers stay allocation-free too.
+// writeFrame encodes f and writes it to w. scratch is an optional reusable
+// buffer; the (possibly grown) buffer is returned for the next call. A nil
+// scratch borrows a scratchBufs buffer for the write and returns nil, so
+// one-shot callers stay allocation-free too.
 func writeFrame(w io.Writer, scratch []byte, f *Frame) ([]byte, error) {
 	pooled := scratch == nil
 	if pooled {
 		scratch = getScratch(0)
 	}
-	buf, err := frameInto(scratch, f, nil)
+	buf, err := frameInto(scratch, f)
 	if err == nil {
 		_, err = w.Write(buf)
 	}
@@ -381,32 +383,22 @@ func writeFrame(w io.Writer, scratch []byte, f *Frame) ([]byte, error) {
 	return buf, err
 }
 
-// Encoder writes frames to one stream, reusing its encode buffer and — when
-// the run's spec enables delta coding — carrying the per-stream vector
-// bases batch entries are delta-coded against. Not safe for concurrent use;
-// each link's writer goroutine owns one.
+// Encoder writes frames to one stream, reusing its encode buffer. Not safe
+// for concurrent use; each link's writer goroutine owns one.
 type Encoder struct {
 	w   io.Writer
 	buf []byte
-	ds  *deltaState // nil: encode batch entries raw
 }
 
-// NewEncoder returns an Encoder writing to w. delta enables delta coding of
-// batch entries (only set it when the receiving Decoder tracks bases).
+// NewEncoder returns an Encoder writing to w. Every frame has one encoding,
+// so delta must be false; a true delta, which once switched on a delta codec
+// for batch entries, panics. The parameter remains only because the
+// benchmark harness calls NewEncoder with it.
 func NewEncoder(w io.Writer, delta bool) *Encoder {
-	e := &Encoder{w: w}
 	if delta {
-		e.ds = newDeltaState()
+		panic("distnet: the delta codec is retired; NewEncoder's delta must be false")
 	}
-	return e
-}
-
-// instrumentDelta attaches a link's compression instrumentation to the
-// encoder's delta codec. No-op without delta coding or with a nil handle.
-func (e *Encoder) instrumentDelta(lo *linkObs) {
-	if e.ds != nil {
-		e.ds.lo = lo
-	}
+	return &Encoder{w: w}
 }
 
 // Encode writes one frame. Zero allocations in steady state. A frame with a
@@ -415,7 +407,7 @@ func (e *Encoder) instrumentDelta(lo *linkObs) {
 // so the blob is copied at most once on its way out — by the link's bufio
 // when it fits there, by the kernel alone when it does not.
 func (e *Encoder) Encode(f *Frame) error {
-	buf, tail, sum, err := frameHead(e.buf, f, e.ds)
+	buf, tail, sum, err := frameHead(e.buf, f)
 	if err == nil && tail == nil {
 		buf = appendU32(buf, sum) // the usual frame: complete in buf, one write
 	}
@@ -450,9 +442,7 @@ func corruptf(format string, args ...any) error {
 }
 
 // Decoder reads frames from one stream, reusing its payload buffer between
-// calls and tracking the per-stream vector bases delta-coded batch entries
-// reference. Not safe for concurrent use; each link's reader goroutine owns
-// one.
+// calls. Not safe for concurrent use; each link's reader goroutine owns one.
 //
 // Ownership contract of a decoded frame: f.Batch aliases a slice the next
 // Decode call reuses — consume or copy the messages first. With Reuse
@@ -469,14 +459,9 @@ type Decoder struct {
 	// Reuse hands out payload rows owned by the decoder instead of fresh
 	// allocations; see the type comment.
 	Reuse bool
-	// Track maintains delta bases so enc-1 batch entries decode. Set iff
-	// the sending Encoder delta-codes; a delta entry arriving with Track
-	// unset is corrupt.
-	Track bool
 
 	lend *inbox.Inbox // lends payload rows when set (a node's peer links)
 	buf  []byte
-	ds   *deltaState
 	b    []cluster.Message // reused Batch backing
 	rows [][]float64       // Reuse-mode payload rows, indexed by entry position
 	pr   payloadReader     // reused cursor (avoids a per-decode escape)
@@ -567,19 +552,6 @@ func (p *payloadReader) u32() uint32 {
 	return v
 }
 
-func (p *payloadReader) u8() uint8 {
-	if p.err != nil {
-		return 0
-	}
-	if p.off >= len(p.b) {
-		p.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	v := p.b[p.off]
-	p.off++
-	return v
-}
-
 func (p *payloadReader) bytes(n int) []byte {
 	if p.err != nil {
 		return nil
@@ -635,9 +607,11 @@ func (d *Decoder) floats(p *payloadReader, i, n int) []float64 {
 	return row
 }
 
-// decodeMsgHeader reads the fixed fields every data/batch message body
-// starts with, refusing a hold no inbox can owe.
-func decodeMsgHeader(p *payloadReader, m *cluster.Message) error {
+// decodeMsg decodes a data body into m, its payload into the i-th row of
+// the current frame, refusing a hold no inbox can owe. Payload-exhaustion
+// failures land in p.err (corrupt to the caller: the payload arrived
+// complete).
+func (d *Decoder) decodeMsg(p *payloadReader, m *cluster.Message, i int) error {
 	m.Src = int(p.i64())
 	m.Dst = int(p.i64())
 	m.Tag = int(p.i64())
@@ -647,6 +621,9 @@ func decodeMsgHeader(p *payloadReader, m *cluster.Message) error {
 	m.Hold = math.Float64frombits(uint64(p.i64()))
 	if p.err == nil && !inbox.ValidHold(m.Hold) {
 		return corruptf("message hold %v s", m.Hold)
+	}
+	if n := p.u32(); n != nilData {
+		m.Data = d.floats(p, i, int(n))
 	}
 	return nil
 }
@@ -663,22 +640,18 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 	p := &d.pr
 	switch f.Type {
 	case FrameData:
-		m := &f.Msg
-		if err := decodeMsgHeader(p, m); err != nil {
+		if err := d.decodeMsg(p, &f.Msg, 0); err != nil {
 			return err
-		}
-		if n := p.u32(); n != nilData {
-			m.Data = d.floats(p, 0, int(n))
 		}
 	case FrameBatch:
 		count := int(p.u32())
-		if p.err == nil && (count == 0 || count*batchEntryMin > len(payload)-p.off) {
+		if p.err == nil && (count == 0 || count*msgBodyMin > len(payload)-p.off) {
 			return corruptf("batch frame claims %d entries in %d bytes", count, len(payload)-p.off)
 		}
 		d.b = d.b[:0]
 		for i := 0; i < count && p.err == nil; i++ {
-			m, err := d.decodeBatchEntry(p, i)
-			if err != nil {
+			var m cluster.Message
+			if err := d.decodeMsg(p, &m, i); err != nil {
 				return err
 			}
 			d.b = append(d.b, m)
@@ -740,7 +713,7 @@ func (d *Decoder) decodePayload(f *Frame, payload []byte) error {
 // tests. The returned frame owns all its memory (Batch entries are copied
 // out).
 func readFrame(r io.Reader) (Frame, error) {
-	d := Decoder{r: r, Track: true}
+	d := Decoder{r: r}
 	var f Frame
 	n, err := d.header()
 	if err != nil {

@@ -183,11 +183,11 @@ func TestQueuePersistRecovery(t *testing.T) {
 	}
 }
 
-// TestRetiredWireKnobInStoredSpecs: wire.linger_us, no_batch and max_batch_*
-// and the spec's hold_sends and max_overrun no longer exist. A queue file
-// written by a build that still had them must load — the spec it held
-// otherwise unchanged — while a fresh submission naming one is refused like
-// any other unknown field.
+// TestRetiredWireKnobInStoredSpecs: the spec's wire object (delta,
+// linger_us, no_batch, max_batch_*), hold_sends and max_overrun no longer
+// exist. A queue file written by a build that still had them must load —
+// the spec it held otherwise unchanged — while a fresh submission naming
+// one is refused like any other unknown field.
 func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sched-queue.json")
@@ -210,11 +210,10 @@ func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 		return file, file["jobs"].([]any)[0].(map[string]any)["spec"].(map[string]any)
 	}
 	file, want := readQueue()
-	wire := want["wire"].(map[string]any)
-	retired := map[string]any{"linger_us": 150, "no_batch": true, "max_batch_msgs": 32, "max_batch_bytes": 49152}
-	for k, v := range retired {
-		wire[k] = v
+	if _, ok := want["wire"]; ok {
+		t.Fatalf("persisted spec still has a wire key: %v", want)
 	}
+	want["wire"] = map[string]any{"delta": true, "linger_us": 150, "no_batch": true, "max_batch_msgs": 32, "max_batch_bytes": 49152}
 	want["hold_sends"] = true
 	want["max_overrun"] = 3
 	blob, err := json.Marshal(file)
@@ -224,9 +223,7 @@ func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for k := range retired {
-		delete(wire, k) // want is again the spec as first persisted
-	}
+	delete(want, "wire") // want is again the spec as first persisted
 	delete(want, "hold_sends")
 	delete(want, "max_overrun")
 
@@ -243,7 +240,7 @@ func TestRetiredWireKnobInStoredSpecs(t *testing.T) {
 
 	srv := httptest.NewServer(queueOnly(t, sched.Config{}).Handler())
 	defer srv.Close()
-	for _, knob := range []string{`"wire":{"linger_us":150}`, `"wire":{"no_batch":true}`, `"hold_sends":true`, `"max_overrun":3`} {
+	for _, knob := range []string{`"wire":{"delta":true}`, `"wire":{"linger_us":150}`, `"hold_sends":true`, `"max_overrun":3`} {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(
 			`{"spec":{"app":"heat","procs":2,"max_iter":10,`+knob+`}}`))
 		if err != nil {
