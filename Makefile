@@ -69,9 +69,12 @@ fuzz-sched:
 
 # Fuzz the Prometheus text parser, which decodes every metrics snapshot a
 # fleet coordinator merges: never panics, allocates in proportion to its
-# input, and what it accepts survives a write and a second parse.
+# input, and what it accepts survives a write and a second parse. Then the
+# fleet's decoder of pushed snapshots (FleetObs.Update): whatever it accepts
+# merges into an exposition that re-parses, with no label name repeated.
 fuzz-obs:
 	go test -run '^$$' -fuzz FuzzParseProm -fuzztime 30s -fuzzminimizetime 1s ./internal/obs/
+	go test -run '^$$' -fuzz FuzzFleetUpdate -fuzztime 30s -fuzzminimizetime 1s ./internal/distnet/
 
 bench: bench-core
 	go test -bench=. -benchmem ./...

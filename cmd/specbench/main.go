@@ -143,11 +143,15 @@ func writeMetrics(path string, reg *obs.Registry) error {
 		return err
 	}
 	defer rf.Close()
-	samples, err := obs.ParseProm(rf)
+	fams, err := obs.ParsePromFamilies(rf)
 	if err != nil {
 		return fmt.Errorf("metrics self-check: %s does not parse: %w", path, err)
 	}
-	if len(samples) == 0 {
+	samples := 0
+	for _, f := range fams {
+		samples += len(f.Samples)
+	}
+	if samples == 0 {
 		return fmt.Errorf("metrics self-check: %s is empty", path)
 	}
 	return nil

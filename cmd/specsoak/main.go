@@ -225,13 +225,11 @@ func main() {
 	// occupancy (msgs per flushed batch) across every node's final snapshot —
 	// a number no single process can report.
 	batchMean := 0.0
-	tot, err := fleet.Totals()
-	if err != nil {
-		logger.Printf("fleet totals unavailable: %v", err)
-	} else if c := tot[distnet.MetricBatchOccupancy+"_count"]; c > 0 {
+	tot := fleet.Totals()
+	if c := tot[distnet.MetricBatchOccupancy+"_count"]; c > 0 {
 		batchMean = tot[distnet.MetricBatchOccupancy+"_sum"] / c
 		fmt.Printf("  fleet     %.1f msgs/batch mean occupancy (%d nodes aggregated)\n",
-			batchMean, len(fleet.Ranks()))
+			batchMean, len(fleet.Status().Nodes))
 	}
 
 	if *out == "" {

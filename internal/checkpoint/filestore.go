@@ -2,7 +2,8 @@ package checkpoint
 
 // FileStore: durable checkpoint custody on the local filesystem. One file
 // per processor, written with the classic atomic-replace dance (write a
-// temp file, fsync, rename over the real name), so a crash at any instant
+// temp file, fsync, rename over the real name: ReplaceFile, which the
+// scheduler's queue file goes through too), so a crash at any instant
 // leaves either the previous complete checkpoint or the new complete
 // checkpoint — never a torn one. Load trusts nothing: a whole-file CRC32
 // footer catches torn or bit-rotted files, and the SPCK magic/version
@@ -93,20 +94,44 @@ func (s *FileStore) Save(proc int, blob []byte) {
 func (s *FileStore) save(proc int, blob []byte) error {
 	var footer [fileFooterLen]byte
 	binary.LittleEndian.PutUint32(footer[:], crc32.ChecksumIEEE(blob))
+	// The borrowed blob goes out as it stands and the footer behind it: a
+	// second four-byte write costs less than a blob-sized buffer to join them.
+	return ReplaceFile(s.path(proc), func(f *os.File) error {
+		if _, err := f.Write(blob); err != nil {
+			return err
+		}
+		_, err := f.Write(footer[:])
+		return err
+	})
+}
 
-	final := s.path(proc)
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(final)+".tmp-*")
+// Sync fsyncs the directory, making every rename Save has published so far
+// survive a power cut. Save leaves it out on purpose: the holder calls Sync
+// once per durability promise (an acked evict, a drain), not once per file.
+// A failure is latched like a write failure.
+func (s *FileStore) Sync() error {
+	err := SyncDir(s.dir)
+	if err != nil {
+		s.mu.Lock()
+		s.lastErr = err
+		s.mu.Unlock()
+	}
+	return err
+}
+
+// ReplaceFile is the repository's one atomic file replace: what write
+// writes goes to a temp file in path's directory, which is fsynced, closed
+// and renamed over path. A crash at any instant, or a failed write, leaves
+// the previous content of path whole, and a failure removes the temp file.
+// The rename itself survives a power cut once the directory is synced
+// (SyncDir); a caller that promises durability calls both.
+func ReplaceFile(path string, write func(*os.File) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: temp file: %w", err)
 	}
 	name := tmp.Name()
-	// The borrowed blob goes out as it stands and the footer behind it: a
-	// second four-byte write costs less than a blob-sized buffer to join them.
-	_, err = tmp.Write(blob)
-	if err == nil {
-		_, err = tmp.Write(footer[:])
-	}
-	if err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		os.Remove(name)
 		return fmt.Errorf("checkpoint: writing %s: %w", name, err)
@@ -123,30 +148,25 @@ func (s *FileStore) save(proc int, blob []byte) error {
 		os.Remove(name)
 		return fmt.Errorf("checkpoint: closing %s: %w", name, err)
 	}
-	if err := os.Rename(name, final); err != nil {
+	if err := os.Rename(name, path); err != nil {
 		os.Remove(name)
-		return fmt.Errorf("checkpoint: publishing %s: %w", final, err)
+		return fmt.Errorf("checkpoint: publishing %s: %w", path, err)
 	}
 	return nil
 }
 
-// Sync fsyncs the directory, making every rename Save has published so far
-// survive a power cut. Save leaves it out on purpose: the holder calls Sync
-// once per durability promise (an acked evict, a drain), not once per file.
-// A failure is latched like a write failure.
-func (s *FileStore) Sync() error {
-	d, err := os.Open(s.dir)
+// SyncDir fsyncs directory dir, making the renames published in it so far
+// survive a power cut.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err == nil {
 		err = d.Sync()
 		d.Close() // read-only handle
 	}
 	if err != nil {
-		err = fmt.Errorf("checkpoint: syncing custody dir: %w", err)
-		s.mu.Lock()
-		s.lastErr = err
-		s.mu.Unlock()
+		return fmt.Errorf("checkpoint: syncing dir %s: %w", dir, err)
 	}
-	return err
+	return nil
 }
 
 // Load returns proc's latest checkpoint if a complete, uncorrupted,

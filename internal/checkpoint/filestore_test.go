@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -264,5 +265,74 @@ func TestFileStoreSync(t *testing.T) {
 	}
 	if err := fs.Sync(); err == nil || fs.Err() == nil {
 		t.Errorf("Sync of a vanished directory: returned %v, latched %v", err, fs.Err())
+	}
+}
+
+// TestReplaceFile pins the one atomic replace: the content is replaced, no
+// temp file is left after a success or a failed write, and a failed write
+// leaves the old content whole.
+func TestReplaceFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	writes := func(parts ...string) func(*os.File) error {
+		return func(f *os.File) error {
+			for _, p := range parts {
+				if _, err := f.WriteString(p); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	onlyPath := func() {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "state.json" {
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			t.Fatalf("directory holds %v, want only state.json", names)
+		}
+	}
+	content := func() string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	for _, want := range []string{"first", "second, longer content"} {
+		if err := ReplaceFile(path, writes(want[:3], want[3:])); err != nil {
+			t.Fatal(err)
+		}
+		if got := content(); got != want {
+			t.Fatalf("content %q, want %q", got, want)
+		}
+		onlyPath()
+	}
+
+	boom := errors.New("disk full")
+	err := ReplaceFile(path, func(f *os.File) error {
+		f.WriteString("torn")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want it to wrap %v", err, boom)
+	}
+	if got := content(); got != "second, longer content" {
+		t.Fatalf("failed write disturbed the old content: %q", got)
+	}
+	onlyPath()
+	if err := SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Error("SyncDir of a missing directory succeeded")
 	}
 }

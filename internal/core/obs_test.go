@@ -66,13 +66,15 @@ func TestEngineMetricsMatchStats(t *testing.T) {
 	if err := reg.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := obs.ParseProm(&b)
+	fams, err := obs.ParsePromFamilies(&b)
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
 	names := make(map[string]bool)
-	for _, s := range samples {
-		names[s.Name] = true
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			names[s.Name] = true
+		}
 	}
 	for _, want := range []string{MetricSpecsMade, MetricSpecsBad, MetricRepairs,
 		MetricIterations, cluster.MetricMsgsSent, cluster.MetricMsgLatency + "_bucket"} {

@@ -260,7 +260,8 @@ func BenchmarkWireInstrumentation(b *testing.B) {
 			lo.setQueueDepth(i & 63)
 			lo.noteFrame()
 			lo.observeLatency(0.0003)
-			w.noteFlush(flushMsgs, 32)
+			w.noteFlush(flushMsgs)
+			w.noteBatch(32)
 		}
 	}
 	b.Run("enabled", func(b *testing.B) { run(b, newWireObs(obs.NewRegistry(), 0, 2)) })

@@ -6,13 +6,19 @@ package distnet
 // — every node's series re-labelled with job/node — served from a single
 // /metrics endpoint, plus a JSON /fleet status view. One scrape target per
 // cluster instead of P, with per-rank attribution preserved in labels.
+//
+// A pushed snapshot is bytes from another process, so Update is the trust
+// boundary: it parses each push once, rejects it whole if it does not parse
+// or if any sample already carries a job or node label (the labels the
+// merge adds), and keeps the parsed families. Nothing downstream parses.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -31,11 +37,14 @@ const (
 	MetricFleetSnapshotAge = "specomp_fleet_snapshot_age_seconds"
 )
 
-// fleetNode is the latest snapshot state of one rank.
+// fleetNode is the latest snapshot state of one rank. fams is never
+// modified once stored: Update replaces it whole.
 type fleetNode struct {
-	text   []byte // latest Prometheus text snapshot, verbatim
+	rank   int
+	fams   []obs.PromFamily // latest snapshot, as parsed by Update
+	bytes  int              // its size as pushed
+	series int              // its samples
 	pushes int
-	series int // samples in the latest snapshot
 	last   time.Time
 }
 
@@ -70,56 +79,50 @@ func (f *FleetObs) Job() string {
 	return f.job
 }
 
-// Update ingests one node's snapshot. Malformed snapshots are rejected
-// whole, leaving the node's previous snapshot in place.
+// Update ingests one node's snapshot, parsing it once. A snapshot that does
+// not parse, or whose samples carry a job or node label, is rejected whole,
+// leaving the node's previous snapshot in place.
 func (f *FleetObs) Update(rank int, snapshot []byte) error {
-	samples, err := obs.ParseProm(bytes.NewReader(snapshot))
+	fams, err := obs.ParsePromFamilies(bytes.NewReader(snapshot))
 	if err != nil {
 		return fmt.Errorf("distnet: rank %d snapshot: %w", rank, err)
+	}
+	series := 0
+	for _, fam := range fams {
+		for _, s := range fam.Samples {
+			for _, l := range s.LabelPairs {
+				if l.Key == "job" || l.Key == "node" {
+					return fmt.Errorf("distnet: rank %d snapshot: %s carries the fleet's own label %q", rank, s.Name, l.Key)
+				}
+			}
+		}
+		series += len(fam.Samples)
 	}
 	f.mu.Lock()
 	n := f.nodes[rank]
 	if n == nil {
-		n = &fleetNode{}
+		n = &fleetNode{rank: rank}
 		f.nodes[rank] = n
 	}
-	n.text = append(n.text[:0], snapshot...)
+	n.fams = fams
+	n.bytes = len(snapshot)
 	n.pushes++
-	n.series = len(samples)
+	n.series = series
 	n.last = time.Now()
 	f.mu.Unlock()
 	return nil
 }
 
-// Ranks returns the ranks that have pushed at least one snapshot, sorted.
-func (f *FleetObs) Ranks() []int {
+// snapshot copies the aggregation state out from under the lock, nodes in
+// rank order.
+func (f *FleetObs) snapshot() (job string, nodes []fleetNode) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.ranksLocked()
-}
-
-func (f *FleetObs) ranksLocked() []int {
-	out := make([]int, 0, len(f.nodes))
-	for r := range f.nodes {
-		out = append(out, r)
+	for _, n := range f.nodes {
+		nodes = append(nodes, *n)
 	}
-	sort.Ints(out)
-	return out
-}
-
-// snapshot copies the aggregation state out from under the lock.
-func (f *FleetObs) snapshot() (job string, ranks []int, nodes map[int]fleetNode) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	job = f.job
-	ranks = f.ranksLocked()
-	nodes = make(map[int]fleetNode, len(f.nodes))
-	for r, n := range f.nodes {
-		cp := *n
-		cp.text = append([]byte(nil), n.text...)
-		nodes[r] = cp
-	}
-	return job, ranks, nodes
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].rank < nodes[j].rank })
+	return f.job, nodes
 }
 
 // injectLabels adds pairs to a sample's label set, keeping keys sorted so
@@ -130,7 +133,6 @@ func injectLabels(s obs.PromSample, extra ...obs.Label) obs.PromSample {
 	all = append(all, extra...)
 	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
 	s.LabelPairs = all
-	s.Labels = obs.LabelString(all)
 	return s
 }
 
@@ -140,53 +142,42 @@ func injectLabels(s obs.PromSample, extra ...obs.Label) obs.PromSample {
 // a fixed set of snapshots: families sorted by name, node series in rank
 // order. The scheduler merges many jobs' fleets family-wise from this (each
 // job's samples stay distinct through their job label).
-func (f *FleetObs) Families() ([]obs.PromFamily, error) {
-	job, ranks, nodes := f.snapshot()
-	jl := obs.L("job", job)
+//
+// The error is always nil: every snapshot was parsed when it was pushed.
+// It stays in the signature because the benchmark harness (bench/) reads it.
+func (f *FleetObs) Families() ([]obs.PromFamily, error) { return f.families(), nil }
 
+func (f *FleetObs) families() []obs.PromFamily {
+	job, nodes := f.snapshot()
+	jl := obs.L("job", job)
 	fleet := []obs.PromFamily{
 		{Name: MetricFleetNodes, Help: "Nodes that have pushed a metrics snapshot.", Type: "gauge",
-			Samples: []obs.PromSample{injectLabels(obs.PromSample{Name: MetricFleetNodes, Value: float64(len(ranks))}, jl)}},
+			Samples: []obs.PromSample{{Name: MetricFleetNodes, LabelPairs: []obs.Label{jl}, Value: float64(len(nodes))}}},
 		{Name: MetricFleetPushes, Help: "Metrics snapshots received per node.", Type: "counter"},
 		{Name: MetricFleetSnapshotAge, Help: "Age of each node's latest snapshot (s).", Type: "gauge"},
 	}
-	now := time.Now()
-	for _, r := range ranks {
-		n := nodes[r]
-		nl := obs.L("node", fmt.Sprintf("%d", r))
-		fleet[1].Samples = append(fleet[1].Samples,
-			injectLabels(obs.PromSample{Name: MetricFleetPushes, Value: float64(n.pushes)}, jl, nl))
-		fleet[2].Samples = append(fleet[2].Samples,
-			injectLabels(obs.PromSample{Name: MetricFleetSnapshotAge, Value: now.Sub(n.last).Seconds()}, jl, nl))
-	}
-
-	// Merge the node families by name. Rank order means a family's samples
-	// arrive node-by-node, already deterministic.
+	// Rank order means a merged family's samples arrive node by node,
+	// already deterministic.
 	var nodeFams []obs.PromFamily
-	for _, r := range ranks {
-		fams, err := obs.ParsePromFamilies(bytes.NewReader(nodes[r].text))
-		if err != nil {
-			return nil, fmt.Errorf("distnet: rank %d snapshot: %w", r, err)
-		}
-		nl := obs.L("node", fmt.Sprintf("%d", r))
-		for _, fam := range fams {
+	now := time.Now()
+	for _, n := range nodes {
+		ls := []obs.Label{jl, obs.L("node", strconv.Itoa(n.rank))}
+		fleet[1].Samples = append(fleet[1].Samples, obs.PromSample{Name: MetricFleetPushes, LabelPairs: ls, Value: float64(n.pushes)})
+		fleet[2].Samples = append(fleet[2].Samples, obs.PromSample{Name: MetricFleetSnapshotAge, LabelPairs: ls, Value: now.Sub(n.last).Seconds()})
+		for _, fam := range n.fams {
+			samples := make([]obs.PromSample, len(fam.Samples))
 			for i, s := range fam.Samples {
-				fam.Samples[i] = injectLabels(s, jl, nl)
+				samples[i] = injectLabels(s, ls...)
 			}
+			fam.Samples = samples
+			nodeFams = append(nodeFams, fam)
 		}
-		nodeFams = append(nodeFams, fams...)
 	}
-	return append(fleet, obs.MergeFamilies(nodeFams)...), nil
+	return append(fleet, obs.MergeFamilies(nodeFams)...)
 }
 
 // WriteProm renders the aggregated fleet exposition (see Families).
-func (f *FleetObs) WriteProm(w *bytes.Buffer) error {
-	fams, err := f.Families()
-	if err != nil {
-		return err
-	}
-	return obs.WriteFamilies(w, fams)
-}
+func (f *FleetObs) WriteProm(w io.Writer) error { return obs.WriteFamilies(w, f.families()) }
 
 // FleetNodeStatus is one node's entry in the /fleet JSON view.
 type FleetNodeStatus struct {
@@ -205,69 +196,54 @@ type FleetStatus struct {
 
 // Status summarizes the aggregation state.
 func (f *FleetObs) Status() FleetStatus {
-	job, ranks, nodes := f.snapshot()
+	job, nodes := f.snapshot()
 	st := FleetStatus{Job: job, Nodes: []FleetNodeStatus{}}
 	now := time.Now()
-	for _, r := range ranks {
-		n := nodes[r]
+	for _, n := range nodes {
 		st.Nodes = append(st.Nodes, FleetNodeStatus{
-			Rank: r, Pushes: n.pushes, Series: n.series,
-			AgeSec: now.Sub(n.last).Seconds(), Bytes: len(n.text),
+			Rank: n.rank, Pushes: n.pushes, Series: n.series,
+			AgeSec: now.Sub(n.last).Seconds(), Bytes: n.bytes,
 		})
 	}
 	return st
 }
 
-// Totals sums each metric across all nodes' latest snapshots, keyed by
-// sample name (histogram _bucket series are skipped; their _sum/_count
-// aggregate). The soak harness derives fleet-level series from this.
-func (f *FleetObs) Totals() (map[string]float64, error) {
-	_, ranks, nodes := f.snapshot()
-	out := make(map[string]float64)
-	for _, r := range ranks {
-		samples, err := obs.ParseProm(bytes.NewReader(nodes[r].text))
-		if err != nil {
-			return nil, fmt.Errorf("distnet: rank %d snapshot: %w", r, err)
-		}
-		for _, s := range samples {
-			if len(s.Name) > 7 && s.Name[len(s.Name)-7:] == "_bucket" {
-				continue
-			}
-			out[s.Name] += s.Value
-		}
+// Totals sums each metric across all nodes' latest snapshots by the obs
+// totals rule (histograms as name_sum and name_count). The soak harness
+// derives fleet-level series from this.
+func (f *FleetObs) Totals() map[string]float64 {
+	_, nodes := f.snapshot()
+	var all []obs.PromFamily
+	for _, n := range nodes {
+		all = append(all, n.fams...)
 	}
-	return out, nil
+	return obs.Totals(all)
 }
 
-// SelfCheck validates the aggregated exposition end to end: it renders
-// WriteProm, re-parses it, and verifies that every rank in [0, procs)
-// appears as a node label and that no two samples collide on (name, labels).
-// This is the CI gate for the fleet plane.
+// SelfCheck validates the aggregated exposition: every rank in [0, procs)
+// appears as a node label, and no two samples share a name and label set.
+// What it merges was parsed and label-checked by Update, so the rendered
+// exposition re-parses with no label name repeated in any sample. This is
+// the CI gate for the fleet plane.
 func (f *FleetObs) SelfCheck(procs int) error {
-	var buf bytes.Buffer
-	if err := f.WriteProm(&buf); err != nil {
-		return err
-	}
-	samples, err := obs.ParseProm(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return fmt.Errorf("distnet: aggregated exposition does not re-parse: %w", err)
-	}
-	seen := make(map[string]bool, len(samples))
+	seen := make(map[string]bool)
 	nodesSeen := make(map[string]bool)
-	for _, s := range samples {
-		key := s.Name + "{" + s.Labels + "}"
-		if seen[key] {
-			return fmt.Errorf("distnet: duplicate series %s", key)
-		}
-		seen[key] = true
-		for _, l := range s.LabelPairs {
-			if l.Key == "node" {
-				nodesSeen[l.Value] = true
+	for _, fam := range f.families() {
+		for _, s := range fam.Samples {
+			key := s.Name + "{" + obs.LabelString(s.LabelPairs) + "}"
+			if seen[key] {
+				return fmt.Errorf("distnet: duplicate series %s", key)
+			}
+			seen[key] = true
+			for _, l := range s.LabelPairs {
+				if l.Key == "node" {
+					nodesSeen[l.Value] = true
+				}
 			}
 		}
 	}
 	for r := 0; r < procs; r++ {
-		if !nodesSeen[fmt.Sprintf("%d", r)] {
+		if !nodesSeen[strconv.Itoa(r)] {
 			return fmt.Errorf("distnet: no series from rank %d in the aggregated exposition", r)
 		}
 	}
@@ -278,20 +254,9 @@ func (f *FleetObs) SelfCheck(procs int) error {
 // exposition) and /fleet (JSON status).
 func (f *FleetObs) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		var buf bytes.Buffer
-		if err := f.WriteProm(&buf); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = w.Write(buf.Bytes())
-	})
+	mux.Handle("/metrics", obs.MetricsHandler(f.families))
 	mux.HandleFunc("/fleet", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(f.Status())
+		obs.WriteJSON(w, http.StatusOK, f.Status())
 	})
 	return mux
 }

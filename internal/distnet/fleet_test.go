@@ -1,14 +1,19 @@
 package distnet
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"specomp/internal/faults"
+	"specomp/internal/netmodel"
+	"specomp/internal/obs"
 	"specomp/internal/trace"
 )
 
@@ -49,16 +54,17 @@ func TestFleetAggregation(t *testing.T) {
 	}
 
 	// Every rank's final snapshot must include the wire-plane series, and the
-	// fleet totals must see real traffic.
-	tot, err := fleet.Totals()
-	if err != nil {
-		t.Fatalf("Totals: %v", err)
-	}
+	// fleet totals must see real traffic. A fault-free run sends every
+	// message as a lone data frame: flushes, but no batch frame to observe.
+	tot := fleet.Totals()
 	if tot[MetricFramesSent] == 0 {
 		t.Errorf("fleet saw no %s across 4 nodes", MetricFramesSent)
 	}
-	if tot[MetricBatchOccupancy+"_count"] == 0 {
-		t.Errorf("fleet saw no batch-occupancy observations")
+	if tot[MetricFlushes] == 0 {
+		t.Errorf("fleet saw no flushes")
+	}
+	if c := tot[MetricBatchOccupancy+"_count"]; c != 0 {
+		t.Errorf("fault-free run observed %g batch frames, want 0", c)
 	}
 	if tot[MetricObsPushes] == 0 {
 		t.Errorf("nodes report zero obs pushes")
@@ -107,6 +113,41 @@ func TestFleetAggregation(t *testing.T) {
 	}
 }
 
+// TestFleetBatchOccupancyUnderDuplicates: the fault injector's duplicate
+// copies are the traffic that batches (a copy rides with its original), and
+// the occupancy histogram observes those batch frames only, so every
+// observation is at least 2 messages.
+func TestFleetBatchOccupancyUnderDuplicates(t *testing.T) {
+	spec := RunSpec{App: "heat", Procs: 3, MaxIter: 40, FW: 2, Theta: 1e-3, Rows: 12, Cols: 8, ObsPushMS: 25}
+	fleet := NewFleetObs("dups")
+	coord, err := NewCoordinator(CoordConfig{Spec: spec, Timeout: time.Minute, Fleet: fleet, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	model := faults.Duplicate{Prob: 0.5, Inner: netmodel.Fixed{D: 0.0001}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		launchNodes(t, spec.Procs, func(rank int) NodeConfig {
+			return NodeConfig{Coord: coord.Addr(), Faults: model, FaultSeed: int64(200 + rank)}
+		})
+	}()
+	_, err = coord.Wait()
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	tot := fleet.Totals()
+	c, sum := tot[MetricBatchOccupancy+"_count"], tot[MetricBatchOccupancy+"_sum"]
+	if c == 0 {
+		t.Fatalf("duplicating run observed no batch frames")
+	}
+	if sum < 2*c {
+		t.Errorf("batch occupancy mean %g over %g frames, want >= 2", sum/c, c)
+	}
+}
+
 // TestFleetUpdateRejectsMalformed: a garbled snapshot must not evict the
 // node's previous good one.
 func TestFleetUpdateRejectsMalformed(t *testing.T) {
@@ -121,6 +162,81 @@ func TestFleetUpdateRejectsMalformed(t *testing.T) {
 	st := fleet.Status()
 	if len(st.Nodes) != 1 || st.Nodes[0].Series != 1 || st.Nodes[0].Pushes != 1 {
 		t.Fatalf("malformed push disturbed the stored state: %+v", st.Nodes)
+	}
+}
+
+// TestFleetUpdateRejectsReservedLabels: job and node are the labels the
+// merge adds, so a snapshot that already carries either is rejected whole —
+// otherwise rank 2 could render series as rank 0's and make SelfCheck count
+// a rank that never pushed.
+func TestFleetUpdateRejectsReservedLabels(t *testing.T) {
+	fleet := NewFleetObs("j")
+	for _, r := range []int{1, 2} {
+		if err := fleet.Update(r, []byte("# TYPE m counter\nm 1\n")); err != nil {
+			t.Fatalf("rank %d: good snapshot rejected: %v", r, err)
+		}
+	}
+	for _, forged := range []string{
+		"m{node=\"0\",job=\"x\"} 1\n",
+		"m{node=\"0\"} 1\n",
+		"# TYPE m counter\nm 1\nother{job=\"x\"} 2\n",
+	} {
+		if err := fleet.Update(2, []byte(forged)); err == nil {
+			t.Errorf("snapshot %q accepted", forged)
+		}
+	}
+	if err := fleet.SelfCheck(3); err == nil {
+		t.Error("SelfCheck(3) passed although rank 0 never pushed")
+	}
+	if err := fleet.SelfCheck(0); err != nil {
+		t.Errorf("SelfCheck on the good pushes: %v", err)
+	}
+	if st := fleet.Status(); st.Nodes[1].Pushes != 1 || st.Nodes[1].Series != 1 {
+		t.Errorf("rejected pushes disturbed rank 2: %+v", st.Nodes[1])
+	}
+}
+
+// TestFleetConcurrentPushAndScrape: the coordinator's pump calls Update
+// while scrapes render, total and check the same fleet, and the node side
+// renders its registry while its instruments move. Run under -race.
+func TestFleetConcurrentPushAndScrape(t *testing.T) {
+	reg := obs.NewRegistry()
+	w := newWireObs(reg, 0, 3)
+	fleet := NewFleetObs("j")
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				w.noteBatch(2)
+				w.link(1).observeLatency(1e-4)
+				var b bytes.Buffer
+				if err := reg.WriteProm(&b); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := fleet.Update(rank, b.Bytes()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 50; i++ {
+		var b bytes.Buffer
+		if err := fleet.WriteProm(&b); err != nil {
+			t.Fatal(err)
+		}
+		fleet.Totals()
+		fleet.Status()
+		if err := fleet.SelfCheck(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if err := fleet.SelfCheck(3); err != nil {
+		t.Fatal(err)
 	}
 }
 

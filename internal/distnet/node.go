@@ -270,10 +270,10 @@ func (t *transport) enqueueData(pc *peerConn, m cluster.Message, bytes int) {
 
 // pop removes and returns dst's non-empty pending batch as a ready-to-send
 // frame (a plain data frame when only one message is pending), recording
-// the flush reason and batch occupancy.
+// the flush reason and, for a batch frame, its occupancy.
 func (t *transport) pop(dst, reason int) Frame {
 	msgs := t.pend[dst]
-	t.wobs.noteFlush(reason, len(msgs))
+	t.wobs.noteFlush(reason)
 	t.pendBytes[dst] = 0
 	t.pendMsgs -= len(msgs)
 	if len(msgs) == 1 { // a lone message keeps its slice: no pool round trip
@@ -282,6 +282,7 @@ func (t *transport) pop(dst, reason int) Frame {
 		t.pend[dst] = msgs[:0]
 		return Frame{Type: FrameData, Msg: m}
 	}
+	t.wobs.noteBatch(len(msgs))
 	t.pend[dst] = getBatch()
 	return Frame{Type: FrameBatch, Batch: msgs}
 }

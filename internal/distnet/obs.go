@@ -16,8 +16,9 @@ import (
 // Wire-plane metric names. All are per-node; the fleet plane adds node/job
 // labels when aggregating.
 const (
-	// MetricBatchOccupancy histograms how many messages each flushed batch
+	// MetricBatchOccupancy histograms how many messages each batch frame
 	// carried — the direct readout of how well coalescing amortizes frames.
+	// A flush of one message leaves as a data frame and is not observed.
 	MetricBatchOccupancy = "specomp_wire_batch_msgs"
 	// MetricFlushes counts batch flushes by reason label
 	// (msgs|bytes|recv|close).
@@ -171,18 +172,23 @@ func (w *wireObs) link(p int) *linkObs {
 	return w.links[p]
 }
 
-// noteFlush records one batch flush: the reason counter and, for non-empty
-// batches, the occupancy histogram. Nil-safe.
-func (w *wireObs) noteFlush(reason, msgs int) {
+// noteFlush counts one flush by reason, whether it left as a batch frame
+// or as a lone data frame. Nil-safe.
+func (w *wireObs) noteFlush(reason int) {
 	if w == nil {
 		return
 	}
 	if reason >= 0 && reason < flushReasons {
 		w.flush[reason].Inc()
 	}
-	if msgs > 0 {
-		w.batch.Observe(float64(msgs))
+}
+
+// noteBatch records the occupancy of one batch frame. Nil-safe.
+func (w *wireObs) noteBatch(msgs int) {
+	if w == nil {
+		return
 	}
+	w.batch.Observe(float64(msgs))
 }
 
 // noteDial counts one dial attempt. Nil-safe.

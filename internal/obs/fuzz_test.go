@@ -71,8 +71,8 @@ func FuzzParseProm(f *testing.F) {
 }
 
 // sameFamilies compares what a family means: names, headers, and each
-// sample's name, decoded labels and value (NaN equal to NaN) — not the raw
-// label text, which a write puts in canonical form.
+// sample's name, decoded labels and value (NaN equal to NaN) — not the
+// spacing or escaping of the input, which a write puts in canonical form.
 func sameFamilies(a, b []PromFamily) bool {
 	if len(a) != len(b) {
 		return false

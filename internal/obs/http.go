@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"expvar"
 	"net"
 	"net/http"
@@ -51,15 +52,32 @@ func publishExpvar(reg *Registry) {
 func Handler(reg *Registry, jr *Journal) http.Handler {
 	publishExpvar(reg)
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WriteProm(w)
-	})
+	mux.Handle("/metrics", MetricsHandler(reg.Families))
 	mux.HandleFunc("/journal", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = jr.WriteJSONL(w)
 	})
 	return mux
+}
+
+// MetricsHandler serves the exposition fams returns, fresh per request:
+// the one renderer behind every /metrics route in the repository (a run's
+// registry, a coordinator's fleet, the scheduler's merged service view).
+func MetricsHandler(fams func() []PromFamily) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = WriteFamilies(w, fams())
+	})
+}
+
+// WriteJSON writes v as an indented JSON response with status code: the
+// one writer behind the JSON views (/fleet, the scheduler API).
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	_ = enc.Encode(v)
 }
 
 // Listen binds addr ("host:port"; port 0 for an ephemeral port, then read

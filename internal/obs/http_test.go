@@ -43,17 +43,11 @@ func TestServerServesRunAndProcessRoutes(t *testing.T) {
 
 	base := "http://" + srv.Addr()
 	text := string(scrape(t, base+"/metrics"))
-	samples, err := ParseProm(strings.NewReader(text))
+	fams, err := ParsePromFamilies(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("/metrics does not parse as Prometheus text exposition: %v\n%s", err, text)
 	}
-	total := 0.0
-	for _, s := range samples {
-		if s.Name == "specomp_test_total" {
-			total += s.Value
-		}
-	}
-	if total != 7 {
+	if total := Totals(fams)["specomp_test_total"]; total != 7 {
 		t.Errorf("/metrics specomp_test_total sums to %g, want 7\n%s", total, text)
 	}
 

@@ -84,17 +84,11 @@ func TestWritePromRoundTrips(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	samples, err := ParseProm(strings.NewReader(text))
+	fams, err := ParsePromFamilies(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("own exposition failed to parse: %v", err)
 	}
-	found := 0.0
-	for _, s := range samples {
-		if s.Name == "specomp_specs_made_total" {
-			found += s.Value
-		}
-	}
-	if found != 6 {
+	if found := Totals(fams)["specomp_specs_made_total"]; found != 6 {
 		t.Errorf("parsed specs_made sum = %g, want 6", found)
 	}
 	// Output must be deterministic.
@@ -114,7 +108,7 @@ func TestParsePromRejectsMalformed(t *testing.T) {
 		"name}{ 3\n",
 		"name{x=\"1\"} not_a_number\n",
 	} {
-		if _, err := ParseProm(strings.NewReader(bad)); err == nil {
+		if _, err := ParsePromFamilies(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted malformed %q", bad)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,32 +36,38 @@ func EscapeLabelValue(s string) string {
 }
 
 // LabelString renders pairs as `k="v",...` (no braces) with exposition
-// escaping — the canonical label-block body WriteProm emits and ParseProm
+// escaping — the label-block body WriteFamilies emits and ParsePromFamilies
 // reads back.
-func LabelString(pairs []Label) string {
-	if len(pairs) == 0 {
-		return ""
-	}
-	var b strings.Builder
+func LabelString(pairs []Label) string { return string(appendLabels(nil, pairs)) }
+
+func appendLabels(b []byte, pairs []Label) []byte {
 	for i, l := range pairs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(EscapeLabelValue(l.Value))
-		b.WriteByte('"')
+		b = append(b, l.Key...)
+		b = append(b, `="`...)
+		b = append(b, EscapeLabelValue(l.Value)...)
+		b = append(b, '"')
 	}
-	return b.String()
+	return b
 }
 
-// PromSample is one parsed exposition sample: a metric name, its label block
-// (both the raw text between the braces and the decoded pairs), and the
-// value.
+// appendVal renders a sample value the way Prometheus does: integers below
+// 1e15 in decimal, everything else in the shortest %g form.
+func appendVal(b []byte, v float64) []byte {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+func formatVal(v float64) string { return string(appendVal(nil, v)) }
+
+// PromSample is one exposition sample: a metric name, its decoded label set
+// (escape sequences resolved), and the value.
 type PromSample struct {
-	Name   string
-	Labels string // e.g. `proc="0"` — raw text between the braces
-	// LabelPairs is the decoded label set, with escape sequences resolved.
+	Name       string
 	LabelPairs []Label
 	Value      float64
 }
@@ -114,7 +121,8 @@ func parseQuoted(line string, i int) (string, int, error) {
 
 // parseSampleLine parses one `name{labels} value` (or `name value`) line.
 // The label scanner honors quoting, so braces and commas inside label values
-// round-trip.
+// round-trip. A label name may appear once per sample, as the text format
+// requires.
 func parseSampleLine(line string) (PromSample, error) {
 	var s PromSample
 	i := 0
@@ -126,7 +134,6 @@ func parseSampleLine(line string) (PromSample, error) {
 		return s, fmt.Errorf("bad metric name %q", s.Name)
 	}
 	if i < len(line) && line[i] == '{' {
-		start := i + 1
 		i++
 		for {
 			for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
@@ -157,7 +164,9 @@ func parseSampleLine(line string) (PromSample, error) {
 				i++
 			}
 		}
-		s.Labels = line[start:i]
+		if key, ok := repeatedKey(s.LabelPairs); ok {
+			return s, fmt.Errorf("label %q repeated", key)
+		}
 		i++ // '}'
 	}
 	rest := strings.TrimSpace(line[i:])
@@ -172,50 +181,28 @@ func parseSampleLine(line string) (PromSample, error) {
 	return s, nil
 }
 
-// ParseProm parses the Prometheus text exposition format (the subset
-// WriteProm emits: HELP/TYPE comments and `name{labels} value` samples).
-// It returns the samples in order and rejects malformed lines, so tests and
-// cmd/specbench can verify a dump is well-formed. Label values round-trip
-// through the exposition escapes (backslash, quote, newline).
-func ParseProm(r io.Reader) ([]PromSample, error) {
-	var out []PromSample
-	err := scanProm(r, func(s PromSample) { out = append(out, s) }, nil)
-	return out, err
+// repeatedKey returns a label name that occurs more than once in pairs.
+func repeatedKey(pairs []Label) (string, bool) {
+	seen := map[string]bool{}
+	for _, p := range pairs {
+		if seen[p.Key] {
+			return p.Key, true
+		}
+		seen[p.Key] = true
+	}
+	return "", false
 }
 
-// ParsePromFamilies parses an exposition grouped into metric families: a
-// HELP/TYPE comment opens a family, and subsequent samples whose name is the
-// family name (or its _bucket/_sum/_count derivative) belong to it. Samples
-// with no preceding header form headerless families of their own.
+// ParsePromFamilies parses the Prometheus text exposition format (HELP/TYPE
+// comments and `name{labels} value` samples), grouped into metric families:
+// a HELP/TYPE comment opens a family, and subsequent samples whose name is
+// the family name (or its _bucket/_sum/_count derivative) belong to it.
+// Samples with no preceding header form headerless families of their own.
+// It rejects malformed lines. Label values round-trip through the
+// exposition escapes (backslash, quote, newline).
 func ParsePromFamilies(r io.Reader) ([]PromFamily, error) {
 	var fams []PromFamily
 	cur := -1 // index into fams the next sample may extend
-	sample := func(s PromSample) {
-		if cur >= 0 && sampleInFamily(fams[cur].Name, s.Name) {
-			fams[cur].Samples = append(fams[cur].Samples, s)
-			return
-		}
-		fams = append(fams, PromFamily{Name: s.Name, Samples: []PromSample{s}})
-		cur = len(fams) - 1
-	}
-	header := func(name, key, text string) {
-		if cur < 0 || fams[cur].Name != name {
-			fams = append(fams, PromFamily{Name: name})
-			cur = len(fams) - 1
-		}
-		if key == "HELP" {
-			fams[cur].Help = text
-		} else {
-			fams[cur].Type = text
-		}
-	}
-	err := scanProm(r, sample, header)
-	return fams, err
-}
-
-// scanProm is the shared line scanner behind ParseProm and
-// ParsePromFamilies. header is nil when comments should just be skipped.
-func scanProm(r io.Reader, sample func(PromSample), header func(name, key, text string)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
@@ -226,24 +213,34 @@ func scanProm(r io.Reader, sample func(PromSample), header func(name, key, text 
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if header == nil {
-				continue
-			}
 			// A header without text is a comment: WriteFamilies could not
 			// write it back.
 			fields := strings.SplitN(line, " ", 4)
-			if len(fields) == 4 && (fields[1] == "HELP" || fields[1] == "TYPE") && validMetricName(fields[2]) {
-				header(fields[2], fields[1], fields[3])
+			if len(fields) < 4 || (fields[1] != "HELP" && fields[1] != "TYPE") || !validMetricName(fields[2]) {
+				continue
+			}
+			if name := fields[2]; cur < 0 || fams[cur].Name != name {
+				fams = append(fams, PromFamily{Name: name})
+				cur = len(fams) - 1
+			}
+			if fields[1] == "HELP" {
+				fams[cur].Help = fields[3]
+			} else {
+				fams[cur].Type = fields[3]
 			}
 			continue
 		}
 		s, err := parseSampleLine(line)
 		if err != nil {
-			return fmt.Errorf("obs: line %d: %v in %q", lineNo, err, line)
+			return fams, fmt.Errorf("obs: line %d: %v in %q", lineNo, err, line)
 		}
-		sample(s)
+		if cur < 0 || !sampleInFamily(fams[cur].Name, s.Name) {
+			fams = append(fams, PromFamily{Name: s.Name})
+			cur = len(fams) - 1
+		}
+		fams[cur].Samples = append(fams[cur].Samples, s)
 	}
-	return sc.Err()
+	return fams, sc.Err()
 }
 
 // sampleInFamily reports whether a sample named sample belongs to the family
@@ -262,32 +259,48 @@ func sampleInFamily(fam, sample string) bool {
 	return false
 }
 
-// WriteFamilies renders families back to the text exposition format, the
-// inverse of ParsePromFamilies. Output produced by WriteProm survives a
-// parse/write round trip byte-identically.
+// WriteFamilies renders families in the text exposition format, the
+// inverse of ParsePromFamilies: what it writes parses back to the same
+// families and writes again byte-identically. It is the one exposition
+// writer; every /metrics route and every pushed snapshot goes through it.
 func WriteFamilies(w io.Writer, fams []PromFamily) error {
+	var b []byte
 	for _, f := range fams {
+		b = b[:0]
 		if f.Help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.Name, f.Help); err != nil {
-				return err
-			}
+			b = append(append(append(append(append(b, "# HELP "...), f.Name...), ' '), f.Help...), '\n')
 		}
 		if f.Type != "" {
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Type); err != nil {
-				return err
-			}
+			b = append(append(append(append(append(b, "# TYPE "...), f.Name...), ' '), f.Type...), '\n')
 		}
 		for _, s := range f.Samples {
-			labels := ""
+			b = append(b, s.Name...)
 			if len(s.LabelPairs) > 0 {
-				labels = "{" + LabelString(s.LabelPairs) + "}"
+				b = append(appendLabels(append(b, '{'), s.LabelPairs), '}')
 			}
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", s.Name, labels, formatVal(s.Value)); err != nil {
-				return err
-			}
+			b = append(appendVal(append(b, ' '), s.Value), '\n')
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// Totals sums an exposition's samples by sample name — the one totals rule:
+// a counter or gauge family totals under its own name, a histogram under
+// name_sum and name_count (its _bucket samples are skipped).
+func Totals(fams []PromFamily) map[string]float64 {
+	out := make(map[string]float64)
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if len(s.Name) == len(f.Name)+len("_bucket") && strings.HasSuffix(s.Name, "_bucket") {
+				continue
+			}
+			out[s.Name] += s.Value
+		}
+	}
+	return out
 }
 
 // MergeFamilies is the one rule by which expositions are merged: one family

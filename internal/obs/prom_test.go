@@ -125,8 +125,8 @@ func TestParsePromRejectsBrokenEscapes(t *testing.T) {
 		`m{v=unquoted} 1`,
 	}
 	for _, line := range bad {
-		if _, err := ParseProm(strings.NewReader(line + "\n")); err == nil {
-			t.Errorf("ParseProm accepted malformed line %q", line)
+		if _, err := ParsePromFamilies(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("ParsePromFamilies accepted malformed line %q", line)
 		}
 	}
 }
@@ -173,5 +173,22 @@ b_total{node="2"} 3
 	merged[1].Samples[0].Value = 99
 	if in[0].Samples[0].Value != 1 {
 		t.Error("merged family shares its sample slice with the input")
+	}
+}
+
+// TestParsePromRejectsRepeatedLabel: the text format allows a label name
+// once per sample, and a merge that re-labels samples relies on it.
+func TestParsePromRejectsRepeatedLabel(t *testing.T) {
+	for _, line := range []string{
+		`m{a="1",a="2"} 1`,
+		`m{a="1",b="2",a="1"} 1`,
+		`m{k0="",k1="",k2="",k3="",k4="",k5="",k6="",k7="",k8="",k3=""} 1`,
+	} {
+		if _, err := ParsePromFamilies(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("ParsePromFamilies accepted repeated label name in %q", line)
+		}
+	}
+	if _, err := ParsePromFamilies(strings.NewReader(`m{a="1",b="1"} 1` + "\n")); err != nil {
+		t.Errorf("distinct label names refused: %v", err)
 	}
 }

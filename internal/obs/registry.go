@@ -5,16 +5,17 @@
 //
 // Every instrument is nil-safe: a nil *Registry hands out nil handles, and
 // every handle method no-ops on a nil receiver, so un-instrumented runs pay
-// only a nil check on the hot path. The registry renders itself in the
-// Prometheus text exposition format (WriteProm), which the realtime
-// package's HTTP endpoint serves for live runs and cmd/specbench dumps to a
-// file for offline diffing.
+// only a nil check on the hot path. The registry snapshots itself as
+// exposition families (Families), the one in-memory form of a Prometheus
+// text exposition: WriteFamilies renders it, ParsePromFamilies reads it
+// back, Totals sums it, and every /metrics route serves it (MetricsHandler).
 package obs
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,25 +30,14 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// kind discriminates metric families in the exposition output.
-type kind int
+// kind discriminates metric families; its value is the exposition's TYPE.
+type kind string
 
 const (
-	kindCounter kind = iota
-	kindGauge
-	kindHistogram
+	kindCounter   kind = "counter"
+	kindGauge     kind = "gauge"
+	kindHistogram kind = "histogram"
 )
-
-func (k kind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
-}
 
 // Counter is a monotonically increasing value.
 type Counter struct {
@@ -188,7 +178,6 @@ type series struct {
 
 // family is all series sharing a metric name.
 type family struct {
-	name    string
 	help    string
 	kind    kind
 	buckets []float64
@@ -201,7 +190,6 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	order    []string // registration order for stable iteration
 }
 
 // NewRegistry returns an empty registry.
@@ -239,9 +227,8 @@ func (r *Registry) getSeries(name, help string, k kind, buckets []float64, label
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, kind: k, buckets: buckets, series: make(map[string]*series)}
+		f = &family{help: help, kind: k, buckets: buckets, series: make(map[string]*series)}
 		r.families[name] = f
-		r.order = append(r.order, name)
 	}
 	if f.kind != k {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", name, k, f.kind))
@@ -293,119 +280,83 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return r.getSeries(name, help, kindHistogram, buckets, labels).hist
 }
 
-// promLabels renders {k="v",...} (empty string for no labels) with the
-// exposition-format escapes (see EscapeLabelValue) so label values carrying
-// backslashes, quotes or newlines survive an expose→parse round trip.
-func promLabels(labels []Label, extra ...Label) string {
-	all := append(append([]Label{}, labels...), extra...)
-	if len(all) == 0 {
-		return ""
-	}
-	return "{" + LabelString(all) + "}"
-}
-
-// formatVal renders a sample value the way Prometheus does.
-func formatVal(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
-}
-
-// WriteProm renders the registry in the Prometheus text exposition format,
-// families sorted by name and series sorted by label signature, so output is
-// deterministic. Nil-safe: a nil registry writes nothing.
-func (r *Registry) WriteProm(w io.Writer) error {
+// Families snapshots the registry as exposition families: families sorted
+// by name, series by label signature, and each histogram series as its
+// cumulative _bucket samples (le the last label, +Inf the last bucket), then
+// _sum and _count. Nil-safe: a nil registry has no families.
+func (r *Registry) Families() []PromFamily {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	names := make([]string, len(r.order))
-	copy(names, r.order)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	names := make([]string, 0, len(r.families))
+	for name := range r.families {
+		names = append(names, name)
+	}
 	sort.Strings(names)
-	for _, name := range names {
-		r.mu.Lock()
+	out := make([]PromFamily, len(names))
+	for i, name := range names {
 		f := r.families[name]
 		sigs := make([]string, 0, len(f.series))
 		for sig := range f.series {
 			sigs = append(sigs, sig)
 		}
-		r.mu.Unlock()
 		sort.Strings(sigs)
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
-		}
+		pf := PromFamily{Name: name, Help: f.help, Type: string(f.kind)}
 		for _, sig := range sigs {
-			r.mu.Lock()
 			s := f.series[sig]
-			r.mu.Unlock()
+			ls := slices.Clip(slices.Clone(s.labels))
 			switch f.kind {
 			case kindCounter:
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(s.labels), formatVal(s.ctr.Value())); err != nil {
-					return err
-				}
+				pf.Samples = append(pf.Samples, PromSample{Name: name, LabelPairs: ls, Value: s.ctr.Value()})
 			case kindGauge:
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(s.labels), formatVal(s.gauge.Value())); err != nil {
-					return err
-				}
+				pf.Samples = append(pf.Samples, PromSample{Name: name, LabelPairs: ls, Value: s.gauge.Value()})
 			case kindHistogram:
-				h := s.hist
-				h.mu.Lock()
-				cum := uint64(0)
-				for i, b := range h.bounds {
-					cum += h.counts[i]
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, promLabels(s.labels, L("le", formatVal(b))), cum); err != nil {
-						h.mu.Unlock()
-						return err
-					}
-				}
-				cum += h.counts[len(h.bounds)]
-				_, err := fmt.Fprintf(w, "%s_bucket%s %d\n%s_sum%s %s\n%s_count%s %d\n",
-					f.name, promLabels(s.labels, L("le", "+Inf")), cum,
-					f.name, promLabels(s.labels), formatVal(h.sum),
-					f.name, promLabels(s.labels), h.total)
-				h.mu.Unlock()
-				if err != nil {
-					return err
-				}
+				pf.Samples = s.hist.appendSamples(pf.Samples, name, ls)
 			}
 		}
+		out[i] = pf
 	}
-	return nil
+	return out
 }
 
-// Totals returns each family's value summed across its label series —
-// counters and gauges sum their values; histograms contribute
-// name_count and name_sum entries. Nil-safe: a nil registry returns nil.
+// appendSamples appends the histogram's exposition samples under name and
+// labels.
+func (h *Histogram) appendSamples(out []PromSample, name string, labels []Label) []PromSample {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := len(labels) + 1
+	le := make([]Label, n*(len(h.bounds)+1)) // one array behind every bucket's label set
+	cum := uint64(0)
+	for i := range h.counts {
+		cum += h.counts[i]
+		bound := "+Inf"
+		if i < len(h.bounds) {
+			bound = formatVal(h.bounds[i])
+		}
+		ls := le[i*n : (i+1)*n : (i+1)*n]
+		copy(ls, labels)
+		ls[n-1] = L("le", bound)
+		out = append(out, PromSample{Name: name + "_bucket", LabelPairs: ls, Value: float64(cum)})
+	}
+	return append(out,
+		PromSample{Name: name + "_sum", LabelPairs: labels, Value: h.sum},
+		PromSample{Name: name + "_count", LabelPairs: labels, Value: float64(h.total)})
+}
+
+// WriteProm renders the registry in the Prometheus text exposition format
+// (see Families), so output is deterministic. Nil-safe: a nil registry
+// writes nothing.
+func (r *Registry) WriteProm(w io.Writer) error { return WriteFamilies(w, r.Families()) }
+
+// Totals returns each family's value summed across its label series (see
+// the package function Totals). Nil-safe: a nil registry returns nil.
 func (r *Registry) Totals() map[string]float64 {
 	if r == nil {
 		return nil
 	}
-	out := make(map[string]float64)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, f := range r.families {
-		for _, s := range f.series {
-			switch f.kind {
-			case kindCounter:
-				out[f.name] += s.ctr.Value()
-			case kindGauge:
-				out[f.name] += s.gauge.Value()
-			case kindHistogram:
-				s.hist.mu.Lock()
-				out[f.name+"_count"] += float64(s.hist.total)
-				out[f.name+"_sum"] += s.hist.sum
-				s.hist.mu.Unlock()
-			}
-		}
-	}
-	return out
+	return Totals(r.Families())
 }
 
 // DeltaLines renders the difference after-before as sorted "name value"

@@ -54,14 +54,11 @@ func TestObsEndpointServesMetricsAndJournal(t *testing.T) {
 
 	base := "http://" + srv.Addr()
 	text := string(scrape(t, base+"/metrics"))
-	samples, err := obs.ParseProm(strings.NewReader(text))
+	fams, err := obs.ParsePromFamilies(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("/metrics does not parse as Prometheus text exposition: %v\n%s", err, text)
 	}
-	got := make(map[string]float64)
-	for _, s := range samples {
-		got[s.Name] += s.Value
-	}
+	got := obs.Totals(fams)
 	// The acceptance schema: specs made/checked/bad, repairs, overruns, and
 	// retransmissions must all be present (retransmissions at 0 on channels).
 	for _, name := range []string{

@@ -18,7 +18,6 @@ package sched
 // state across a write.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,7 +32,7 @@ func (s *Scheduler) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Jobs())
+		obs.WriteJSON(w, http.StatusOK, s.Jobs())
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.Status(r.PathValue("id"))
@@ -41,7 +40,7 @@ func (s *Scheduler) Handler() http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		obs.WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.Cancel(r.PathValue("id"))
@@ -49,12 +48,12 @@ func (s *Scheduler) Handler() http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		obs.WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /queue", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Queue())
+		obs.WriteJSON(w, http.StatusOK, s.Queue())
 	})
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", obs.MetricsHandler(s.metricFamilies))
 	mux.HandleFunc("GET /fleet", s.handleFleet)
 	return mux
 }
@@ -72,7 +71,7 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, code, errorBody{Error: fmt.Sprintf("decoding job spec: %v", err)})
+		obs.WriteJSON(w, code, errorBody{Error: fmt.Sprintf("decoding job spec: %v", err)})
 		return
 	}
 	st, err := s.Submit(req)
@@ -80,15 +79,15 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	obs.WriteJSON(w, http.StatusAccepted, st)
 }
 
-// handleMetrics serves ONE exposition for the whole service: the
-// scheduler's own series merged family-wise with every job's aggregated
-// fleet. Jobs never collide — each fleet's samples carry that job's id in
-// their job label — so the union is a well-formed exposition with one
-// family per metric name.
-func (s *Scheduler) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// metricFamilies is ONE exposition for the whole service: the scheduler's
+// own series merged family-wise with every job's aggregated fleet. Jobs
+// never collide — each fleet's samples carry that job's id in their job
+// label — so the union is a well-formed exposition with one family per
+// metric name.
+func (s *Scheduler) metricFamilies() []obs.PromFamily {
 	s.mu.Lock()
 	lag := 0.0
 	for _, j := range s.jobs {
@@ -98,31 +97,12 @@ func (s *Scheduler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	s.met.custodyLag.Set(lag)
-	var buf bytes.Buffer
-	if err := s.reg.WriteProm(&buf); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	fams, err := obs.ParsePromFamilies(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	fams := s.reg.Families()
 	for _, jf := range s.jobFleets("") {
-		jfams, err := jf.fleet.Families()
-		if err != nil {
-			http.Error(w, fmt.Sprintf("job %s: %v", jf.id, err), http.StatusInternalServerError)
-			return
-		}
+		jfams, _ := jf.fleet.Families() // never fails: each push was parsed on arrival
 		fams = append(fams, jfams...)
 	}
-	var out bytes.Buffer
-	if err := obs.WriteFamilies(&out, obs.MergeFamilies(fams)); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(out.Bytes())
+	return obs.MergeFamilies(fams)
 }
 
 // SchedFleetStatus is the /fleet JSON view: scheduler occupancy plus each
@@ -143,14 +123,14 @@ func (s *Scheduler) handleFleet(w http.ResponseWriter, r *http.Request) {
 	filter := r.URL.Query().Get("job")
 	fleets := s.jobFleets(filter)
 	if filter != "" && len(fleets) == 0 {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no fleet for job %q", filter)})
+		obs.WriteJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no fleet for job %q", filter)})
 		return
 	}
 	st := SchedFleetStatus{Queue: s.Queue(), Jobs: []JobFleetStatus{}}
 	for _, jf := range fleets {
 		st.Jobs = append(st.Jobs, JobFleetStatus{ID: jf.id, State: jf.state, Fleet: jf.fleet.Status()})
 	}
-	writeJSON(w, http.StatusOK, st)
+	obs.WriteJSON(w, http.StatusOK, st)
 }
 
 // jobFleet pairs a job id with its fleet aggregator snapshot reference.
@@ -180,14 +160,6 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
-}
-
 // writeError maps scheduler sentinels to HTTP statuses.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
@@ -201,5 +173,5 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrJobFinished):
 		code = http.StatusConflict
 	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
+	obs.WriteJSON(w, code, errorBody{Error: err.Error()})
 }

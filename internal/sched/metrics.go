@@ -65,6 +65,10 @@ type schedMetrics struct {
 	resumeSec   *obs.Histogram
 	custodyErrs *obs.Counter
 	custodyLag  *obs.Gauge
+	// outcomes holds the jobs_total series by outcome label, each made on
+	// first use so an outcome never seen stays out of the exposition.
+	// Guarded by the scheduler's mu.
+	outcomes map[string]*obs.Counter
 }
 
 func newSchedMetrics(reg *obs.Registry) schedMetrics {
@@ -82,6 +86,7 @@ func newSchedMetrics(reg *obs.Registry) schedMetrics {
 		resumeSec:   reg.Histogram(MetricResumeSeconds, "Eviction-to-redispatch latency (s).", waitBuckets),
 		custodyErrs: reg.Counter(MetricCustodyErrors, "Jobs whose custody store latched a write failure."),
 		custodyLag:  reg.Gauge(MetricCustodyLag, "Age of the oldest accepted, uncommitted checkpoint (s)."),
+		outcomes:    make(map[string]*obs.Counter),
 	}
 }
 
@@ -110,8 +115,16 @@ func (m *schedMetrics) observeLaunch(forked time.Time, reports []distnet.NodeRep
 
 // outcome bumps the jobs_total counter for one terminal/admission event.
 func (m *schedMetrics) outcome(kind string) {
-	m.reg.Counter(MetricJobs, "Job admissions and outcomes.", obs.L("outcome", kind)).Inc()
+	c := m.outcomes[kind]
+	if c == nil {
+		c = m.reg.Counter(MetricJobs, "Job admissions and outcomes.", obs.L("outcome", kind))
+		m.outcomes[kind] = c
+	}
+	c.Inc()
 }
+
+// outcomeCount reads back how many kind events outcome has counted.
+func (m *schedMetrics) outcomeCount(kind string) int { return int(m.outcomes[kind].Value()) }
 
 // tenantOccupancy publishes one tenant's active jobs and ranks.
 func (m *schedMetrics) tenantOccupancy(tenant string, jobs, ranks int) {

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"specomp/internal/checkpoint"
 	"specomp/internal/distnet"
 )
 
@@ -45,7 +46,8 @@ type persistedQueue struct {
 	Jobs    []persistedJob `json:"jobs"`
 }
 
-// persistLocked writes the queue file (atomic replace). Called with the
+// persistLocked writes the queue file by atomic replace and syncs its
+// directory, so the file is on disk when Drain returns. Called with the
 // scheduler lock held, after draining has emptied the running set.
 func (s *Scheduler) persistLocked() error {
 	pq := persistedQueue{
@@ -70,11 +72,14 @@ func (s *Scheduler) persistLocked() error {
 		return fmt.Errorf("sched: persisting queue: %w", err)
 	}
 	path := filepath.Join(s.cfg.StateDir, queueFileName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return fmt.Errorf("sched: persisting queue: %w", err)
+	err = checkpoint.ReplaceFile(path, func(f *os.File) error {
+		_, err := f.Write(blob)
+		return err
+	})
+	if err == nil {
+		err = checkpoint.SyncDir(s.cfg.StateDir) // Drain's return promises the file
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		return fmt.Errorf("sched: persisting queue: %w", err)
 	}
 	s.logf("persisted %d queued jobs to %s", len(pq.Jobs), path)

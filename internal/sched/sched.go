@@ -134,7 +134,6 @@ type Scheduler struct {
 	tenants   map[string]bool // every tenant ever seen (gauge refresh set)
 	draining  bool
 	closed    bool
-	stats     Stats
 }
 
 // New builds a scheduler and, when cfg.StateDir holds a persisted queue
@@ -183,11 +182,21 @@ func (s *Scheduler) logf(format string, args ...any) {
 // Registry returns the registry holding the scheduler's own series.
 func (s *Scheduler) Registry() *obs.Registry { return s.reg }
 
-// Stats snapshots the cumulative counters.
+// Stats snapshots the cumulative counters, read from the metric series
+// that count each of them.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	m := &s.met
+	return Stats{
+		Submitted:   m.outcomeCount("submitted"),
+		Completed:   m.outcomeCount("done"),
+		Failed:      m.outcomeCount("failed"),
+		Canceled:    m.outcomeCount("canceled"),
+		Rejected:    m.outcomeCount("rejected"),
+		Preemptions: int(m.preemptions.Value()),
+		Resumes:     int(m.resumes.Value()),
+	}
 }
 
 // Submit admits one job: quota-checked, normalized, queued, and (when
@@ -216,7 +225,6 @@ func (s *Scheduler) Submit(req JobSpec) (JobStatus, error) {
 		return JobStatus{}, ErrDraining
 	}
 	if err := s.checkQuotaLocked(req.Tenant, spec.Procs); err != nil {
-		s.stats.Rejected++
 		s.met.outcome("rejected")
 		return JobStatus{}, err
 	}
@@ -239,7 +247,6 @@ func (s *Scheduler) Submit(req JobSpec) (JobStatus, error) {
 	s.order = append(s.order, id)
 	s.tenants[req.Tenant] = true
 	s.queue.push(j)
-	s.stats.Submitted++
 	s.met.outcome("submitted")
 	s.logf("job %s submitted: %s tenant=%s priority=%d procs=%d app=%s",
 		id, req.Name, req.Tenant, req.Priority, spec.Procs, spec.App)
@@ -358,7 +365,6 @@ func (s *Scheduler) preemptForLocked(j *Job, need int) bool {
 	for _, v := range victims {
 		s.logf("preempting job %s (priority %d) for job %s (priority %d)",
 			v.ID, v.Priority, j.ID, j.Priority)
-		s.stats.Preemptions++
 		s.met.preemptions.Inc()
 		s.evictLocked(v)
 	}
@@ -447,7 +453,6 @@ func (s *Scheduler) startLocked(j *Job) {
 	j.waited += wait
 	s.met.waitSec.Observe(wait)
 	if resumed {
-		s.stats.Resumes++
 		s.met.resumes.Inc()
 		s.met.resumeSec.Observe(now.Sub(j.evictedAt).Seconds())
 	}
@@ -473,7 +478,6 @@ func (s *Scheduler) failLocked(j *Job, err error) {
 	j.state = StateFailed
 	j.err = err
 	j.finished = time.Now()
-	s.stats.Failed++
 	s.met.outcome("failed")
 	s.clearCustody(j)
 	s.logf("%v", jobError(j, err))
@@ -498,7 +502,6 @@ func (s *Scheduler) onRunDone(j *Job, reports []distnet.NodeReport, runErr, supE
 	case j.canceled:
 		j.state = StateCanceled
 		j.finished = now
-		s.stats.Canceled++
 		s.met.outcome("canceled")
 		s.clearCustody(j)
 		s.logf("job %s canceled mid-run", j.ID)
@@ -506,7 +509,6 @@ func (s *Scheduler) onRunDone(j *Job, reports []distnet.NodeReport, runErr, supE
 		j.state = StateDone
 		j.finished = now
 		j.reports = reports
-		s.stats.Completed++
 		s.met.outcome("done")
 		s.met.observeLaunch(j.forked, reports)
 		s.clearCustody(j)
@@ -536,7 +538,6 @@ func (s *Scheduler) onRunDone(j *Job, reports []distnet.NodeReport, runErr, supE
 		j.state = StateFailed
 		j.err = err
 		j.finished = now
-		s.stats.Failed++
 		s.met.outcome("failed")
 		s.clearCustody(j)
 		s.logf("%v", jobError(j, err))
@@ -573,7 +574,6 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 		s.queue.remove(j)
 		j.state = StateCanceled
 		j.finished = time.Now()
-		s.stats.Canceled++
 		s.met.outcome("canceled")
 		s.clearCustody(j)
 		s.logf("job %s canceled while queued", j.ID)
