@@ -203,10 +203,12 @@ fmt:
 	gofmt -w .
 
 # Non-test Go lines in tracked files, the count every line delta in
-# ROADMAP.md and CHANGES.md is stated in, and the share under bench/.
+# ROADMAP.md and CHANGES.md is stated in, the share under bench/, and the
+# assembly lines the Go count does not see.
 loc:
 	@echo "non-test Go: $$(git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l) lines"
 	@echo "  under bench/: $$(git ls-files 'bench/*.go' | grep -v _test.go | xargs cat | wc -l) lines"
+	@echo "assembly (.s, not in the Go count): $$(git ls-files '*.s' | xargs cat | wc -l) lines"
 
 # Exported fields of the eight structs a run is configured through, `A, B T`
 # counted as two: the settable-value count a simplicity change states.

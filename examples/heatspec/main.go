@@ -18,17 +18,7 @@ import (
 func run(g heat.Grid, fw, iters int) (float64, [][]float64) {
 	const procs = 4
 	machines := cluster.UniformMachines(procs, 50_000)
-	caps := make([]float64, procs)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
-	counts := partition.Proportional(g.Rows, caps)
-	blocks := make([][2]int, procs)
-	lo := 0
-	for i, c := range counts {
-		blocks[i] = [2]int{lo, lo + c}
-		lo += c
-	}
+	blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
 	results, err := core.RunCluster(
 		cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.02}},
 		core.Config{FW: fw, MaxIter: iters},

@@ -23,11 +23,7 @@ func main() {
 	)
 	prob := jacobi.NewDiagonallyDominant(n, 7)
 	machines := cluster.LinearMachines(procs, 20_000, 5)
-	caps := make([]float64, procs)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
-	blocks := jacobi.BlocksFromCounts(partition.Proportional(n, caps))
+	blocks := partition.Blocks(n, cluster.Capacities(machines))
 
 	run := func(fw int) (float64, []float64) {
 		results, err := core.RunCluster(

@@ -41,11 +41,7 @@ func main() {
 	prob := pagerank.NewProblem(g, 0.85)
 
 	machines := cluster.LinearMachines(procs, 10_000, 4)
-	caps := make([]float64, procs)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
-	blocks := pagerank.BlocksFromCounts(partition.Proportional(vertices, caps))
+	blocks := partition.Blocks(vertices, cluster.Capacities(machines))
 
 	run := func(fw int, theta, alpha float64) (float64, int, []float64, core.AggregateStats) {
 		results, err := core.RunCluster(

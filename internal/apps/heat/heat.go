@@ -9,12 +9,12 @@
 // strip, and strips that have not arrived are speculated. Diffusion
 // smooths the field monotonically, so history-based extrapolation is highly
 // accurate — the favourable regime §3.2 describes.
+//
+// Everything of the app but the stencil update is the strip shell in
+// strip.go, which the red-black SOR app (internal/apps/sor) shares.
 package heat
 
 import (
-	"fmt"
-	"math"
-
 	"specomp/internal/core"
 	"specomp/internal/cpu"
 )
@@ -34,34 +34,15 @@ func DefaultGrid(rows, cols int) Grid {
 	return Grid{Rows: rows, Cols: cols, Alpha: 0.2, Top: 100, Bottom: 0}
 }
 
-// initialValue is the initial temperature of every cell of row r: the
-// Dirichlet value on a boundary row, the mean in the interior.
-func (g Grid) initialValue(r int) float64 {
-	switch r {
-	case 0:
-		return g.Top
-	case g.Rows - 1:
-		return g.Bottom
-	}
-	return (g.Top + g.Bottom) / 2
-}
+// field is the grid without its diffusion number.
+func (g Grid) field() Field { return Field{Rows: g.Rows, Cols: g.Cols, Top: g.Top, Bottom: g.Bottom} }
 
-// Initial returns the initial field: boundary rows at their Dirichlet
-// values, interior at the mean.
-func (g Grid) Initial() [][]float64 {
-	f := make([][]float64, g.Rows)
-	for r := range f {
-		f[r] = make([]float64, g.Cols)
-		fill(f[r], g.initialValue(r))
-	}
-	return f
-}
+// Initial returns the grid's initial field (Field.Initial).
+func (g Grid) Initial() [][]float64 { return g.field().Initial() }
 
-func fill(row []float64, v float64) {
-	for c := range row {
-		row[c] = v
-	}
-}
+// SteadyState returns the grid's analytic steady solution
+// (Field.SteadyState).
+func (g Grid) SteadyState() [][]float64 { return g.field().SteadyState() }
 
 // SerialStep advances the whole field one explicit step (reference
 // implementation).
@@ -97,115 +78,24 @@ func (g Grid) SerialRun(iters int) [][]float64 {
 	return f
 }
 
-// SteadyState returns the analytic steady solution: a linear profile from
-// Top to Bottom, uniform across columns.
-func (g Grid) SteadyState() [][]float64 {
-	f := make([][]float64, g.Rows)
-	for r := range f {
-		f[r] = make([]float64, g.Cols)
-		v := g.Top + (g.Bottom-g.Top)*float64(r)/float64(g.Rows-1)
-		for c := range f[r] {
-			f[r][c] = v
-		}
-	}
-	return f
-}
-
-// MaxDiff returns the largest absolute difference between two fields; +Inf
-// if any difference is NaN.
-func MaxDiff(a, b [][]float64) float64 {
-	worst := 0.0
-	for r := range a {
-		for c := range a[r] {
-			worst = max(worst, math.Abs(a[r][c]-b[r][c])) // max keeps a NaN
-		}
-	}
-	if math.IsNaN(worst) {
-		return math.Inf(1)
-	}
-	return worst
-}
-
-// App adapts one processor's strip of rows to the engine. Strips are
-// flattened row-major into the wire format. The app implements
-// core.Publisher: only the strip's first and last rows travel on the
-// network — the ghost rows neighbours actually need — so message sizes and
-// speculation/checking overhead are proportional to the interface, not the
-// volume.
+// App adapts one processor's strip of rows to the engine: the Strip shell
+// plus the explicit stencil update.
 type App struct {
-	grid   Grid
-	pid    int
-	blocks [][2]int // per-processor global row ranges [lo, hi)
-	// Theta is the relative-error speculation threshold.
-	Theta float64
-
-	out, pub core.ResultBuf // Compute and Publish results
+	Strip
+	grid Grid
+	out  core.ResultBuf // Compute results
 }
 
-// NewApp creates the adapter for processor pid. blocks lists every
-// processor's row range; they must tile [0, Rows) and every processor must
-// own at least one row.
+// NewApp creates the adapter for processor pid (see NewStrip for blocks).
+// The update costs ~6 flops per owned cell.
 func NewApp(grid Grid, blocks [][2]int, pid int, theta float64) *App {
-	for i, b := range blocks {
-		if b[1] <= b[0] {
-			panic(fmt.Sprintf("heat: processor %d owns no rows", i))
-		}
-	}
-	return &App{grid: grid, pid: pid, blocks: blocks, Theta: theta}
+	return &App{Strip: NewStrip("heat", grid.field(), blocks, pid, theta, 6), grid: grid}
 }
 
 var _ core.App = (*App)(nil)
 var _ core.ComputerInto = (*App)(nil)
 var _ core.Publisher = (*App)(nil)
 var _ core.Grapher = (*App)(nil)
-
-// Graph implements core.Grapher: only touching strips feed the stencil, in
-// both directions.
-func (a *App) Graph(p int) *core.DepGraph { return core.StripGraph(a.blocks) }
-
-func (a *App) rows() (lo, hi int) { return a.blocks[a.pid][0], a.blocks[a.pid][1] }
-
-// InitLocal implements core.App: the owned rows of Grid.Initial.
-func (a *App) InitLocal() []float64 {
-	lo, hi := a.rows()
-	c := a.grid.Cols
-	out := make([]float64, (hi-lo)*c)
-	for r := lo; r < hi; r++ {
-		fill(out[(r-lo)*c:(r-lo+1)*c], a.grid.initialValue(r))
-	}
-	return out
-}
-
-// Publish implements core.Publisher: the strip's first and last rows,
-// concatenated — everything any neighbour's stencil can touch.
-func (a *App) Publish(local []float64) []float64 {
-	c := a.grid.Cols
-	out := a.pub.Next(2 * c)
-	copy(out, local[:c])
-	copy(out[c:], local[len(local)-c:])
-	return out
-}
-
-// owner returns the processor owning global row r.
-func (a *App) owner(r int) int {
-	for k, b := range a.blocks {
-		if r >= b[0] && r < b[1] {
-			return k
-		}
-	}
-	panic(fmt.Sprintf("heat: row %d owned by nobody", r))
-}
-
-// ghostRow extracts the published row adjacent to the local strip from peer
-// k's published payload (first row at offset 0, last row at offset Cols).
-func (a *App) ghostRow(view [][]float64, r int, wantLast bool) []float64 {
-	k := a.owner(r)
-	payload := view[k]
-	if wantLast {
-		return payload[a.grid.Cols : 2*a.grid.Cols]
-	}
-	return payload[:a.grid.Cols]
-}
 
 // Compute implements core.App: ComputeInto into the next result buffer.
 func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.pid, t) }
@@ -280,24 +170,4 @@ func interiorGo(dst, above, cur, below []float64, alpha float64) {
 		x := cur[c]
 		dst[c] = x + alpha*(above[c]+below[c]+cur[c-1]+cur[c+1]-4*x)
 	}
-}
-
-// ComputeOps implements core.App: ~6 flops per owned cell.
-func (a *App) ComputeOps() float64 {
-	lo, hi := a.rows()
-	return 6 * float64(hi-lo) * float64(a.grid.Cols)
-}
-
-// Check implements core.App: the published edge rows are compared
-// element-wise (they are the only values that entered the local stencil).
-func (a *App) Check(peer int, pred, act, local []float64, t int) core.CheckResult {
-	return core.RelErrCheck(a.Theta, 2, pred, act)
-}
-
-// RepairOps implements core.App: the bad fraction of a stencil sweep.
-func (a *App) RepairOps(r core.CheckResult) float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Bad) / float64(r.Total) * a.ComputeOps()
 }

@@ -55,17 +55,7 @@ func TestMaxPrincipleHolds(t *testing.T) {
 func runDistributed(t *testing.T, g Grid, p int, cfg core.Config, theta float64) ([]core.Result, [][]float64) {
 	t.Helper()
 	machines := cluster.UniformMachines(p, 1e6)
-	caps := make([]float64, p)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
-	counts := partition.Proportional(g.Rows, caps)
-	blocks := make([][2]int, p)
-	lo := 0
-	for i, c := range counts {
-		blocks[i] = [2]int{lo, lo + c}
-		lo += c
-	}
+	blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
 	results, err := core.RunCluster(
 		cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.02}},
 		cfg,

@@ -12,7 +12,7 @@ import (
 func BenchmarkComputeKernel(b *testing.B) {
 	const P, pid = 4, 1
 	prob := NewDiagonallyDominant(256, 1)
-	blocks := BlocksFromCounts(partition.Proportional(prob.N, []float64{1, 1, 1, 1}))
+	blocks := partition.Blocks(prob.N, []float64{1, 1, 1, 1})
 	apps := make([]*App, P)
 	for k := range apps {
 		apps[k] = NewApp(prob, blocks, k, 1e-3)

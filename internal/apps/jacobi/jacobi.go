@@ -236,14 +236,3 @@ func (a *App) DoneOps() float64 {
 	}
 	return 2 * float64(a.prob.N)
 }
-
-// BlocksFromCounts converts per-processor row counts to (lo, hi) ranges.
-func BlocksFromCounts(counts []int) [][2]int {
-	out := make([][2]int, len(counts))
-	lo := 0
-	for i, c := range counts {
-		out[i] = [2]int{lo, lo + c}
-		lo += c
-	}
-	return out
-}

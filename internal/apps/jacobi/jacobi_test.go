@@ -47,11 +47,7 @@ func TestSerialSolveConverges(t *testing.T) {
 func runDistributed(t *testing.T, prob *Problem, p int, cfg core.Config, theta float64) ([]core.Result, []float64) {
 	t.Helper()
 	machines := cluster.LinearMachines(p, 1e6, 3)
-	caps := make([]float64, p)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
-	blocks := BlocksFromCounts(partition.Proportional(prob.N, caps))
+	blocks := partition.Blocks(prob.N, cluster.Capacities(machines))
 	results, err := core.RunCluster(
 		cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.02}},
 		cfg,
@@ -103,11 +99,7 @@ func TestConvergenceStopsEarlyAndConsistently(t *testing.T) {
 	prob := NewDiagonallyDominant(60, 6)
 	const maxIters = 500
 	machines := cluster.LinearMachines(4, 1e6, 3)
-	caps := make([]float64, 4)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
-	blocks := BlocksFromCounts(partition.Proportional(prob.N, caps))
+	blocks := partition.Blocks(prob.N, cluster.Capacities(machines))
 	results, err := core.RunCluster(
 		cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.02}},
 		core.Config{FW: 1, MaxIter: maxIters},
@@ -142,12 +134,19 @@ func TestConvergenceStopsEarlyAndConsistently(t *testing.T) {
 	}
 }
 
+// TestBlocksFromCounts checks the row ranges the app is built from: the
+// capacities below apportion 5 rows as counts {3, 0, 2}, which become
+// consecutive ranges, and each processor's initial block spans its range.
 func TestBlocksFromCounts(t *testing.T) {
-	blocks := BlocksFromCounts([]int{3, 0, 2})
+	blocks := partition.Blocks(5, []float64{3, 0.01, 2})
 	want := [][2]int{{0, 3}, {3, 3}, {3, 5}}
+	prob := NewDiagonallyDominant(5, 1)
 	for i := range want {
 		if blocks[i] != want[i] {
 			t.Errorf("blocks[%d] = %v, want %v", i, blocks[i], want[i])
+		}
+		if got := len(NewApp(prob, blocks, i, 0).InitLocal()); got != want[i][1]-want[i][0] {
+			t.Errorf("processor %d initial block has %d rows, want %d", i, got, want[i][1]-want[i][0])
 		}
 	}
 }

@@ -206,7 +206,7 @@ func heatCase(rng *rand.Rand, i int) kernelCase {
 
 func sorCase(rng *rand.Rand, i int) kernelCase {
 	rows, cols, blocks := gridShape(rng, i)
-	g := sor.Grid{Rows: rows, Cols: cols, Omega: 1 + rng.Float64(), Top: 100, Bottom: -3}
+	g := sor.Grid{Field: heat.Field{Rows: rows, Cols: cols, Top: 100, Bottom: -3}, Omega: 1 + rng.Float64()}
 	f := randField(rng, rows, cols)
 	sweeps := 1 + rng.Intn(3)
 	c := kernelCase{

@@ -12,7 +12,7 @@ import (
 func BenchmarkComputeKernel(b *testing.B) {
 	const P, pid = 4, 1
 	prob := NewProblem(NewRandomGraph(512, 8, 1), 0.85)
-	blocks := BlocksFromCounts(partition.Proportional(prob.G.N, []float64{1, 1, 1, 1}))
+	blocks := partition.Blocks(prob.G.N, []float64{1, 1, 1, 1})
 	apps := make([]*App, P)
 	for k := range apps {
 		apps[k] = NewApp(prob, blocks, k, 1e-3)

@@ -363,14 +363,3 @@ func (a *App) DoneOps() float64 {
 	}
 	return 2 * float64(a.prob.G.N)
 }
-
-// BlocksFromCounts converts per-processor vertex counts to ranges.
-func BlocksFromCounts(counts []int) [][2]int {
-	out := make([][2]int, len(counts))
-	lo := 0
-	for i, c := range counts {
-		out[i] = [2]int{lo, lo + c}
-		lo += c
-	}
-	return out
-}

@@ -71,11 +71,7 @@ func TestHubGetsMoreRank(t *testing.T) {
 func runDistributed(t *testing.T, prob *Problem, procs int, cfg core.Config, theta, tol float64) ([]core.Result, []float64) {
 	t.Helper()
 	machines := cluster.LinearMachines(procs, 1e6, 2)
-	caps := make([]float64, procs)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
-	blocks := BlocksFromCounts(partition.Proportional(prob.G.N, caps))
+	blocks := partition.Blocks(prob.G.N, cluster.Capacities(machines))
 	results, err := core.RunCluster(
 		cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.03}},
 		cfg,
@@ -146,9 +142,18 @@ func TestConvergenceStopperConsistent(t *testing.T) {
 	}
 }
 
+// TestBlocksFromCounts checks the vertex ranges the app is built from:
+// capacities 2:3 apportion 5 vertices as counts {2, 3}, which become
+// consecutive ranges, and each processor's initial block spans its range.
 func TestBlocksFromCounts(t *testing.T) {
-	b := BlocksFromCounts([]int{2, 3})
+	b := partition.Blocks(5, []float64{2, 3})
 	if b[0] != [2]int{0, 2} || b[1] != [2]int{2, 5} {
 		t.Errorf("blocks = %v", b)
+	}
+	prob := NewProblem(NewRandomGraph(5, 2, 1), 0.85)
+	for i := range b {
+		if got := len(NewApp(prob, b, i, 0).InitLocal()); got != b[i][1]-b[i][0] {
+			t.Errorf("processor %d initial block has %d vertices, want %d", i, got, b[i][1]-b[i][0])
+		}
 	}
 }

@@ -12,13 +12,7 @@ import (
 func BenchmarkComputeKernel(b *testing.B) {
 	const P, pid = 4, 1
 	g := DefaultGrid(64, 64)
-	counts := partition.Proportional(g.Rows, []float64{1, 1, 1, 1})
-	blocks := make([][2]int, P)
-	lo := 0
-	for i, c := range counts {
-		blocks[i] = [2]int{lo, lo + c}
-		lo += c
-	}
+	blocks := partition.Blocks(g.Rows, partition.Equal(P))
 	apps := make([]*App, P)
 	for k := range apps {
 		apps[k] = NewApp(g, blocks, k, 1e-3)

@@ -7,26 +7,26 @@
 // distributed update identical to the serial one; over-relaxation (ω up to
 // 2) converges far faster than Jacobi.
 //
-// As in the heat app, each processor owns a strip of rows and publishes
-// only its edge rows (core.Publisher).
+// The grid, the strips and everything of the app but the half-sweep and
+// the speculator are the heat app's (heat.Field, heat.Strip): each processor
+// owns a strip of rows and publishes only its edge rows (core.Publisher).
 package sor
 
 import (
-	"fmt"
 	"math"
 
+	"specomp/internal/apps/heat"
 	"specomp/internal/core"
 )
 
 // Grid describes the global problem: ∇²u = F with Dirichlet boundary
-// values fixed at the initial field's edges.
+// values fixed at the initial field's edges. The embedded heat.Field sets
+// the size and the fixed Top and Bottom rows; side columns are insulated
+// copies of their neighbours' initial values (kept fixed).
 type Grid struct {
-	Rows, Cols int
+	heat.Field
 	// Omega is the over-relaxation factor in (0, 2).
 	Omega float64
-	// Top and Bottom set the fixed boundary rows; side columns are
-	// insulated copies of their neighbours' initial values (kept fixed).
-	Top, Bottom float64
 }
 
 // DefaultGrid returns a stable configuration with a near-optimal ω for the
@@ -36,36 +36,7 @@ func DefaultGrid(rows, cols int) Grid {
 	m := float64(rows - 1)
 	rho := math.Cos(math.Pi / m) // dominant Jacobi eigenvalue (row-dominated)
 	omega := 2 / (1 + math.Sqrt(1-rho*rho))
-	return Grid{Rows: rows, Cols: cols, Omega: omega, Top: 100, Bottom: 0}
-}
-
-// initialValue is the starting value of every cell of row r: the Dirichlet
-// value on a boundary row, the mean in the interior.
-func (g Grid) initialValue(r int) float64 {
-	switch r {
-	case 0:
-		return g.Top
-	case g.Rows - 1:
-		return g.Bottom
-	}
-	return (g.Top + g.Bottom) / 2
-}
-
-// Initial returns the starting field: boundary rows at their Dirichlet
-// values, interior at the mean.
-func (g Grid) Initial() [][]float64 {
-	f := make([][]float64, g.Rows)
-	for r := range f {
-		f[r] = make([]float64, g.Cols)
-		fill(f[r], g.initialValue(r))
-	}
-	return f
-}
-
-func fill(row []float64, v float64) {
-	for c := range row {
-		row[c] = v
-	}
+	return Grid{Field: heat.Field{Rows: rows, Cols: cols, Top: 100, Bottom: 0}, Omega: omega}
 }
 
 // red reports whether cell (r, c) belongs to the red half-sweep.
@@ -106,53 +77,19 @@ func (g Grid) SerialRun(sweeps int) [][]float64 {
 	return f
 }
 
-// SteadyState is the analytic solution for the Laplace problem with the
-// fixed top/bottom rows: a linear profile.
-func (g Grid) SteadyState() [][]float64 {
-	f := make([][]float64, g.Rows)
-	for r := range f {
-		f[r] = make([]float64, g.Cols)
-		v := g.Top + (g.Bottom-g.Top)*float64(r)/float64(g.Rows-1)
-		for c := range f[r] {
-			f[r][c] = v
-		}
-	}
-	return f
-}
-
-// MaxDiff returns the largest absolute difference between two fields.
-func MaxDiff(a, b [][]float64) float64 {
-	worst := 0.0
-	for r := range a {
-		for c := range a[r] {
-			if d := math.Abs(a[r][c] - b[r][c]); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
-
-// App adapts one processor's strip to the engine. Engine iteration t is the
-// red half-sweep when t is even, black when odd.
+// App adapts one processor's strip to the engine: heat's Strip shell plus
+// the red-black update and a colour-aware speculator. Engine iteration t is
+// the red half-sweep when t is even, black when odd.
 type App struct {
-	grid   Grid
-	pid    int
-	blocks [][2]int
-	// Theta is the relative-error speculation threshold.
-	Theta float64
-
-	out, pub core.ResultBuf // Compute and Publish results
+	heat.Strip
+	grid Grid
+	out  core.ResultBuf // Compute results
 }
 
-// NewApp creates the adapter; every processor must own at least one row.
+// NewApp creates the adapter (see heat.NewStrip for blocks). A half-sweep
+// costs ~7 flops per relaxed cell, half the strip's cells.
 func NewApp(grid Grid, blocks [][2]int, pid int, theta float64) *App {
-	for i, b := range blocks {
-		if b[1] <= b[0] {
-			panic(fmt.Sprintf("sor: processor %d owns no rows", i))
-		}
-	}
-	return &App{grid: grid, pid: pid, blocks: blocks, Theta: theta}
+	return &App{Strip: heat.NewStrip("sor", grid.Field, blocks, pid, theta, 3.5), grid: grid}
 }
 
 var _ core.App = (*App)(nil)
@@ -160,41 +97,6 @@ var _ core.ComputerInto = (*App)(nil)
 var _ core.Publisher = (*App)(nil)
 var _ core.Speculator = (*App)(nil)
 var _ core.Grapher = (*App)(nil)
-
-// Graph implements core.Grapher: only touching strips feed the stencil, in
-// both directions.
-func (a *App) Graph(p int) *core.DepGraph { return core.StripGraph(a.blocks) }
-
-func (a *App) rows() (lo, hi int) { return a.blocks[a.pid][0], a.blocks[a.pid][1] }
-
-// InitLocal implements core.App: the owned rows of Grid.Initial.
-func (a *App) InitLocal() []float64 {
-	lo, hi := a.rows()
-	c := a.grid.Cols
-	out := make([]float64, (hi-lo)*c)
-	for r := lo; r < hi; r++ {
-		fill(out[(r-lo)*c:(r-lo+1)*c], a.grid.initialValue(r))
-	}
-	return out
-}
-
-// Publish implements core.Publisher: first and last strip rows.
-func (a *App) Publish(local []float64) []float64 {
-	c := a.grid.Cols
-	out := a.pub.Next(2 * c)
-	copy(out, local[:c])
-	copy(out[c:], local[len(local)-c:])
-	return out
-}
-
-func (a *App) owner(r int) int {
-	for k, b := range a.blocks {
-		if r >= b[0] && r < b[1] {
-			return k
-		}
-	}
-	panic(fmt.Sprintf("sor: row %d owned by nobody", r))
-}
 
 // SpeculateInto implements core.Speculator with a colour-aware rule: a cell
 // only changes during half-sweeps of its own colour, so the cells NOT
@@ -223,7 +125,7 @@ func (a *App) SpeculateInto(dst []float64, peer int, hist [][]float64, steps int
 }
 
 // Compute implements core.App: ComputeInto into the next result buffer.
-func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.pid, t) }
+func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(a, view, a.Rank(), t) }
 
 // ComputeInto implements core.ComputerInto: one half-sweep over the owned
 // rows (red on even t, black on odd t), using the neighbours' published edge
@@ -233,19 +135,10 @@ func (a *App) Compute(view [][]float64, t int) []float64 { return a.out.Compute(
 // with the insulated side columns peeled off the inner loop; the arithmetic
 // is halfSweep's, operand for operand.
 func (a *App) ComputeInto(strip []float64, view [][]float64, t int) {
-	lo, hi := a.rows()
+	lo, hi, own, up, down := a.Window(view)
 	g := a.grid
 	cols, omega := g.Cols, g.Omega
-	copy(strip, view[a.pid])
-	var up, down []float64
-	if lo > 0 {
-		payload := view[a.owner(lo-1)]
-		up = payload[cols : 2*cols] // strip above contributes its LAST row
-	}
-	if hi < g.Rows {
-		payload := view[a.owner(hi)]
-		down = payload[:cols] // strip below contributes its FIRST row
-	}
+	copy(strip, own)
 	for r := max(lo, 1); r < min(hi, g.Rows-1); r++ { // Dirichlet rows stay fixed
 		i := (r - lo) * cols
 		cur := strip[i : i+cols]
@@ -273,23 +166,4 @@ func (a *App) ComputeInto(strip []float64, view [][]float64, t int) {
 			cur[c] += omega * (gs - cur[c])
 		}
 	}
-}
-
-// ComputeOps implements core.App: ~7 flops per relaxed cell (half the strip).
-func (a *App) ComputeOps() float64 {
-	lo, hi := a.rows()
-	return 7 * float64(hi-lo) * float64(a.grid.Cols) / 2
-}
-
-// Check implements core.App on the published edge rows.
-func (a *App) Check(peer int, pred, act, local []float64, t int) core.CheckResult {
-	return core.RelErrCheck(a.Theta, 2, pred, act)
-}
-
-// RepairOps implements core.App.
-func (a *App) RepairOps(r core.CheckResult) float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Bad) / float64(r.Total) * a.ComputeOps()
 }

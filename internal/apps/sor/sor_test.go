@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"specomp/internal/apps/heat"
 	"specomp/internal/cluster"
 	"specomp/internal/core"
 	"specomp/internal/netmodel"
@@ -20,7 +21,7 @@ func TestDefaultGridOmegaInRange(t *testing.T) {
 func TestSerialConvergesToSteadyState(t *testing.T) {
 	g := DefaultGrid(16, 8)
 	f := g.SerialRun(200)
-	if d := MaxDiff(f, g.SteadyState()); d > 1e-6 {
+	if d := heat.MaxDiff(f, g.SteadyState()); d > 1e-6 {
 		t.Errorf("after 200 sweeps still %.2e from steady state", d)
 	}
 }
@@ -29,8 +30,19 @@ func TestSORConvergesMuchFasterThanJacobiWould(t *testing.T) {
 	// The point of over-relaxation: tens of sweeps instead of thousands.
 	g := DefaultGrid(24, 12)
 	f := g.SerialRun(120)
-	if d := MaxDiff(f, g.SteadyState()); d > 1e-3 {
+	if d := heat.MaxDiff(f, g.SteadyState()); d > 1e-3 {
 		t.Errorf("SOR did not converge in 120 sweeps: off by %.2e", d)
+	}
+}
+
+// TestMaxDiffScoresNaNAsInf: the oracle every bound in this file goes
+// through must fail a diverged field, whatever the bound.
+func TestMaxDiffScoresNaNAsInf(t *testing.T) {
+	g := DefaultGrid(8, 4)
+	f := g.SerialRun(3)
+	f[3][2] = math.NaN()
+	if d := heat.MaxDiff(f, g.SteadyState()); !math.IsInf(d, 1) {
+		t.Errorf("MaxDiff of a field with a NaN cell = %g, want +Inf", d)
 	}
 }
 
@@ -47,17 +59,7 @@ func TestBoundariesStayFixed(t *testing.T) {
 func runDistributed(t *testing.T, g Grid, p int, cfg core.Config, theta float64) ([]core.Result, [][]float64) {
 	t.Helper()
 	machines := cluster.UniformMachines(p, 1e6)
-	caps := make([]float64, p)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
-	counts := partition.Proportional(g.Rows, caps)
-	blocks := make([][2]int, p)
-	lo := 0
-	for i, c := range counts {
-		blocks[i] = [2]int{lo, lo + c}
-		lo += c
-	}
+	blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
 	results, err := core.RunCluster(
 		cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.02}},
 		cfg,
@@ -81,7 +83,7 @@ func TestDistributedBlockingMatchesSerialExactly(t *testing.T) {
 	want := g.SerialRun(sweeps)
 	// One engine iteration is a half-sweep: red on even t, black on odd.
 	_, got := runDistributed(t, g, 4, core.Config{FW: 0, MaxIter: 2 * sweeps}, 0.01)
-	if d := MaxDiff(got, want); d > 1e-12 {
+	if d := heat.MaxDiff(got, want); d > 1e-12 {
 		t.Errorf("distributed red-black differs from serial by %g", d)
 	}
 }
@@ -89,7 +91,7 @@ func TestDistributedBlockingMatchesSerialExactly(t *testing.T) {
 func TestSpeculativeSORConverges(t *testing.T) {
 	g := DefaultGrid(16, 8)
 	results, got := runDistributed(t, g, 4, core.Config{FW: 1, BW: 3, MaxIter: 400}, 1e-4)
-	if d := MaxDiff(got, g.SteadyState()); d > 0.01 {
+	if d := heat.MaxDiff(got, g.SteadyState()); d > 0.01 {
 		t.Errorf("speculative SOR %.4f from steady state", d)
 	}
 	if core.Aggregate(results).SpecsMade == 0 {
@@ -104,14 +106,7 @@ func TestSpeculativeSORMasksLatency(t *testing.T) {
 	// the 50 ms latency once overlapped.
 	machinesSlow := func(fw int) float64 {
 		machines := cluster.UniformMachines(4, 10_000)
-		caps := []float64{10_000, 10_000, 10_000, 10_000}
-		counts := partition.Proportional(g.Rows, caps)
-		blocks := make([][2]int, 4)
-		lo := 0
-		for i, c := range counts {
-			blocks[i] = [2]int{lo, lo + c}
-			lo += c
-		}
+		blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
 		results, err := core.RunCluster(
 			cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.05}},
 			core.Config{FW: fw, BW: 3, MaxIter: iters},

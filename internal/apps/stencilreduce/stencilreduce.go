@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"specomp/internal/core"
+	"specomp/internal/partition"
 )
 
 // Config describes the global problem. Ranks 0..Workers-1 run the stencil;
@@ -44,23 +45,13 @@ func (c Config) Procs() int { return c.Workers + 1 }
 // Reducer is the reduce stage's rank.
 func (c Config) Reducer() int { return c.Workers }
 
-// Blocks returns every worker's contiguous cell range [lo, hi).
+// Blocks returns every worker's contiguous cell range [lo, hi): an even
+// split, the first Cells mod Workers workers owning one cell more.
 func (c Config) Blocks() [][2]int {
 	if c.Workers < 1 || c.Cells < c.Workers {
 		panic(fmt.Sprintf("stencilreduce: %d cells over %d workers", c.Cells, c.Workers))
 	}
-	blocks := make([][2]int, c.Workers)
-	base, rem := c.Cells/c.Workers, c.Cells%c.Workers
-	lo := 0
-	for w := range blocks {
-		hi := lo + base
-		if w < rem {
-			hi++
-		}
-		blocks[w] = [2]int{lo, hi}
-		lo = hi
-	}
-	return blocks
+	return partition.Blocks(c.Cells, partition.Equal(c.Workers))
 }
 
 // Graph returns the run's dependency structure: bidirectional edges between

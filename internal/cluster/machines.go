@@ -50,3 +50,13 @@ func TotalOps(ms []Machine) float64 {
 	}
 	return sum
 }
+
+// Capacities returns each machine's capacity M_i, in order: the weights
+// partition.Blocks splits variables by.
+func Capacities(ms []Machine) []float64 {
+	caps := make([]float64, len(ms))
+	for i, m := range ms {
+		caps[i] = m.Ops
+	}
+	return caps
+}

@@ -565,7 +565,9 @@ func (c *Coordinator) run() {
 				c.custody.put(ev.rank, ev.f.Blob) // the connection names the rank, not the body
 			case FrameObs:
 				if c.cfg.Fleet != nil {
-					c.cfg.Fleet.Update(ev.rank, ev.f.Blob)
+					if err := c.cfg.Fleet.Update(ev.rank, ev.f.Blob); err != nil {
+						c.logf("refused a metrics push: %v", err)
+					}
 				}
 			case FrameResult:
 				var rep NodeReport

@@ -11,12 +11,15 @@ package distnet
 // boundary: it parses each push once, rejects it whole if it does not parse
 // or if any sample already carries a job or node label (the labels the
 // merge adds), and keeps the parsed families. Nothing downstream parses.
+// A refused push is counted per rank with its reason and shown in /fleet; a
+// rank none of whose pushes was accepted is absent from the exposition.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -46,6 +49,9 @@ type fleetNode struct {
 	series int              // its samples
 	pushes int
 	last   time.Time
+
+	refused int    // pushes Update rejected
+	reason  string // why the latest of them was rejected
 }
 
 // FleetObs aggregates per-node metrics snapshots at the coordinator.
@@ -81,36 +87,49 @@ func (f *FleetObs) Job() string {
 
 // Update ingests one node's snapshot, parsing it once. A snapshot that does
 // not parse, or whose samples carry a job or node label, is rejected whole,
-// leaving the node's previous snapshot in place.
+// leaving the node's previous snapshot in place; the rejection is counted
+// against the rank and returned.
 func (f *FleetObs) Update(rank int, snapshot []byte) error {
-	fams, err := obs.ParsePromFamilies(bytes.NewReader(snapshot))
-	if err != nil {
-		return fmt.Errorf("distnet: rank %d snapshot: %w", rank, err)
-	}
-	series := 0
-	for _, fam := range fams {
-		for _, s := range fam.Samples {
-			for _, l := range s.LabelPairs {
-				if l.Key == "job" || l.Key == "node" {
-					return fmt.Errorf("distnet: rank %d snapshot: %s carries the fleet's own label %q", rank, s.Name, l.Key)
-				}
-			}
-		}
-		series += len(fam.Samples)
-	}
+	fams, series, err := parseSnapshot(snapshot)
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	n := f.nodes[rank]
 	if n == nil {
 		n = &fleetNode{rank: rank}
 		f.nodes[rank] = n
+	}
+	if err != nil {
+		n.refused++
+		n.reason = err.Error()
+		return fmt.Errorf("distnet: rank %d snapshot: %w", rank, err)
 	}
 	n.fams = fams
 	n.bytes = len(snapshot)
 	n.pushes++
 	n.series = series
 	n.last = time.Now()
-	f.mu.Unlock()
 	return nil
+}
+
+// parseSnapshot parses a pushed snapshot and counts its samples, refusing
+// one whose samples carry a job or node label.
+func parseSnapshot(snapshot []byte) ([]obs.PromFamily, int, error) {
+	fams, err := obs.ParsePromFamilies(bytes.NewReader(snapshot))
+	if err != nil {
+		return nil, 0, err
+	}
+	series := 0
+	for _, fam := range fams {
+		for _, s := range fam.Samples {
+			for _, l := range s.LabelPairs {
+				if l.Key == "job" || l.Key == "node" {
+					return nil, 0, fmt.Errorf("%s carries the fleet's own label %q", s.Name, l.Key)
+				}
+			}
+		}
+		series += len(fam.Samples)
+	}
+	return fams, series, nil
 }
 
 // snapshot copies the aggregation state out from under the lock, nodes in
@@ -149,6 +168,8 @@ func (f *FleetObs) Families() ([]obs.PromFamily, error) { return f.families(), n
 
 func (f *FleetObs) families() []obs.PromFamily {
 	job, nodes := f.snapshot()
+	// A rank none of whose pushes was accepted has nothing to show.
+	nodes = slices.DeleteFunc(nodes, func(n fleetNode) bool { return n.pushes == 0 })
 	jl := obs.L("job", job)
 	fleet := []obs.PromFamily{
 		{Name: MetricFleetNodes, Help: "Nodes that have pushed a metrics snapshot.", Type: "gauge",
@@ -179,13 +200,17 @@ func (f *FleetObs) families() []obs.PromFamily {
 // WriteProm renders the aggregated fleet exposition (see Families).
 func (f *FleetObs) WriteProm(w io.Writer) error { return obs.WriteFamilies(w, f.families()) }
 
-// FleetNodeStatus is one node's entry in the /fleet JSON view.
+// FleetNodeStatus is one node's entry in the /fleet JSON view. Refused and
+// Refusal (the latest reason) show pushes Update rejected; a rank with no
+// accepted push has zero Pushes and AgeSec.
 type FleetNodeStatus struct {
-	Rank   int     `json:"rank"`
-	Pushes int     `json:"pushes"`
-	Series int     `json:"series"`
-	AgeSec float64 `json:"age_sec"`
-	Bytes  int     `json:"bytes"`
+	Rank    int     `json:"rank"`
+	Pushes  int     `json:"pushes"`
+	Series  int     `json:"series"`
+	AgeSec  float64 `json:"age_sec"`
+	Bytes   int     `json:"bytes"`
+	Refused int     `json:"refused,omitempty"`
+	Refusal string  `json:"refusal,omitempty"`
 }
 
 // FleetStatus is the /fleet JSON view.
@@ -200,10 +225,12 @@ func (f *FleetObs) Status() FleetStatus {
 	st := FleetStatus{Job: job, Nodes: []FleetNodeStatus{}}
 	now := time.Now()
 	for _, n := range nodes {
-		st.Nodes = append(st.Nodes, FleetNodeStatus{
-			Rank: n.rank, Pushes: n.pushes, Series: n.series,
-			AgeSec: now.Sub(n.last).Seconds(), Bytes: n.bytes,
-		})
+		ns := FleetNodeStatus{Rank: n.rank, Pushes: n.pushes, Series: n.series, Bytes: n.bytes,
+			Refused: n.refused, Refusal: n.reason}
+		if n.pushes > 0 {
+			ns.AgeSec = now.Sub(n.last).Seconds()
+		}
+		st.Nodes = append(st.Nodes, ns)
 	}
 	return st
 }

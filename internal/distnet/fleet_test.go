@@ -196,6 +196,48 @@ func TestFleetUpdateRejectsReservedLabels(t *testing.T) {
 	}
 }
 
+// TestFleetRefusalShowsInStatus: a refused push is counted against its rank
+// with its reason in /fleet, and a rank none of whose pushes was accepted is
+// not present: no series, not counted by SelfCheck or the node gauge.
+func TestFleetRefusalShowsInStatus(t *testing.T) {
+	fleet := NewFleetObs("j")
+	if err := fleet.Update(0, []byte("# TYPE m counter\nm 1\n")); err != nil {
+		t.Fatalf("good snapshot rejected: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := fleet.Update(1, []byte("m{node=\"0\"} 1\n")); err == nil {
+			t.Fatal("forged snapshot accepted")
+		}
+	}
+	st := fleet.Status()
+	if len(st.Nodes) != 2 {
+		t.Fatalf("status lists %d nodes, want the accepted and the refused rank: %+v", len(st.Nodes), st.Nodes)
+	}
+	if n := st.Nodes[0]; n.Refused != 0 || n.Refusal != "" {
+		t.Errorf("rank 0 shows a refusal: %+v", n)
+	}
+	if n := st.Nodes[1]; n.Rank != 1 || n.Pushes != 0 || n.Refused != 2 || !strings.Contains(n.Refusal, `own label "node"`) {
+		t.Errorf("rank 1 status = %+v, want 2 refusals naming the node label", n)
+	}
+	js, err := json.Marshal(st.Nodes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(js), "refus") {
+		t.Errorf("a node without refusals renders them: %s", js)
+	}
+	if err := fleet.SelfCheck(2); err == nil {
+		t.Error("SelfCheck(2) passed although every push of rank 1 was refused")
+	}
+	var out bytes.Buffer
+	if err := fleet.WriteProm(&out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), `node="1"`) || !strings.Contains(out.String(), MetricFleetNodes+`{job="j"} 1`) {
+		t.Errorf("the refused rank shows in the exposition:\n%s", out.String())
+	}
+}
+
 // TestFleetConcurrentPushAndScrape: the coordinator's pump calls Update
 // while scrapes render, total and check the same fleet, and the node side
 // renders its registry while its instruments move. Run under -race.

@@ -165,18 +165,7 @@ func (s RunSpec) Blocks() [][2]int {
 	if s.App == "jacobi" {
 		n = s.N
 	}
-	caps := make([]float64, s.Procs)
-	for i := range caps {
-		caps[i] = 1
-	}
-	counts := partition.Proportional(n, caps)
-	blocks := make([][2]int, s.Procs)
-	lo := 0
-	for i, c := range counts {
-		blocks[i] = [2]int{lo, lo + c}
-		lo += c
-	}
-	return blocks
+	return partition.Blocks(n, partition.Equal(s.Procs))
 }
 
 // BuildApp constructs rank's application instance. Problem generation is

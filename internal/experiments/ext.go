@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"specomp/internal/cluster"
 	"specomp/internal/core"
 	"specomp/internal/nbody"
 	"specomp/internal/perfmodel"
@@ -25,17 +26,13 @@ func ExtForwardWindows(cfg NBodyConfig) (Report, error) {
 	measured := Series{Name: "measured"}
 	model := Series{Name: "model"}
 
-	caps := make([]float64, cfg.MaxProcs)
-	for i, m := range cfg.machines() {
-		caps[i] = m.Ops
-	}
 	pm := perfmodel.Params{
 		N:                 cfg.N,
 		FComp:             nbody.PairOps * float64(cfg.N),
 		FSpec:             nbody.SpecOpsPerParticle,
 		FCheck:            nbody.CheckOpsPerRemote,
 		FCheckPerLocalVar: nbody.CheckOpsPerPair,
-		Caps:              caps,
+		Caps:              cluster.Capacities(cfg.machines()),
 		TComm:             cfg.modelTComm(),
 		K:                 0.02,
 	}
@@ -89,7 +86,7 @@ func ExtPredictors(cfg NBodyConfig) (Report, error) {
 	rep.Lines = append(rep.Lines,
 		fmt.Sprintf("%-24s %6s %12s %12s", "predictor", "BW", "time(s)", "bad-pairs%"))
 	for i, p := range preds {
-		results, err := cfg.runNBodyCustom(cfg.MaxProcs,
+		results, err := cfg.runNBodyCustom(cfg.MaxProcs, cluster.Config{Net: cfg.net()},
 			core.Config{FW: 1, MaxIter: cfg.Iters, Predictor: p, BW: p.Window()},
 			func(app core.App) core.App { return noSpeculator{app} }, nil)
 		if err != nil {

@@ -49,11 +49,7 @@ func ExtApps(cfg NBodyConfig) (Report, error) {
 	{
 		prob := jacobi.NewDiagonallyDominant(120, 7)
 		machines := cluster.LinearMachines(6, 20_000, 5)
-		caps := make([]float64, 6)
-		for i, m := range machines {
-			caps[i] = m.Ops
-		}
-		blocks := jacobi.BlocksFromCounts(partition.Proportional(prob.N, caps))
+		blocks := partition.Blocks(prob.N, cluster.Capacities(machines))
 		run := func(fw int) (float64, error) {
 			results, err := core.RunCluster(
 				cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.4}},
@@ -79,14 +75,7 @@ func ExtApps(cfg NBodyConfig) (Report, error) {
 	{
 		g := heat.DefaultGrid(32, 16)
 		machines := cluster.UniformMachines(4, 50_000)
-		caps := []float64{50_000, 50_000, 50_000, 50_000}
-		counts := partition.Proportional(g.Rows, caps)
-		blocks := make([][2]int, 4)
-		lo := 0
-		for i, c := range counts {
-			blocks[i] = [2]int{lo, lo + c}
-			lo += c
-		}
+		blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
 		run := func(fw int) (float64, error) {
 			results, err := core.RunCluster(
 				cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.02}},
@@ -112,14 +101,7 @@ func ExtApps(cfg NBodyConfig) (Report, error) {
 	{
 		g := sor.DefaultGrid(32, 16)
 		machines := cluster.UniformMachines(4, 10_000)
-		caps := []float64{10_000, 10_000, 10_000, 10_000}
-		counts := partition.Proportional(g.Rows, caps)
-		blocks := make([][2]int, 4)
-		lo := 0
-		for i, c := range counts {
-			blocks[i] = [2]int{lo, lo + c}
-			lo += c
-		}
+		blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
 		run := func(fw int) (float64, error) {
 			results, err := core.RunCluster(
 				cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.05}},

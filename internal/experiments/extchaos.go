@@ -12,7 +12,6 @@ import (
 	"specomp/internal/cluster"
 	"specomp/internal/core"
 	"specomp/internal/faults"
-	"specomp/internal/nbody"
 	"specomp/internal/netmodel"
 	"specomp/internal/obs"
 	"specomp/internal/partition"
@@ -75,21 +74,6 @@ type chaosTarget struct {
 // a catch-up gap makes early-stop decisions diverge across processors, so a
 // fixed iteration count is the only apples-to-apples comparison.
 func chaosTargets(cfg NBodyConfig) []chaosTarget {
-	uniformBlocks := func(rows, p int, ops float64) ([][2]int, []cluster.Machine) {
-		machines := cluster.UniformMachines(p, ops)
-		caps := make([]float64, p)
-		for i := range caps {
-			caps[i] = ops
-		}
-		counts := partition.Proportional(rows, caps)
-		blocks := make([][2]int, p)
-		lo := 0
-		for i, c := range counts {
-			blocks[i] = [2]int{lo, lo + c}
-			lo += c
-		}
-		return blocks, machines
-	}
 	// Tolerances are θ-scale, calibrated to each app's value range: a crash
 	// shifts message timing, which flips which iterations consumed an actual
 	// versus an accepted sub-θ prediction, and those differences persist —
@@ -102,7 +86,8 @@ func chaosTargets(cfg NBodyConfig) []chaosTarget {
 	return []chaosTarget{
 		{name: "heat", procs: 4, tol: 5e-3, run: func(x chaosRun) ([]core.Result, error) {
 			g := heat.DefaultGrid(32, 16)
-			blocks, machines := uniformBlocks(g.Rows, 4, 50_000)
+			machines := cluster.UniformMachines(4, 50_000)
+			blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
 			return core.RunCluster(
 				x.clusterConfig(cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.02}, RetryTimeout: 0.5}),
 				x.engineConfig(core.Config{FW: 1, MaxIter: 120, Deadline: 0.3}),
@@ -111,11 +96,7 @@ func chaosTargets(cfg NBodyConfig) []chaosTarget {
 		{name: "jacobi", procs: 6, tol: 1e-9, run: func(x chaosRun) ([]core.Result, error) {
 			prob := jacobi.NewDiagonallyDominant(120, 7)
 			machines := cluster.LinearMachines(6, 20_000, 5)
-			caps := make([]float64, 6)
-			for i, m := range machines {
-				caps[i] = m.Ops
-			}
-			blocks := jacobi.BlocksFromCounts(partition.Proportional(prob.N, caps))
+			blocks := partition.Blocks(prob.N, cluster.Capacities(machines))
 			return core.RunCluster(
 				x.clusterConfig(cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.4}, RetryTimeout: 2}),
 				x.engineConfig(core.Config{FW: 1, MaxIter: 60, Deadline: 3}),
@@ -124,7 +105,8 @@ func chaosTargets(cfg NBodyConfig) []chaosTarget {
 		{name: "pagerank", procs: 4, tol: 1e-9, run: func(x chaosRun) ([]core.Result, error) {
 			g := pagerank.NewRandomGraph(400, 8, cfg.Seed)
 			prob := pagerank.NewProblem(g, 0.85)
-			blocks, machines := uniformBlocks(g.N, 4, 40_000)
+			machines := cluster.UniformMachines(4, 40_000)
+			blocks := partition.Blocks(g.N, cluster.Capacities(machines))
 			return core.RunCluster(
 				x.clusterConfig(cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.05}, RetryTimeout: 0.5}),
 				x.engineConfig(core.Config{FW: 1, MaxIter: 60, Deadline: 0.5}),
@@ -134,33 +116,20 @@ func chaosTargets(cfg NBodyConfig) []chaosTarget {
 			// Grid values are O(100), so the θ=1e-3 relative check budget
 			// admits ~0.1 absolute per-element drift.
 			g := sor.DefaultGrid(32, 16)
-			blocks, machines := uniformBlocks(g.Rows, 4, 10_000)
+			machines := cluster.UniformMachines(4, 10_000)
+			blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
 			return core.RunCluster(
 				x.clusterConfig(cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.05}, RetryTimeout: 0.5}),
 				x.engineConfig(core.Config{FW: 1, BW: 3, MaxIter: 100, Deadline: 0.8}),
 				func(p *cluster.Proc) core.App { return sor.NewApp(g, blocks, p.ID(), 1e-3) })
 		}},
 		{name: "nbody", procs: 4, tol: 1e-9, run: func(x chaosRun) ([]core.Result, error) {
-			const n = 96
-			machines := cluster.UniformMachines(4, 60_000)
-			caps := []float64{60_000, 60_000, 60_000, 60_000}
-			counts := partition.Proportional(n, caps)
-			ic := cfg.IC
-			if ic == nil {
-				ic = nbody.UniformSphere
-			}
-			blocks := nbody.SplitParticles(ic(n, cfg.Seed), counts)
-			sim := nbody.DefaultSim()
-			if cfg.Dt > 0 {
-				sim.Dt = cfg.Dt
-			}
-			return core.RunCluster(
-				x.clusterConfig(cluster.Config{Machines: machines,
-					Net: &netmodel.SharedBus{Overhead: 0.01, BytesPerSec: 1.25e6}, Seed: cfg.Seed, RetryTimeout: 2}),
-				x.engineConfig(core.Config{FW: 1, MaxIter: 30}),
-				func(p *cluster.Proc) core.App {
-					return nbody.NewApp(sim, blocks[p.ID()], n, p.ID(), cfg.Theta, nil)
-				})
+			// Four equal 60 000 ops/s machines: a linear set with ratio 1.
+			c := cfg
+			c.N, c.MaxProcs, c.FastestOps, c.CapRatio = 96, 4, 60_000, 1
+			return c.runNBodyCustom(4,
+				x.clusterConfig(cluster.Config{Net: &netmodel.SharedBus{Overhead: 0.01, BytesPerSec: 1.25e6}, RetryTimeout: 2}),
+				x.engineConfig(core.Config{FW: 1, MaxIter: 30}), nil, nil)
 		}},
 	}
 }

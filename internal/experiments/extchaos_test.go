@@ -62,11 +62,7 @@ func TestExtChaosAllAppsRecover(t *testing.T) {
 func TestGiveUpDegradesNotDeadlocks(t *testing.T) {
 	prob := jacobi.NewDiagonallyDominant(120, 7)
 	machines := cluster.LinearMachines(6, 20_000, 5)
-	caps := make([]float64, 6)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
-	blocks := jacobi.BlocksFromCounts(partition.Proportional(prob.N, caps))
+	blocks := partition.Blocks(prob.N, cluster.Capacities(machines))
 	run := func(net netmodel.Model) ([]core.Result, error) {
 		return core.RunCluster(
 			cluster.Config{Machines: machines, Net: net, Reliable: true,

@@ -7,9 +7,7 @@ import (
 	"specomp/internal/cluster"
 	"specomp/internal/core"
 	"specomp/internal/faults"
-	"specomp/internal/nbody"
 	"specomp/internal/netmodel"
-	"specomp/internal/partition"
 	"specomp/internal/simtime"
 )
 
@@ -39,34 +37,15 @@ func ExtFaults(cfg NBodyConfig) (Report, error) {
 		time    float64
 	}
 	run := func(fw int, net func() netmodel.Model, reliable bool, ecfg core.Config) (outcome, error) {
-		ms := cfg.machines()[:cfg.MaxProcs]
-		caps := make([]float64, len(ms))
-		for i, m := range ms {
-			caps[i] = m.Ops
-		}
-		counts := partition.Proportional(cfg.N, caps)
-		ic := cfg.IC
-		if ic == nil {
-			ic = nbody.UniformSphere
-		}
-		blocks := nbody.SplitParticles(ic(cfg.N, cfg.Seed), counts)
-		sim := nbody.DefaultSim()
-		if cfg.Dt > 0 {
-			sim.Dt = cfg.Dt
-		}
 		ecfg.FW = fw
 		ecfg.MaxIter = cfg.Iters
+		ecfg.Metrics = cfg.Obs
 		// The retry timeout must sit above the bus's queueing delay (tens of
 		// serialized messages per iteration) or every ack that queues behind a
 		// busy medium triggers a spurious retransmission storm.
-		ecfg.Metrics = cfg.Obs
-		results, err := core.RunCluster(
-			cluster.Config{Machines: ms, Net: net(), Seed: cfg.Seed, Reliable: reliable,
-				RetryTimeout: 5, Metrics: cfg.Obs},
-			ecfg,
-			func(pr *cluster.Proc) core.App {
-				return nbody.NewApp(sim, blocks[pr.ID()], cfg.N, pr.ID(), cfg.Theta, nil)
-			})
+		results, err := cfg.runNBodyCustom(cfg.MaxProcs,
+			cluster.Config{Net: net(), Reliable: reliable, RetryTimeout: 5, Metrics: cfg.Obs},
+			ecfg, nil, nil)
 		if err != nil {
 			return outcome{}, err
 		}

@@ -5,8 +5,6 @@ import (
 
 	"specomp/internal/cluster"
 	"specomp/internal/core"
-	"specomp/internal/nbody"
-	"specomp/internal/partition"
 )
 
 // ExtLoad studies the effect of background CPU load on speculative
@@ -21,27 +19,8 @@ func ExtLoad(cfg NBodyConfig) (Report, error) {
 		Title: fmt.Sprintf("bursty background CPU load, p=%d, N=%d (extension)", cfg.MaxProcs, cfg.N),
 	}
 	run := func(fw int, load cluster.LoadModel) (float64, error) {
-		ms := cfg.machines()[:cfg.MaxProcs]
-		caps := make([]float64, len(ms))
-		for i, m := range ms {
-			caps[i] = m.Ops
-		}
-		counts := partition.Proportional(cfg.N, caps)
-		ic := cfg.IC
-		if ic == nil {
-			ic = nbody.UniformSphere
-		}
-		blocks := nbody.SplitParticles(ic(cfg.N, cfg.Seed), counts)
-		sim := nbody.DefaultSim()
-		if cfg.Dt > 0 {
-			sim.Dt = cfg.Dt
-		}
-		results, err := core.RunCluster(
-			cluster.Config{Machines: ms, Net: cfg.net(), Seed: cfg.Seed, Load: load},
-			core.Config{FW: fw, MaxIter: cfg.Iters},
-			func(pr *cluster.Proc) core.App {
-				return nbody.NewApp(sim, blocks[pr.ID()], cfg.N, pr.ID(), cfg.Theta, nil)
-			})
+		results, err := cfg.runNBodyCustom(cfg.MaxProcs, cluster.Config{Net: cfg.net(), Load: load},
+			core.Config{FW: fw, MaxIter: cfg.Iters}, nil, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -5,9 +5,7 @@ import (
 
 	"specomp/internal/cluster"
 	"specomp/internal/core"
-	"specomp/internal/nbody"
 	"specomp/internal/netmodel"
-	"specomp/internal/partition"
 )
 
 // ExtTopology studies a non-uniform network: the machines sit on two
@@ -23,31 +21,12 @@ func ExtTopology(cfg NBodyConfig) (Report, error) {
 	}
 	run := func(fw int, cross float64) (float64, error) {
 		p := cfg.MaxProcs
-		ms := cfg.machines()[:p]
-		caps := make([]float64, p)
-		for i, m := range ms {
-			caps[i] = m.Ops
-		}
-		counts := partition.Proportional(cfg.N, caps)
-		ic := cfg.IC
-		if ic == nil {
-			ic = nbody.UniformSphere
-		}
-		blocks := nbody.SplitParticles(ic(cfg.N, cfg.Seed), counts)
-		sim := nbody.DefaultSim()
-		if cfg.Dt > 0 {
-			sim.Dt = cfg.Dt
-		}
 		net := netmodel.PerPair{
 			Inner: cfg.net(),
 			Extra: netmodel.TwoSwitch(p, p/2, cross),
 		}
-		results, err := core.RunCluster(
-			cluster.Config{Machines: ms, Net: net, Seed: cfg.Seed},
-			core.Config{FW: fw, MaxIter: cfg.Iters},
-			func(pr *cluster.Proc) core.App {
-				return nbody.NewApp(sim, blocks[pr.ID()], cfg.N, pr.ID(), cfg.Theta, nil)
-			})
+		results, err := cfg.runNBodyCustom(p, cluster.Config{Net: net},
+			core.Config{FW: fw, MaxIter: cfg.Iters}, nil, nil)
 		if err != nil {
 			return 0, err
 		}

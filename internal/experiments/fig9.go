@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"specomp/internal/cluster"
 	"specomp/internal/core"
 	"specomp/internal/nbody"
 	"specomp/internal/perfmodel"
@@ -24,10 +25,6 @@ func Figure9(cfg NBodyConfig) (Report, error) {
 		return rep, err
 	}
 
-	caps := make([]float64, cfg.MaxProcs)
-	for i, m := range cfg.machines() {
-		caps[i] = m.Ops
-	}
 	model := perfmodel.Params{
 		N:     cfg.N,
 		FComp: nbody.PairOps * float64(cfg.N), // per-variable: N pair forces
@@ -36,7 +33,7 @@ func Figure9(cfg NBodyConfig) (Report, error) {
 		// pair part that scales with each processor's own allocation.
 		FCheck:            nbody.CheckOpsPerRemote,
 		FCheckPerLocalVar: nbody.CheckOpsPerPair,
-		Caps:              caps,
+		Caps:              cluster.Capacities(cfg.machines()),
 		TComm:             cfg.modelTComm(),
 		K:                 0.02,
 	}

@@ -131,19 +131,19 @@ func (cfg NBodyConfig) Run(p, fw int, theta float64, instr *nbody.Instrument) ([
 		return nil, fmt.Errorf("experiments: p=%d out of range [1, %d]", p, cfg.MaxProcs)
 	}
 	cfg.Theta = theta
-	return cfg.runNBodyCustom(p, core.Config{FW: fw, MaxIter: cfg.Iters, Metrics: cfg.Obs}, nil, instr)
+	return cfg.runNBodyCustom(p, cluster.Config{Net: cfg.net(), Metrics: cfg.Obs},
+		core.Config{FW: fw, MaxIter: cfg.Iters, Metrics: cfg.Obs}, nil, instr)
 }
 
-// runNBodyCustom runs the N-body workload on the fastest p machines with an
-// arbitrary engine config and app wrapper; the simulated network shares the
-// engine's metrics registry.
-func (cfg NBodyConfig) runNBodyCustom(p int, ecfg core.Config, wrap func(core.App) core.App, instr *nbody.Instrument) ([]core.Result, error) {
-	ms := cfg.machines()[:p]
-	caps := make([]float64, p)
-	for i, m := range ms {
-		caps[i] = m.Ops
-	}
-	counts := partition.Proportional(cfg.N, caps)
+// runNBodyCustom runs the N-body workload on the fastest p machines, each
+// owning a capacity-proportional block of the particles, with an arbitrary
+// engine config and app wrapper. cc carries what the caller varies (Net,
+// Load, Reliable, RetryTimeout, Metrics, ...); the machines and the seed are
+// filled in here.
+func (cfg NBodyConfig) runNBodyCustom(p int, cc cluster.Config, ecfg core.Config, wrap func(core.App) core.App, instr *nbody.Instrument) ([]core.Result, error) {
+	cc.Machines = cfg.machines()[:p]
+	cc.Seed = cfg.Seed
+	counts := partition.Proportional(cfg.N, cluster.Capacities(cc.Machines))
 	ic := cfg.IC
 	if ic == nil {
 		ic = nbody.UniformSphere
@@ -153,16 +153,13 @@ func (cfg NBodyConfig) runNBodyCustom(p int, ecfg core.Config, wrap func(core.Ap
 	if cfg.Dt > 0 {
 		sim.Dt = cfg.Dt
 	}
-	return core.RunCluster(
-		cluster.Config{Machines: ms, Net: cfg.net(), Seed: cfg.Seed, Metrics: ecfg.Metrics},
-		ecfg,
-		func(pr *cluster.Proc) core.App {
-			var app core.App = nbody.NewApp(sim, blocks[pr.ID()], cfg.N, pr.ID(), cfg.Theta, instr)
-			if wrap != nil {
-				app = wrap(app)
-			}
-			return app
-		})
+	return core.RunCluster(cc, ecfg, func(pr *cluster.Proc) core.App {
+		var app core.App = nbody.NewApp(sim, blocks[pr.ID()], cfg.N, pr.ID(), cfg.Theta, instr)
+		if wrap != nil {
+			app = wrap(app)
+		}
+		return app
+	})
 }
 
 // SerialTime returns the per-run virtual time on the fastest machine alone.

@@ -281,12 +281,10 @@ func (a *App) RepairOps(r core.CheckResult) float64 {
 // sum to len(ps).
 func SplitParticles(ps []Particle, counts []int) [][]Particle {
 	out := make([][]Particle, len(counts))
-	lo := 0
 	for i, c := range counts {
-		out[i] = ps[lo : lo+c]
-		lo += c
+		out[i], ps = ps[:c], ps[c:]
 	}
-	if lo != len(ps) {
+	if len(ps) != 0 {
 		panic("nbody: partition sizes do not sum to particle count")
 	}
 	return out

@@ -15,10 +15,7 @@ func runCorrectVsRecompute(t *testing.T, theta float64, useCorrection bool) []Pa
 	const n, iters = 48, 20
 	ps := TwoClusters(n, 37)
 	machines := cluster.UniformMachines(4, 1e6)
-	caps := make([]float64, 4)
-	for i, m := range machines {
-		caps[i] = m.Ops
-	}
+	caps := cluster.Capacities(machines)
 	counts := partition.Proportional(n, caps)
 	blocks := SplitParticles(ps, counts)
 	sim := DefaultSim()

@@ -2,21 +2,10 @@
 // paper's eqs. 4–5, which require N_i/M_i equal across processors with
 // Σ N_i = N. Counts are integral, so we apportion with the largest-remainder
 // method, which keeps each processor within one variable of its ideal quota.
+// Blocks is the one place the counts become per-rank index ranges.
 package partition
 
 import "fmt"
-
-// Range is a half-open index interval [Lo, Hi) of variables owned by one
-// processor under a block distribution.
-type Range struct {
-	Lo, Hi int
-}
-
-// Len returns the number of variables in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
-
-// Contains reports whether index i falls in the range.
-func (r Range) Contains(i int) bool { return i >= r.Lo && i < r.Hi }
 
 // Proportional splits n variables over processors with capacities caps so
 // that counts are proportional to capacity (largest-remainder rounding).
@@ -68,15 +57,28 @@ func Proportional(n int, caps []float64) []int {
 	return counts
 }
 
-// Blocks converts per-processor counts into contiguous index ranges.
-func Blocks(counts []int) []Range {
-	rs := make([]Range, len(counts))
+// Blocks splits n variables over processors with capacities caps into
+// contiguous half-open ranges [lo, hi), one per processor in rank order:
+// processor i owns the next Proportional(n, caps)[i] variables, so the ranges
+// tile [0, n).
+func Blocks(n int, caps []float64) [][2]int {
+	blocks := make([][2]int, len(caps))
 	lo := 0
-	for i, c := range counts {
-		rs[i] = Range{Lo: lo, Hi: lo + c}
+	for i, c := range Proportional(n, caps) {
+		blocks[i] = [2]int{lo, lo + c}
 		lo += c
 	}
-	return rs
+	return blocks
+}
+
+// Equal returns the capacities of p identical processors, for which Blocks
+// gives the first n mod p processors one variable more than the rest.
+func Equal(p int) []float64 {
+	caps := make([]float64, p)
+	for i := range caps {
+		caps[i] = 1
+	}
+	return caps
 }
 
 // Imbalance returns the maximum relative deviation of compute time from the
@@ -105,14 +107,4 @@ func Imbalance(counts []int, caps []float64) float64 {
 		}
 	}
 	return worst
-}
-
-// Owner returns the index of the range containing variable i, or -1.
-func Owner(rs []Range, i int) int {
-	for j, r := range rs {
-		if r.Contains(i) {
-			return j
-		}
-	}
-	return -1
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"specomp/internal/cluster"
 )
 
 func TestProportionalEqualCaps(t *testing.T) {
@@ -94,21 +96,89 @@ func TestProportionalWithinOneOfQuotaProperty(t *testing.T) {
 	}
 }
 
+// TestBlocksTable pins Blocks against the spellings it replaced: for every
+// n in 0..64 and p in 1..8, with equal and linearly declining capacities, the
+// ranges tile [0, n) in rank order and equal the counts → ranges loop over
+// Proportional; for equal capacities they also equal the even split that
+// gives the first n mod p processors one extra variable.
+func TestBlocksTable(t *testing.T) {
+	for p := 1; p <= 8; p++ {
+		capSets := map[string][]float64{
+			"equal":  Equal(p),
+			"linear": cluster.Capacities(cluster.LinearMachines(p, 1.364e6, 10)),
+		}
+		for name, caps := range capSets {
+			for n := 0; n <= 64; n++ {
+				got := Blocks(n, caps)
+				if len(got) != p {
+					t.Fatalf("%s n=%d p=%d: %d blocks", name, n, p, len(got))
+				}
+				lo := 0
+				for _, b := range got {
+					if b[0] != lo || b[1] < b[0] {
+						t.Fatalf("%s n=%d p=%d: blocks %v do not tile in rank order", name, n, p, got)
+					}
+					lo = b[1]
+				}
+				if lo != n {
+					t.Fatalf("%s n=%d p=%d: blocks %v do not cover [0, %d)", name, n, p, got, n)
+				}
+				lo = 0
+				for i, c := range Proportional(n, caps) {
+					if want := [2]int{lo, lo + c}; got[i] != want {
+						t.Fatalf("%s n=%d p=%d: block %d = %v, want %v (counts → ranges)", name, n, p, i, got[i], want)
+					}
+					lo += c
+				}
+				if name != "equal" {
+					continue
+				}
+				base, rem := n/p, n%p
+				lo = 0
+				for i := range got {
+					hi := lo + base
+					if i < rem {
+						hi++
+					}
+					if got[i] != [2]int{lo, hi} {
+						t.Fatalf("n=%d p=%d: block %d = %v, want even split [%d, %d)", n, p, i, got[i], lo, hi)
+					}
+					lo = hi
+				}
+			}
+		}
+	}
+}
+
+// TestBlocksAndOwner checks that counts {3, 0, 2} (from the capacities
+// below) become consecutive ranges in which every index has exactly one
+// owner, and that the empty range owns nothing.
 func TestBlocksAndOwner(t *testing.T) {
-	rs := Blocks([]int{3, 0, 2})
-	want := []Range{{0, 3}, {3, 3}, {3, 5}}
+	rs := Blocks(5, []float64{3, 0.01, 2})
+	want := [][2]int{{0, 3}, {3, 3}, {3, 5}}
 	for i := range want {
 		if rs[i] != want[i] {
 			t.Errorf("rs[%d] = %v, want %v", i, rs[i], want[i])
 		}
 	}
-	if Owner(rs, 0) != 0 || Owner(rs, 2) != 0 || Owner(rs, 3) != 2 || Owner(rs, 4) != 2 {
-		t.Errorf("Owner mapping wrong: %v", rs)
+	wantOwner := []int{0, 0, 0, 2, 2}
+	for idx := -1; idx <= 5; idx++ {
+		owners := []int{}
+		for k, r := range rs {
+			if r[0] <= idx && idx < r[1] {
+				owners = append(owners, k)
+			}
+		}
+		switch {
+		case idx < 0 || idx >= 5:
+			if len(owners) != 0 {
+				t.Errorf("out-of-range index %d owned by %v", idx, owners)
+			}
+		case len(owners) != 1 || owners[0] != wantOwner[idx]:
+			t.Errorf("index %d owned by %v, want [%d]", idx, owners, wantOwner[idx])
+		}
 	}
-	if Owner(rs, 5) != -1 {
-		t.Error("Owner of out-of-range index should be -1")
-	}
-	if rs[1].Len() != 0 || rs[1].Contains(3) {
+	if rs[1][1]-rs[1][0] != 0 {
 		t.Error("empty range misbehaves")
 	}
 }
