@@ -20,19 +20,20 @@ package distnet
 // Crash tolerance (this is where the paper's speculation pays off in real
 // processes): a node whose control connection dies or goes silent before
 // its result VACATES its rank instead of failing the run. A later hello
-// carrying epoch > 0 reclaims the lowest vacated rank — the respawned
-// process is stateless until configured, so any vacancy fits — and receives
+// carrying epoch > 0 reclaims the lowest vacated rank whose last holder is
+// older — the respawned process is stateless until configured, so any such
+// vacancy fits — and receives
 // its config plus the latest custody checkpoint to restore from. Survivors
 // bridge the gap on speculation (the engine's MaxCrashOverrun path). Only a
 // vacancy nobody reclaims within RejoinWait fails the run, with an error
 // naming both the loss (ErrRankLost) and its cause (e.g. ErrNodeSilent).
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,38 +168,14 @@ type Coordinator struct {
 	custody    *custody
 	ackTimeout time.Duration
 
-	mu      sync.Mutex
-	members []*coordMember // by rank, each published as it joins
-	stats   CoordStats
-	closed  bool
+	restores         int          // ranks seeded from durable custody at startup
+	vacated, rejoins atomic.Int64 // CoordStats counters the run loop bumps
+	closeOnce        sync.Once
 
 	abort   chan struct{} // closed by Close; fails the run loop promptly
 	done    chan struct{}
 	reports []NodeReport
 	runErr  error
-}
-
-// coordMember is one joined node from the coordinator's side. The conn and
-// epoch are replaced when a respawned node reclaims the rank; gen
-// disambiguates the old connection's reader from the new one's.
-type coordMember struct {
-	rank  int
-	addr  string
-	epoch int
-	gen   int
-	conn  net.Conn
-	wmu   sync.Mutex // serializes control-frame writes
-
-	// lastSeen is the unix-nano arrival time of the most recent frame on
-	// the current connection, feeding control-plane staleness detection.
-	lastSeen atomic.Int64
-}
-
-func (m *coordMember) write(f *Frame) error {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	_, err := writeFrame(m.conn, nil, f)
-	return err
 }
 
 // NewCoordinator starts a coordinator listening for cfg.Spec.Procs nodes
@@ -246,9 +223,8 @@ func newCoordinator(cfg CoordConfig, ackTimeout time.Duration) (*Coordinator, er
 	// incarnation's checkpoints, so relaunched nodes restore mid-run state
 	// instead of recomputing from iteration zero. (No frame can reach
 	// custody before run starts, so covered is still the seeded count.)
-	if c.stats.CustodyRestores = c.custody.covered; c.stats.CustodyRestores > 0 {
-		c.logf("custody: restored checkpoints for %d/%d ranks from durable store",
-			c.stats.CustodyRestores, c.spec.Procs)
+	if c.restores = c.custody.covered; c.restores > 0 {
+		c.logf("custody: restored checkpoints for %d/%d ranks from durable store", c.restores, c.spec.Procs)
 	}
 	if cfg.Fleet != nil {
 		cfg.Fleet.SetJob(c.spec.Job)
@@ -274,9 +250,7 @@ func (c *Coordinator) CustodyCovered(wait time.Duration) bool { return c.custody
 
 // Stats returns the crash-tolerance counters accumulated so far.
 func (c *Coordinator) Stats() CoordStats {
-	c.mu.Lock()
-	st := c.stats
-	c.mu.Unlock()
+	st := CoordStats{Vacated: int(c.vacated.Load()), Rejoins: int(c.rejoins.Load()), CustodyRestores: c.restores}
 	st.CustodySaves, st.CustodyCommits, st.CustodyLagSec = c.custody.counters()
 	return st
 }
@@ -288,27 +262,14 @@ func (c *Coordinator) Wait() ([]NodeReport, error) {
 	return c.reports, c.runErr
 }
 
-// Close aborts the run: releases the listener and severs every member
-// connection (nodes observe a dead coordinator — the shape a coordinator
-// crash has from the outside).
+// Close aborts the run: it releases the listener, and the run loop severs
+// every member link (nodes observe a dead coordinator — the shape a
+// coordinator crash has from the outside) before Wait returns.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	closed := c.closed
-	c.closed = true
-	var conns []net.Conn
-	for _, m := range c.members {
-		if m != nil && m.conn != nil {
-			conns = append(conns, m.conn)
-		}
-	}
-	c.mu.Unlock()
-	if !closed {
+	c.closeOnce.Do(func() {
 		close(c.abort)
 		_ = c.ln.Close()
-		for _, conn := range conns {
-			_ = conn.Close()
-		}
-	}
+	})
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -317,36 +278,240 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// coordEvent is one frame (or read error) from one member's connection.
-// gen identifies the connection incarnation, so a replaced connection's
-// trailing error cannot vacate the rank its successor now holds.
-type coordEvent struct {
-	rank int
-	gen  int
-	f    Frame
-	err  error
-}
-
-// vacatedRank tracks an unowned rank awaiting a rejoin.
-type vacatedRank struct {
-	at    time.Time
-	cause error
-}
-
-// pendingHello is a connection whose hello the acceptor has read. After
-// membership a rejoin hello that arrived before any rank was vacated (the
-// respawned node can outrace the coordinator's detection of the old
-// connection's death) is parked until a vacancy appears.
+// pendingHello is a connection whose hello the acceptor has read.
 type pendingHello struct {
 	conn  net.Conn
 	hello Frame
 	at    time.Time
 }
 
-// run executes the protocol: accept P hellos, assign ranks in arrival
-// order, distribute configs, relay the start barrier, collect checkpoints
-// and results, broadcast shutdown — vacating and re-filling ranks as nodes
-// crash and rejoin along the way.
+// vacancy is a rank whose holder died or went silent before its result:
+// since when, the epoch of the holder that left it, and why.
+type vacancy struct {
+	at    time.Time
+	epoch int
+	cause error
+}
+
+// roster is the run loop's state: who holds each rank over which link,
+// where each rank listens, how far each has got, and the rejoin hellos
+// waiting for a vacancy. Only the run loop touches it.
+type roster struct {
+	c       *Coordinator
+	links   []*peerConn // each rank's current link; nil while free or vacated
+	peers   []string    // each rank's peer listen address, from its holder's hello
+	joined  int         // ranks taken; membership closes when it reaches P
+	events  chan linkEvent
+	arrived map[int]bool // ranks at the start barrier
+	started bool         // the start barrier was released
+	results map[int]*NodeReport
+	acked   map[int]bool // ranks whose current link ended after their result
+	vacated map[int]vacancy
+	parked  []pendingHello
+}
+
+func newRoster(c *Coordinator) *roster {
+	p := c.spec.Procs
+	return &roster{
+		c: c, links: make([]*peerConn, p), peers: make([]string, p),
+		events:  make(chan linkEvent, 4*p), // room for a few frames per member, so a pump seldom waits on the loop
+		arrived: make(map[int]bool), results: make(map[int]*NodeReport),
+		acked: make(map[int]bool), vacated: make(map[int]vacancy),
+	}
+}
+
+// open reports whether membership is still open.
+func (r *roster) open() bool { return r.joined < len(r.links) }
+
+// claim is the coordinator's one admission rule, the twin of a node's
+// install: the rank a hello may take, or -1. While membership is open a
+// hello takes the lowest free rank, whatever its epoch. Once it has closed,
+// a respawned incarnation (epoch > 0) claims the lowest vacated rank whose
+// last holder's epoch is lower, and waits parked when there is none — the
+// respawn can outrace the coordinator noticing the old link die. An epoch-0
+// hello after membership is an over-spawned or misdirected node: refuse.
+func (r *roster) claim(hello Frame) (rank int, refuse bool) {
+	if r.open() {
+		return slices.Index(r.links, nil), false
+	}
+	if hello.Epoch <= 0 {
+		return -1, true
+	}
+	for rank := range r.links {
+		if v, ok := r.vacated[rank]; ok && hello.Epoch > v.epoch {
+			return rank, false
+		}
+	}
+	return -1, false
+}
+
+// admit settles a hello by claim: it seats the connection on a rank or
+// closes it, and reports false, leaving it to the caller, when it must wait
+// parked.
+func (r *roster) admit(ph pendingHello) bool {
+	rank, refuse := r.claim(ph.hello)
+	if refuse {
+		r.c.logf("rejecting late epoch-0 hello from %s", ph.conn.RemoteAddr())
+		_ = ph.conn.Close()
+		return true
+	}
+	if rank < 0 {
+		return false
+	}
+	c := r.c
+	pc := newPeerConn(rank, ph.conn, 0, wireOpts{direct: true})
+	pc.epoch = ph.hello.Epoch
+	r.links[rank], r.peers[rank] = pc, ph.hello.Addr
+	go pc.pump(r.events, c.done)
+	if r.open() {
+		r.joined++
+		c.logf("node %d joined from %s (peer addr %s, epoch %d)", rank, ph.conn.RemoteAddr(), ph.hello.Addr, pc.epoch)
+		if !r.open() {
+			for rank, pc := range r.links {
+				pc.touch() // the node is silent until its mesh is up
+				pc.send(r.config(rank, false))
+			}
+			c.logf("membership complete: %d nodes, spec %s/%d iters", len(r.links), c.spec.App, c.spec.MaxIter)
+		}
+		return true
+	}
+	// A rejoin: the rank's latest custody checkpoint goes out with the
+	// rejoin flag, and peers learn the new listen address from the updated
+	// peers (later rejoiners dial current addresses).
+	delete(r.vacated, rank)
+	c.rejoins.Add(1)
+	pc.send(r.config(rank, true))
+	ckpt, _ := c.custody.get(rank)
+	c.logf("rank %d reclaimed by epoch-%d incarnation at %s (%d bytes of custody restored)",
+		rank, pc.epoch, ph.hello.Addr, len(ckpt))
+	return true
+}
+
+// config is rank's config frame: the membership, the spec, the rank's
+// custody checkpoint if any, and whether a mid-run rejoiner takes it.
+func (r *roster) config(rank int, rejoin bool) Frame {
+	ckpt, _ := r.c.custody.get(rank)
+	return Frame{Type: FrameConfig, Blob: encodeJSON(wireConfig{Rank: rank, Peers: r.peers, Spec: r.c.spec,
+		Checkpoint: ckpt, ObsPush: r.c.cfg.Fleet != nil, Rejoin: rejoin})}
+}
+
+// retryParked offers every parked hello to claim again, dropping those
+// parked longer than RejoinWait.
+func (r *roster) retryParked(now time.Time) {
+	keep := r.parked[:0]
+	for _, ph := range r.parked {
+		switch {
+		case r.admit(ph):
+		case now.Sub(ph.at) > r.c.cfg.RejoinWait:
+			_ = ph.conn.Close()
+		default:
+			keep = append(keep, ph)
+		}
+	}
+	r.parked = keep
+}
+
+// vacate retires rank's link, which died or went silent before its result.
+// While membership is open the rank is simply free again. After, it is a
+// vacancy: the cause is kept for the eventual ErrRankLost, and a parked
+// rejoin hello gets its chance to claim it.
+func (r *roster) vacate(rank int, cause error) {
+	pc := r.links[rank]
+	r.links[rank] = nil
+	pc.close() // a direct link has no writer to wait for
+	if r.open() {
+		r.joined--
+		r.c.logf("node %d left before membership closed: %v", rank, cause)
+		return
+	}
+	r.vacated[rank] = vacancy{at: time.Now(), epoch: pc.epoch, cause: cause}
+	r.c.vacated.Add(1)
+	r.c.logf("rank %d vacated: %v (waiting %v for a rejoin)", rank, cause, r.c.cfg.RejoinWait)
+	r.retryParked(time.Now())
+}
+
+// onEvent takes one frame, or the end of the stream, from a member link. A
+// link that no longer holds its rank (vacated, or replaced by a rejoin) is
+// ignored; a current link's end is its holder's shutdown ack when the
+// result is in, and vacates the rank otherwise.
+func (r *roster) onEvent(ev linkEvent) error {
+	rank := ev.pc.rank
+	if ev.pc != r.links[rank] {
+		return nil
+	}
+	if ev.err != nil {
+		if r.results[rank] != nil {
+			r.acked[rank] = true
+		} else {
+			r.vacate(rank, fmt.Errorf("connection lost before its result: %w", ev.err))
+		}
+		return nil
+	}
+	c := r.c
+	switch ev.f.Type {
+	case FrameBarrier:
+		if r.started {
+			// A rejoiner reaching the barrier the fleet already passed:
+			// release it alone, at once.
+			ev.pc.send(Frame{Type: FrameBarrier})
+			break
+		}
+		if r.arrived[rank] = true; len(r.arrived) == len(r.links) {
+			c.logf("start barrier released")
+			r.started = true
+			for _, pc := range r.links {
+				if pc != nil {
+					pc.send(Frame{Type: FrameBarrier})
+				}
+			}
+		}
+	case FrameCheckpoint:
+		c.custody.put(rank, ev.f.Blob) // the link names the rank, not the body
+	case FrameObs:
+		if c.cfg.Fleet != nil {
+			if err := c.cfg.Fleet.Update(rank, ev.f.Blob); err != nil {
+				c.logf("refused a metrics push: %v", err)
+			}
+		}
+	case FrameResult:
+		var rep NodeReport
+		if err := json.Unmarshal(ev.f.Blob, &rep); err != nil {
+			return fmt.Errorf("distnet: decoding rank %d result: %w", rank, err)
+		}
+		// Trust the link, not the body, for who sent it and where it
+		// listens; the partition is the frame's raw tail.
+		rep.Rank, rep.Addr, rep.Final = rank, r.peers[rank], ev.f.Final
+		r.results[rank] = &rep
+		c.logf("rank %d done: converged=%v iters=%d epoch=%d", rank, rep.Converged, rep.Iters, rep.Epoch)
+	}
+	return nil
+}
+
+// tick drives both halves of crash detection: once membership has closed,
+// a member without a result whose link is down or silent past NodeTimeout
+// is vacated; a parked hello or a vacancy older than RejoinWait is dropped,
+// the vacancy failing the run.
+func (r *roster) tick(now time.Time) error {
+	if timeout := r.c.cfg.NodeTimeout; timeout > 0 && !r.open() {
+		for rank, pc := range r.links {
+			if pc != nil && r.results[rank] == nil && !pc.alive(timeout) {
+				r.vacate(rank, fmt.Errorf("no control-plane frame for %v: %w", timeout, ErrNodeSilent))
+			}
+		}
+	}
+	r.retryParked(now)
+	for rank, v := range r.vacated {
+		if now.Sub(v.at) > r.c.cfg.RejoinWait {
+			return fmt.Errorf("distnet: rank %d: %w: %w", rank, ErrRankLost, v.cause)
+		}
+	}
+	return nil
+}
+
+// run executes the protocol: seat P hellos in arrival order, distribute
+// configs, relay the start barrier, collect checkpoints and results,
+// broadcast shutdown and wait for the acks — vacating and re-filling ranks
+// as nodes crash and rejoin along the way.
 func (c *Coordinator) run() {
 	// Every non-success exit makes custody durable before done closes: an
 	// evictor, a drain and a restarted coordinator all read it right after.
@@ -355,368 +520,106 @@ func (c *Coordinator) run() {
 		close(c.done)
 	}()
 	deadline := time.Now().Add(c.cfg.Timeout)
-	p := c.spec.Procs
 
-	// One acceptor serves the listener for the whole run, membership and
-	// rejoins alike. Each hello is read on its own goroutine, so a silent
-	// or garbled connection delays nobody; it is closed at the deadline or
-	// on its bad frame. A read hello waits for the run loop to take it, or
-	// is closed when the run ends. The acceptor dies with the listener at
-	// teardown.
+	// The listener serves membership and rejoins alike for the whole run.
+	// A read hello waits for the run loop to take it, or is closed when the
+	// run ends; a silent connection is closed at the deadline at the latest.
 	hellos := make(chan pendingHello)
-	go func() {
-		_ = c.ln.(*net.TCPListener).SetDeadline(deadline) // a "tcp" listener
-		for {
-			conn, err := c.ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				hello, err := readHello(conn, time.Until(deadline))
-				if err != nil {
-					conn.Close()
-					return
-				}
-				select {
-				case hellos <- pendingHello{conn: conn, hello: hello, at: time.Now()}:
-				case <-c.done:
-					conn.Close()
-				}
-			}()
-		}
-	}()
-
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	byRank, err := c.gather(hellos, timer.C)
-	if err != nil {
-		c.runErr = err
-		c.teardown(byRank)
-		return
-	}
-
-	peers := make([]string, p)
-	for _, m := range byRank {
-		peers[m.rank] = m.addr
-	}
-	obsPush := c.cfg.Fleet != nil // invite metrics-snapshot pushes
-	for _, m := range byRank {
-		ckpt, _ := c.custody.get(m.rank)
-		blob := encodeJSON(wireConfig{Rank: m.rank, Peers: peers, Spec: c.spec, Checkpoint: ckpt, ObsPush: obsPush})
-		if err := m.write(&Frame{Type: FrameConfig, Blob: blob}); err != nil {
-			c.runErr = fmt.Errorf("distnet: sending config to rank %d: %w", m.rank, err)
-			c.teardown(byRank)
-			return
-		}
-	}
-	c.logf("membership complete: %d nodes, spec %s/%d iters", p, c.spec.App, c.spec.MaxIter)
-
-	// Event pump: one reader per member connection feeding a central
-	// channel, stamping control-plane liveness as it goes.
-	events := make(chan coordEvent, p*4)
-	startReader := func(m *coordMember) {
-		conn, gen := m.conn, m.gen
-		m.lastSeen.Store(time.Now().UnixNano())
-		go func() {
-			br := bufio.NewReader(conn)
-			for {
-				f, err := readFrame(br)
-				if err != nil {
-					events <- coordEvent{rank: m.rank, gen: gen, err: err}
-					return
-				}
-				m.lastSeen.Store(time.Now().UnixNano())
-				events <- coordEvent{rank: m.rank, gen: gen, f: f}
-			}
-		}()
-	}
-	for _, m := range byRank {
-		startReader(m)
-	}
-
-	var (
-		arrived = make(map[int]bool) // ranks at the start barrier
-		started bool                 // the start barrier was released
-		results = make(map[int]*NodeReport)
-		acked   = make(map[int]bool) // ranks whose current link reached end-of-stream after their result
-		vacated = make(map[int]vacatedRank)
-		parked  []pendingHello
-	)
-
-	// vacate declares rank ownerless: its connection is closed, the cause
-	// retained for the eventual ErrRankLost, and any parked rejoin hello
-	// gets a chance to claim it.
-	vacate := func(rank int, cause error) {
-		if _, dup := vacated[rank]; dup || results[rank] != nil {
-			return
-		}
-		m := byRank[rank]
-		_ = m.conn.Close()
-		vacated[rank] = vacatedRank{at: time.Now(), cause: cause}
-		c.mu.Lock()
-		c.stats.Vacated++
-		c.mu.Unlock()
-		c.logf("rank %d vacated: %v (waiting %v for a rejoin)", rank, cause, c.cfg.RejoinWait)
-	}
-
-	// admit hands a vacated rank to a rejoining node: config (with the
-	// custody checkpoint and the rejoin flag) goes out, a fresh reader
-	// takes over, and peers learn the new listen address via the updated
-	// peers slice (later rejoiners dial current addresses).
-	admit := func(ph pendingHello) bool {
-		rank := -1
-		for r := 0; r < p; r++ {
-			if _, ok := vacated[r]; ok && ph.hello.Epoch > byRank[r].epoch {
-				rank = r
-				break
-			}
-		}
-		if rank < 0 {
+	_ = c.ln.(*net.TCPListener).SetDeadline(deadline) // a "tcp" listener
+	go acceptHellos(c.ln, func() time.Duration { return time.Until(deadline) }, func(conn net.Conn, hello Frame) bool {
+		select {
+		case hellos <- pendingHello{conn: conn, hello: hello, at: time.Now()}:
+			return true
+		case <-c.done:
 			return false
 		}
-		m := byRank[rank]
-		// Under c.mu: Close reads member conns from other goroutines.
-		c.mu.Lock()
-		m.gen++
-		m.conn = ph.conn
-		m.epoch = ph.hello.Epoch
-		m.addr = ph.hello.Addr
-		c.stats.Rejoins++
-		c.mu.Unlock()
-		ckpt, _ := c.custody.get(rank)
-		peers[rank] = ph.hello.Addr
-		delete(vacated, rank)
-		blob := encodeJSON(wireConfig{Rank: rank, Peers: append([]string(nil), peers...), Spec: c.spec,
-			Checkpoint: ckpt, ObsPush: obsPush, Rejoin: true})
-		if err := m.write(&Frame{Type: FrameConfig, Blob: blob}); err != nil {
-			vacate(rank, fmt.Errorf("distnet: sending rejoin config: %w", err))
-			return true // the conn was consumed either way
-		}
-		startReader(m)
-		c.logf("rank %d reclaimed by epoch-%d incarnation at %s (%d bytes of custody restored)",
-			rank, m.epoch, m.addr, len(ckpt))
-		return true
-	}
+	})
 
-	// Liveness ticks drive both halves of crash detection: silent members
-	// are vacated, and vacancies that outlive RejoinWait fail the run.
-	tickEvery := c.cfg.RejoinWait / 4
-	if c.cfg.NodeTimeout > 0 && c.cfg.NodeTimeout/4 < tickEvery {
-		tickEvery = c.cfg.NodeTimeout / 4
-	}
-	if tickEvery < 10*time.Millisecond {
-		tickEvery = 10 * time.Millisecond
-	}
-	liveness := time.NewTicker(tickEvery)
-	defer liveness.Stop()
-
-	fail := func(err error) {
-		c.runErr = err
-		for _, ph := range parked {
-			_ = ph.conn.Close()
-		}
-		c.teardown(byRank)
-	}
-
-	for len(results) < p {
-		select {
-		case <-c.abort:
-			// Close was called: the run is being torn down on purpose.
-			// Fail now instead of waiting out the rejoin window on the
-			// vacancies the severed connections are about to produce.
-			fail(ErrCoordClosed)
-			return
-		case ev := <-events:
-			m := byRank[ev.rank]
-			if ev.gen != m.gen {
-				continue // stale connection incarnation
-			}
-			if ev.err != nil {
-				if results[ev.rank] != nil {
-					acked[ev.rank] = true // closed after its result: nothing left to ack
-				} else {
-					vacate(ev.rank, fmt.Errorf("connection lost before its result: %w", ev.err))
-					// A parked hello may already be waiting for this vacancy.
-					for i, ph := range parked {
-						if admit(ph) {
-							parked = append(parked[:i], parked[i+1:]...)
-							break
-						}
-					}
-				}
-				continue
-			}
-			switch ev.f.Type {
-			case FrameBarrier:
-				if started {
-					// A rejoiner reaching the barrier the fleet already
-					// passed: release it alone, at once.
-					_ = m.write(&Frame{Type: FrameBarrier})
-					continue
-				}
-				if arrived[ev.rank] = true; len(arrived) == p {
-					c.logf("start barrier released")
-					started = true
-					for _, mm := range byRank {
-						_ = mm.write(&Frame{Type: FrameBarrier})
-					}
-				}
-			case FrameCheckpoint:
-				c.custody.put(ev.rank, ev.f.Blob) // the connection names the rank, not the body
-			case FrameObs:
-				if c.cfg.Fleet != nil {
-					if err := c.cfg.Fleet.Update(ev.rank, ev.f.Blob); err != nil {
-						c.logf("refused a metrics push: %v", err)
-					}
-				}
-			case FrameResult:
-				var rep NodeReport
-				if err := json.Unmarshal(ev.f.Blob, &rep); err != nil {
-					fail(fmt.Errorf("distnet: decoding rank %d result: %w", ev.rank, err))
-					return
-				}
-				// Trust the connection, not the body, for who sent it and
-				// where it listens; the partition is the frame's raw tail.
-				rep.Rank, rep.Addr, rep.Final = ev.rank, peers[ev.rank], ev.f.Final
-				results[ev.rank] = &rep
-				c.logf("rank %d done: converged=%v iters=%d epoch=%d", ev.rank, rep.Converged, rep.Iters, rep.Epoch)
-			}
-
-		case ph := <-hellos:
-			if ph.hello.Epoch <= 0 {
-				// A fresh (epoch-0) hello after membership closed: not a
-				// rejoin — an over-spawned or misdirected node.
-				c.logf("rejecting late epoch-0 hello from %s", ph.conn.RemoteAddr())
-				_ = ph.conn.Close()
-				continue
-			}
-			if !admit(ph) {
-				// No vacancy (yet): the respawn outraced our detection of the
-				// old connection dying. Park it; the vacate path retries.
-				parked = append(parked, ph)
-			}
-
-		case <-liveness.C:
-			now := time.Now()
-			if c.cfg.NodeTimeout > 0 {
-				for _, m := range byRank {
-					if results[m.rank] != nil {
-						continue
-					}
-					if _, gone := vacated[m.rank]; gone {
-						continue
-					}
-					if now.Sub(time.Unix(0, m.lastSeen.Load())) > c.cfg.NodeTimeout {
-						vacate(m.rank, fmt.Errorf("no control-plane frame for %v: %w", c.cfg.NodeTimeout, ErrNodeSilent))
-					}
-				}
-			}
-			// Retry parked hellos against any vacancies, dropping expired ones.
-			keep := parked[:0]
-			for _, ph := range parked {
-				if admit(ph) {
-					continue
-				}
-				if now.Sub(ph.at) > c.cfg.RejoinWait {
-					_ = ph.conn.Close()
-					continue
-				}
-				keep = append(keep, ph)
-			}
-			parked = keep
-			for rank, v := range vacated {
-				if now.Sub(v.at) > c.cfg.RejoinWait {
-					fail(fmt.Errorf("distnet: rank %d: %w: %w", rank, ErrRankLost, v.cause))
-					return
-				}
-			}
-
-		case <-timer.C:
-			fail(fmt.Errorf("distnet: run timed out after %v with %d/%d results", c.cfg.Timeout, len(results), p))
-			return
+	r := newRoster(c)
+	c.runErr = c.serve(r, hellos, deadline)
+	// Sever whatever the run still holds.
+	for _, pc := range r.links {
+		if pc != nil {
+			pc.close()
 		}
 	}
-
-	for _, ph := range parked {
+	for _, ph := range r.parked {
 		_ = ph.conn.Close()
 	}
-	for _, m := range byRank {
-		_ = m.write(&Frame{Type: FrameShutdown})
-	}
-	c.awaitAcks(events, byRank, acked)
-	c.teardown(byRank)
-
-	c.reports = make([]NodeReport, 0, p)
-	for rank := 0; rank < p; rank++ {
-		c.reports = append(c.reports, *results[rank])
-	}
-}
-
-// awaitAcks is the tail of an acked shutdown. A node closes its coordinator
-// link only after its own mesh is down, so end-of-stream on a member's
-// current connection is the ack that tearing down can no longer cut a peer
-// off; acked already holds the ranks whose link ended after their result.
-// Checkpoints still in flight are kept meanwhile. A Close, or ackTimeout
-// (a node hung inside its own teardown), ends the wait early; the caller
-// then severs whatever is left.
-func (c *Coordinator) awaitAcks(events <-chan coordEvent, byRank []*coordMember, acked map[int]bool) {
-	ackBy := time.NewTimer(c.ackTimeout)
-	defer ackBy.Stop()
-	for len(acked) < len(byRank) {
-		select {
-		case ev := <-events:
-			switch {
-			case ev.gen != byRank[ev.rank].gen: // a replaced connection's tail is not this member's ack
-			case ev.err != nil:
-				acked[ev.rank] = true
-			case ev.f.Type == FrameCheckpoint:
-				c.custody.put(ev.rank, ev.f.Blob)
-			}
-		case <-c.abort:
-			return
-		case <-ackBy.C:
-			c.logf("shutdown: %d/%d nodes closed their link within %v; severing the rest", len(acked), len(byRank), c.ackTimeout)
-			return
-		}
-	}
-}
-
-// gather takes the first P hellos the acceptor hands over, assigning
-// ranks in arrival order, until the run deadline fires. Each member is
-// published to c.members as it joins, so Close severs it; Close itself ends
-// the wait with ErrCoordClosed. It returns the members by rank (nil where
-// none joined).
-func (c *Coordinator) gather(hellos <-chan pendingHello, deadline <-chan time.Time) ([]*coordMember, error) {
-	p := c.spec.Procs
-	members := make([]*coordMember, p)
-	c.mu.Lock()
-	c.members = members
-	c.mu.Unlock()
-	for rank := 0; rank < p; rank++ {
-		var ph pendingHello
-		select {
-		case ph = <-hellos:
-		case <-c.abort:
-			return members, ErrCoordClosed
-		case <-deadline:
-			return members, fmt.Errorf("distnet: run timed out after %v waiting for %d more nodes", c.cfg.Timeout, p-rank)
-		}
-		m := &coordMember{rank: rank, addr: ph.hello.Addr, epoch: ph.hello.Epoch, conn: ph.conn}
-		m.lastSeen.Store(time.Now().UnixNano())
-		c.mu.Lock()
-		members[rank] = m
-		c.mu.Unlock()
-		c.logf("node %d joined from %s (peer addr %s, epoch %d)", rank, ph.conn.RemoteAddr(), m.addr, m.epoch)
-	}
-	return members, nil
-}
-
-// teardown closes every member connection and the listener.
-func (c *Coordinator) teardown(members []*coordMember) {
-	for _, m := range members {
-		if m != nil && m.conn != nil {
-			_ = m.conn.Close()
-		}
-	}
 	c.Close()
+	if c.runErr == nil {
+		for rank := range r.links {
+			c.reports = append(c.reports, *r.results[rank])
+		}
+	}
+}
+
+// serve is the run's one event loop, from the first hello to the last
+// shutdown ack. Once every result is in it broadcasts shutdown and enters
+// its shutdown phase: a node closes its coordinator link only after its own
+// mesh is down, so the end of a member's current link is the ack that
+// tearing down can no longer cut a peer off. In that phase checkpoints
+// still in flight are kept, a retired link's end is no ack, a link that
+// ended after its result counts from the start, and Close, ackTimeout (a
+// node hung inside its own teardown) or the run deadline ends the wait
+// early without failing the run; the caller then severs whatever is left.
+func (c *Coordinator) serve(r *roster, hellos <-chan pendingHello, deadline time.Time) error {
+	p := len(r.links)
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	var ackBy <-chan time.Time // nil until the shutdown phase
+
+	// Liveness ticks drive crash detection (tick).
+	tickEvery := c.cfg.RejoinWait / 4
+	if c.cfg.NodeTimeout > 0 {
+		tickEvery = min(tickEvery, c.cfg.NodeTimeout/4)
+	}
+	liveness := time.NewTicker(max(tickEvery, 10*time.Millisecond))
+	defer liveness.Stop()
+
+	for {
+		if ackBy == nil && len(r.results) == p {
+			for _, pc := range r.links {
+				pc.send(Frame{Type: FrameShutdown})
+			}
+			ackBy = time.After(c.ackTimeout)
+		}
+		if ackBy != nil && len(r.acked) == p {
+			return nil
+		}
+		select {
+		case <-c.abort:
+			// Close was called: the run is being torn down on purpose. Fail
+			// now instead of waiting out the rejoin window on the vacancies
+			// the severed links are about to produce — unless every result
+			// is already in.
+			if ackBy != nil {
+				return nil
+			}
+			return ErrCoordClosed
+		case ev := <-r.events:
+			if err := r.onEvent(ev); err != nil {
+				return err
+			}
+		case ph := <-hellos:
+			if !r.admit(ph) {
+				r.parked = append(r.parked, ph)
+			}
+		case now := <-liveness.C:
+			if err := r.tick(now); err != nil {
+				return err
+			}
+		case <-timer.C:
+			switch {
+			case ackBy != nil:
+				return nil
+			case r.open():
+				return fmt.Errorf("distnet: run timed out after %v waiting for %d more nodes", c.cfg.Timeout, p-r.joined)
+			}
+			return fmt.Errorf("distnet: run timed out after %v with %d/%d results", c.cfg.Timeout, len(r.results), p)
+		case <-ackBy:
+			c.logf("shutdown: %d/%d nodes closed their link within %v; severing the rest", len(r.acked), p, c.ackTimeout)
+			return nil
+		}
+	}
 }

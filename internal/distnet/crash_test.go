@@ -216,10 +216,10 @@ func TestSilentNodeVacatedAndRankLost(t *testing.T) {
 	defer live.Close()
 	silent := join()
 	defer silent.Close()
-	if _, err := readConfig(live, 10*time.Second); err != nil {
+	if _, err := readHandshake(live, FrameConfig, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readConfig(silent, 10*time.Second); err != nil {
+	if _, err := readHandshake(silent, FrameConfig, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 

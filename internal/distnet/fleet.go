@@ -55,7 +55,7 @@ type fleetNode struct {
 }
 
 // FleetObs aggregates per-node metrics snapshots at the coordinator.
-// Safe for concurrent use (the coordinator's event pump updates it while
+// Safe for concurrent use (the coordinator's event loop updates it while
 // HTTP scrapes render it).
 type FleetObs struct {
 	mu    sync.Mutex

@@ -9,9 +9,7 @@ package distnet
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"os"
@@ -523,20 +521,18 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	}
 	defer ln.Close()
 
-	// Join the coordinator.
-	coordRaw, err := dialRetry(cfg.Coord, cfg.DialTimeout, cfg.Logf)
+	// Join the coordinator; its config frame assigns our rank and carries
+	// the membership + spec. The coordinator link is control plane: no
+	// batching, and piggybacked beacons without the clock tail. It closes
+	// last of all, after the mesh: that close is this node's shutdown ack.
+	conn, _, err := dial(cfg.Coord, Frame{Type: FrameHello, Rank: -1, Epoch: cfg.Epoch, Addr: ln.Addr().String()}, false, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The coordinator link is control plane: no batching, and piggybacked
-	// beacons without the clock tail.
-	coord := newPeerConn(-1, coordRaw, 64, wireOpts{})
+	coord := newPeerConn(-1, conn, 64, wireOpts{})
 	defer coord.close()
-	coord.send(Frame{Type: FrameHello, Rank: -1, Epoch: cfg.Epoch, Addr: ln.Addr().String()})
 	stamps := LaunchStamps{JoinedUnix: unixNow()}
-
-	// The config frame assigns our rank and carries the membership + spec.
-	cf, err := readConfig(coordRaw, cfg.DialTimeout)
+	cf, err := readHandshake(conn, FrameConfig, cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -544,16 +540,16 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := wc.Spec
-	rank, p := wc.Rank, spec.Procs
-	cfg.logf("rank %d/%d assigned, peers %v", rank, p, wc.Peers)
+	spec, rank := wc.Spec, wc.Rank
+	cfg.logf("rank %d/%d assigned, peers %v", rank, spec.Procs, wc.Peers)
+	ctl, quit := make(chan linkEvent, 1), make(chan struct{})
+	defer close(quit)
+	go coord.pump(ctl, quit)
 
 	// Observability first: registry and journal exist before the mesh so
 	// link construction, dial retries and the links themselves are
 	// instrumented from the first frame — each only when something reads it.
 	reg, journal := nodeInstruments(cfg, wc)
-	core.RegisterEngineMetrics(reg, rank)
-	lp := obs.L("proc", strconv.Itoa(rank))
 	if cfg.JournalDir != "" {
 		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
 			return nil, fmt.Errorf("distnet: journal dir: %w", err)
@@ -566,30 +562,12 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 		defer jw.Close() // flushes buffered tail events on every exit path
 		journal.Attach(jw)
 	}
-
-	// Build the transport around the mesh.
-	tr := &transport{
-		rank: rank, p: p, epoch: cfg.Epoch,
-		peers:     make([]atomic.Pointer[peerConn], p),
-		inbox:     inbox.New(),
-		inj:       faults.NewInjector(cfg.Faults, cfg.FaultSeed),
-		procs:     p,
-		hbTimeout: cfg.HeartbeatTimeout,
-		nodeCfg:   cfg,
-		wobs:      newWireObs(reg, rank, p),
-		journal:   journal,
-		traceWire: spec.Trace,
-	}
-	tr.pend = make([][]cluster.Message, p)
-	for i := range tr.pend {
-		tr.pend[i] = getBatch()
-	}
-	tr.pendBytes = make([]int, p)
+	tr := newTransport(cfg, wc, reg, journal)
+	defer tr.close()
 	if wc.Rejoin {
 		cfg.logf("rank %d: rejoining a run in flight (epoch %d), dialing all survivors", rank, cfg.Epoch)
 	}
 	if err := tr.connectMesh(ln, wc.Peers, cfg, wc.Rejoin); err != nil {
-		tr.close()
 		return nil, err
 	}
 	stamps.MeshUnix = unixNow()
@@ -599,199 +577,196 @@ func RunNode(cfg NodeConfig) (*NodeResult, error) {
 	// traffic, so an active link costs nothing extra.
 	go coord.heartbeater(cfg.HeartbeatEvery)
 
-	// Control-plane reader for the coordinator link.
-	barrierCh := make(chan struct{}, 1)
-	shutdownCh := make(chan struct{})
-	go func() {
-		br := bufio.NewReader(coordRaw)
-		for {
-			f, err := readFrame(br)
-			if err != nil {
-				coord.down.Store(true)
-				close(shutdownCh) // a dead coordinator ends the run
-				return
-			}
-			coord.touch()
-			switch f.Type {
-			case FrameBarrier:
-				barrierCh <- struct{}{} // the coordinator releases each link once
-			case FrameShutdown:
-				close(shutdownCh)
-				return
-			}
-		}
-	}()
-
-	// Transport accounting counters + optional live HTTP endpoint — the
-	// same artifacts a simulated run emits.
-	tr.obsMsgsSent = reg.Counter(cluster.MetricMsgsSent, "logical messages passed to Send", lp)
-	tr.obsBytesSent = reg.Counter(cluster.MetricBytesSent, "payload+header bytes of logical sends", lp)
-	reg.Gauge(MetricNodeEpoch, "Process incarnation epoch (0 on first launch).", lp).Set(float64(cfg.Epoch))
+	// Optional live HTTP endpoint — the same artifacts a simulated run emits.
 	httpAddr := ""
 	if cfg.HTTPAddr != "" {
 		srv, err := obs.Listen(cfg.HTTPAddr, obs.Handler(reg, journal))
 		if err != nil {
-			tr.close()
 			return nil, fmt.Errorf("distnet: obs endpoint: %w", err)
 		}
 		defer srv.Close()
 		httpAddr = srv.Addr()
 		cfg.logf("rank %d serving /metrics and /journal on http://%s", rank, httpAddr)
 	}
-
-	// Metrics push loop: when the coordinator asked for pushes, ship it a
-	// full registry snapshot (Prometheus text) every ObsPushMS so the fleet
-	// endpoint stays fresh while the run is live. A final push after the
-	// engine finishes precedes the result frame on the same TCP stream, so
-	// the coordinator always aggregates complete end-of-run counters.
-	pushSnapshot := func() {
-		// Count the push before rendering so the snapshot includes itself —
-		// the final end-of-run push must not report one less than reality.
-		tr.wobs.notePush()
-		var buf bytes.Buffer
-		if err := reg.WriteProm(&buf); err != nil {
-			return
-		}
-		coord.send(Frame{Type: FrameObs, Rank: rank, Blob: append([]byte(nil), buf.Bytes()...)})
-	}
-	var pushStop, pushDone chan struct{}
+	var finalPush func()
 	if wc.ObsPush && spec.ObsPushMS > 0 {
-		pushStop = make(chan struct{})
-		pushDone = make(chan struct{})
-		go func() {
-			defer close(pushDone)
-			tk := time.NewTicker(time.Duration(spec.ObsPushMS) * time.Millisecond)
-			defer tk.Stop()
-			for {
-				select {
-				case <-tk.C:
-					pushSnapshot()
-				case <-pushStop:
-					return
-				}
-			}
-		}()
+		finalPush = tr.pushMetrics(reg, coord, time.Duration(spec.ObsPushMS)*time.Millisecond)
 	}
 
 	// Start barrier: every node reports its mesh up; the coordinator
 	// releases them together so no engine races ahead of a half-built mesh.
 	coord.send(Frame{Type: FrameBarrier})
-	select {
-	case <-barrierCh:
-	case <-shutdownCh:
-		tr.close()
-		return nil, fmt.Errorf("distnet: coordinator went away before the start barrier")
-	case <-time.After(cfg.DialTimeout + 30*time.Second):
-		tr.close()
+	switch nextControl(ctl, cfg.DialTimeout+30*time.Second) {
+	case FrameBarrier:
+	case 0:
 		return nil, fmt.Errorf("distnet: start barrier timed out")
+	default:
+		return nil, fmt.Errorf("distnet: coordinator went away before the start barrier")
 	}
 	stamps.ReleasedUnix = unixNow()
 
 	app, err := BuildApp(spec, rank)
 	if err != nil {
-		tr.close()
 		return nil, err
 	}
 	var store checkpoint.Store
 	if spec.CheckpointEvery > 0 {
 		store = &coordStore{rank: rank, coord: coord, initial: wc.Checkpoint}
 	}
-	ecfg := spec.CoreConfig(reg, journal, store)
-
 	tr.start = time.Now()
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
-	res, runErr := core.Run(tr, app, ecfg)
+	res, runErr := core.Run(tr, app, spec.CoreConfig(reg, journal, store))
 	tr.flushAll(flushRecv) // the engine returned: nothing it sent waits for teardown
 	runtime.ReadMemStats(&msAfter)
 	wall := time.Since(tr.start)
 	if runErr != nil {
-		tr.close()
 		return nil, fmt.Errorf("distnet: rank %d engine: %w", rank, runErr)
 	}
 
-	// Wire-plane throughput measures for the soak harness: delivery-latency
-	// percentiles, physical frame count, and whole-process allocations per
-	// message over the run.
-	allocsPerMsg := 0.0
-	if n := tr.msgsSent + tr.msgsRecvd; n > 0 {
-		allocsPerMsg = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(n)
+	rep := tr.report(res, wall, msAfter.Mallocs-msBefore.Mallocs)
+	rep.HTTP, rep.LaunchStamps = httpAddr, stamps
+	// One final metrics snapshot precedes the result on the same stream, so
+	// the coordinator aggregates complete end-of-run counters.
+	if finalPush != nil {
+		finalPush()
 	}
-
-	// Harvest the per-link clock-offset estimates (peer clock minus ours)
-	// for the trace merge, publishing them as gauges too.
-	clockOff := make([]float64, p)
-	clockRTT := make([]float64, p)
-	for j := range tr.peers {
-		pc := tr.peer(j)
-		if pc == nil {
-			continue
-		}
-		if off, rtt, ok := pc.clockOffset(); ok {
-			clockOff[j], clockRTT[j] = off, rtt
-			pc.opts.obs.setClock(off, rtt)
-		}
-	}
-
-	// Stop the push loop, then send one final snapshot so the aggregated
-	// endpoint reflects the finished run before the result lands.
-	if pushStop != nil {
-		close(pushStop)
-		<-pushDone
-		pushSnapshot()
-	}
-
-	var traceEvents []obs.Event
 	if spec.Trace {
-		traceEvents = journal.Events()
+		rep.Journal = journal.Events()
 	}
-
 	// Report the outcome, then hold the mesh open until the coordinator
-	// confirms every node is done.
-	coord.send(Frame{Type: FrameResult, Final: res.Final, Blob: encodeJSON(NodeReport{
-		Rank: rank, HTTP: httpAddr, Epoch: cfg.Epoch, Restores: res.Stats.Restores,
+	// confirms every node is done (or goes away).
+	coord.send(Frame{Type: FrameResult, Final: res.Final, Blob: encodeJSON(rep)})
+	if nextControl(ctl, 60*time.Second) == 0 {
+		cfg.logf("rank %d: shutdown wait timed out, tearing down anyway", rank)
+	}
+	return &NodeResult{Rank: rank, HTTPAddr: httpAddr, Result: res, Wall: wall}, nil
+}
+
+// nextControl waits up to wait for the coordinator's next barrier or
+// shutdown on its link's event stream and returns the frame's type, 0 when
+// wait elapses first. The link's end counts as a shutdown: a dead
+// coordinator ends the run.
+func nextControl(ctl <-chan linkEvent, wait time.Duration) FrameType {
+	timeout := time.NewTimer(wait)
+	defer timeout.Stop()
+	for {
+		select {
+		case ev := <-ctl:
+			switch {
+			case ev.err != nil:
+				return FrameShutdown
+			case ev.f.Type == FrameBarrier, ev.f.Type == FrameShutdown:
+				return ev.f.Type
+			}
+		case <-timeout.C:
+			return 0
+		}
+	}
+}
+
+// newTransport builds the transport of rank wc.Rank around a mesh not yet
+// connected, with its accounting counters on reg.
+func newTransport(cfg NodeConfig, wc wireConfig, reg *obs.Registry, journal *obs.Journal) *transport {
+	rank, p := wc.Rank, wc.Spec.Procs
+	core.RegisterEngineMetrics(reg, rank)
+	lp := obs.L("proc", strconv.Itoa(rank))
+	reg.Gauge(MetricNodeEpoch, "Process incarnation epoch (0 on first launch).", lp).Set(float64(cfg.Epoch))
+	tr := &transport{
+		rank: rank, p: p, epoch: cfg.Epoch,
+		peers:        make([]atomic.Pointer[peerConn], p),
+		inbox:        inbox.New(),
+		inj:          faults.NewInjector(cfg.Faults, cfg.FaultSeed),
+		hbTimeout:    cfg.HeartbeatTimeout,
+		nodeCfg:      cfg,
+		procs:        p,
+		pend:         make([][]cluster.Message, p),
+		pendBytes:    make([]int, p),
+		obsMsgsSent:  reg.Counter(cluster.MetricMsgsSent, "logical messages passed to Send", lp),
+		obsBytesSent: reg.Counter(cluster.MetricBytesSent, "payload+header bytes of logical sends", lp),
+		wobs:         newWireObs(reg, rank, p),
+		journal:      journal,
+		traceWire:    wc.Spec.Trace,
+	}
+	for i := range tr.pend {
+		tr.pend[i] = getBatch()
+	}
+	return tr
+}
+
+// pushMetrics ships the coordinator a full registry snapshot (Prometheus
+// text) every period, so the fleet endpoint stays fresh while the run is
+// live. The function it returns stops the loop and sends one last snapshot.
+func (t *transport) pushMetrics(reg *obs.Registry, coord *peerConn, period time.Duration) (final func()) {
+	push := func() {
+		// Count the push before rendering so the snapshot includes itself —
+		// the final end-of-run push must not report one less than reality.
+		t.wobs.notePush()
+		var buf bytes.Buffer
+		if err := reg.WriteProm(&buf); err != nil {
+			return
+		}
+		coord.send(Frame{Type: FrameObs, Rank: t.rank, Blob: append([]byte(nil), buf.Bytes()...)})
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tk := time.NewTicker(period)
+		defer tk.Stop()
+		for {
+			select {
+			case <-tk.C:
+				push()
+			case <-stop:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(stop)
+		<-done
+		push()
+	}
+}
+
+// report is this node's NodeReport for the run the engine returned: the
+// engine's counters, the wire plane's (delivery-latency percentiles,
+// physical frames, whole-process allocations per message over mallocs) and
+// each link's clock-offset estimate (peer clock minus ours) for the trace
+// merge, which is published as gauges too.
+func (t *transport) report(res core.Result, wall time.Duration, mallocs uint64) NodeReport {
+	allocsPerMsg := 0.0
+	if n := t.msgsSent + t.msgsRecvd; n > 0 {
+		allocsPerMsg = float64(mallocs) / float64(n)
+	}
+	clockOff, clockRTT := make([]float64, t.p), make([]float64, t.p)
+	for j := range t.peers {
+		if pc := t.peer(j); pc != nil {
+			if off, rtt, ok := pc.est.Offset(); ok {
+				clockOff[j], clockRTT[j] = off, rtt
+				pc.opts.obs.setClock(off, rtt)
+			}
+		}
+	}
+	return NodeReport{
+		Rank: t.rank, Epoch: t.epoch, Restores: res.Stats.Restores,
 		Converged: res.Converged, Iters: res.Stats.Iters,
 		SpecsMade: res.Stats.SpecsMade, SpecsBad: res.Stats.SpecsBad, SpecsSuperseded: res.Stats.SpecsSuperseded,
 		Repairs: res.Stats.Repairs, Overruns: res.Stats.Overruns,
 		WallSec: wall.Seconds(), CommSec: res.Stats.CommTime,
 		MsgsSent: res.Stats.Net.MsgsSent, BytesSent: res.Stats.Net.BytesSent,
-		MsgsRecvd:    tr.msgsRecvd,
-		FramesSent:   tr.framesSentTotal(),
-		LatP50Sec:    tr.lat.quantile(0.50),
-		LatP99Sec:    tr.lat.quantile(0.99),
+		MsgsRecvd:    t.msgsRecvd,
+		FramesSent:   t.framesSentTotal(),
+		LatP50Sec:    t.lat.quantile(0.50),
+		LatP99Sec:    t.lat.quantile(0.99),
 		AllocsPerMsg: allocsPerMsg,
-		StartUnix:    float64(tr.start.UnixNano()) / 1e9,
-		LaunchStamps: stamps,
+		StartUnix:    float64(t.start.UnixNano()) / 1e9,
 		ClockOff:     clockOff,
 		ClockRTT:     clockRTT,
-		Journal:      traceEvents,
-	})})
-	select {
-	case <-shutdownCh:
-	case <-time.After(60 * time.Second):
-		cfg.logf("rank %d: shutdown wait timed out, tearing down anyway", rank)
 	}
-	tr.close()
-	return &NodeResult{Rank: rank, HTTPAddr: httpAddr, Result: res, Wall: wall}, nil
 }
 
-// readConfig reads the coordinator's config frame with a deadline.
-func readConfig(conn net.Conn, timeout time.Duration) (Frame, error) {
-	if timeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(timeout))
-		defer conn.SetReadDeadline(time.Time{})
-	}
-	f, err := readFrame(conn)
-	if err != nil {
-		return Frame{}, fmt.Errorf("distnet: reading config: %w", err)
-	}
-	if f.Type != FrameConfig {
-		return Frame{}, fmt.Errorf("distnet: expected config, got %v frame", f.Type)
-	}
-	return f, nil
-}
-
-// connectMesh builds the peer mesh. acceptLoop starts first and admits
+// connectMesh builds the peer mesh. The acceptor starts first and admits
 // every inbound link for the rest of the run; then this node dials — on a
 // fresh run every lower rank (already listening, and accepting this node's
 // dial), on a rejoin every peer, whose install swaps its stale link out by
@@ -809,7 +784,9 @@ func (t *transport) connectMesh(ln net.Listener, peers []string, cfg NodeConfig,
 	wait := cfg.DialTimeout + 30*time.Second
 	timeout := time.NewTimer(wait)
 	defer timeout.Stop()
-	go t.acceptLoop(ln)
+	go acceptHellos(ln, func() time.Duration { return cfg.DialTimeout }, func(conn net.Conn, hello Frame) bool {
+		return t.install(conn, hello, true)
+	})
 
 	dialTo := t.rank // fresh run: dial [0, rank)
 	if rejoin {
@@ -823,8 +800,11 @@ func (t *transport) connectMesh(ln net.Listener, peers []string, cfg NodeConfig,
 		}
 		dials++
 		go func(j int) {
-			conn, hello, err := t.dialPeer(peers[j], j, t.myHello, cfg)
-			if err == nil && !t.install(conn, hello, false) {
+			conn, hello, err := dial(peers[j], t.myHello, true, cfg, t.wobs)
+			if err == nil && hello.Rank != j {
+				conn.Close()
+				err = fmt.Errorf("distnet: dialed rank %d but got hello from rank %d", j, hello.Rank)
+			} else if err == nil && !t.install(conn, hello, false) {
 				conn.Close()
 			}
 			errs <- err
@@ -846,26 +826,6 @@ func (t *transport) connectMesh(ln net.Listener, peers []string, cfg NodeConfig,
 		}
 	}
 	return nil
-}
-
-// acceptLoop serves the peer listener for the whole run, mesh build and
-// rejoins alike: each inbound connection's hello is read on its own
-// goroutine and the connection goes to install. A silent, garbled or
-// refused connection is closed and changes nothing. The loop exits when
-// the listener closes at teardown.
-func (t *transport) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			hello, err := readHello(conn, t.nodeCfg.DialTimeout)
-			if err != nil || !t.install(conn, hello, true) {
-				conn.Close()
-			}
-		}()
-	}
 }
 
 // install is the one rule every peer link passes, dialed or accepted,
@@ -916,56 +876,4 @@ func (t *transport) install(conn net.Conn, hello Frame, reply bool) bool {
 	go t.reader(pc)
 	go pc.heartbeater(t.nodeCfg.HeartbeatEvery)
 	return true
-}
-
-// dialPeer dials rank j, sends our hello and reads the reply, returning the
-// peer's hello (rank + incarnation epoch). The error taxonomy is
-// load-bearing here: a reply cut off mid-frame (io.ErrUnexpectedEOF — the
-// peer was tearing down a half-open accept, or the connection raced its
-// listener) is retried on a fresh connection within the dial budget, while
-// a corrupt reply (ErrCorrupt — wrong process, protocol desync) fails the
-// mesh immediately.
-func (t *transport) dialPeer(addr string, j int, myHello Frame, cfg NodeConfig) (net.Conn, Frame, error) {
-	deadline := time.Now().Add(cfg.DialTimeout)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, Frame{}, fmt.Errorf("distnet: hello exchange with rank %d: %w", j, lastErr)
-		}
-		t.wobs.noteDial()
-		conn, err := dialRetry(addr, remain, cfg.Logf)
-		if err != nil {
-			return nil, Frame{}, err
-		}
-		if _, err := writeFrame(conn, nil, &myHello); err != nil {
-			conn.Close()
-			return nil, Frame{}, fmt.Errorf("distnet: hello to rank %d: %w", j, err)
-		}
-		reply, err := readHello(conn, time.Until(deadline))
-		if err == nil {
-			if reply.Rank != j {
-				conn.Close()
-				return nil, Frame{}, fmt.Errorf("distnet: dialed rank %d but got hello from rank %d", j, reply.Rank)
-			}
-			return conn, reply, nil
-		}
-		conn.Close()
-		if errors.Is(err, ErrCorrupt) {
-			return nil, Frame{}, err // desynchronized stream: fatal, never retried
-		}
-		if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) && !isTimeout(err) {
-			return nil, Frame{}, err
-		}
-		lastErr = err
-		t.wobs.noteHelloRetry()
-		time.Sleep(time.Duration(25<<min(attempt, 5)) * time.Millisecond)
-	}
-}
-
-// isTimeout reports whether err is a network timeout (deadline expiry on
-// the hello read — retryable within the dial budget).
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

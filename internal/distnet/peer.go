@@ -1,14 +1,17 @@
 package distnet
 
-// Per-peer TCP connection management: dialing with retry and exponential
-// backoff, a buffered writer goroutine per link, heartbeats, and dead-peer
+// TCP link management: the one acceptor and the one dial loop (exponential
+// backoff) of every listener and dialer, a buffered writer goroutine per
+// link, heartbeats, the one frame pump of the control links, and dead-peer
 // detection. One TCP connection serves each unordered pair of processors
 // (the lower rank accepts, the higher rank dials); both directions flow on
 // it.
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -27,30 +30,124 @@ import (
 // "suspected" is soft: PeerDown reports it to the engine's failure
 // detector, but the link keeps trying until a hard read/write error lands.
 
-// dialRetry dials addr until it succeeds or total elapses, backing off
-// exponentially from 25 ms to 1 s between attempts. It tolerates the target
-// not listening yet — nodes of a run start in arbitrary order.
-func dialRetry(addr string, total time.Duration, logf func(string, ...any)) (net.Conn, error) {
-	deadline := time.Now().Add(total)
+// dial is the one dial loop, for the coordinator link and every peer link
+// alike. It connects to addr and writes hello; with reply it then reads the
+// far end's hello. Until cfg.DialTimeout elapses, a failed connect (the
+// target is not listening yet — nodes of a run start in arbitrary order) and
+// a reply cut off or timed out (the peer was tearing down a half-open
+// accept, or the connection raced its listener) are retried on a fresh
+// connection, backing off from 25 ms, doubling to 1 s. A corrupt or
+// unexpected reply — wrong process, protocol desync — fails at once. w
+// counts every attempt and every redial after a cut-off reply (nil: none).
+func dial(addr string, hello Frame, reply bool, cfg NodeConfig, w *wireObs) (net.Conn, Frame, error) {
+	deadline := time.Now().Add(cfg.DialTimeout)
 	backoff := 25 * time.Millisecond
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return nil, fmt.Errorf("distnet: dialing %s: %w", addr, lastErr)
+			return nil, Frame{}, fmt.Errorf("distnet: dialing %s: %w", addr, lastErr)
 		}
-		c, err := net.DialTimeout("tcp", addr, remain)
+		w.noteDial()
+		conn, err := net.DialTimeout("tcp", addr, remain)
 		if err == nil {
-			return c, nil
+			if _, err := writeFrame(conn, nil, &hello); err != nil {
+				conn.Close()
+				return nil, Frame{}, fmt.Errorf("distnet: hello to %s: %w", addr, err)
+			}
+			if !reply {
+				return conn, Frame{}, nil
+			}
+			var far Frame
+			if far, err = readHandshake(conn, FrameHello, time.Until(deadline)); err == nil {
+				return conn, far, nil
+			}
+			conn.Close()
+			if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) && !isTimeout(err) {
+				return nil, Frame{}, err // a desynchronized stream (ErrCorrupt) is never retried
+			}
+			w.noteHelloRetry()
+		} else if attempt == 0 {
+			cfg.logf("dial %s failed (%v), retrying with backoff", addr, err)
 		}
 		lastErr = err
-		if attempt == 0 && logf != nil {
-			logf("dial %s failed (%v), retrying with backoff", addr, err)
+		time.Sleep(min(backoff, time.Until(deadline)))
+		backoff = min(2*backoff, time.Second)
+	}
+}
+
+// isTimeout reports whether err is a network timeout (deadline expiry on
+// the hello read — retryable within the dial budget).
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// readHandshake reads the first frame a link carries, which must be of type
+// want, within timeout: the far end's hello on every listener and on a
+// dialed peer link, the coordinator's config on a node's coordinator link.
+// A spent budget (timeout ≤ 0) fails the read at once.
+func readHandshake(conn net.Conn, want FrameType, timeout time.Duration) (Frame, error) {
+	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+	defer conn.SetReadDeadline(time.Time{})
+	f, err := readFrame(conn)
+	if err != nil {
+		return Frame{}, fmt.Errorf("distnet: reading %v: %w", want, err)
+	}
+	if f.Type != want {
+		return Frame{}, fmt.Errorf("distnet: expected %v, got %v frame", want, f.Type)
+	}
+	return f, nil
+}
+
+// acceptHellos is the one acceptor, of the coordinator's listener and of
+// every node's: it serves ln until ln closes. Each connection's hello is
+// read on its own goroutine within timeout(), so a silent or garbled
+// connection delays nobody, and goes to take; a connection without a whole
+// hello, or that take refuses, is closed and changes nothing.
+func acceptHellos(ln net.Listener, timeout func() time.Duration, take func(net.Conn, Frame) bool) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
-		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > time.Second {
-			backoff = time.Second
+		go func() {
+			hello, err := readHandshake(conn, FrameHello, timeout())
+			if err != nil || !take(conn, hello) {
+				conn.Close()
+			}
+		}()
+	}
+}
+
+// linkEvent is one frame, or the read error that ended the stream, from a
+// control link; pc names the link, so a consumer can tell a retired link's
+// tail from its successor's frames.
+type linkEvent struct {
+	pc  *peerConn
+	f   Frame
+	err error
+}
+
+// pump is the one reader of a control link, on both ends: each of the
+// coordinator's member links and a node's coordinator link. It reads frames
+// until the stream fails, touches the link on each and forwards it, then the
+// error, to events. Every forward also watches quit, the consumer's end, so
+// no pump outlives the run it reads for.
+func (pc *peerConn) pump(events chan<- linkEvent, quit <-chan struct{}) {
+	br := bufio.NewReader(pc.conn)
+	for {
+		f, err := readFrame(br)
+		if err == nil {
+			pc.touch()
+		}
+		select {
+		case events <- linkEvent{pc: pc, f: f, err: err}:
+		case <-quit:
+			return
+		}
+		if err != nil {
+			return
 		}
 	}
 }
@@ -61,9 +158,13 @@ type wireOpts struct {
 	clock bool // timestamped heartbeats, beaconed even when data flows
 	obs   *linkObs
 	rows  *inbox.Inbox // lent the payload rows of outbound data (nil: none)
+	// direct: no writer goroutine, send writes on the caller's (a
+	// coordinator's member link, whose three frames a writer hop would delay)
+	direct bool
 }
 
-// peerConn is one live link to a peer (or to the coordinator, rank -1).
+// peerConn is one live link: to a peer, from a node to the coordinator
+// (rank -1), or from the coordinator to the member holding rank.
 type peerConn struct {
 	rank int
 	// epoch is the peer incarnation this link was opened with; a
@@ -74,9 +175,9 @@ type peerConn struct {
 	opts  wireOpts
 
 	// out feeds the writer goroutine. Sends block when full — TCP
-	// backpressure, propagated to the engine. Liveness never competes with
-	// this queue: every outbound frame refreshes the peer's staleness
-	// clock, and explicit heartbeats are only emitted on idle links.
+	// backpressure, propagated to the engine — and beacons wait in it like
+	// data (heartbeater); every outbound frame refreshes the far end's
+	// staleness clock.
 	out  chan Frame
 	stop chan struct{} // closed once (via closeOnce), tears the writer down
 	done chan struct{} // closed by the writer on exit
@@ -128,7 +229,11 @@ func newPeerConn(rank int, conn net.Conn, outCap int, opts wireOpts) *peerConn {
 	now := time.Now().UnixNano()
 	pc.lastSeen.Store(now)
 	pc.lastSent.Store(now)
-	go pc.writer()
+	if opts.direct {
+		close(pc.done)
+	} else {
+		go pc.writer()
+	}
 	return pc
 }
 
@@ -137,6 +242,12 @@ func newPeerConn(rank int, conn net.Conn, outCap int, opts wireOpts) *peerConn {
 // a crashed workstation does with packets addressed to it.
 func (pc *peerConn) send(f Frame) {
 	if pc.down.Load() {
+		return
+	}
+	if pc.opts.direct {
+		if _, err := writeFrame(pc.conn, nil, &f); err != nil {
+			pc.down.Store(true)
+		}
 		return
 	}
 	pc.lastSent.Store(time.Now().UnixNano())
@@ -239,10 +350,10 @@ func (pc *peerConn) alive(timeout time.Duration) bool {
 // touch records frame receipt for staleness detection.
 func (pc *peerConn) touch() { pc.lastSeen.Store(time.Now().UnixNano()) }
 
-// heartbeater emits liveness beacons every interval until stop closes —
-// but only on idle links. Any outbound frame within the last interval
-// already refreshes the peer's staleness clock (piggybacked liveness), so
-// a link saturated with data pays nothing; and when a beacon is due, it is
+// heartbeater emits liveness beacons every interval until stop closes, on
+// clock links always, else only while idle: any outbound frame within the
+// last interval refreshes the peer's staleness clock (piggybacked liveness),
+// so a busy plain link pays nothing; and when a beacon is due, it is
 // enqueued with the same blocking semantics as data. A backpressured link
 // thus delivers its beacon as soon as the queue drains instead of silently
 // starving its own liveness — the failure mode the old drop-on-congestion
@@ -303,27 +414,4 @@ func (pc *peerConn) noteHeartbeat(clk [3]float64) {
 			pc.opts.obs.setClock(off, rtt)
 		}
 	}
-}
-
-// clockOffset reports the link's current offset estimate (peer clock minus
-// local clock), the RTT of the sample behind it, and whether one exists.
-func (pc *peerConn) clockOffset() (offset, rtt float64, ok bool) {
-	return pc.est.Offset()
-}
-
-// readHello performs the receiving half of the link handshake with a
-// deadline, returning the peer's hello frame.
-func readHello(conn net.Conn, timeout time.Duration) (Frame, error) {
-	if timeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(timeout))
-		defer conn.SetReadDeadline(time.Time{})
-	}
-	f, err := readFrame(conn)
-	if err != nil {
-		return Frame{}, fmt.Errorf("distnet: reading hello: %w", err)
-	}
-	if f.Type != FrameHello {
-		return Frame{}, fmt.Errorf("distnet: expected hello, got %v frame", f.Type)
-	}
-	return f, nil
 }

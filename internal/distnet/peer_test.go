@@ -374,11 +374,10 @@ func TestDialPeerRetriesTruncatedHello(t *testing.T) {
 			goodHello(conn)
 			return true
 		})
-		tr := &transport{rank: 1, p: 2}
 		myHello := Frame{Type: FrameHello, Rank: 1, Addr: "y"}
-		conn, reply, err := tr.dialPeer(addr, 0, myHello, NodeConfig{DialTimeout: 10 * time.Second})
+		conn, reply, err := dial(addr, myHello, true, NodeConfig{DialTimeout: 10 * time.Second}, nil)
 		if err != nil {
-			t.Fatalf("dialPeer did not survive a truncated hello: %v", err)
+			t.Fatalf("dial did not survive a truncated hello: %v", err)
 		}
 		conn.Close()
 		if reply.Epoch != 3 {
@@ -400,9 +399,8 @@ func TestDialPeerRetriesTruncatedHello(t *testing.T) {
 			io.Copy(io.Discard, conn) // hold the conn open so the close isn't the error
 			return true
 		})
-		tr := &transport{rank: 1, p: 2}
 		myHello := Frame{Type: FrameHello, Rank: 1, Addr: "y"}
-		_, _, err := tr.dialPeer(addr, 0, myHello, NodeConfig{DialTimeout: 3 * time.Second})
+		_, _, err := dial(addr, myHello, true, NodeConfig{DialTimeout: 3 * time.Second}, nil)
 		if err == nil {
 			t.Fatal("corrupt hello accepted")
 		}

@@ -281,37 +281,50 @@ func TestNonSuccessWaitIsDurable(t *testing.T) {
 	}
 }
 
-// TestAwaitAcksCountsOnlyCurrentGenerationEOF drives the ack loop with an
-// exact schedule: a replaced connection's end-of-stream is not the member's
-// ack, a checkpoint frame is kept, and the loop returns on the last
-// current-generation EOF.
+// TestAwaitAcksCountsOnlyCurrentGenerationEOF drives the event loop's
+// shutdown phase with an exact schedule: a replaced link's end-of-stream is
+// not the member's ack, a checkpoint frame is kept, and the loop returns on
+// the last current link's EOF.
 func TestAwaitAcksCountsOnlyCurrentGenerationEOF(t *testing.T) {
-	c := &Coordinator{custody: newCustody(nil, 3), abort: make(chan struct{}), ackTimeout: time.Hour}
-	byRank := []*coordMember{{rank: 0}, {rank: 1, gen: 1}, {rank: 2}} // rank 1 was reclaimed once
-	acked := map[int]bool{2: true}                                    // closed right after its result
-	events := make(chan coordEvent)                                   // unbuffered: a send returns once the loop took it
-	done := make(chan struct{})
-	go func() {
-		c.awaitAcks(events, byRank, acked)
-		close(done)
-	}()
-	feed := func(ev coordEvent) {
+	c := &Coordinator{spec: RunSpec{Procs: 3}, custody: newCustody(nil, 3), abort: make(chan struct{}), ackTimeout: time.Hour,
+		cfg: CoordConfig{RejoinWait: time.Hour}}
+	link := func(rank int) *peerConn {
+		near, _ := tcpPair(t)
+		pc := newPeerConn(rank, near, 4, wireOpts{})
+		t.Cleanup(pc.close)
+		return pc
+	}
+	r := newRoster(c)
+	links := []*peerConn{link(0), link(1), link(2)}
+	replaced := link(1) // rank 1 was reclaimed once: its dead incarnation's link
+	copy(r.links, links)
+	r.joined = 3
+	for rank := range links {
+		r.results[rank] = &NodeReport{Rank: rank}
+	}
+	r.acked[2] = true               // closed right after its result
+	r.events = make(chan linkEvent) // unbuffered: a send returns once the loop took it
+	done := make(chan error, 1)
+	go func() { done <- c.serve(r, nil, time.Now().Add(time.Hour)) }()
+	feed := func(ev linkEvent) {
 		t.Helper()
 		select {
-		case events <- ev:
-		case <-done:
-			t.Fatalf("ack loop returned early, before %+v", ev)
+		case r.events <- ev:
+		case err := <-done:
+			t.Fatalf("ack loop returned early (%v), before %+v", err, ev)
 		}
 	}
-	feed(coordEvent{rank: 1, gen: 0, err: io.EOF}) // the dead incarnation's tail
-	feed(coordEvent{rank: 0, err: io.EOF})
+	feed(linkEvent{pc: replaced, err: io.EOF}) // the dead incarnation's tail
+	feed(linkEvent{pc: links[0], err: io.EOF})
 	// Had the stale EOF counted, all three ranks would now read acked and the
 	// loop would be gone; feed fails the test in that case.
-	feed(coordEvent{rank: 1, gen: 1, f: Frame{Type: FrameCheckpoint, Blob: snap(1, 1, 9)}})
-	feed(coordEvent{rank: 1, gen: 1, err: io.EOF})
-	<-done
-	if len(acked) != 3 {
-		t.Errorf("acked = %v, want all three ranks", acked)
+	feed(linkEvent{pc: links[1], f: Frame{Type: FrameCheckpoint, Blob: snap(1, 1, 9)}})
+	feed(linkEvent{pc: links[1], err: io.EOF})
+	if err := <-done; err != nil {
+		t.Fatalf("ack loop: %v", err)
+	}
+	if len(r.acked) != 3 {
+		t.Errorf("acked = %v, want all three ranks", r.acked)
 	}
 	if blob, ok := c.custody.get(1); !ok || orderOf(t, blob) != [2]int{1, 9} {
 		t.Error("checkpoint fed during the ack wait was dropped")

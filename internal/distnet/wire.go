@@ -50,7 +50,7 @@ const (
 	FrameData       FrameType = 1 + iota // peer → peer: one cluster.Message
 	FrameHello                           // both directions: identity (rank, epoch, listen addr)
 	FrameConfig                          // coord → node: rank, membership, run spec (JSON blob)
-	FrameHeartbeat                       // peer → peer: liveness beacon (idle links only)
+	FrameHeartbeat                       // node → peer, node → coord: liveness beacon (peer links every interval, with clock tail; coord link when idle)
 	FrameBarrier                         // node → coord: arrival; coord → node: release
 	FrameCheckpoint                      // node → coord: snapshot custody (proc, blob)
 	FrameResult                          // node → coord: run outcome (JSON blob + raw final partition)

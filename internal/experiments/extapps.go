@@ -44,83 +44,45 @@ func ExtApps(cfg NBodyConfig) (Report, error) {
 	}
 	record(0, "nbody", core.TotalTime(nb0), core.TotalTime(nb1))
 
-	// Jacobi: dense 120-unknown system on 6 machines, latency comparable
-	// to a sweep.
-	{
-		prob := jacobi.NewDiagonallyDominant(120, 7)
-		machines := cluster.LinearMachines(6, 20_000, 5)
-		blocks := partition.Blocks(prob.N, cluster.Capacities(machines))
-		run := func(fw int) (float64, error) {
-			results, err := core.RunCluster(
-				cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.4}},
-				core.Config{FW: fw, MaxIter: 40},
-				func(p *cluster.Proc) core.App { return jacobi.NewApp(prob, blocks, p.ID(), 1e-4) })
-			if err != nil {
-				return 0, err
-			}
-			return core.TotalTime(results), nil
-		}
-		tb, err := run(0)
-		if err != nil {
-			return rep, err
-		}
-		ts, err := run(1)
-		if err != nil {
-			return rep, err
-		}
-		record(1, "jacobi", tb, ts)
+	// The grid applications, each at its natural size and speculation
+	// settings, blocking (FW=0) against FW=1.
+	prob := jacobi.NewDiagonallyDominant(120, 7)
+	hg, sg := heat.DefaultGrid(32, 16), sor.DefaultGrid(32, 16)
+	apps := []struct {
+		name    string
+		cluster cluster.Config
+		engine  core.Config // FW is set per run
+		size    int         // variables split over the machines
+		app     func(blocks [][2]int, id int) core.App
+	}{
+		// Jacobi: dense 120-unknown system on 6 machines, latency
+		// comparable to a sweep.
+		{"jacobi", cluster.Config{Machines: cluster.LinearMachines(6, 20_000, 5), Net: netmodel.Fixed{D: 0.4}},
+			core.Config{MaxIter: 40}, prob.N,
+			func(b [][2]int, id int) core.App { return jacobi.NewApp(prob, b, id, 1e-4) }},
+		// Heat: 32×16 strip-decomposed stencil with neighbour exchange.
+		{"heat", cluster.Config{Machines: cluster.UniformMachines(4, 50_000), Net: netmodel.Fixed{D: 0.02}},
+			core.Config{MaxIter: 1000}, hg.Rows,
+			func(b [][2]int, id int) core.App { return heat.NewApp(hg, b, id, 1e-3) }},
+		// SOR: 32×16 red-black half-sweeps, colour-aware speculation.
+		{"sor", cluster.Config{Machines: cluster.UniformMachines(4, 10_000), Net: netmodel.Fixed{D: 0.05}},
+			core.Config{BW: 3, MaxIter: 200}, sg.Rows,
+			func(b [][2]int, id int) core.App { return sor.NewApp(sg, b, id, 1e-3) }},
 	}
-
-	// Heat: 32×16 strip-decomposed stencil with neighbour exchange.
-	{
-		g := heat.DefaultGrid(32, 16)
-		machines := cluster.UniformMachines(4, 50_000)
-		blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
-		run := func(fw int) (float64, error) {
-			results, err := core.RunCluster(
-				cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.02}},
-				core.Config{FW: fw, MaxIter: 1000},
-				func(p *cluster.Proc) core.App { return heat.NewApp(g, blocks, p.ID(), 1e-3) })
+	for i, a := range apps {
+		blocks := partition.Blocks(a.size, cluster.Capacities(a.cluster.Machines))
+		var t [2]float64 // total time at FW=0 and FW=1
+		for fw := range t {
+			ecfg := a.engine
+			ecfg.FW = fw
+			results, err := core.RunCluster(a.cluster, ecfg,
+				func(p *cluster.Proc) core.App { return a.app(blocks, p.ID()) })
 			if err != nil {
-				return 0, err
+				return rep, err
 			}
-			return core.TotalTime(results), nil
+			t[fw] = core.TotalTime(results)
 		}
-		tb, err := run(0)
-		if err != nil {
-			return rep, err
-		}
-		ts, err := run(1)
-		if err != nil {
-			return rep, err
-		}
-		record(2, "heat", tb, ts)
-	}
-
-	// SOR: 32×16 red-black half-sweeps, colour-aware speculation.
-	{
-		g := sor.DefaultGrid(32, 16)
-		machines := cluster.UniformMachines(4, 10_000)
-		blocks := partition.Blocks(g.Rows, cluster.Capacities(machines))
-		run := func(fw int) (float64, error) {
-			results, err := core.RunCluster(
-				cluster.Config{Machines: machines, Net: netmodel.Fixed{D: 0.05}},
-				core.Config{FW: fw, BW: 3, MaxIter: 200},
-				func(p *cluster.Proc) core.App { return sor.NewApp(g, blocks, p.ID(), 1e-3) })
-			if err != nil {
-				return 0, err
-			}
-			return core.TotalTime(results), nil
-		}
-		tb, err := run(0)
-		if err != nil {
-			return rep, err
-		}
-		ts, err := run(1)
-		if err != nil {
-			return rep, err
-		}
-		record(3, "sor", tb, ts)
+		record(i+1, a.name, t[0], t[1])
 	}
 
 	rep.Series = []Series{gains}
